@@ -10,9 +10,10 @@ build:
 test: build
 	$(GO) test ./...
 
-# Module-wide under the race detector: the parallel sweep executor and batch
-# runner are the concurrency surfaces, but every package runs so a data race
-# introduced anywhere is caught.
+# Module-wide under the race detector: the farm executor (every sweep,
+# figure, and batch runs through it, concurrent Runs included) is the
+# concurrency surface, but every package runs so a data race introduced
+# anywhere is caught.
 race:
 	$(GO) test -race ./...
 
@@ -48,8 +49,12 @@ bench-diff:
 # replay — the grep fails the target if anything re-simulated), and require
 # the training corpora of the two passes byte-identical. Exercises the
 # whole farm path end to end: sweep grammar, canonical config addressing,
-# store integrity verification, corpus emission.
+# store integrity verification, corpus emission. The cross-CLI leg then
+# banks Figure 3's 30 cells with dffarm and requires dfsweep to replay all
+# of them (zero simulations) into a report byte-identical to the golden one:
+# both CLIs must build the same cells and address them identically.
 FARM_SMOKE := /tmp/dffarm-smoke
+FIG3_GRID := -apps CR,FB,AMG -placements cont,cab,chas,rotr,rand -routings min,adp
 farm-smoke: build
 	rm -rf $(FARM_SMOKE) && mkdir -p $(FARM_SMOKE)
 	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -quiet -corpus $(FARM_SMOKE)/cold.csv 2>&1 | tee $(FARM_SMOKE)/cold.log
@@ -57,11 +62,16 @@ farm-smoke: build
 	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -resume -quiet -corpus $(FARM_SMOKE)/warm.csv 2>&1 | tee $(FARM_SMOKE)/warm.log
 	grep -q "8 hits, 0 simulated" $(FARM_SMOKE)/warm.log
 	cmp $(FARM_SMOKE)/cold.csv $(FARM_SMOKE)/warm.csv
-	@echo "farm-smoke: warm rerun replayed all 8 cells from the store; corpora byte-identical"
+	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/fig3 $(FIG3_GRID) -quiet
+	$(GO) run ./cmd/dfsweep -exp fig3 -parallel 2 -quiet -farm-cache $(FARM_SMOKE)/fig3 > $(FARM_SMOKE)/fig3.txt 2> $(FARM_SMOKE)/fig3.log
+	cat $(FARM_SMOKE)/fig3.log
+	grep -q "30 hits, 0 simulated" $(FARM_SMOKE)/fig3.log
+	cmp $(FARM_SMOKE)/fig3.txt internal/experiments/testdata/golden/fig3.txt
+	@echo "farm-smoke: warm rerun replayed all 8 cells from the store; corpora byte-identical; dfsweep replayed dffarm's 30 fig3 cells into the golden report"
 
 # Collective-workload smoke: the graph-executor determinism suite (ring
 # all-reduce and MoE all-to-all on both the Dragonfly and Dragonfly+ mini
-# machines — reruns, the auditor, disabled pooling, and 1/2/4 RunBatch
+# machines — reruns, the auditor, disabled pooling, and 1/2/4 farm executor
 # workers must all reproduce bit-identical digests), then the figa
 # placement-vs-routing sweep of all six graph generators checked against
 # its committed golden report.

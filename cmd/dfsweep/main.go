@@ -37,8 +37,8 @@ func main() {
 		faultStr = flag.String("faults", "", "degrade every simulation's fabric (extension beyond the paper): comma clauses global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, group=G, bundle=G1-G2, flap=link:A-B@MTBF:MTTR or router:ID@MTBF:MTTR, until=DUR, fail|repair=TARGET@DUR, seed=N; figr/figq/figf drive their own fault specs and ignore this")
 		faultSd  = flag.Int64("fault-seed", 0, "override the fault spec's seed= clause (0 keeps the spec's own seed)")
 		farmDir  = flag.String("farm-cache", "", "content-addressed result farm directory (see dffarm): banked cells replay instead of re-simulating, fresh cells are banked; reports are byte-identical either way")
-		retries  = flag.Int("retries", 0, "re-attempts per failing farm-backed cell before its error stands (0 = fail fast; needs -farm-cache)")
-		jobTmo   = flag.Duration("job-timeout", 0, "wall-clock budget per farm-backed cell, e.g. 5m (0 = unlimited; needs -farm-cache)")
+		retries  = flag.Int("retries", 0, "re-attempts per failing cell before its error stands (0 = fail fast)")
+		jobTmo   = flag.Duration("job-timeout", 0, "wall-clock budget per cell, e.g. 5m (0 = unlimited)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)

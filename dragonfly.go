@@ -314,7 +314,10 @@ func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 // RunBatch executes independent simulations across a bounded worker pool
 // (parallel <= 0 selects NumCPU) and returns results in config order,
 // bit-identical to sequential Run calls at every worker count.
-func RunBatch(cfgs []Config, parallel int) ([]*Result, error) { return core.RunBatch(cfgs, parallel) }
+func RunBatch(cfgs []Config, parallel int) ([]*Result, error) {
+	results, _, err := farm.New(nil, farm.Options{Parallel: parallel}).Run(cfgs)
+	return results, err
+}
 
 // Multijob co-runs (the production scenario of Sec. IV-C, with real
 // application traces instead of synthetic background traffic).
@@ -394,7 +397,9 @@ func NewRunner(opts ExperimentOptions) *ExperimentRunner { return experiments.Ne
 type (
 	// FarmStore is the on-disk content-addressed result store.
 	FarmStore = farm.Store
-	// Farm executes config sets against a FarmStore.
+	// Farm is the cell executor every sweep runs through: a bounded worker
+	// pool with single-flight dedup, retries, and quarantine, persisting to
+	// a FarmStore when one is attached.
 	Farm = farm.Farm
 	// FarmOptions configures parallelism, sharding, and progress callbacks.
 	FarmOptions = farm.Options
@@ -437,7 +442,7 @@ func NewChaosInjector(spec *ChaosSpec) *ChaosInjector { return chaos.New(spec) }
 // OpenFarm opens (creating if needed) a farm store rooted at dir.
 func OpenFarm(dir string) (*FarmStore, error) { return farm.Open(dir) }
 
-// NewFarm builds a Farm over a store.
+// NewFarm builds a Farm over a store; a nil store means no persistence.
 func NewFarm(store *FarmStore, opts FarmOptions) *Farm { return farm.New(store, opts) }
 
 // EncodeConfig returns the canonical encoding of a run configuration — the

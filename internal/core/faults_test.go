@@ -131,99 +131,6 @@ func TestWatchdogSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// panicMachine trips a deliberate panic inside Run, for the batch firewall
-// test.
-type panicMachine struct{}
-
-func (panicMachine) Build() (topology.Interconnect, error) { panic("synthetic machine failure") }
-func (panicMachine) Label() string                         { return "panic" }
-
-// TestRunBatchRecoversPanics: one panicking config must not take down the
-// batch — siblings complete, the panic becomes that config's error, and the
-// merge stays in config order.
-func TestRunBatchRecoversPanics(t *testing.T) {
-	tr := miniCR(t)
-	good := MiniConfig(tr, Cell{placement.Contiguous, routing.Minimal}, 3)
-	bad := good
-	bad.Topology = panicMachine{}
-	for _, parallel := range []int{1, 4} {
-		results, err := RunBatch([]Config{good, bad, good}, parallel)
-		if err == nil {
-			t.Fatalf("parallel=%d: panic did not surface as an error", parallel)
-		}
-		if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "synthetic machine failure") {
-			t.Fatalf("parallel=%d: error does not describe the panic: %v", parallel, err)
-		}
-		if results[0] == nil || results[2] == nil {
-			t.Fatalf("parallel=%d: sibling configs did not complete", parallel)
-		}
-		if results[1] != nil {
-			t.Fatalf("parallel=%d: panicked config produced a result", parallel)
-		}
-		if results[0].Duration != results[2].Duration {
-			t.Fatalf("parallel=%d: identical sibling configs diverged", parallel)
-		}
-	}
-}
-
-// TestDynamicFaultRunsDeterministic: the new fault dynamics — a flapping
-// link, a correlated group outage, a bundle outage, all failed and repaired
-// mid-run — produce audit-clean runs that are bit-identical on rerun and at
-// every RunBatch worker count.
-func TestDynamicFaultRunsDeterministic(t *testing.T) {
-	tr := miniCR(t)
-	specs := []*faults.Spec{
-		{Flaps: []faults.Flap{{A: 0, B: 1, MTBF: 50_000, MTTR: 20_000}}, FlapUntil: 500_000, Seed: 3},
-		{Events: []faults.Event{
-			{At: 10_000, IsGroup: true, Group: 1},
-			{At: 60_000, IsGroup: true, Group: 1, Repair: true},
-		}},
-		{Events: []faults.Event{
-			{At: 10_000, IsBundle: true, G1: 0, G2: 1},
-			{At: 60_000, IsBundle: true, G1: 0, G2: 1, Repair: true},
-		}},
-	}
-	var cfgs []Config
-	for _, spec := range specs {
-		cfg := MiniConfig(tr, Cell{placement.RandomNode, routing.Adaptive}, 7)
-		cfg.Faults = spec
-		cfg.Audit = true
-		cfg.WatchdogEvents = 200_000_000
-		cfgs = append(cfgs, cfg)
-	}
-	base, err := RunBatch(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range base {
-		if !res.Completed {
-			t.Fatalf("spec %d: run did not complete", i)
-		}
-		if res.Audit == nil || res.Audit.Stats.Routes == 0 {
-			t.Fatalf("spec %d: auditor was not attached", i)
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		again, err := RunBatch(cfgs, workers)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", workers, err)
-		}
-		for i := range base {
-			a, b := base[i], again[i]
-			if a.Duration != b.Duration || a.Events != b.Events ||
-				a.DroppedPackets != b.DroppedPackets || a.DroppedBytes != b.DroppedBytes {
-				t.Fatalf("parallel=%d spec %d: diverged: (%v,%d,%d) vs (%v,%d,%d)",
-					workers, i, a.Duration, a.Events, a.DroppedPackets, b.Duration, b.Events, b.DroppedPackets)
-			}
-			for r := range a.CommTimes {
-				if a.CommTimes[r] != b.CommTimes[r] {
-					t.Fatalf("parallel=%d spec %d: rank %d comm time diverged", workers, i, r)
-				}
-			}
-		}
-	}
-}
-
 // TestWatchdogErrorNamesHealthHistory: a stall under dynamic faults reports
 // the applied fail/repair transitions in the watchdog error itself.
 func TestWatchdogErrorNamesHealthHistory(t *testing.T) {

@@ -22,8 +22,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -73,8 +71,9 @@ type Options struct {
 	Machine topology.Machine
 	// DataDir, when non-empty, receives one CSV file per produced table.
 	DataDir string
-	// Progress, when non-nil, receives one line per completed simulation.
-	// Writes are serialized, so parallel workers never interleave lines.
+	// Progress, when non-nil, receives one line per completed simulation,
+	// each in a single Write. Writes are serialized, so parallel workers
+	// never interleave lines.
 	Progress io.Writer
 	// Parallel bounds the worker pool that independent simulations of one
 	// experiment fan out across: 1 runs strictly sequentially, 0 (the
@@ -100,12 +99,6 @@ type Options struct {
 	// (figr), the learning-router comparison (figq), and the availability
 	// sweep (figf) drive their own fault specs and ignore this option.
 	Faults *faults.Spec
-	// DisablePooling turns off the allocation-avoidance machinery — the
-	// fabric's packet/credit free lists and the router path cache + hop
-	// arena — so every packet and route allocates fresh storage. Outputs
-	// are identical either way; the knob exists so the equivalence tests
-	// can prove it.
-	DisablePooling bool
 	// Farm, when non-nil, banks every simulation cell in the given
 	// content-addressed store and replays banked cells instead of
 	// re-simulating them. Results are bit-reproducible and records are
@@ -113,75 +106,56 @@ type Options struct {
 	// cell was simulated or recalled; a corrupt or missing entry silently
 	// degrades to a re-run. FarmStats reports the hit/miss split.
 	Farm *farm.Store
-	// Retries bounds the re-attempts a failing farm-backed cell gets before
-	// its error stands (farm.Options.Retries); 0 fails on the first error.
-	// Only the batch-style experiments driven through the farm executor use
-	// it — without a Farm the plain executor runs each cell once.
+	// Retries bounds the re-attempts a failing cell gets before its error
+	// stands (farm.Options.Retries); 0 fails on the first error.
 	Retries int
-	// JobTimeout is the per-cell wall-clock budget of farm-backed cells
-	// (farm.Options.JobTimeout); 0 disables it.
+	// JobTimeout is the per-cell wall-clock budget (farm.Options.JobTimeout);
+	// 0 disables it.
 	JobTimeout time.Duration
 }
 
-// Runner executes experiments, caching simulation results so that figures
-// sharing runs (e.g. Figs. 3 and 4) pay for them once. The cache has
-// single-flight semantics: concurrent requests for one configuration — from
-// the parallel sweep workers or from callers driving the Runner from several
-// goroutines — run it exactly once and share the result.
+// Runner executes experiments. Every simulation cell goes through one
+// farm.Farm, whose memo makes figures that share runs (e.g. Figs. 3 and 4)
+// pay for them once, and whose single-flight semantics run a cell exactly
+// once even when several goroutines drive the Runner.
 type Runner struct {
 	opts Options
-
-	mu    sync.Mutex // guards cache
-	cache map[string]*cacheEntry
+	farm *farm.Farm
 
 	traceMu sync.Mutex // guards traces and graphs
 	traces  map[string]*trace.Trace
 	graphs  map[string]*trace.Graph
 
-	statsMu   sync.Mutex // guards farmStats
+	mu        sync.Mutex // guards grid and farmStats
+	grid      map[string]bool
 	farmStats farm.Stats
 
 	progressMu sync.Mutex // serializes Progress lines
 }
 
-// cacheEntry is one simulation cell's single-flight slot: done closes when
-// the computing goroutine has filled res/err.
-type cacheEntry struct {
-	done chan struct{}
-	res  *core.Result
-	err  error
-}
-
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
+	r := &Runner{
 		opts:   opts,
-		cache:  make(map[string]*cacheEntry),
 		traces: make(map[string]*trace.Trace),
 		graphs: make(map[string]*trace.Graph),
+		grid:   make(map[string]bool),
 	}
+	fopts := farm.Options{Parallel: opts.Parallel, Retries: opts.Retries, JobTimeout: opts.JobTimeout}
+	if opts.Progress != nil {
+		fopts.Progress = r.cellDone
+	}
+	r.farm = farm.New(opts.Farm, fopts)
+	return r
 }
 
-// FarmStats returns the accumulated farm cache statistics of every
-// simulation this runner has executed (zero when no farm is attached).
+// FarmStats returns the accumulated farm statistics of every simulation
+// cell this runner resolved; without a store every cell counts as
+// simulated.
 func (r *Runner) FarmStats() farm.Stats {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.farmStats
-}
-
-func (r *Runner) addFarmStats(s farm.Stats) {
-	r.statsMu.Lock()
-	r.farmStats.Add(s)
-	r.statsMu.Unlock()
-}
-
-// parallel returns the effective worker-pool bound.
-func (r *Runner) parallel() int {
-	if r.opts.Parallel > 0 {
-		return r.opts.Parallel
-	}
-	return runtime.NumCPU()
 }
 
 // IDs lists the experiment identifiers in the paper's order.
@@ -623,7 +597,8 @@ func (r *Runner) burstyBackground(app string, bgNodes int) workload.BackgroundCo
 
 // --- shared simulation plumbing ---------------------------------------------
 
-// simReq identifies one simulation cell of an experiment's grid.
+// simReq identifies one simulation cell of an experiment's grid; equal
+// requests (background compared by pointer) are the same cell.
 type simReq struct {
 	app      string
 	cell     core.Cell
@@ -631,31 +606,22 @@ type simReq struct {
 	bg       *workload.BackgroundConfig
 }
 
-func (rq simReq) key() string {
-	return fmt.Sprintf("%s|%s|%g|%v", rq.app, rq.cell.Name(), rq.msgScale, describeBG(rq.bg))
-}
-
 // CellConfig builds the full run configuration of one simulation cell —
-// the object the canonical farm encoder hashes, and exactly what runCell
-// simulates when no banked result exists. Exported so cmd/dffarm constructs
-// cells identical (same content address) to the ones the experiments
-// produce; sweep axes the runner options don't span (per-cell seeds, fault
-// specs, task mappings) are overridden on the returned config, which is
-// equivalent to a runner constructed with those options.
+// the object the canonical farm encoder hashes, and exactly what the Runner
+// requests from its farm. Exported so cmd/dffarm constructs cells identical
+// (same content address) to the ones the experiments produce; sweep axes
+// the runner options don't span (per-cell seeds, fault specs, task
+// mappings) are overridden on the returned config, which is equivalent to a
+// runner constructed with those options.
 func (r *Runner) CellConfig(app string, cell core.Cell, msgScale float64, bg *workload.BackgroundConfig) (core.Config, error) {
 	rq := simReq{app: app, cell: cell, msgScale: msgScale, bg: bg}
 	return r.cellConfig(rq)
 }
 
 func (r *Runner) cellConfig(rq simReq) (core.Config, error) {
-	params := network.DefaultParams()
-	if r.opts.DisablePooling {
-		params.NoPacketPool = true
-		params.Route.NoCache = true
-	}
 	cfg := core.Config{
 		Topology:  r.Machine(),
-		Params:    params,
+		Params:    network.DefaultParams(),
 		Placement: rq.cell.Placement,
 		Routing:   rq.cell.Routing,
 		MsgScale:  rq.msgScale,
@@ -692,152 +658,95 @@ func (r *Runner) cellConfig(rq simReq) (core.Config, error) {
 	return cfg, nil
 }
 
-// resultFor runs (or recalls) one simulation cell. Safe for concurrent use:
-// the first caller for a key computes, later callers block on the same entry.
-// The in-memory cache is keyed by the farm's canonical config encoding — the
-// same identity the on-disk store addresses by — so a cell means the same
-// thing in both caches; configs the encoder rejects (none of the paper's
-// grids produce one) fall back to the request descriptor and stay in-memory
-// only.
+// resultFor runs (or recalls) one simulation cell. Safe for concurrent use.
 func (r *Runner) resultFor(app string, cell core.Cell, msgScale float64, bg *workload.BackgroundConfig) (*core.Result, error) {
-	rq := simReq{app: app, cell: cell, msgScale: msgScale, bg: bg}
-	cfg, err := r.cellConfig(rq)
+	res, err := r.resolve([]simReq{{app: app, cell: cell, msgScale: msgScale, bg: bg}})
 	if err != nil {
 		return nil, err
 	}
-	key, encErr := farm.Encode(cfg)
-	if encErr != nil {
-		key = "uncacheable|" + rq.key()
-	}
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
+	return res[0], nil
+}
+
+// prefetch resolves an experiment's whole simulation grid in one farm
+// request, so it fans out across the worker pool; the table-building loops
+// afterwards recall each cell from the farm's memo. Callers list their full
+// grid in table order — with one worker, cells then run and report progress
+// in exactly that order. Errors surface in request order.
+func (r *Runner) prefetch(reqs []simReq) error {
+	_, err := r.resolve(reqs)
+	return err
+}
+
+// resolve requests grid cells from the farm and returns their results, one
+// per distinct request in first-seen order. Repeated requests collapse
+// before reaching the farm, so a grid that lists one cell twice (Figure 7's
+// rand-adp baseline) neither simulates nor counts it twice.
+func (r *Runner) resolve(reqs []simReq) ([]*core.Result, error) {
+	seen := make(map[simReq]bool, len(reqs))
+	var uniq []simReq
+	var cfgs []core.Config
+	for _, rq := range reqs {
+		if seen[rq] {
+			continue
+		}
+		seen[rq] = true
+		cfg, err := r.cellConfig(rq)
+		if err != nil {
+			return nil, err
+		}
+		addr, err := farm.Address(cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		r.grid[addr] = true
 		r.mu.Unlock()
-		<-e.done
-		return e.res, e.err
+		uniq = append(uniq, rq)
+		cfgs = append(cfgs, cfg)
 	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
-
-	e.res, e.err = r.runCell(rq, cfg, key, encErr == nil)
-	close(e.done)
-	return e.res, e.err
+	results, err := r.runBatch(cfgs)
+	for i, res := range results {
+		rq := uniq[i]
+		if res == nil {
+			return nil, fmt.Errorf("experiments: %s under %s: %w", rq.app, rq.cell.Name(), err)
+		}
+		if !res.Completed {
+			return nil, fmt.Errorf("experiments: %s under %s did not complete within %v", rq.app, rq.cell.Name(), cfgs[i].MaxSimTime)
+		}
+	}
+	return results, nil
 }
 
-// runCell produces one simulation cell's result: replayed from the farm
-// store when one is attached and holds a verified entry, simulated (and
-// banked) otherwise. The panic firewall turns a wedged cell into that
-// cell's error: under the parallel executor a bare panic would kill sibling
-// workers mid-run and lose the whole figure.
-func (r *Runner) runCell(rq simReq, cfg core.Config, enc string, cacheable bool) (res *core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res = nil
-			err = fmt.Errorf("experiments: %s under %s: panic: %v\n%s",
-				rq.app, rq.cell.Name(), p, debug.Stack())
-		}
-	}()
-	cacheable = cacheable && r.opts.Farm != nil
-	var addr string
-	if cacheable {
-		addr = farm.AddressOf(enc)
-		if rec, err := r.opts.Farm.Get(addr); err == nil {
-			res := rec.Result(cfg)
-			if !res.Completed {
-				return nil, fmt.Errorf("experiments: %s under %s did not complete within %v", rq.app, rq.cell.Name(), cfg.MaxSimTime)
-			}
-			r.addFarmStats(farm.Stats{Cells: 1, InShard: 1, Hits: 1})
-			r.progressf("hit %-3s %-9s scale=%-5g bg=%-12s simtime=%v events=%d",
-				rq.app, rq.cell.Name(), orOne(rq.msgScale), describeBG(rq.bg), res.Duration, res.Events)
-			return res, nil
-		}
-		// ErrMiss, a corrupt entry, or an I/O failure all degrade to a
-		// fresh simulation; Put below heals the entry.
-	}
-	res, err = core.Run(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s under %s: %w", rq.app, rq.cell.Name(), err)
-	}
-	if cacheable {
-		st := farm.Stats{Cells: 1, InShard: 1, Misses: 1}
-		if perr := r.opts.Farm.Put(addr, farm.RecordOf(res)); perr != nil {
-			st.WriteErrors = 1 // persistence is best-effort; the result stands
-		}
-		r.addFarmStats(st)
-	}
-	if !res.Completed {
-		return nil, fmt.Errorf("experiments: %s under %s did not complete within %v", rq.app, rq.cell.Name(), cfg.MaxSimTime)
-	}
-	r.progressf("ran %-3s %-9s scale=%-5g bg=%-12s simtime=%v events=%d",
-		rq.app, rq.cell.Name(), orOne(rq.msgScale), describeBG(rq.bg), res.Duration, res.Events)
-	return res, nil
-}
-
-// runBatch executes a slice of fully built configurations — the batch-style
-// experiments (figr, figq, xmap) that don't go through resultFor — via the
-// farm when one is attached, falling back to the plain parallel executor.
-// Both paths keep RunBatch's contract: results in config order, first error
-// in config order, every cell attempted.
+// runBatch resolves fully built configurations through the farm: results
+// in config order, first error in config order, every cell attempted. The
+// batch-style experiments (figr, figq, figa, figf, xmap) call it directly
+// and print their own progress lines afterwards.
 func (r *Runner) runBatch(cfgs []core.Config) ([]*core.Result, error) {
-	if r.opts.Farm == nil {
-		return core.RunBatch(cfgs, r.parallel())
-	}
-	results, stats, err := farm.New(r.opts.Farm, farm.Options{
-		Parallel:   r.parallel(),
-		Retries:    r.opts.Retries,
-		JobTimeout: r.opts.JobTimeout,
-	}).Run(cfgs)
-	r.addFarmStats(stats)
+	results, stats, err := r.farm.Run(cfgs)
+	r.mu.Lock()
+	r.farmStats.Add(stats)
+	r.mu.Unlock()
 	return results, err
 }
 
-// prefetch fans an experiment's simulation grid out across the worker pool,
-// filling the cache so that the table-building loops afterwards only recall
-// results. Requests are deduplicated and already-cached cells cost nothing,
-// so callers list their full grid. With an effective parallelism of 1 (or a
-// trivial grid) it is a no-op: the table loops then run each cell lazily, in
-// the exact order and with the exact observable behavior of the historical
-// sequential runner. Errors surface in request order, matching what the
-// sequential path would have failed on first.
-func (r *Runner) prefetch(reqs []simReq) error {
-	workers := r.parallel()
-	if workers <= 1 || len(reqs) < 2 {
-		return nil
+// cellDone is the farm's progress callback: one line, in one Write, per
+// freshly resolved grid cell. Batch cells are left to their experiments,
+// whose lines name sweep axes a config does not carry.
+func (r *Runner) cellDone(ev farm.Progress) {
+	r.mu.Lock()
+	grid := r.grid[ev.Addr]
+	r.mu.Unlock()
+	res := ev.Result
+	if !grid || res == nil || !res.Completed {
+		return
 	}
-	seen := make(map[string]bool, len(reqs))
-	uniq := reqs[:0:0]
-	for _, rq := range reqs {
-		if k := rq.key(); !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, rq)
-		}
+	verb := "ran"
+	if ev.Hit {
+		verb = "hit"
 	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	errs := make([]error, len(uniq))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				_, errs[i] = r.resultFor(uniq[i].app, uniq[i].cell, uniq[i].msgScale, uniq[i].bg)
-			}
-		}()
-	}
-	for i := range uniq {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	cfg := res.Config
+	r.progressf("%s %-3s %-9s scale=%-5g bg=%-12s simtime=%v events=%d",
+		verb, cfg.WorkloadApp(), cfg.Name(), orOne(cfg.MsgScale), describeBG(cfg.Background), res.Duration, res.Events)
 }
 
 func orOne(s float64) float64 {

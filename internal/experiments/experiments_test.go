@@ -228,16 +228,16 @@ func TestRunnerCachesResults(t *testing.T) {
 	if _, err := r.Figure3(); err != nil {
 		t.Fatal(err)
 	}
-	n := len(r.cache)
+	n := r.FarmStats().Misses
 	if n != 30 {
-		t.Fatalf("cache holds %d results after Figure 3, want 30 (3 apps x 10 cells)", n)
+		t.Fatalf("Figure 3 simulated %d cells, want 30 (3 apps x 10 cells)", n)
 	}
-	// Figure 4 reuses the CR runs: no new entries.
+	// Figure 4 reuses the CR runs: no new simulations.
 	if _, err := r.Figure4(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.cache) != n {
-		t.Fatalf("Figure 4 re-ran cached cells: %d -> %d", n, len(r.cache))
+	if st := r.FarmStats(); st.Misses != n || st.Hits != 0 {
+		t.Fatalf("Figure 4 re-ran cached cells: %d -> %d simulated, %d hits", n, st.Misses, st.Hits)
 	}
 }
 

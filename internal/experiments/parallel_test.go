@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // renderReport runs one experiment on a fresh runner at the given worker
@@ -95,10 +96,12 @@ func firstDiff(a, b string) string {
 	return "length mismatch"
 }
 
-// The cache's single-flight contract directly: hammer one cell from many
-// goroutines and require one cache entry and one shared result.
+// The single-flight contract directly: hammer two cells from many
+// goroutines and require exactly two simulations, each cell's result shared
+// by every caller.
 func TestResultCacheSingleFlight(t *testing.T) {
-	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1})
+	var progress syncBuffer
+	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Progress: &progress})
 	cells := isolatedGrid("CR")[:2]
 	const goroutines = 8
 	results := make([]interface{}, goroutines)
@@ -117,14 +120,17 @@ func TestResultCacheSingleFlight(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	r.mu.Lock()
-	n := len(r.cache)
-	r.mu.Unlock()
-	if n != len(cells) {
-		t.Fatalf("cache holds %d entries, want %d (single flight per cell)", n, len(cells))
+	if st := r.FarmStats(); st.Misses != len(cells) || st.Hits != 0 {
+		t.Fatalf("%d simulations, %d hits, want %d/0 (single flight per cell)", st.Misses, st.Hits, len(cells))
 	}
-	for g := 2; g < goroutines; g++ {
-		if results[g] != results[g%len(cells)] {
+	if lines := strings.Count(progress.String(), "\n"); lines != len(cells) {
+		t.Fatalf("%d progress lines, want one per simulated cell (%d)", lines, len(cells))
+	}
+	for g := 0; g < goroutines; g++ {
+		if _, ok := results[g].(error); ok {
+			t.Fatalf("goroutine %d: %v", g, results[g])
+		}
+		if g >= len(cells) && results[g] != results[g%len(cells)] {
 			t.Fatalf("goroutine %d got a different result object than its cell's first runner: %v", g, results[g])
 		}
 	}
@@ -167,4 +173,41 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// The wall-clock budget bounds every cell, grid figures included, not only
+// the batch-style extensions.
+func TestJobTimeoutBoundsGridCells(t *testing.T) {
+	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: 1, JobTimeout: time.Nanosecond})
+	_, err := r.Figure3()
+	if err == nil || !strings.Contains(err.Error(), "wall-clock budget") {
+		t.Fatalf("Figure3 under a 1ns budget returned %v, want the wall-clock-budget error", err)
+	}
+}
+
+// writeCounter records each Write call separately.
+type writeCounter struct{ writes []string }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
+}
+
+// With one worker, Figure 10 reports each of its 20 cells (FB x 10 cells x
+// two backgrounds) in exactly one Write, as it finishes: timing harnesses
+// measure cells by the gaps between those writes.
+func TestFigure10ProgressOneWritePerCell(t *testing.T) {
+	var w writeCounter
+	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: 1, Progress: &w})
+	if _, err := r.Figure10(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) != 20 {
+		t.Fatalf("%d progress writes, want 20", len(w.writes))
+	}
+	for _, line := range w.writes {
+		if !strings.HasPrefix(line, "ran FB ") || strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
+			t.Fatalf("progress write %q is not one complete cell line", line)
+		}
+	}
 }

@@ -35,7 +35,6 @@ func CorpusRow(cfg core.Config, res *core.Result) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := cfg.Topology.(canonicalSpeccer).CanonicalSpec()
 
 	bgKind, bgBytes, bgInterval, bgFan := "none", int64(0), int64(0), 0
 	if cfg.Background != nil {
@@ -51,7 +50,7 @@ func CorpusRow(cfg core.Config, res *core.Result) ([]string, error) {
 		unreach = 1
 	}
 	row := []string{
-		AddressOf(enc), spec,
+		AddressOf(enc), cfg.Topology.CanonicalSpec(),
 		cfg.Placement.String(), cfg.Routing.String(), cfg.Mapping.String(),
 		cfg.WorkloadApp(), strconv.Itoa(cfg.WorkloadRanks()), cf(orOne(cfg.MsgScale)),
 		bgKind, strconv.FormatInt(bgBytes, 10), strconv.FormatInt(bgInterval, 10), strconv.Itoa(bgFan),

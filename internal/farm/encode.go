@@ -9,7 +9,9 @@
 //
 // The package sits between core (which runs one simulation) and the
 // experiments/CLI layers (which decide what to sweep); it knows nothing
-// about figures or reports.
+// about figures or reports. Farm is the simulator's only multi-cell
+// executor: dfsim batches, figure grids, and dffarm sweeps all run through
+// one, with or without a store.
 package farm
 
 import (
@@ -18,50 +20,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dragonfly/internal/core"
-	"dragonfly/internal/trace"
 )
 
 // encodingVersion is bumped whenever the canonical encoding changes meaning,
 // so stale store entries become unreachable instead of silently wrong.
 const encodingVersion = 1
-
-// canonicalSpeccer is the optional machine capability the encoder requires:
-// a deterministic rendering of every shape field. topology.Config and
-// topology.PlusConfig implement it; a machine without it is uncacheable
-// (Encode fails) rather than riskily keyed on a lossy label.
-type canonicalSpeccer interface {
-	CanonicalSpec() string
-}
-
-// traceDigests memoizes trace content digests by pointer: experiment runners
-// regenerate identical traces per cell, and the digest walk is the only
-// O(trace) part of key construction.
-var traceDigests sync.Map // *trace.Trace -> uint64
-
-func digestOf(t *trace.Trace) uint64 {
-	if d, ok := traceDigests.Load(t); ok {
-		return d.(uint64)
-	}
-	d := t.Digest()
-	traceDigests.Store(t, d)
-	return d
-}
-
-// graphDigests memoizes graph content digests by pointer, mirroring
-// traceDigests for dependency-graph workloads.
-var graphDigests sync.Map // *trace.Graph -> uint64
-
-func graphDigestOf(g *trace.Graph) uint64 {
-	if d, ok := graphDigests.Load(g); ok {
-		return d.(uint64)
-	}
-	d := g.Digest()
-	graphDigests.Store(g, d)
-	return d
-}
 
 // coveredConfigFields, coveredParamsFields, coveredRouteFields, and
 // coveredBackgroundFields list the struct fields Encode renders. The
@@ -94,13 +59,14 @@ var (
 // Encode renders a run configuration into its canonical text form: one
 // sorted-stable "key=value" line per semantically meaningful field. Two
 // configs produce the same encoding exactly when core.Run would produce the
-// same result for both. The encoding is the in-memory cache key of the
-// experiments runner and, hashed (see Address), the on-disk content address.
+// same result for both. Hashed (see Address), the encoding is the content
+// address: the key of a Farm's in-memory memo and of the on-disk store.
 //
 // Uncacheable configurations fail loudly instead of aliasing: a nil trace or
-// machine, a machine type without CanonicalSpec, or a pre-installed
-// Route.Health view (whose live fault state has no canonical identity —
-// declare faults through Config.Faults instead). A custom Route.Policy is
+// machine, or a pre-installed Route.Health view (whose live fault state has
+// no canonical identity — declare faults through Config.Faults instead).
+// Workload content digests are computed once per trace or graph object,
+// which therefore must not change once encoded. A custom Route.Policy is
 // identified by its Name(); distinct policies must use distinct names.
 func Encode(cfg core.Config) (string, error) {
 	if cfg.Trace == nil && cfg.Graph == nil {
@@ -109,10 +75,6 @@ func Encode(cfg core.Config) (string, error) {
 	if cfg.Topology == nil {
 		return "", fmt.Errorf("farm: config has no machine")
 	}
-	spec, ok := cfg.Topology.(canonicalSpeccer)
-	if !ok {
-		return "", fmt.Errorf("farm: machine %T has no CanonicalSpec; uncacheable", cfg.Topology)
-	}
 	if cfg.Params.Route.Health != nil {
 		return "", fmt.Errorf("farm: config installs Route.Health directly; declare faults via Config.Faults to stay cacheable")
 	}
@@ -120,7 +82,7 @@ func Encode(cfg core.Config) (string, error) {
 	var b strings.Builder
 	b.Grow(640)
 	fmt.Fprintf(&b, "dffarm-config v%d\n", encodingVersion)
-	fmt.Fprintf(&b, "machine=%s\n", spec.CanonicalSpec())
+	fmt.Fprintf(&b, "machine=%s\n", cfg.Topology.CanonicalSpec())
 	fmt.Fprintf(&b, "placement=%s\n", cfg.Placement)
 	fmt.Fprintf(&b, "routing=%s\n", cfg.Routing)
 	fmt.Fprintf(&b, "mapping=%s\n", cfg.Mapping)
@@ -130,11 +92,11 @@ func Encode(cfg core.Config) (string, error) {
 	if cfg.Graph != nil {
 		fmt.Fprintf(&b, "graph.app=%s\n", cfg.Graph.App)
 		fmt.Fprintf(&b, "graph.ranks=%d\n", cfg.Graph.NumRanks())
-		fmt.Fprintf(&b, "graph.digest=%016x\n", graphDigestOf(cfg.Graph))
+		fmt.Fprintf(&b, "graph.digest=%016x\n", cfg.Graph.Digest())
 	} else {
 		fmt.Fprintf(&b, "trace.app=%s\n", cfg.Trace.App)
 		fmt.Fprintf(&b, "trace.ranks=%d\n", cfg.Trace.NumRanks())
-		fmt.Fprintf(&b, "trace.digest=%016x\n", digestOf(cfg.Trace))
+		fmt.Fprintf(&b, "trace.digest=%016x\n", cfg.Trace.Digest())
 	}
 	// The replay layer treats any scale <= 0 as 1, so the encoder folds
 	// them together: MsgScale 0 and 1 are one configuration, one address.

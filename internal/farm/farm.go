@@ -32,7 +32,8 @@ type Options struct {
 	Shard     int
 	NumShards int
 	// Progress, when non-nil, receives one callback per finished cell
-	// (hit, simulated, or failed), serialized across workers.
+	// (hit, simulated, or failed), serialized across workers and across
+	// concurrent Runs. Cells resolved by another Run fire none.
 	Progress func(ev Progress)
 
 	// JobTimeout bounds each simulation attempt's wall-clock time; <= 0
@@ -77,11 +78,15 @@ type Progress struct {
 	Addr    string
 	Hit     bool          // replayed from the store
 	Elapsed time.Duration // wall time of this cell
-	Err     error
+	// Result is the cell's result, nil when it failed or was quarantined.
+	// It is shared with every other request for the address: read-only.
+	Result *core.Result
+	Err    error
 }
 
 // Stats counts what a Run did. A warm rerun of a completed job shows
-// Misses == 0 and Hits == InShard: zero simulations.
+// Misses == 0 and Hits == InShard: zero simulations. Cells this Farm
+// resolved in an earlier or concurrent Run count in Cells and InShard only.
 type Stats struct {
 	Cells       int // configs passed in
 	InShard     int // cells this process was responsible for
@@ -110,42 +115,50 @@ func (s *Stats) Add(o Stats) {
 	s.Quarantined += o.Quarantined
 }
 
-// Farm executes config sets against a Store.
+// Farm is the simulator's cell executor: every sweep, figure, and batch
+// runs its configurations through one. It fans cells over a bounded worker
+// pool behind one panic firewall, applies the retry, wall-clock budget, and
+// quarantine policy of Options, and resolves each content address once per
+// Farm — against a Store when one is attached.
 type Farm struct {
 	store *Store
 	opts  Options
 
-	mu          sync.Mutex
-	inflight    map[string]*flight
-	done        int
-	quarantined int // cells quarantined this Run, against QuarantineLimit
-	progressMu  sync.Mutex
+	mu         sync.Mutex
+	flights    map[string]*flight
+	progressMu sync.Mutex
 }
 
-// flight is the single-flight slot of one address: concurrent requests for
-// identical configs — duplicate cells of one job — simulate once and share
-// the stored record (or the quarantine decision).
+// flight is the single-flight slot and in-memory memo of one address: the
+// first request resolves it, every later request — a duplicate cell of the
+// same Run, or any cell of a later or concurrent Run — waits for and shares
+// its outcome (result, error, or quarantine decision).
 type flight struct {
+	owner       *run
 	wait        chan struct{}
-	rec         *Record
+	res         *core.Result
 	err         error
 	quarantined bool
 }
 
-// New builds a Farm over store. The store must be non-nil: a farm without a
-// cache is core.RunBatch. A chaos injector in opts is installed on the store
-// too, so one option arms every injection site.
+// run is the state of one Run call.
+type run struct {
+	total       int
+	done        int // guarded by Farm.progressMu
+	quarantined int // guarded by Farm.mu, against QuarantineLimit
+}
+
+// New builds a Farm. A nil store means no persistence: cells simulate (once
+// per address) and live only in the Farm's memo. A chaos injector in opts is
+// installed on the store too, so one option arms every injection site.
 func New(store *Store, opts Options) *Farm {
-	if store == nil {
-		panic("farm: New needs a store")
-	}
 	if opts.NumShards > 1 && (opts.Shard < 0 || opts.Shard >= opts.NumShards) {
 		panic(fmt.Sprintf("farm: shard %d out of range of %d shards", opts.Shard, opts.NumShards))
 	}
-	if opts.Chaos != nil {
+	if opts.Chaos != nil && store != nil {
 		store.SetChaos(opts.Chaos)
 	}
-	return &Farm{store: store, opts: opts, inflight: make(map[string]*flight)}
+	return &Farm{store: store, opts: opts, flights: make(map[string]*flight)}
 }
 
 // inShard reports whether cell index i belongs to this process's shard.
@@ -158,10 +171,17 @@ func (f *Farm) inShard(i int) bool {
 
 // Run executes the config set: cache hits replay instantly, misses simulate
 // and persist, and everything outside this process's shard is skipped (nil
-// result). Results return in config order and the error is the first failed
-// cell in config order — the contract of core.RunBatch, so a farm-backed
-// sweep observes exactly what a direct one would. All cells are attempted
-// even after a failure.
+// result). Each simulation is a bit-reproducible sequential DES, so results
+// are identical at every Parallel value. Results return in config order and
+// the error is the first failed cell in config order, so parallelism never
+// changes what callers observe; all cells are attempted even after a
+// failure.
+//
+// Run is safe for concurrent use. A cell whose address this Farm already
+// resolved — in an earlier Run, or one still in progress — returns the
+// shared outcome without touching this Run's Stats or firing Progress: the
+// Run that resolved it counted and reported it. A failed cell stays failed
+// for the Farm's lifetime; build a new Farm to retry it.
 func (f *Farm) Run(cfgs []core.Config) ([]*core.Result, Stats, error) {
 	stats := Stats{Cells: len(cfgs)}
 	results := make([]*core.Result, len(cfgs))
@@ -174,10 +194,7 @@ func (f *Farm) Run(cfgs []core.Config) ([]*core.Result, Stats, error) {
 		}
 	}
 	stats.InShard = len(mine)
-	f.mu.Lock()
-	f.done = 0
-	f.quarantined = 0
-	f.mu.Unlock()
+	rn := &run{total: len(mine)}
 
 	workers := f.opts.Parallel
 	if workers <= 0 {
@@ -189,19 +206,18 @@ func (f *Farm) Run(cfgs []core.Config) ([]*core.Result, Stats, error) {
 	var statsMu sync.Mutex
 	runOne := func(i int) {
 		start := time.Now()
-		res, addr, cell, err := f.runCell(cfgs[i])
+		res, addr, cell, err := f.runCell(rn, cfgs[i])
 		results[i], errs[i] = res, err
+		if cell == (Stats{}) {
+			return // resolved by another Run
+		}
 		statsMu.Lock()
-		stats.Hits += cell.Hits
-		stats.Misses += cell.Misses
-		stats.Corrupt += cell.Corrupt
-		stats.Uncacheable += cell.Uncacheable
-		stats.WriteErrors += cell.WriteErrors
-		stats.Errors += cell.Errors
-		stats.Retried += cell.Retried
-		stats.Quarantined += cell.Quarantined
+		stats.Add(cell)
 		statsMu.Unlock()
-		f.progress(i, len(mine), addr, cell.Hits > 0, time.Since(start), err)
+		f.progress(rn, Progress{
+			Index: i, Addr: addr, Hit: cell.Hits > 0,
+			Elapsed: time.Since(start), Result: res, Err: err,
+		})
 	}
 	if workers <= 1 {
 		for _, i := range mine {
@@ -234,12 +250,11 @@ func (f *Farm) Run(cfgs []core.Config) ([]*core.Result, Stats, error) {
 	return results, stats, nil
 }
 
-// runCell resolves one configuration: replay from the store, or simulate
-// (once per address, under single-flight, with retries) and persist. A cell
-// that exhausts its retry budget is quarantined when the run has quarantine
-// headroom — nil result, no error — otherwise it fails. The returned address
-// is empty for uncacheable cells.
-func (f *Farm) runCell(cfg core.Config) (*core.Result, string, Stats, error) {
+// runCell resolves one configuration: from the Farm's memo, from the store,
+// or by simulating (once per address, under single-flight, with retries)
+// and persisting. The returned Stats are zero exactly when another Run
+// resolved the address; the address is empty for uncacheable cells.
+func (f *Farm) runCell(rn *run, cfg core.Config) (*core.Result, string, Stats, error) {
 	var cell Stats
 	enc, err := Encode(cfg)
 	if err != nil {
@@ -247,70 +262,73 @@ func (f *Farm) runCell(cfg core.Config) (*core.Result, string, Stats, error) {
 		// refuse the cell. Retries and quarantine still apply, keyed by
 		// the cell's name.
 		cell.Uncacheable++
-		res, attempts, errLines, err := f.runWithRetries(cfg, cfg.Name(), &cell)
-		if err != nil {
-			if f.tryQuarantine(cfg, "", attempts, errLines) {
-				cell.Quarantined++
-				return nil, "", cell, nil
-			}
-			cell.Errors++
-		}
+		res, _, err := f.simulate(rn, cfg, cfg.Name(), "", &cell)
 		return res, "", cell, err
 	}
 	addr := AddressOf(enc)
 
 	f.mu.Lock()
-	if fl, ok := f.inflight[addr]; ok {
+	if fl, ok := f.flights[addr]; ok {
 		f.mu.Unlock()
 		<-fl.wait
-		if fl.quarantined {
-			cell.Quarantined++
-			return nil, addr, cell, nil
+		if fl.owner == rn {
+			// A duplicate cell of this Run.
+			switch {
+			case fl.quarantined:
+				cell.Quarantined++
+			case fl.err != nil:
+				cell.Errors++
+			default:
+				cell.Hits++
+			}
 		}
-		if fl.err != nil {
-			cell.Errors++
-			return nil, addr, cell, fl.err
-		}
-		cell.Hits++
-		return fl.rec.Result(cfg), addr, cell, nil
+		return fl.res, addr, cell, fl.err
 	}
-	fl := &flight{wait: make(chan struct{})}
-	f.inflight[addr] = fl
+	fl := &flight{owner: rn, wait: make(chan struct{})}
+	f.flights[addr] = fl
 	f.mu.Unlock()
 	defer close(fl.wait)
 
-	rec, err := f.store.Get(addr)
-	switch {
-	case err == nil:
-		cell.Hits++
-		fl.rec = rec
-		return rec.Result(cfg), addr, cell, nil
-	case errors.Is(err, ErrCorrupt):
-		cell.Corrupt++ // fall through to a fresh run, which overwrites
-	case !errors.Is(err, ErrMiss):
-		// I/O errors (permissions, dead disk) degrade to a re-run too:
-		// the store is a cache, never a source of truth.
-		cell.Corrupt++
+	if f.store != nil {
+		rec, err := f.store.Get(addr)
+		if err == nil {
+			cell.Hits++
+			fl.res = rec.Result(cfg)
+			return fl.res, addr, cell, nil
+		}
+		if !errors.Is(err, ErrMiss) {
+			// Corrupt entries and I/O errors (permissions, dead disk)
+			// degrade to a re-run, whose Put heals the entry: the store is
+			// a cache, never a source of truth.
+			cell.Corrupt++
+		}
 	}
 
 	cell.Misses++
-	res, attempts, errLines, err := f.runWithRetries(cfg, addr, &cell)
-	if err != nil {
-		if f.tryQuarantine(cfg, addr, attempts, errLines) {
-			cell.Quarantined++
-			fl.quarantined = true
-			return nil, addr, cell, nil
+	fl.res, fl.quarantined, fl.err = f.simulate(rn, cfg, addr, addr, &cell)
+	if fl.res != nil && f.store != nil {
+		if err := f.store.Put(addr, RecordOf(fl.res)); err != nil {
+			// A failed write loses only future cache hits, not this result.
+			cell.WriteErrors++
 		}
-		cell.Errors++
-		fl.err = err
-		return nil, addr, cell, err
 	}
-	fl.rec = RecordOf(res)
-	if err := f.store.Put(addr, fl.rec); err != nil {
-		// A failed write loses only future cache hits, not this result.
-		cell.WriteErrors++
+	return fl.res, addr, cell, fl.err
+}
+
+// simulate runs a cell with retries. A cell that exhausts its retry budget
+// is quarantined when the run has quarantine headroom — nil result, no
+// error — otherwise it fails.
+func (f *Farm) simulate(rn *run, cfg core.Config, key, addr string, cell *Stats) (*core.Result, bool, error) {
+	res, attempts, errLines, err := f.runWithRetries(cfg, key, cell)
+	if err == nil {
+		return res, false, nil
 	}
-	return res, addr, cell, nil
+	if f.tryQuarantine(rn, cfg, addr, attempts, errLines) {
+		cell.Quarantined++
+		return nil, true, nil
+	}
+	cell.Errors++
+	return nil, false, err
 }
 
 // runWithRetries executes a cell up to 1+Retries times with seeded
@@ -387,22 +405,25 @@ func (f *Farm) runBudgeted(cfg core.Config, key string) (*core.Result, error) {
 // tryQuarantine records a poisoned cell and consumes one unit of the run's
 // quarantine budget. It returns false — the cell must fail the run — when
 // quarantine is disabled or the budget is spent.
-func (f *Farm) tryQuarantine(cfg core.Config, addr string, attempts int, errLines []string) bool {
+func (f *Farm) tryQuarantine(rn *run, cfg core.Config, addr string, attempts int, errLines []string) bool {
 	if f.opts.QuarantineLimit <= 0 {
 		return false
 	}
 	f.mu.Lock()
-	if f.quarantined >= f.opts.QuarantineLimit {
+	if rn.quarantined >= f.opts.QuarantineLimit {
 		f.mu.Unlock()
 		return false
 	}
-	f.quarantined++
+	rn.quarantined++
 	f.mu.Unlock()
-	// A failed record write must not turn graceful degradation back into a
-	// hard failure; the cell is still reported via Stats.Quarantined.
-	_ = f.store.QuarantineJob(&QuarantineRecord{
-		Addr: addr, Name: cfg.Name(), Attempts: attempts, Errors: errLines,
-	})
+	if f.store != nil {
+		// A failed record write must not turn graceful degradation back
+		// into a hard failure; the cell is still reported via
+		// Stats.Quarantined.
+		_ = f.store.QuarantineJob(&QuarantineRecord{
+			Addr: addr, Name: cfg.Name(), Attempts: attempts, Errors: errLines,
+		})
+	}
 	return true
 }
 
@@ -410,10 +431,11 @@ func (f *Farm) tryQuarantine(cfg core.Config, addr string, attempts int, errLine
 // in a wedged simulation and prove the wall-clock budget trips.
 var runSim = core.Run
 
-// runSafe is core.Run behind a panic firewall, mirroring core.RunBatch: one
-// wedged cell becomes that cell's error instead of killing sibling workers.
-// The chaos panic site fires inside the protected region, proving the
-// firewall contains real mid-cell panics.
+// runSafe is core.Run behind the simulator's one panic firewall: a wedged or
+// buggy cell becomes that cell's error, stack trace included, instead of
+// killing sibling workers and the whole sweep with them. The chaos panic
+// site fires inside the protected region, proving the firewall contains
+// real mid-cell panics.
 func runSafe(cfg core.Config, in *chaos.Injector, key string) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -460,17 +482,15 @@ func firstLine(s string) string {
 	return s
 }
 
-func (f *Farm) progress(index, total int, addr string, hit bool, elapsed time.Duration, err error) {
+func (f *Farm) progress(rn *run, ev Progress) {
 	if f.opts.Progress == nil {
 		return
 	}
 	f.progressMu.Lock()
 	defer f.progressMu.Unlock()
-	f.done++
-	f.opts.Progress(Progress{
-		Index: index, Total: total, Done: f.done, Addr: addr,
-		Hit: hit, Elapsed: elapsed, Err: err,
-	})
+	rn.done++
+	ev.Total, ev.Done = rn.total, rn.done
+	f.opts.Progress(ev)
 }
 
 // --- job manifests ----------------------------------------------------------

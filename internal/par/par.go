@@ -1,6 +1,6 @@
 // Package par is the construction-time worker pool the sharded machine
 // builders (topology wiring, routing table resolution, fabric link creation)
-// fan out over. It is the PR 1 RunBatch pattern reduced to its essence: a
+// fan out over. It is the farm executor's worker pool reduced to its essence: a
 // bounded set of goroutines over statically partitioned index ranges.
 //
 // Every user writes to disjoint, pre-sized output slots, so results are

@@ -97,6 +97,10 @@ type Machine interface {
 	Build() (Interconnect, error)
 	// Label is a compact deterministic description of the machine shape.
 	Label() string
+	// CanonicalSpec renders every shape field deterministically: two
+	// machines share it exactly when they build identical fabrics. It is the
+	// machine's part of a run's content address (package farm).
+	CanonicalSpec() string
 }
 
 // BuildMachine builds m, panicking on invalid configurations; the Machine

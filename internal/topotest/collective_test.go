@@ -1,7 +1,7 @@
 // Determinism suite for the dependency-graph collective workloads: the
 // graph executor must be exactly as reproducible as the flat replayer it
 // replaced. Every knob that is contractually observation-only — re-running,
-// RunBatch worker counts, the invariant auditor, the allocation pools —
+// executor worker counts, the invariant auditor, the allocation pools —
 // must leave a collective cell's full Result digest (clocks, events, comm
 // times, link stats) bit-identical.
 package topotest_test
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/core"
+	"dragonfly/internal/farm"
 	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
@@ -86,8 +87,9 @@ func TestCollectiveDeterminism(t *testing.T) {
 }
 
 // TestCollectiveRunBatchWorkers proves worker-count independence: the same
-// collective grid through RunBatch at 1, 2, and 4 workers produces
-// digest-identical results in identical order.
+// collective grid through the farm executor (what dragonfly.RunBatch runs)
+// at 1, 2, and 4 workers produces digest-identical results in identical
+// order.
 func TestCollectiveRunBatchWorkers(t *testing.T) {
 	graphs := collectiveGraphs(t)
 	var cfgs []core.Config
@@ -98,7 +100,11 @@ func TestCollectiveRunBatchWorkers(t *testing.T) {
 			}
 		}
 	}
-	sequential, err := core.RunBatch(cfgs, 1)
+	runBatch := func(workers int) ([]*core.Result, error) {
+		results, _, err := farm.New(nil, farm.Options{Parallel: workers}).Run(cfgs)
+		return results, err
+	}
+	sequential, err := runBatch(1)
 	if err != nil {
 		t.Fatalf("RunBatch(1): %v", err)
 	}
@@ -107,7 +113,7 @@ func TestCollectiveRunBatchWorkers(t *testing.T) {
 		base[i] = policytest.ResultDigest(res)
 	}
 	for _, workers := range []int{2, 4} {
-		results, err := core.RunBatch(cfgs, workers)
+		results, err := runBatch(workers)
 		if err != nil {
 			t.Fatalf("RunBatch(%d): %v", workers, err)
 		}

@@ -17,7 +17,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 
 	"dragonfly/internal/des"
 )
@@ -66,10 +65,14 @@ type GraphNode struct {
 	Deps  []int32
 }
 
-// Graph is the dependency-graph form of one application workload.
+// Graph is the dependency-graph form of one application workload. Its
+// content digest is computed once, on first use, so a graph must not change
+// after its first Digest call.
 type Graph struct {
 	App   string
 	Ranks [][]GraphNode // Ranks[i] is rank i's DAG in topological (index) order
+
+	digest memo[uint64]
 }
 
 // NumRanks returns the rank count.
@@ -137,7 +140,9 @@ func (g *Graph) TotalSendBytes() int64 {
 // dependency edges). Two graphs share a digest exactly when they replay
 // identically, which is what lets the farm's content-addressed cache key a
 // graph workload by its structure instead of its label.
-func (g *Graph) Digest() uint64 {
+func (g *Graph) Digest() uint64 { return g.digest.get(g.contentDigest) }
+
+func (g *Graph) contentDigest() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -368,27 +373,16 @@ func (g *Graph) CriticalPathBytes() int64 {
 	return max
 }
 
-// graphCache memoizes lowered graphs by trace pointer. Traces are immutable
-// after construction (the farm's content addressing already relies on
-// that), so a pointer identity hit is a content hit; repeated runs of one
-// trace — sweeps, the farm, benchmarks — lower it exactly once.
-var graphCache sync.Map // *Trace -> *Graph
-
 // Graph lowers a flat trace into the dependency-graph IR. Sends and
 // receives become nodes depending on the previous fence's join; each
 // WaitAll fence becomes a zero-delay compute node depending on every
 // operation posted since the previous fence. Executing the lowered graph
 // (ready nodes in index order, joins completing inline) reproduces the
 // fence-based replayer's behavior byte for byte — the property the
-// committed differential digests pin. The result is memoized per trace and
+// committed differential digests pin. The result is lowered once per trace
+// (repeated runs of one trace — sweeps, the farm, benchmarks — share it) and
 // must not be mutated.
-func (t *Trace) Graph() *Graph {
-	if g, ok := graphCache.Load(t); ok {
-		return g.(*Graph)
-	}
-	g, _ := graphCache.LoadOrStore(t, t.lowerGraph())
-	return g.(*Graph)
-}
+func (t *Trace) Graph() *Graph { return t.graph.get(t.lowerGraph) }
 
 func (t *Trace) lowerGraph() *Graph {
 	g := &Graph{App: t.App, Ranks: make([][]GraphNode, len(t.Ranks))}

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 )
 
 // OpKind is the kind of one trace operation.
@@ -48,10 +49,28 @@ type Op struct {
 	Tag   int32
 }
 
-// Trace is the communication record of one application run.
+// Trace is the communication record of one application run. Its lowered
+// graph and content digest are computed once, on first use, and kept on the
+// trace, so a trace must not change after its first Graph or Digest call.
 type Trace struct {
 	App   string
 	Ranks [][]Op // Ranks[i] is the ordered op list of MPI rank i
+
+	graph  memo[*Graph]
+	digest memo[uint64]
+}
+
+// memo holds a value computed at most once per object, race-safe. Keeping
+// memos on the objects themselves, not in a process-wide map keyed by
+// pointer, lets a dropped trace or graph be garbage collected.
+type memo[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (m *memo[T]) get(compute func() T) T {
+	m.once.Do(func() { m.v = compute() })
+	return m.v
 }
 
 // NumRanks returns the rank count.
@@ -94,7 +113,9 @@ func (t *Trace) NumPhases() int {
 // what lets a content-addressed result cache identify an application by its
 // communication record instead of by name — a regenerated trace with the
 // same label but different ops can never alias a cached result.
-func (t *Trace) Digest() uint64 {
+func (t *Trace) Digest() uint64 { return t.digest.get(t.contentDigest) }
+
+func (t *Trace) contentDigest() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
