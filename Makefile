@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults
 	$(GO) test -fuzz=FuzzFaultSequence -fuzztime=10s ./internal/faults
 	$(GO) test -fuzz=FuzzGraph -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzEventQueue -fuzztime=10s ./internal/des
 
 # Refresh the in-repo performance snapshot (engine/fabric/routing
 # microbenches + artifact regeneration benches, plus the -scale suite's

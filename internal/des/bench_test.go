@@ -1,7 +1,6 @@
 package des
 
 import (
-	"container/heap"
 	"math/rand"
 	"testing"
 )
@@ -67,63 +66,37 @@ func BenchmarkRNGStream(b *testing.B) {
 	}
 }
 
-// --- queue implementation comparison ----------------------------------------
-
-// refHeap is the container/heap implementation the engine used before the
-// typed 4-ary queue; it stays here as the benchmark baseline so the win (and
-// any regression) is visible from one `go test -bench Queue` run.
-type refHeap []event
-
-func (h refHeap) Len() int { return len(h) }
-func (h refHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *refHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return ev
-}
-
-// queueWorkload replays a fixed hold-model schedule (push a randomly-timed
-// replacement for every pop, over a resident set of `live` events) against
-// both queue implementations.
-func queueWorkload(b *testing.B, live int, push func(event), pop func() event) {
+// holdModel times the queue alone on the classic hold model: with live
+// events resident, every iteration pops the earliest and schedules a
+// replacement delay(r) after it.
+func holdModel(b *testing.B, live int, delay func(r *rand.Rand) Time) {
 	r := rand.New(rand.NewSource(42))
-	var seq uint64
-	now := Time(0)
+	var q eventQueue
 	for i := 0; i < live; i++ {
-		seq++
-		push(event{at: Time(r.Intn(1000)), seq: seq})
+		q.push(delay(r), nil, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := pop()
-		now = ev.at
-		seq++
-		push(event{at: now + Time(r.Intn(1000)+1), seq: seq})
+		at := q.peek()
+		q.pop()
+		q.push(at+delay(r), nil, nil)
 	}
 }
 
+// fabricDelays are the delays the fabric schedules for 4 KiB packets under
+// DefaultParams (internal/network/link.go): zero-delay kicks, serialization
+// ends (terminal, local, global), serialization plus wire latency for
+// packet arrivals, and wire latency for credit returns.
+var fabricDelays = [...]Time{0, 0, 239, 727, 814, 339, 827, 1314, 100, 500}
+
 func BenchmarkQueueHoldModel(b *testing.B) {
-	for _, live := range []int{64, 4096} {
-		name := map[int]string{64: "live64", 4096: "live4096"}[live]
-		b.Run("typed4ary/"+name, func(b *testing.B) {
-			var q eventQueue
-			queueWorkload(b, live, q.push, q.pop)
+	uniform := func(r *rand.Rand) Time { return Time(r.Intn(1000) + 1) }
+	b.Run("live64", func(b *testing.B) { holdModel(b, 64, uniform) })
+	b.Run("live4096", func(b *testing.B) { holdModel(b, 4096, uniform) })
+	// About the pending depth of a Figure 10 cell under background load.
+	b.Run("fabricmix", func(b *testing.B) {
+		holdModel(b, 1024, func(r *rand.Rand) Time {
+			return fabricDelays[r.Intn(len(fabricDelays))]
 		})
-		b.Run("containerheap/"+name, func(b *testing.B) {
-			var h refHeap
-			queueWorkload(b, live,
-				func(e event) { heap.Push(&h, e) },
-				func() event { return heap.Pop(&h).(event) })
-		})
-	}
+	})
 }

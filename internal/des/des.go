@@ -1,14 +1,21 @@
 // Package des provides a deterministic sequential discrete-event simulation
-// engine: a time-ordered event queue with FIFO tie-breaking and named,
-// reproducible random-number streams.
+// engine and named, reproducible random-number streams.
+//
+// Events run in time order, and events at the same time run in the order
+// they were scheduled. The queue behind that order is a monotone radix
+// heap: simulated time never moves backwards, so the queue buckets events
+// by the highest bit in which their time differs from the earliest pending
+// time, and a pop only ever touches the lowest non-empty bucket.
 //
 // It is the substitute for the ROSS parallel discrete-event core that CODES
 // runs on. The paper uses parallel execution only for simulator speed; a
-// sequential engine is bit-reproducible and sufficient at this scale.
+// sequential engine is bit-reproducible and sufficient at this scale, and
+// its single-thread queue is what bounds how fast results are produced.
 package des
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is simulated time in nanoseconds.
@@ -54,91 +61,150 @@ func (t Time) String() string {
 // callers.
 type Callback func(arg any, at Time)
 
+// event is one slot of the queue's slab: a scheduled callback, or a free
+// slot awaiting reuse. next threads it through a bucket's FIFO list or the
+// free list; index 0 is the slab's unused nil link.
 type event struct {
-	at  Time
-	seq uint64 // insertion order; breaks ties deterministically
-	cb  Callback
-	arg any
+	at   Time
+	cb   Callback
+	arg  any
+	next uint32
 }
 
-// before reports the strict (at, seq) priority order. seq values are unique
-// per engine, so two distinct events are never equal under it.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// eventQueue is an inlined 4-ary min-heap over concrete events. It replaces
-// container/heap, which boxes every element in an interface{} on Push/Pop and
-// calls Less/Swap through the heap.Interface method table; on the simulator's
-// hot path those costs dominate. The 4-ary shape halves the tree depth of a
-// binary heap, trading a few extra comparisons per level for fewer
-// cache-missing levels — a win for the short-lived, high-churn queues a
-// packet-level DES produces. Sift loops move a hole instead of swapping, so
-// each level costs one copy rather than three.
+// eventQueue is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990) keyed on event time. last is the time of the settled minimum
+// and no queued event is earlier, because the engine never schedules into
+// the past. An event at t lives in bucket bits.Len64(t ^ last): bucket 0
+// holds exactly the events at last, and bucket b > 0 the times whose
+// highest bit differing from last is bit b-1, so every time in a bucket
+// precedes every time in a higher one. A pop takes the head of bucket 0.
+// Only when bucket 0 is empty does peek settle: the lowest non-empty
+// bucket's minimum becomes last and that bucket's events relink into
+// strictly lower buckets. An event thus moves at most once per bucket
+// over its life, where a heap sifts it through log n levels on every pop.
+//
+// The buckets are FIFO lists threaded through one slab of slots with a
+// free list: the queue's memory is one growable slice, as a binary heap's
+// would be, and steady state allocates nothing. Events with equal times
+// always share a bucket and both appending and relinking preserve list
+// order, so equal times pop in scheduling order; no sequence number is
+// needed for the FIFO tie-break.
 type eventQueue struct {
-	ev []event
+	slab []event
+	free uint32     // head of the free-slot list; 0 when empty
+	mask uint64     // bit b set iff bucket b is non-empty
+	head [64]uint32 // bucket b's first and last slot while its mask bit is set
+	tail [64]uint32
+	last Time
+	prev Time // last before the latest settle: the engine clock at that settle
+	n    int
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
+func (q *eventQueue) len() int { return q.n }
 
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	// Sift the hole up from the new tail.
-	i := len(q.ev) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !e.before(q.ev[p]) {
-			break
-		}
-		q.ev[i] = q.ev[p]
-		i = p
+// push appends an event at time at to its bucket. at precedes last only
+// when RunUntil or the watchdog stopped after a settle; the settle is then
+// undone first.
+func (q *eventQueue) push(at Time, cb Callback, arg any) {
+	if at < q.last {
+		q.unsettle()
 	}
-	q.ev[i] = e
+	i := q.free
+	if i != 0 {
+		q.free = q.slab[i].next
+	} else {
+		if len(q.slab) == 0 {
+			q.slab = append(q.slab, event{}) // slot 0 is the nil link
+		}
+		if i = uint32(len(q.slab)); i == 0 {
+			panic("des: event queue outgrew 2^32 slots")
+		}
+		q.slab = append(q.slab, event{})
+	}
+	// Field stores, not a struct literal: the literal would zero the slot
+	// through a bulk write barrier first whenever the GC is marking.
+	ev := &q.slab[i]
+	ev.at, ev.cb, ev.arg, ev.next = at, cb, arg, 0
+	q.link(bits.Len64(uint64(at^q.last)), i, i)
+	q.n++
 }
 
-// pop removes and returns the minimum event. The queue must be non-empty.
-func (q *eventQueue) pop() event {
-	top := q.ev[0]
-	n := len(q.ev) - 1
-	last := q.ev[n]
-	q.ev[n] = event{} // drop cb/arg references so their targets can be collected
-	q.ev = q.ev[:n]
-	if n > 0 {
-		q.siftDown(last)
+// link appends the list from slot first to slot end, whose next must be 0,
+// to bucket b.
+func (q *eventQueue) link(b int, first, end uint32) {
+	if q.mask&(1<<b) == 0 {
+		q.head[b] = first
+		q.mask |= 1 << b
+	} else {
+		q.slab[q.tail[b]].next = first
 	}
-	return top
+	q.tail[b] = end
 }
 
-// siftDown places e, starting from a hole at the root.
-func (q *eventQueue) siftDown(e event) {
-	ev := q.ev
-	n := len(ev)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if ev[j].before(ev[m]) {
-				m = j
-			}
-		}
-		if !ev[m].before(e) {
-			break
-		}
-		ev[i] = ev[m]
-		i = m
+// peek settles the queue and returns the earliest pending time. The queue
+// must be non-empty.
+func (q *eventQueue) peek() Time {
+	if q.mask&1 == 0 {
+		q.settle()
 	}
-	ev[i] = e
+	return q.last
+}
+
+// pop removes the earliest event, FIFO among equal times, and returns its
+// callback. A peek must have settled the queue since the last push or pop.
+func (q *eventQueue) pop() (Callback, any) {
+	i := q.head[0]
+	ev := &q.slab[i]
+	cb, arg := ev.cb, ev.arg
+	if q.head[0] = ev.next; ev.next == 0 {
+		q.mask &^= 1
+	}
+	// Drop cb/arg so their targets can be collected, and free the slot.
+	ev.cb, ev.arg, ev.next = nil, nil, q.free
+	q.free = i
+	q.n--
+	return cb, arg
+}
+
+// settle makes the minimum of the lowest non-empty bucket the new last and
+// relinks that bucket's events, in list order, into the buckets below it,
+// which are empty. Bucket 0 must be empty and some bucket non-empty.
+func (q *eventQueue) settle() {
+	b := bits.TrailingZeros64(q.mask)
+	q.mask &^= 1 << b
+	i := q.head[b]
+	lo := q.slab[i].at
+	for j := q.slab[i].next; j != 0; j = q.slab[j].next {
+		if at := q.slab[j].at; at < lo {
+			lo = at
+		}
+	}
+	q.prev, q.last = q.last, lo
+	for i != 0 {
+		ev := &q.slab[i]
+		next := ev.next
+		ev.next = 0
+		q.link(bits.Len64(uint64(ev.at^lo)), i, i)
+		i = next
+	}
+}
+
+// unsettle undoes the latest settle, which no pop has followed, so that an
+// event between prev and last can be queued. That settle emptied bucket b
+// = bits.Len64(prev ^ last) into the buckets below it. Bucket b has stayed
+// empty, since last has bit b-1 set and no later time can first differ
+// from it there, and higher buckets mean the same around prev and last.
+// Splicing the lower buckets back into b therefore restores the queue
+// around prev; equal times share one list, so their FIFO order survives.
+func (q *eventQueue) unsettle() {
+	b := bits.Len64(uint64(q.prev ^ q.last))
+	low := q.mask & (1<<b - 1)
+	q.mask &^= low
+	for ; low != 0; low &= low - 1 {
+		j := bits.TrailingZeros64(low)
+		q.link(b, q.head[j], q.tail[j])
+	}
+	q.last = q.prev
 }
 
 // Engine is a sequential discrete-event simulator. The zero value is ready
@@ -146,7 +212,6 @@ func (q *eventQueue) siftDown(e event) {
 type Engine struct {
 	pq        eventQueue
 	now       Time
-	seq       uint64
 	processed uint64
 	running   bool
 	observer  func(Time)
@@ -215,8 +280,7 @@ func (e *Engine) AtCall(t Time, cb Callback, arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, e.now))
 	}
-	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, cb: cb, arg: arg})
+	e.pq.push(t, cb, arg)
 }
 
 // Run executes events until the queue drains and returns the final time.
@@ -231,17 +295,18 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for e.pq.len() > 0 && e.pq.ev[0].at <= deadline {
-		if e.wdArmed && e.watchdogTrip(e.pq.ev[0].at) {
+	for e.pq.len() > 0 {
+		at := e.pq.peek()
+		if at > deadline || e.wdArmed && e.watchdogTrip(at) {
 			break
 		}
-		ev := e.pq.pop()
-		e.now = ev.at
+		cb, arg := e.pq.pop()
+		e.now = at
 		e.processed++
 		if e.observer != nil {
-			e.observer(ev.at)
+			e.observer(at)
 		}
-		ev.cb(ev.arg, ev.at)
+		cb(arg, at)
 	}
 	return e.now
 }
@@ -252,15 +317,16 @@ func (e *Engine) Step() bool {
 	if e.pq.len() == 0 {
 		return false
 	}
-	if e.wdArmed && e.watchdogTrip(e.pq.ev[0].at) {
+	at := e.pq.peek()
+	if e.wdArmed && e.watchdogTrip(at) {
 		return false
 	}
-	ev := e.pq.pop()
-	e.now = ev.at
+	cb, arg := e.pq.pop()
+	e.now = at
 	e.processed++
 	if e.observer != nil {
-		e.observer(ev.at)
+		e.observer(at)
 	}
-	ev.cb(ev.arg, ev.at)
+	cb(arg, at)
 	return true
 }

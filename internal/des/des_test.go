@@ -1,6 +1,8 @@
 package des
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -176,50 +178,6 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 	}
 }
 
-// Property: the typed 4-ary queue drains any push/pop interleaving in exact
-// (at, seq) order — the contract container/heap used to provide.
-func TestEventQueueOrderProperty(t *testing.T) {
-	f := func(ats []uint16, popEvery uint8) bool {
-		var q eventQueue
-		var drained []event
-		interval := int(popEvery%7) + 2
-		var seq uint64
-		for i, at := range ats {
-			seq++
-			q.push(event{at: Time(at), seq: seq})
-			if i%interval == 0 && q.len() > 0 {
-				drained = append(drained, q.pop())
-			}
-		}
-		for q.len() > 0 {
-			drained = append(drained, q.pop())
-		}
-		if len(drained) != len(ats) {
-			return false
-		}
-		// Each pop must yield the minimum of what was resident, so any
-		// element popped later with a strictly earlier key would have been
-		// pushed after — i.e. within a drain run order is nondecreasing, and
-		// globally each event's key must not precede the previous pop's key
-		// unless it was pushed later.
-		seen := make(map[uint64]int, len(drained))
-		for i, e := range drained {
-			seen[e.seq] = i
-		}
-		for i := 1; i < len(drained); i++ {
-			a, b := drained[i-1], drained[i]
-			if b.before(a) && b.seq < a.seq {
-				return false // b was already resident when a popped
-			}
-			_ = seen
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxTime(t *testing.T) {
 	if MaxTime != Time(1<<62-1) {
 		t.Fatalf("MaxTime = %d", int64(MaxTime))
@@ -283,5 +241,95 @@ func TestHeavyInterleavedLoad(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after Run", e.Pending())
+	}
+}
+
+// TestScheduleBeforeNextAfterRunUntil: RunUntil stops at its deadline with
+// a later event still queued; events then scheduled between the clock and
+// that event, two of them at one instant, run first and in FIFO order.
+func TestScheduleBeforeNextAfterRunUntil(t *testing.T) {
+	e := New()
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	e.At(100, note("next"))
+	if got := e.RunUntil(50); got != 0 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(50) = %v with %d pending, want 0 with 1", got, e.Pending())
+	}
+	e.At(0, note("at-now"))
+	e.At(10, note("first"))
+	if got := e.RunUntil(50); got != 10 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(50) = %v with %d pending, want 10 with 1", got, e.Pending())
+	}
+	e.At(10, note("zero-delay"))
+	e.At(60, note("tie-1"))
+	e.At(60, note("tie-2"))
+	e.At(99, note("last"))
+	if got := e.RunUntil(60); got != 60 || e.Pending() != 2 {
+		t.Fatalf("RunUntil(60) = %v with %d pending, want 60 with 2", got, e.Pending())
+	}
+	e.At(70, note("late"))
+	e.At(70, note("late-tie"))
+	e.Run()
+	want := []string{"at-now", "first", "zero-delay", "tie-1", "tie-2", "late", "late-tie", "last", "next"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestPendingExactAfterEveryStep: Pending always equals scheduled minus
+// executed, while handlers schedule zero-delay, same-time and distant
+// children.
+func TestPendingExactAfterEveryStep(t *testing.T) {
+	e := New()
+	r := rand.New(rand.NewSource(3))
+	scheduled := 0
+	var spawn func()
+	spawn = func() {
+		for k := r.Intn(4); k > 0 && scheduled < 5000; k-- {
+			scheduled++
+			e.Schedule([]Time{0, 0, 7, 1 << 20}[r.Intn(4)], spawn)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		scheduled++
+		e.At(Time(r.Intn(50)), spawn)
+	}
+	for steps := 1; e.Step(); steps++ {
+		if e.Pending() != scheduled-steps || e.Processed() != uint64(steps) {
+			t.Fatalf("after step %d: Pending = %d, Processed = %d; want %d, %d",
+				steps, e.Pending(), e.Processed(), scheduled-steps, steps)
+		}
+	}
+	if e.Pending() != 0 || e.Processed() != uint64(scheduled) {
+		t.Fatalf("drained with Pending = %d, Processed = %d of %d", e.Pending(), e.Processed(), scheduled)
+	}
+}
+
+// TestWatchdogTripKeepsQueue: a trip on the time budget stops before the
+// offending event; the queue keeps every event, later Step and Run calls
+// run none, and an event scheduled before the offending one still counts.
+func TestWatchdogTripKeepsQueue(t *testing.T) {
+	e := New()
+	e.SetWatchdog(0, 25, nil)
+	for _, at := range []Time{10, 20, 30, 30, 40} {
+		e.At(at, func() {})
+	}
+	e.Run()
+	var w *WatchdogError
+	if !errors.As(e.Tripped(), &w) {
+		t.Fatalf("Tripped() = %v, want *WatchdogError", e.Tripped())
+	}
+	if e.Now() != 20 || e.Pending() != 3 || w.Pending != 3 {
+		t.Fatalf("tripped at %v with %d pending (report %d), want 20 with 3", e.Now(), e.Pending(), w.Pending)
+	}
+	for i := 0; i < 3; i++ {
+		if e.Step() {
+			t.Fatal("Step executed an event on a tripped engine")
+		}
+	}
+	e.At(22, func() {})
+	e.Run()
+	if e.Step() || e.Pending() != 4 || e.Processed() != 2 {
+		t.Fatalf("after trip: Pending = %d, Processed = %d; want 4, 2", e.Pending(), e.Processed())
 	}
 }

@@ -144,13 +144,13 @@ func TestFarmReRunsCorruptEntries(t *testing.T) {
 	}
 }
 
-// TestFarmSurfacesCellErrors mirrors core.RunBatch's contract: a failing
+// TestFarmSurfacesCellErrors pins the executor's error contract: a failing
 // cell yields the first config-order error while sibling cells still run,
-// and nothing is stored for the failed cell.
+// and the failed cell returns no result and counts once in Stats.Errors.
 func TestFarmSurfacesCellErrors(t *testing.T) {
 	s := openTestStore(t)
 	cfgs := testJob(t)[:3]
-	cfgs[1].Trace = nil // Encode fails -> uncacheable -> core.Run fails loudly
+	cfgs[1].Trace = nil // Encode fails, so the cell runs uncached and core.Run rejects it
 
 	res, stats, err := New(s, Options{Parallel: 2}).Run(cfgs)
 	if err == nil {
