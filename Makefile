@@ -2,13 +2,19 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench bench-diff scale-smoke farm-smoke collectives-smoke chaos-smoke
+.PHONY: build test fmt-check race fuzz-smoke bench bench-diff scale-smoke farm-smoke collectives-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# Formatting gate: fail, listing the files, if gofmt would rewrite any Go
+# file in the tree.
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # Module-wide under the race detector: the farm executor (every sweep,
 # figure, and batch runs through it, concurrent Runs included) is the

@@ -8,7 +8,7 @@ package main
 //	ns/op           wall time to wire the machine and build chooser + fabric
 //	                (advisory in -diff, like every timing)
 //	live_bytes/op   post-GC HeapAlloc growth attributable to the built
-//	                structures — the quantity the compressed tables bound
+//	                structures — the quantity the linear-size tables bound
 //	bytes_per_router  live_bytes/op / routers, the scale-linearity figure
 //	route_ns/op     mean TryRoute+Release over the sampled pairs
 //	routers, groups shape records, so a diff shows what was measured

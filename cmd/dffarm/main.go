@@ -96,7 +96,7 @@ func main() {
 		cliutil.Usagef("dffarm", "scale %q: want quick or paper", *scale)
 	}
 	if *topoName != "" {
-		m, err := cliutil.Machine(*topoName, "", "")
+		m, err := cliutil.Machine(*topoName, "")
 		if err != nil {
 			cliutil.Usagef("dffarm", "%v", err)
 		}

@@ -6,7 +6,7 @@
 // Examples:
 //
 //	dfsched -jobs 12
-//	dfsched -jobs 20 -backfill=false -machine theta
+//	dfsched -jobs 20 -backfill=false -topo theta
 //	dfsched -jobs 8 -placement rand -seed 7
 package main
 
@@ -25,7 +25,6 @@ import (
 
 func main() {
 	var (
-		machine  = flag.String("machine", "", "deprecated alias of -topo")
 		topoName = flag.String("topo", "", "machine preset: theta, mini, dfplus, or dfplus-mini (default mini)")
 		jobs     = flag.Int("jobs", 10, "number of jobs to submit")
 		backfill = flag.Bool("backfill", true, "enable aggressive backfill")
@@ -38,7 +37,7 @@ func main() {
 	if *jobs <= 0 {
 		cliutil.Usagef("dfsched", "jobs=%d: want a positive job count", *jobs)
 	}
-	m, err := cliutil.Machine(*topoName, *machine, "mini")
+	m, err := cliutil.Machine(*topoName, "mini")
 	if err != nil {
 		cliutil.Usagef("dfsched", "%v", err)
 	}

@@ -11,7 +11,7 @@
 //	dfsim -describe
 //	dfsim -app CR -placement rand -routing min
 //	dfsim -app AMG -placement cont -routing adp -background uniform
-//	dfsim -app FB -machine mini -scale 0.5 -seed 7
+//	dfsim -app FB -topo mini -scale 0.5 -seed 7
 //	dfsim -app CR -placement cont,rand -routing min,adp -parallel 4
 //	dfsim -app CR -routing adp -faults global=0.25,seed=3 -audit
 package main
@@ -30,7 +30,6 @@ import (
 
 func main() {
 	var (
-		machine    = flag.String("machine", "", "deprecated alias of -topo")
 		topoName   = flag.String("topo", "", "machine preset: theta, mini, dfplus, or dfplus-mini (default theta; dfplus* are extensions beyond the paper)")
 		app        = flag.String("app", "CR", "application: CR, FB, AMG (paper miniapps), or RING, TREE, MOE, HALO2D, HALO3D, CKPT (dependency-graph generators)")
 		place      = flag.String("placement", "cont", "placement (comma-separated sweeps): cont, cab, chas, rotr, rand")
@@ -64,7 +63,7 @@ func main() {
 		}
 	}()
 
-	m, err := cliutil.Machine(*topoName, *machine, "theta")
+	m, err := cliutil.Machine(*topoName, "theta")
 	if err != nil {
 		cliutil.Usagef("dfsim", "%v", err)
 	}

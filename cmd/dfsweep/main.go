@@ -70,7 +70,7 @@ func main() {
 		cliutil.Usagef("dfsweep", "scale %q: want quick or paper", *scale)
 	}
 	if *topoName != "" {
-		m, err := cliutil.Machine(*topoName, "", "")
+		m, err := cliutil.Machine(*topoName, "")
 		if err != nil {
 			cliutil.Usagef("dfsweep", "%v", err)
 		}

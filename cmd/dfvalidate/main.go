@@ -6,7 +6,7 @@
 // Examples:
 //
 //	dfvalidate
-//	dfvalidate -machine mini -pairs 100
+//	dfvalidate -topo mini -pairs 100
 //	dfvalidate -bisect-bytes 1048576 -routing adp
 //	dfvalidate -topo mini -faults global=0.3,routers=2,seed=5
 package main
@@ -28,7 +28,6 @@ import (
 
 func main() {
 	var (
-		machine  = flag.String("machine", "", "deprecated alias of -topo")
 		topoName = flag.String("topo", "", "machine preset: theta, mini, dfplus, or dfplus-mini (default theta)")
 		pairs    = flag.Int("pairs", 50, "ping-pong node pairs to sample")
 		bytes    = flag.Int("bytes", 4096, "ping payload (single packet)")
@@ -62,7 +61,7 @@ func main() {
 		return
 	}
 
-	m, err := cliutil.Machine(*topoName, *machine, "theta")
+	m, err := cliutil.Machine(*topoName, "theta")
 	if err != nil {
 		cliutil.Usagef("dfvalidate", "%v", err)
 	}

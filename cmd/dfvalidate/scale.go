@@ -1,12 +1,12 @@
 package main
 
-// The -scale-smoke mode: a big-machine shakeout that the unit suites never
-// reach (they stay below topology.DenseTableLimit). For each requested shape
-// it builds the machine, routes a sample of validated pairs through the
-// compressed tables, then drives an audited traffic burst under the DES
-// stall watchdog — and finally checks the process's OS-visible memory
-// against an explicit budget, so a reintroduced O(routers^2) table fails CI
-// with a number attached rather than an OOM kill.
+// The -scale-smoke mode: a big-machine shakeout at a size the unit suites
+// never reach (their largest machines have ~5k routers). For each requested
+// shape it builds the machine, routes a sample of validated pairs, then
+// drives an audited traffic burst under the DES stall watchdog — and
+// finally checks the process's OS-visible memory against an explicit
+// budget, so a reintroduced O(routers^2) table fails CI with a number
+// attached rather than an OOM kill.
 
 import (
 	"fmt"
@@ -22,7 +22,7 @@ import (
 
 // scaleSmokeMessages is the audited traffic burst size. It is deliberately
 // modest: the burst exists to exercise injection, credit flow, and delivery
-// over the compact fabric index at scale, not to measure throughput.
+// over the fabric's link tables at scale, not to measure throughput.
 const scaleSmokeMessages = 2000
 
 // runScaleSmoke shakes out every shape and returns the first failure.
@@ -55,7 +55,7 @@ func smokeOne(m topology.Machine, pairs int) error {
 		ic.Name(), ic.NumRouters(), ic.NumGroups(), time.Since(start).Round(time.Millisecond))
 
 	// Phase 1: sampled-pair routing, every path validated. This walks the
-	// lazy gateway shards and the path memo exactly as a real run would.
+	// next-hop rows and lazy gateway shards exactly as a real run would.
 	rng := des.NewRNG(1, "scale-smoke")
 	ch := routing.NewChooserOpts(ic, routing.Adaptive, rng.Stream("route"), nil, routing.Options{})
 	routeStart := time.Now()
@@ -76,7 +76,7 @@ func smokeOne(m topology.Machine, pairs int) error {
 
 	// Phase 2: audited traffic burst under the stall watchdog. The auditor
 	// shadows every credit movement and byte, so flow control over the
-	// compact link index is checked end to end; the watchdog turns any
+	// link tables is checked end to end; the watchdog turns any
 	// livelock into a diagnosed failure instead of a hung CI job.
 	eng := des.New()
 	fab, err := network.New(eng, ic, network.DefaultParams(), routing.Adaptive, des.NewRNG(2, "scale-smoke-fab"))

@@ -32,13 +32,10 @@ func Usagef(cmd, format string, args ...interface{}) {
 	os.Exit(2)
 }
 
-// Machine resolves the -topo flag (with -machine as its deprecated alias)
-// to a machine preset, applying fallback when both are empty.
-func Machine(topo, machine, fallback string) (topology.Machine, error) {
+// Machine resolves the -topo flag to a machine preset, applying fallback
+// when it is empty.
+func Machine(topo, fallback string) (topology.Machine, error) {
 	name := topo
-	if name == "" {
-		name = machine
-	}
 	if name == "" {
 		name = fallback
 	}

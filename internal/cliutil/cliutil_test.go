@@ -22,10 +22,9 @@ func TestParsers(t *testing.T) {
 		want    interface{} // ignored when wantErr is non-empty
 		wantErr string      // substring the error must contain
 	}{
-		{"machine/theta", func() (interface{}, error) { m, err := Machine("theta", "", "mini"); return label(m), err }, "dragonfly:g9-r6x16-n4", ""},
-		{"machine/deprecated-alias", func() (interface{}, error) { m, err := Machine("", "mini", "theta"); return label(m), err }, "dragonfly:g4-r2x4-n2", ""},
-		{"machine/fallback", func() (interface{}, error) { m, err := Machine("", "", "dfplus-mini"); return label(m), err }, "dragonfly+:g5-l8-s4-n4", ""},
-		{"machine/unknown", func() (interface{}, error) { m, err := Machine("summit", "", "theta"); return label(m), err }, nil, "want dfplus, dfplus-mini, mini, theta"},
+		{"machine/theta", func() (interface{}, error) { m, err := Machine("theta", "mini"); return label(m), err }, "dragonfly:g9-r6x16-n4", ""},
+		{"machine/fallback", func() (interface{}, error) { m, err := Machine("", "dfplus-mini"); return label(m), err }, "dragonfly+:g5-l8-s4-n4", ""},
+		{"machine/unknown", func() (interface{}, error) { m, err := Machine("summit", "theta"); return label(m), err }, nil, "want dfplus, dfplus-mini, mini, theta"},
 
 		{"app/flat", func() (interface{}, error) { return App("CR") }, "CR", ""},
 		{"app/lowercase", func() (interface{}, error) { return App(" amg ") }, "AMG", ""},

@@ -9,11 +9,11 @@ import (
 )
 
 // The allocation-avoidance machinery — the fabric's packet/credit free
-// lists and the router path cache + hop arena — must be invisible to the
-// model: every Result field has to match the allocate-fresh configuration
-// exactly, for both routing mechanisms (minimal exercises the path cache,
-// adaptive additionally the candidate scratch, the Valiant mid-router draw
-// ordering, and arena recycling of losing candidates).
+// lists and the router's hop arena — must be invisible to the model: every
+// Result field has to match the allocate-fresh configuration exactly, for
+// both routing mechanisms (minimal exercises the arena, adaptive
+// additionally the candidate scratch, the Valiant mid-router draw ordering,
+// and arena recycling of losing candidates).
 func TestPoolingDoesNotChangeResults(t *testing.T) {
 	tr := miniCR(t)
 	cells := []Cell{

@@ -49,7 +49,7 @@ var (
 	}
 	coveredRouteFields = map[string]bool{
 		"Gateway": true, "ValiantCandidates": true, "MinimalBias": true,
-		"NoCache": true, "CompactTables": true, "Health": true, "Policy": true,
+		"NoCache": true, "Health": true, "Policy": true,
 	}
 	coveredBackgroundFields = map[string]bool{
 		"Kind": true, "MsgBytes": true, "Interval": true, "FanOut": true,
@@ -121,7 +121,8 @@ func Encode(cfg core.Config) (string, error) {
 	fmt.Fprintf(&b, "route.valiant_candidates=%d\n", ro.ValiantCandidates)
 	fmt.Fprintf(&b, "route.minimal_bias=%d\n", ro.MinimalBias)
 	fmt.Fprintf(&b, "route.no_cache=%t\n", ro.NoCache)
-	fmt.Fprintf(&b, "route.compact_tables=%t\n", ro.CompactTables)
+	// Constant since the table-layout option went: banked addresses stay reachable.
+	b.WriteString("route.compact_tables=false\n")
 	if ro.Policy != nil {
 		fmt.Fprintf(&b, "route.policy=%s\n", ro.Policy().Name())
 	} else {

@@ -184,7 +184,6 @@ func TestEveryFieldPerturbsAddress(t *testing.T) {
 		{"Params", "valiant candidates", func(c *core.Config) { c.Params.Route.ValiantCandidates = 4 }},
 		{"Params", "minimal bias", func(c *core.Config) { c.Params.Route.MinimalBias = 1024 }},
 		{"Params", "route no cache", func(c *core.Config) { c.Params.Route.NoCache = true }},
-		{"Params", "compact tables", func(c *core.Config) { c.Params.Route.CompactTables = true }},
 		{"Params", "custom policy", func(c *core.Config) {
 			c.Params.Route.Policy = func() routing.Policy { return routing.NewQAdaptivePolicy(routing.QAdaptiveConfig{}) }
 		}},
@@ -264,6 +263,40 @@ func TestEncodeStability(t *testing.T) {
 	}
 	if za != oa {
 		t.Fatal("MsgScale 0 and 1 are the same simulation but address differently")
+	}
+}
+
+// TestEncodeAddressPinned pins three content addresses to literals: a flat
+// trace config, a graph config, and a faulted adaptive one. Every store ever
+// banked is keyed by these hashes, so any change to the canonical text — a
+// renamed, reordered, added or dropped line — orphans it. Run-to-run
+// comparisons within one build cannot see that drift; only a literal can.
+func TestEncodeAddressPinned(t *testing.T) {
+	g, err := trace.RingAllReduce(trace.RingAllReduceConfig{Ranks: 8, Bytes: 64 * trace.KB, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := baseConfig(t)
+	graph.Graph = g
+	faulted := baseConfig(t)
+	faulted.Routing = routing.Adaptive
+	faulted.Faults = &faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.05, Seed: 3}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"base", baseConfig(t), "9f050cc0c277e287d666cd3dd5a2097af45440eaae803ebd473dcdcc7f46b65d"},
+		{"graph", graph, "01b4bf55456e94b19c6ae9fcb4b2a763a639b548926e54a9ee2de80ee6f54d5c"},
+		{"faulted", faulted, "2bb2ee050941fe9bd487b30815045b3b46bf3659601d022a307b38042bcb18ed"},
+	} {
+		got, err := Address(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: address %s, want %s — the canonical encoding drifted", tc.name, got, tc.want)
+		}
 	}
 }
 

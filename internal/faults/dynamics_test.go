@@ -18,7 +18,7 @@ func TestFlapExpansion(t *testing.T) {
 	b := ic.LocalNeighbors(a)[0]
 	spec := &faults.Spec{
 		Flaps:     []faults.Flap{{A: a, B: b, MTBF: 100_000, MTTR: 50_000}}, // 100us : 50us
-		FlapUntil: 1_000_000,                                               // 1ms
+		FlapUntil: 1_000_000,                                                // 1ms
 		Seed:      7,
 	}
 	s1, err := faults.Resolve(spec, ic)

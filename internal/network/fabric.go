@@ -121,31 +121,20 @@ type Fabric struct {
 	termIn  []*link // node -> router, indexed by node
 	termOut []*link // router -> node, indexed by node
 
-	// Router-to-router channel lookup, the per-hop switch operation, in one
-	// of two representations (see pairLinks). Dense (small machines): the
-	// parallel links from router a to router b are
-	// linkFlat[linkOff[a*numRouters+b] : linkOff[a*numRouters+b+1]] — a
-	// dense offset table replaced the former map[int64][]*link (no hashing,
-	// no per-bucket slice headers on the hot path), but its O(routers^2)
-	// offsets are ~1.6 GB at 20k routers. Compact (above
-	// topology.DenseTableLimit, or Params.Route.CompactTables): group
-	// isomorphism collapses the local index to one shared rpg x rpg slot
-	// table (localSlot) over per-group link blocks (localLinks), and global
-	// links live in per-router runs (globalOff/globalTo/globalLinks, grouped
-	// by destination, creation order preserved within a run so pickLink's
-	// first-wins tie break matches the dense table exactly). Memory is
-	// O(routersPerGroup^2 + links). linkOff non-nil selects dense.
-	numRouters int
-	linkOff    []int32
-	linkFlat   []*link
-
-	rpg           int     // routers per group (compact index only)
-	localPerGroup int     // directed local links per group
-	localSlot     []int32 // (li*rpg+lj) -> block slot, -1 when not adjacent
-	localLinks    []*link // numGroups x localPerGroup, group-major blocks
-	globalOff     []int32 // per-router offsets into globalTo/globalLinks
-	globalTo      []topology.RouterID
-	globalLinks   []*link
+	// Router-to-router channel lookup, the per-hop switch operation (see
+	// pairLinks). Local links sit in per-router slot rows: localSlot[a*rpg
+	// + b-g*rpg] is the ID of the one directed link a -> b of group g, or
+	// -1 when the pair is not adjacent. Global links live in per-router
+	// runs (globalOff/globalTo/globalLinks), grouped by destination with
+	// creation order preserved within a run, which pickLink's first-wins
+	// tie break depends on. Memory is O(routers x rpg + links), and no
+	// two groups need to be wired alike.
+	numRouters  int
+	rpg         int     // routers per group
+	localSlot   []int32 // per-router rows of local link IDs, -1 when not adjacent
+	globalOff   []int32 // per-router offsets into globalTo/globalLinks
+	globalTo    []topology.RouterID
+	globalLinks []*link
 
 	msgSeq uint64
 
@@ -177,21 +166,15 @@ type Fabric struct {
 }
 
 // pairLinks returns the parallel directed channels from one router to
-// another (empty when the pair is not adjacent), identical in content and
-// order under both index representations.
+// another (empty when the pair is not adjacent), in creation order.
 func (f *Fabric) pairLinks(from, to topology.RouterID) []*link {
-	if f.linkOff != nil {
-		k := int(from)*f.numRouters + int(to)
-		return f.linkFlat[f.linkOff[k]:f.linkOff[k+1]]
-	}
-	ga, gb := int(from)/f.rpg, int(to)/f.rpg
-	if ga == gb {
-		s := f.localSlot[(int(from)-ga*f.rpg)*f.rpg+int(to)-gb*f.rpg]
-		if s < 0 {
+	base := int(from) - int(from)%f.rpg
+	if j := int(to) - base; j >= 0 && j < f.rpg {
+		id := f.localSlot[int(from)*f.rpg+j]
+		if id < 0 {
 			return nil
 		}
-		base := ga * f.localPerGroup
-		return f.localLinks[base+int(s) : base+int(s)+1]
+		return f.links[id : id+1]
 	}
 	// A router's global runs are its handful of ports: a linear scan beats
 	// any index small enough to keep.
@@ -287,111 +270,53 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 		f.nics[n] = &nic{f: f, node: node}
 	}
 
-	// Router-to-router links: the compact index above topology's dense limit
-	// (or when forced), the dense offset table otherwise. Link creation
-	// order — locals per router in LocalNeighbors order, then globals in
-	// GlobalConns order — is identical in both, so link IDs and every
-	// downstream enumeration (LinkStats, RefreshHealth) are byte-identical.
-	conns := topo.GlobalConns()
-	compact := p.Route.CompactTables || f.numRouters > topology.DenseTableLimit
-	var tmpl *topology.LocalTemplate
-	if compact {
-		// The compact local index needs group isomorphism; a machine whose
-		// groups deviate falls back to the dense table (correct, just pays
-		// the quadratic memory bill).
-		tmpl, _ = topology.NewLocalTemplate(topo)
+	// Router-to-router links: locals per router in LocalNeighbors order,
+	// then globals in GlobalConns order. Link IDs, and so every downstream
+	// enumeration (LinkStats, RefreshHealth), follow this creation order.
+	if err := f.buildLocalLinks(topo, p); err != nil {
+		return nil, err
 	}
-	if tmpl != nil {
-		f.buildCompactIndex(topo, p, tmpl, conns)
-	} else {
-		f.buildDenseIndex(topo, p, conns)
-	}
+	f.buildGlobalLinks(p, topo.GlobalConns())
 	f.RefreshHealth()
 	return f, nil
 }
 
-// buildDenseIndex lays the router-to-router links into the dense offset
-// table: count each ordered pair's parallel channels, prefix-sum into
-// offsets, then create the links and drop each into its pair's slot.
-func (f *Fabric) buildDenseIndex(topo topology.Interconnect, p Params, conns []topology.GlobalConn) {
+// buildLocalLinks creates one directed link per ordered local neighbor pair
+// and records its ID in the source router's slot row.
+func (f *Fabric) buildLocalLinks(topo topology.Interconnect, p Params) error {
 	nR := f.numRouters
-	counts := make([]int32, nR*nR+1)
-	pairIdx := func(from, to topology.RouterID) int { return int(from)*nR + int(to) }
-	for r := 0; r < nR; r++ {
-		from := topology.RouterID(r)
-		for _, to := range topo.LocalNeighbors(from) {
-			counts[pairIdx(from, to)+1]++
-		}
-	}
-	for _, c := range conns {
-		counts[pairIdx(c.A, c.B)+1]++
-		counts[pairIdx(c.B, c.A)+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	f.linkOff = counts
-	f.linkFlat = make([]*link, counts[len(counts)-1])
-	cursor := make([]int32, nR*nR)
-	place := func(l *link) {
-		k := pairIdx(l.from, l.to)
-		f.linkFlat[f.linkOff[k]+cursor[k]] = l
-		cursor[k]++
-	}
-
-	// Local links: one directed link per ordered neighbor pair.
-	for r := 0; r < nR; r++ {
-		from := topology.RouterID(r)
-		for _, to := range topo.LocalNeighbors(from) {
-			l := newLink(f, routing.Local, routing.NumLocalVC, p.LocalVCBuffer, p.LocalBandwidth, p.LocalLatency)
-			l.from, l.to = from, to
-			place(l)
-		}
-	}
-	f.placeGlobals(p, conns, place)
-}
-
-// buildCompactIndex lays the same links (same creation order, same IDs) into
-// the compressed index: one shared rpg x rpg slot table over per-group local
-// blocks, and per-router destination-grouped global runs.
-func (f *Fabric) buildCompactIndex(topo topology.Interconnect, p Params, tmpl *topology.LocalTemplate, conns []topology.GlobalConn) {
-	nR := f.numRouters
-	rpg := tmpl.RPG
+	rpg := nR / topo.NumGroups()
 	f.rpg = rpg
-	numGroups := nR / rpg
-	f.localPerGroup = len(tmpl.NeighborFlat)
-	f.localSlot = make([]int32, rpg*rpg)
+	f.localSlot = make([]int32, nR*rpg)
 	for i := range f.localSlot {
 		f.localSlot[i] = -1
 	}
-	slot := int32(0)
-	for li := 0; li < rpg; li++ {
-		for _, lj := range tmpl.Neighbors(li) {
-			f.localSlot[li*rpg+int(lj)] = slot
-			slot++
-		}
-	}
-
-	// Local links in creation order land exactly at their block slots: the
-	// per-group creation sequence (router-major, LocalNeighbors order) is
-	// the slot enumeration above, shifted by the group's block base.
-	f.localLinks = make([]*link, numGroups*f.localPerGroup)
-	idx := 0
 	for r := 0; r < nR; r++ {
 		from := topology.RouterID(r)
+		row := f.localSlot[r*rpg : (r+1)*rpg]
 		for _, to := range topo.LocalNeighbors(from) {
+			j := int(to) - (r - r%rpg)
+			if j < 0 || j >= rpg || row[j] >= 0 {
+				return fmt.Errorf("network: %s lists router %d as a local neighbor of %d twice or outside its group",
+					topo.Name(), to, from)
+			}
 			l := newLink(f, routing.Local, routing.NumLocalVC, p.LocalVCBuffer, p.LocalBandwidth, p.LocalLatency)
 			l.from, l.to = from, to
-			f.localLinks[idx] = l
-			idx++
+			row[j] = int32(l.id)
 		}
 	}
+	return nil
+}
 
-	// Global links: count per source router, prefix-sum, create in conns
-	// order, then group each router's entries into contiguous per-destination
-	// runs. The insertion sort is stable, so parallel links keep their conns
-	// order within a run — the dense table's pair order, which pickLink's
-	// first-wins tie break depends on.
+// buildGlobalLinks creates the global links — two directed links per
+// bidirectional connection, in conns order, parallel links between the same
+// router pair kept distinct — and lays them into per-router runs: count per
+// source router, prefix-sum, place, then group each router's entries by
+// destination. The insertion sort is stable, so parallel links keep their
+// conns order within a run. Each direction remembers its source-side global
+// port, the identity the health view addresses global channels by.
+func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn) {
+	nR := f.numRouters
 	gcnt := make([]int32, nR+1)
 	for _, c := range conns {
 		gcnt[int(c.A)+1]++
@@ -404,13 +329,18 @@ func (f *Fabric) buildCompactIndex(topo topology.Interconnect, p Params, tmpl *t
 	f.globalTo = make([]topology.RouterID, gcnt[nR])
 	f.globalLinks = make([]*link, gcnt[nR])
 	cursor := make([]int32, nR)
-	f.placeGlobals(p, conns, func(l *link) {
-		r := int(l.from)
-		i := f.globalOff[r] + cursor[r]
-		cursor[r]++
-		f.globalTo[i] = l.to
-		f.globalLinks[i] = l
-	})
+	for _, c := range conns {
+		for _, dir := range [2]struct {
+			from, to topology.RouterID
+			port     int
+		}{{c.A, c.B, c.APort}, {c.B, c.A, c.BPort}} {
+			l := newLink(f, routing.Global, routing.NumGlobalVC, p.GlobalVCBuffer, p.GlobalBandwidth, p.GlobalLatency)
+			l.from, l.to, l.gport = dir.from, dir.to, int32(dir.port)
+			i := f.globalOff[dir.from] + cursor[dir.from]
+			cursor[dir.from]++
+			f.globalTo[i], f.globalLinks[i] = dir.to, l
+		}
+	}
 	for r := 0; r < nR; r++ {
 		lo, hi := int(f.globalOff[r]), int(f.globalOff[r+1])
 		for i := lo + 1; i < hi; i++ {
@@ -421,24 +351,6 @@ func (f *Fabric) buildCompactIndex(topo topology.Interconnect, p Params, tmpl *t
 				j--
 			}
 			f.globalTo[j], f.globalLinks[j] = to, lk
-		}
-	}
-}
-
-// placeGlobals creates the global links — two directed links per
-// bidirectional connection, parallel links between the same router pair kept
-// distinct — handing each to the index's placement function. Each direction
-// remembers its source-side global port, the identity the health view
-// addresses global channels by.
-func (f *Fabric) placeGlobals(p Params, conns []topology.GlobalConn, place func(*link)) {
-	for _, c := range conns {
-		for _, dir := range [2]struct {
-			from, to topology.RouterID
-			port     int
-		}{{c.A, c.B, c.APort}, {c.B, c.A, c.BPort}} {
-			l := newLink(f, routing.Global, routing.NumGlobalVC, p.GlobalVCBuffer, p.GlobalBandwidth, p.GlobalLatency)
-			l.from, l.to, l.gport = dir.from, dir.to, int32(dir.port)
-			place(l)
 		}
 	}
 }

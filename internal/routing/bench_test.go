@@ -48,32 +48,16 @@ func BenchmarkRoutePlusAdaptive(b *testing.B) {
 	benchRoute(b, topotest.PlusMini(b), Adaptive, Options{})
 }
 
-// Compact-table equivalents: the big-machine compressed/lazy representation
-// (shared template, gateway shards, memoized path map) forced on the mini
-// machine, gated at the same 0 allocs/op as the dense fast path — map reads
-// and shard hits allocate nothing once the pair working set is warm.
-func BenchmarkRouteCompactMinimal(b *testing.B) {
-	benchRoute(b, topotest.Mini(b), Minimal, Options{CompactTables: true})
-}
-
-func BenchmarkRouteCompactAdaptive(b *testing.B) {
-	benchRoute(b, topotest.Mini(b), Adaptive, Options{CompactTables: true})
-}
-
-// qadaptive equivalents: the learning policy fields the same candidate set
+// qadaptive equivalent: the learning policy fields the same candidate set
 // through the same scratch and arena as adp, plus a constant-work Q-table
-// update, so it is held to the same 0 allocs/op gate in both table regimes
-// (its tables are sized once at Bind).
+// update, so it is held to the same 0 allocs/op gate (its tables are sized
+// once at Bind).
 func BenchmarkRouteQAdaptive(b *testing.B) {
 	benchRoute(b, topotest.Mini(b), QAdaptive, Options{})
 }
 
-func BenchmarkRouteCompactQAdaptive(b *testing.B) {
-	benchRoute(b, topotest.Mini(b), QAdaptive, Options{CompactTables: true})
-}
-
 // BenchmarkRouteMinimalNoCache is the pre-pooling baseline: fresh hop
-// storage per call, kept so the cache/arena win stays visible in one run.
+// storage per call, kept so the arena win stays visible in one run.
 func BenchmarkRouteMinimalNoCache(b *testing.B) {
 	benchRoute(b, topotest.Mini(b), Minimal, Options{NoCache: true})
 }

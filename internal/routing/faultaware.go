@@ -2,10 +2,11 @@ package routing
 
 // Fault-aware routing: the degraded-fabric code path the chooser switches to
 // when Options.Health is set. It is deliberately separate from the healthy
-// builders in routing.go — the healthy hot path keeps its dense-table walk,
-// path cache, and zero-allocation profile untouched (guarded by the
-// bench-diff gate), while this path trades a little speed for routing around
-// dead equipment.
+// builders in routing.go — the healthy hot path keeps its canonical next-hop
+// walk and zero-allocation profile untouched (guarded by the bench-diff
+// gate), while this path trades a little speed for routing around dead
+// equipment. Its BFS tables share the healthy nextHop rows' (router, local
+// destination) layout.
 //
 // Degraded-mode contract:
 //
@@ -68,8 +69,7 @@ func (c *Chooser) RebuildHealth() {
 	}
 	rpg := c.routersPerGroup
 	if c.liveNextHop == nil {
-		// Sized independently of the healthy next-hop representation (which
-		// may be the shared template): one slot per (router, local dst).
+		// One slot per (router, local dst), like the healthy nextHop rows.
 		n := c.numRouters * rpg
 		c.liveNextHop = make([]topology.RouterID, n)
 		c.liveDist = make([]int32, n)

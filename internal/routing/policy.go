@@ -1,7 +1,7 @@
 package routing
 
 // The routing-policy SPI. The Chooser owns the resolved tables (next hops,
-// gateways, path cache, arena, live-BFS trees) and exposes them as route
+// gateways, hop arena, live-BFS trees) and exposes them as route
 // construction primitives — MinimalPath, ValiantPath, their fault-aware
 // twins, Score, the RNG stream — while a Policy makes the decisions the
 // paper's trade-off turns on: which path class (minimal vs. Valiant
@@ -166,8 +166,8 @@ func (p *adaptivePolicy) Route(rs, rd topology.RouterID) Path {
 		win = nonIdx
 	}
 	for i := range cands {
-		// Arena-owned candidates never alias each other (cache hits are
-		// marked shared), so each loser is recycled exactly once.
+		// Every candidate owns its arena storage, so each loser is
+		// recycled exactly once.
 		if i != win && cands[i].arena {
 			c.putHops(cands[i].Hops)
 		}

@@ -115,8 +115,8 @@ type Path struct {
 	Hops []Hop
 	// arena marks hop storage owned by the originating Chooser's scratch
 	// arena: Chooser.Release returns it for reuse once the packet carrying
-	// the path is delivered. Cached (shared) and caller-built paths are not
-	// arena-owned, so Release ignores them.
+	// the path is delivered. Caller-built paths, and every path of a
+	// NoCache chooser, are not arena-owned, so Release ignores them.
 	arena bool
 }
 
@@ -181,26 +181,16 @@ type Options struct {
 	// bias of Aries/UGAL adaptive routing. 0 means the default
 	// (DefaultMinimalBias); negative disables the bias.
 	MinimalBias int64
-	// NoCache disables the deterministic minimal-path cache and the
-	// hop-slice arena, so every Route call builds fresh storage. Routes are
-	// identical either way (only paths whose construction draws no
-	// randomness are ever cached); the knob exists for the pooling
-	// equivalence tests and for memory-vs-speed debugging.
+	// NoCache turns off the recycled hop-slice arena, so every Route call
+	// appends its hops to fresh storage. Routes are identical either way;
+	// the knob is the allocate-fresh reference of the pooling equivalence
+	// tests and a memory-vs-speed debugging aid.
 	NoCache bool
-	// CompactTables forces the big-machine compressed/lazy route tables
-	// (shared intra-group template, lazily sharded gateway candidates,
-	// memoized path map) even below topology.DenseTableLimit, where the
-	// chooser would normally keep its dense flat arrays. Routes are
-	// identical in both modes; the knob exists for the equivalence tests
-	// and benchmarks.
-	CompactTables bool
 	// Health, when non-nil, switches the chooser to the fault-aware code
 	// path (see faultaware.go): routes avoid dead routers and links, fall
 	// back to non-minimal detours, and report ErrUnreachable from TryRoute
-	// on partitioned pairs. The deterministic minimal-path cache is
-	// bypassed in this mode because the live tables change under dynamic
-	// fault events. nil (the default) is the healthy fabric and costs one
-	// nil check per route.
+	// on partitioned pairs. nil (the default) is the healthy fabric and
+	// costs one nil check per route.
 	Health topology.Health
 	// Policy, when non-nil, overrides the Mechanism passed to the chooser
 	// constructor: each chooser installs a fresh instance from the
@@ -243,18 +233,14 @@ func (o Options) valiantCandidates() int {
 // they never regrow.
 const maxPathHops = 12
 
-// Cache states of one (srcRouter, dstRouter) pair.
-const (
-	cacheUnknown uint8 = iota // not yet classified
-	cacheShared               // deterministic; pathCache holds the shared hops
-	cacheNever                // construction draws randomness; always rebuilt
-)
-
 // Chooser computes routes for packets. It consumes the machine through the
 // topology.Interconnect seam, but only at construction: the per-route code
-// runs entirely on the dense tables below (plus the lazily built caches), so
-// a new topology implementation pays no per-event interface-dispatch cost
-// and cannot perturb the hot path.
+// runs entirely on the resolved tables below (plus the lazily built gateway
+// shards), so a new topology implementation pays no per-event
+// interface-dispatch cost and cannot perturb the hot path. Every table is
+// linear in the router count — O(routers x routersPerGroup) next hops, and
+// gateway shards only for routers that originate inter-group routes — and
+// assumes nothing beyond the SPI's group-major numbering.
 type Chooser struct {
 	topo   topology.Interconnect
 	mech   Mechanism
@@ -270,41 +256,19 @@ type Chooser struct {
 	// routerOf[n] is the router of node n; groupOf[r] the group of router r.
 	routerOf []topology.RouterID
 	groupOf  []int32
-	// Intra-group next hops come in two representations. tmplNext is the
-	// compressed one: the shared rpg x rpg group-0 template in local
-	// indices (all groups of every shipped dragonfly are isomorphic up to
-	// global wiring, verified at construction) — O(routersPerGroup^2)
-	// memory for the whole machine. nextHop is the dense fallback for a
-	// machine whose groups deviate: the machine's LocalNextHop flattened
-	// per group, (g*R+i)*R+j (R = routersPerGroup). Exactly one is non-nil.
-	tmplNext []int32
-	nextHop  []topology.RouterID
+	// nextHop is the machine's LocalNextHop as per-group rows: the router
+	// after cur toward dst (same group) is nextHop[cur*R + dst-g*R], R =
+	// routersPerGroup — the (router, local destination) layout liveNextHop
+	// shares.
+	nextHop []topology.RouterID
 	// valiant enumerates the eligible Valiant intermediate routers.
 	valiant []topology.RouterID
 
-	// Gateway-candidate cache, per (router, destination group) — the hot
-	// lookup of every inter-group route, built lazily per entry. Small
-	// machines keep the dense flat index nearestGW (numRouters*numGroups
-	// headers); above topology.DenseTableLimit that index alone would be
-	// hundreds of MB, so big machines keep nearestGWShard instead: one
-	// per-router shard of numGroups slots, allocated on the first route
-	// leaving that router — memory O(touched routers x groups). Exactly
-	// one is non-nil.
-	nearestGW      [][]topology.Gateway
-	nearestGWShard [][][]topology.Gateway
-
-	// Deterministic minimal-path cache. Pairs whose construction draws no
-	// randomness (same group, or a single gateway candidate) share one hop
-	// slice: serving the cached copy consumes the RNG stream exactly as a
-	// rebuild would, so results stay bit-identical. Small machines keep
-	// the dense tables pathCache/pathState ((numRouters)^2 entries,
-	// classified lazily); big machines keep pathMemo, a lazy map keyed by
-	// the router pair — a nil hops value records a never-cacheable pair.
-	// Memory is O(touched pairs) instead of O(routers^2); steady-state
-	// lookups are map reads, which allocate nothing.
-	pathCache [][]Hop
-	pathState []uint8
-	pathMemo  map[uint64][]Hop
+	// nearestGW caches the gateway candidates of every inter-group route,
+	// per (router, destination group): one shard of numGroups slots per
+	// router, allocated on the first route leaving that router and filled
+	// slot by slot — memory O(touched routers x groups).
+	nearestGW [][][]topology.Gateway
 	// useArena enables the recycled hop-slice arena (off only with
 	// NoCache, which reproduces the historical fresh-allocation behavior).
 	useArena bool
@@ -336,13 +300,7 @@ func NewChooser(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong C
 
 // NewChooserOpts builds a route chooser with explicit Options, resolving the
 // machine's node attachment, group membership, canonical intra-group next
-// hops, and Valiant intermediates into per-route tables. At or below
-// topology.DenseTableLimit routers those are the historical dense flat arrays
-// (the small-machine fast path every golden run takes); above the limit — or
-// under Options.CompactTables — the chooser keeps the compressed forms: one
-// shared intra-group next-hop template, per-router lazy gateway shards, and a
-// memoized path map, bounding memory by O(groups + touched pairs) instead of
-// O(routers^2). Routes are identical in both modes.
+// hops, and Valiant intermediates into per-route tables.
 func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong Congestion, opts Options) *Chooser {
 	if cong == nil {
 		cong = zeroCongestion{}
@@ -353,7 +311,6 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 		numGroups:  topo.NumGroups(),
 	}
 	c.routersPerGroup = c.numRouters / c.numGroups
-	compact := opts.CompactTables || c.numRouters > topology.DenseTableLimit
 
 	c.routerOf = make([]topology.RouterID, topo.NumNodes())
 	par.ForChunks(len(c.routerOf), func(lo, hi int) {
@@ -368,43 +325,24 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 		}
 	})
 	rpg := c.routersPerGroup
-	if tmpl, ok := topology.NewLocalTemplate(topo); ok {
-		// Group-isomorphic machine (all shipped variants): one shared
-		// rpg x rpg table serves every group's next-hop walk.
-		c.tmplNext = tmpl.Next
-	} else {
-		c.nextHop = make([]topology.RouterID, c.numGroups*rpg*rpg)
-		par.ForChunks(c.numGroups, func(lo, hi int) {
-			for g := lo; g < hi; g++ {
-				base := g * rpg
-				for i := 0; i < rpg; i++ {
-					for j := 0; j < rpg; j++ {
-						c.nextHop[(g*rpg+i)*rpg+j] = topo.LocalNextHop(
-							topology.RouterID(base+i), topology.RouterID(base+j))
-					}
+	c.nextHop = make([]topology.RouterID, c.numRouters*rpg)
+	par.ForChunks(c.numGroups, func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			base := g * rpg
+			for i := 0; i < rpg; i++ {
+				for j := 0; j < rpg; j++ {
+					c.nextHop[(base+i)*rpg+j] = topo.LocalNextHop(
+						topology.RouterID(base+i), topology.RouterID(base+j))
 				}
 			}
-		})
-	}
+		}
+	})
 	c.valiant = make([]topology.RouterID, topo.NumValiantRouters())
 	for i := range c.valiant {
 		c.valiant[i] = topo.ValiantRouter(i)
 	}
-	if compact {
-		c.nearestGWShard = make([][][]topology.Gateway, c.numRouters)
-	} else {
-		c.nearestGW = make([][]topology.Gateway, c.numRouters*c.numGroups)
-	}
-	if !opts.NoCache {
-		if compact {
-			c.pathMemo = make(map[uint64][]Hop)
-		} else {
-			n := c.numRouters * c.numRouters
-			c.pathCache = make([][]Hop, n)
-			c.pathState = make([]uint8, n)
-		}
-		c.useArena = true
-	}
+	c.nearestGW = make([][][]topology.Gateway, c.numRouters)
+	c.useArena = !opts.NoCache
 	c.health = opts.Health
 	c.RebuildHealth()
 	if opts.Policy != nil {
@@ -420,7 +358,7 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 // storage when available, fresh otherwise. With NoCache the arena is off and
 // construction appends from nil, the historical behavior.
 func (c *Chooser) getHops() []Hop {
-	if c.opts.NoCache {
+	if !c.useArena {
 		return nil
 	}
 	if n := len(c.freeHops); n > 0 {
@@ -439,9 +377,8 @@ func (c *Chooser) putHops(h []Hop) {
 
 // Release returns an arena-owned path's hop storage to the chooser for
 // reuse. Callers that keep paths alive past the packet's lifetime (tests,
-// analysis tools) simply never call it; cached and caller-built paths are
-// ignored, so Release is safe on any Path. The path must not be used after
-// Release.
+// analysis tools) simply never call it; caller-built paths are ignored, so
+// Release is safe on any Path. The path must not be used after Release.
 func (c *Chooser) Release(p Path) {
 	if p.arena {
 		c.putHops(p.Hops)
@@ -480,21 +417,8 @@ func (c *Chooser) TryRoute(src, dst topology.NodeID) (Path, error) {
 // dst. The segment is the nextHop table walked to the destination — on the
 // XC40 grid that is the historical row-first-then-column dimension order.
 func (c *Chooser) appendLocalDOR(hops []Hop, cur, dst topology.RouterID, class uint8) ([]Hop, topology.RouterID) {
-	if c.tmplNext != nil {
-		rpg := c.routersPerGroup
-		for cur != dst {
-			// Template walk in local indices, shifted by the group base.
-			base := int(c.groupOf[cur]) * rpg
-			next := topology.RouterID(base) +
-				topology.RouterID(c.tmplNext[(int(cur)-base)*rpg+int(dst)-base])
-			hops = append(hops, Hop{From: cur, To: next, Kind: Local, VC: class})
-			cur = next
-		}
-		return hops, cur
-	}
+	base := int(c.groupOf[cur]) * c.routersPerGroup
 	for cur != dst {
-		// Table layout (g*R+i)*R+j collapses to cur*R + (dst - g*R).
-		base := int(c.groupOf[cur]) * c.routersPerGroup
 		next := c.nextHop[int(cur)*c.routersPerGroup+int(dst)-base]
 		hops = append(hops, Hop{From: cur, To: next, Kind: Local, VC: class})
 		cur = next
@@ -549,20 +473,12 @@ func (c *Chooser) pickGateway(cur topology.RouterID, gs, gd int) topology.Gatewa
 // (GatewayNearest), or every gateway within one local hop (GatewaySpread,
 // falling back to nearest when none is that close).
 func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topology.Gateway {
-	// Resolve the cache slot for (cur, gd): dense flat index on small
-	// machines, the router's lazily allocated shard on big ones.
-	var slot *[]topology.Gateway
-	if c.nearestGW != nil {
-		slot = &c.nearestGW[int(cur)*c.numGroups+gd]
-	} else {
-		shard := c.nearestGWShard[cur]
-		if shard == nil {
-			shard = make([][]topology.Gateway, c.numGroups)
-			c.nearestGWShard[cur] = shard
-		}
-		slot = &shard[gd]
+	shard := c.nearestGW[cur]
+	if shard == nil {
+		shard = make([][]topology.Gateway, c.numGroups)
+		c.nearestGW[cur] = shard
 	}
-	if cand := *slot; cand != nil {
+	if cand := shard[gd]; cand != nil {
 		return cand
 	}
 	gws := c.topo.Gateways(gs, gd)
@@ -590,69 +506,14 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 			cand = append(cand, gw)
 		}
 	}
-	*slot = cand
+	shard[gd] = cand
 	return cand
 }
 
-// minimalDeterministic reports whether the minimal path rs->rd is built
-// without consuming the RNG stream: intra-group DOR never draws, and an
-// inter-group route draws only when the gateway choice varies (pickGateway
-// returns a single candidate without sampling; GatewayRandom always
-// samples). Only such paths may be cached.
-func (c *Chooser) minimalDeterministic(rs, rd topology.RouterID) bool {
-	gs := int(c.groupOf[rs])
-	gd := int(c.groupOf[rd])
-	if gs == gd {
-		return true
-	}
-	if c.opts.Gateway == GatewayRandom {
-		return false
-	}
-	return len(c.gatewayCandidates(rs, gs, gd)) == 1
-}
-
 // MinimalPath builds the minimal route between two distinct routers on the
-// healthy fabric — the chooser's primary construction primitive, served
-// from the deterministic path cache when the pair qualifies.
+// healthy fabric — the chooser's primary construction primitive — into
+// recycled arena storage.
 func (c *Chooser) MinimalPath(rs, rd topology.RouterID) Path {
-	if c.pathState != nil {
-		idx := int(rs)*c.numRouters + int(rd)
-		switch c.pathState[idx] {
-		case cacheShared:
-			return Path{Hops: c.pathCache[idx]}
-		case cacheUnknown:
-			if c.minimalDeterministic(rs, rd) {
-				// Build once into dedicated storage and share it from now
-				// on; construction draws no randomness, so serving the
-				// cache is observationally identical to rebuilding.
-				var st segmentState
-				hops, _ := c.appendMinimal(nil, rs, rd, &st)
-				c.pathCache[idx] = hops
-				c.pathState[idx] = cacheShared
-				return Path{Hops: hops}
-			}
-			c.pathState[idx] = cacheNever
-		}
-	} else if c.pathMemo != nil {
-		// Big-machine memo: rs != rd always holds here (TryRoute returns
-		// early for same-router pairs), so a cached deterministic path is
-		// never empty — a nil value therefore unambiguously records a
-		// never-cacheable pair. Map reads allocate nothing, keeping the
-		// steady state at 0 allocs/op.
-		key := uint64(uint32(rs))<<32 | uint64(uint32(rd))
-		if hops, hit := c.pathMemo[key]; hit {
-			if hops != nil {
-				return Path{Hops: hops}
-			}
-		} else if c.minimalDeterministic(rs, rd) {
-			var st segmentState
-			hops, _ := c.appendMinimal(nil, rs, rd, &st)
-			c.pathMemo[key] = hops
-			return Path{Hops: hops}
-		} else {
-			c.pathMemo[key] = nil
-		}
-	}
 	var st segmentState
 	hops, _ := c.appendMinimal(c.getHops(), rs, rd, &st)
 	return Path{Hops: hops, arena: c.useArena}

@@ -6,76 +6,6 @@ import (
 	"dragonfly/internal/par"
 )
 
-// TestLocalTemplateMatchesInterface: on every preset, the extracted template
-// must reproduce LocalNextHop and LocalNeighbors exactly for every group —
-// the property the compressed routing and fabric tables rely on.
-func TestLocalTemplateMatchesInterface(t *testing.T) {
-	for _, name := range PresetNames() {
-		m, err := Preset(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ic, err := m.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmpl, ok := NewLocalTemplate(ic)
-		if !ok {
-			t.Fatalf("%s: groups not isomorphic, template refused", name)
-		}
-		rpg := tmpl.RPG
-		if rpg*ic.NumGroups() != ic.NumRouters() {
-			t.Fatalf("%s: RPG %d x %d groups != %d routers", name, rpg, ic.NumGroups(), ic.NumRouters())
-		}
-		for g := 0; g < ic.NumGroups(); g++ {
-			base := g * rpg
-			for i := 0; i < rpg; i++ {
-				for j := 0; j < rpg; j++ {
-					want := ic.LocalNextHop(RouterID(base+i), RouterID(base+j))
-					got := RouterID(base) + RouterID(tmpl.Next[i*rpg+j])
-					if got != want {
-						t.Fatalf("%s g%d: next(%d,%d) = %d, want %d", name, g, i, j, got, want)
-					}
-				}
-				nbrs := ic.LocalNeighbors(RouterID(base + i))
-				tn := tmpl.Neighbors(i)
-				if len(nbrs) != len(tn) {
-					t.Fatalf("%s g%d: neighbor count %d != %d", name, g, len(tn), len(nbrs))
-				}
-				for k := range nbrs {
-					if int(nbrs[k]) != base+int(tn[k]) {
-						t.Fatalf("%s g%d r%d: neighbor %d = %d, want %d",
-							name, g, i, k, base+int(tn[k]), nbrs[k])
-					}
-				}
-			}
-		}
-	}
-}
-
-// lopsided wraps a Dragonfly and breaks group isomorphism in one group, to
-// prove template extraction refuses rather than silently mis-templates.
-type lopsided struct{ *Dragonfly }
-
-func (l lopsided) LocalNextHop(cur, dst RouterID) RouterID {
-	if l.GroupOfRouter(cur) == 1 && cur != dst {
-		// Swap the row/column order in group 1 only.
-		cc, cd := l.RouterCoord(cur), l.RouterCoord(dst)
-		if cc.Row != cd.Row {
-			return l.RouterAt(cc.Group, cd.Row, cc.Col)
-		}
-		return dst
-	}
-	return l.Dragonfly.LocalNextHop(cur, dst)
-}
-
-func TestLocalTemplateRefusesNonIsomorphicGroups(t *testing.T) {
-	ic := lopsided{MustNew(Mini())}
-	if _, ok := NewLocalTemplate(ic); ok {
-		t.Fatal("template accepted a machine with a deviant group")
-	}
-}
-
 // TestWiringWorkerCountInvariance: the sharded round-robin wiring must
 // produce byte-identical machines at every worker count.
 func TestWiringWorkerCountInvariance(t *testing.T) {

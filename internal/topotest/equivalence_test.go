@@ -2,9 +2,9 @@
 // testdata/equivalence.json were generated from the pre-SPI chooser (the
 // hard-coded minimal/adaptive switch), and every refactor since must
 // reproduce them bit for bit — routes, unreachability errors, RNG stream
-// positions, link statistics, and simulation clocks, across both table
-// regimes and healthy/faulted fabrics. Refresh (only when a behavior
-// change is intended and understood) with:
+// positions, link statistics, and simulation clocks, across healthy and
+// faulted fabrics. Refresh (only when a behavior change is intended and
+// understood) with:
 //
 //	UPDATE_EQUIV=1 go test ./internal/topotest -run TestPolicyEquivalence
 //
@@ -38,43 +38,46 @@ const equivFile = "testdata/equivalence.json"
 // committed digests.
 const equivSeed = 11
 
-func tableName(compact bool) string {
-	if compact {
-		return "compact"
-	}
-	return "dense"
+// tableKeys are the committed key suffixes of a cell. The digest files
+// were generated while the simulator kept two route/link table layouts
+// (dense and compact), most cells running once under each; the layouts
+// always produced identical digests. One layout remains, so every cell
+// now runs once and must match the digest under each of its keys — the
+// files stay byte-identical and every committed key is still checked.
+var tableKeys = []string{"dense", "compact"}
+
+// equivCell is one grid cell: the committed key suffixes its digest is
+// checked against, and the run producing the digest.
+type equivCell struct {
+	keys []string
+	run  func(t *testing.T) string
 }
 
 // routeCells enumerates the chooser-level grid: preset x mechanism x
-// healthy/faulted x dense/compact, plus the gateway-policy ablations the
-// SPI also absorbed.
-func routeCells() map[string]func(t *testing.T) string {
-	cells := map[string]func(t *testing.T) string{}
+// healthy/faulted, plus the gateway-policy ablations the SPI also absorbed.
+func routeCells() map[string]equivCell {
+	cells := map[string]equivCell{}
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
 			for _, frac := range []float64{0, 0.15} {
-				for _, compact := range []bool{false, true} {
-					preset, mech, frac, compact := preset, mech, frac, compact
-					name := fmt.Sprintf("route/%s/%s/fault=%.2f/%s",
-						preset, mech, frac, tableName(compact))
-					cells[name] = func(t *testing.T) string {
-						ic := buildPreset(t, preset)
-						return policytest.RouteDigest(t, ic, policytest.RouteSpec{
-							Mech:   mech,
-							Opts:   routing.Options{CompactTables: compact},
-							Seed:   equivSeed,
-							Salt:   3,
-							Faults: frac,
-						})
-					}
-				}
+				preset, mech, frac := preset, mech, frac
+				name := fmt.Sprintf("route/%s/%s/fault=%.2f", preset, mech, frac)
+				cells[name] = equivCell{tableKeys, func(t *testing.T) string {
+					ic := buildPreset(t, preset)
+					return policytest.RouteDigest(t, ic, policytest.RouteSpec{
+						Mech:   mech,
+						Seed:   equivSeed,
+						Salt:   3,
+						Faults: frac,
+					})
+				}}
 			}
 		}
 	}
 	for _, gw := range []routing.GatewayPolicy{routing.GatewayNearest, routing.GatewayRandom} {
 		gw := gw
-		name := fmt.Sprintf("route/mini/min/gateway=%d/dense", gw)
-		cells[name] = func(t *testing.T) string {
+		name := fmt.Sprintf("route/mini/min/gateway=%d", gw)
+		cells[name] = equivCell{[]string{"dense"}, func(t *testing.T) string {
 			ic := buildPreset(t, "mini")
 			return policytest.RouteDigest(t, ic, policytest.RouteSpec{
 				Mech: routing.Minimal,
@@ -82,29 +85,25 @@ func routeCells() map[string]func(t *testing.T) string {
 				Seed: equivSeed,
 				Salt: 3,
 			})
-		}
+		}}
 	}
 	return cells
 }
 
 // simCells enumerates full-simulation cells: preset x placement x
-// mechanism x healthy/faulted x dense/compact, each a small crystal-router
-// replay whose Result (clocks, events, comm times, link stats, drops) is
-// digested whole.
-func simCells() map[string]func(t *testing.T) string {
-	cells := map[string]func(t *testing.T) string{}
+// mechanism x healthy/faulted, each a small crystal-router replay whose
+// Result (clocks, events, comm times, link stats, drops) is digested whole.
+func simCells() map[string]equivCell {
+	cells := map[string]equivCell{}
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
 			for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
 				for _, frac := range []float64{0, 0.15} {
-					for _, compact := range []bool{false, true} {
-						preset, place, mech, frac, compact := preset, place, mech, frac, compact
-						name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f/%s",
-							preset, place, mech, frac, tableName(compact))
-						cells[name] = func(t *testing.T) string {
-							return policytest.SimDigest(t, simConfig(t, preset, place, mech, frac, compact))
-						}
-					}
+					preset, place, mech, frac := preset, place, mech, frac
+					name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f", preset, place, mech, frac)
+					cells[name] = equivCell{tableKeys, func(t *testing.T) string {
+						return policytest.SimDigest(t, simConfig(t, preset, place, mech, frac))
+					}}
 				}
 			}
 		}
@@ -125,7 +124,7 @@ func buildPreset(t *testing.T, preset string) topology.Interconnect {
 	return ic
 }
 
-func simConfig(t *testing.T, preset string, place placement.Policy, mech routing.Mechanism, frac float64, compact bool) core.Config {
+func simConfig(t *testing.T, preset string, place placement.Policy, mech routing.Mechanism, frac float64) core.Config {
 	t.Helper()
 	m, err := topology.Preset(preset)
 	if err != nil {
@@ -144,7 +143,6 @@ func simConfig(t *testing.T, preset string, place placement.Policy, mech routing
 		Seed:           equivSeed,
 		WatchdogEvents: 10_000_000_000,
 	}
-	cfg.Params.Route.CompactTables = compact
 	if frac > 0 {
 		cfg.Faults = &faults.Spec{GlobalFrac: frac, Seed: equivSeed + 1}
 	}
@@ -155,76 +153,94 @@ func simConfig(t *testing.T, preset string, place placement.Policy, mech routing
 // pre-SPI snapshot.
 func TestPolicyEquivalence(t *testing.T) {
 	cells := routeCells()
-	for name, f := range simCells() {
-		cells[name] = f
+	for name, c := range simCells() {
+		cells[name] = c
 	}
+	checkEquiv(t, equivFile, cells, "the pre-SPI chooser")
+}
 
+// checkEquiv runs every cell once and compares its digest against the
+// committed digest under each of its keys (cell name + "/" + suffix), one
+// subtest per key; a committed key without a cell, or a cell key without a
+// committed digest, fails too. With UPDATE_EQUIV set it rewrites file from
+// fresh digests instead.
+func checkEquiv(t *testing.T, file string, cells map[string]equivCell, baseline string) {
 	if os.Getenv("UPDATE_EQUIV") != "" {
 		got := map[string]string{}
-		for name, f := range cells {
-			got[name] = f(t)
+		for name, c := range cells {
+			d := c.run(t)
+			for _, k := range c.keys {
+				got[name+"/"+k] = d
+			}
 		}
-		writeEquiv(t, got)
-		t.Logf("equivalence: wrote %d cell digests to %s", len(got), equivFile)
+		writeEquiv(t, file, got)
+		t.Logf("equivalence: wrote %d cell digests to %s", len(got), file)
 		return
 	}
 
-	want := readEquiv(t)
+	want := readEquiv(t, file)
 	names := make([]string, 0, len(cells))
-	for name := range cells {
+	keyed := map[string]bool{}
+	for name, c := range cells {
 		names = append(names, name)
+		for _, k := range c.keys {
+			key := name + "/" + k
+			keyed[key] = true
+			if _, ok := want[key]; !ok {
+				t.Errorf("%s: no committed digest (run UPDATE_EQUIV=1 and review the diff)", key)
+			}
+		}
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: no committed digest (run UPDATE_EQUIV=1 and review the diff)", name)
-		}
-	}
-	for name := range want {
-		if _, ok := cells[name]; !ok {
-			t.Errorf("%s: committed digest has no matching cell (stale %s?)", name, equivFile)
+	for key := range want {
+		if !keyed[key] {
+			t.Errorf("%s: committed digest has no matching cell (stale %s?)", key, file)
 		}
 	}
 	for _, name := range names {
-		name := name
-		f := cells[name]
+		name, c := name, cells[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			w, ok := want[name]
-			if !ok {
-				t.Skip("no committed digest")
-			}
-			if got := f(t); got != w {
-				t.Errorf("digest %s, want %s — behavior diverged from the pre-SPI chooser", got, w)
+			got := c.run(t)
+			for _, k := range c.keys {
+				w, ok := want[name+"/"+k]
+				t.Run(k, func(t *testing.T) {
+					if !ok {
+						t.Skip("no committed digest")
+					}
+					if got != w {
+						t.Errorf("digest %s, want %s — behavior diverged from %s", got, w, baseline)
+					}
+				})
 			}
 		})
 	}
 }
 
-func readEquiv(t *testing.T) map[string]string {
+func readEquiv(t *testing.T, file string) map[string]string {
 	t.Helper()
-	data, err := os.ReadFile(equivFile)
+	data, err := os.ReadFile(file)
 	if err != nil {
-		t.Fatalf("read %s (generate with UPDATE_EQUIV=1): %v", equivFile, err)
+		t.Fatalf("read %s (generate with UPDATE_EQUIV=1): %v", file, err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", equivFile, err)
+		t.Fatalf("parse %s: %v", file, err)
 	}
 	return want
 }
 
-func writeEquiv(t *testing.T, digests map[string]string) {
+func writeEquiv(t *testing.T, file string, digests map[string]string) {
 	t.Helper()
 	data, err := json.MarshalIndent(digests, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	data = append(data, '\n')
-	if err := os.MkdirAll(filepath.Dir(equivFile), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
-	if err := os.WriteFile(equivFile, data, 0o644); err != nil {
-		t.Fatalf("write %s: %v", equivFile, err)
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatalf("write %s: %v", file, err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // Contract is the acceptance suite every routing.Policy implementation must
 // pass — built-ins, the learning policy, and any out-of-tree policy written
 // against the exported Chooser surface. It checks the contract stated on
-// routing.Policy on small XC40 and Dragonfly+ machines, in both the dense
-// and compact table regimes, healthy and degraded:
+// routing.Policy on small XC40 and Dragonfly+ machines, healthy and
+// degraded:
 //
 //   - validity: every emitted route passes routing.Validate, and on a
 //     faulted fabric touches only live routers and links;
@@ -25,7 +25,8 @@ import (
 //   - determinism: two choosers built from the same factory, seed, and
 //     congestion oracle — fed the identical saturation-feedback sequence —
 //     produce hop-identical routes and leave the RNG stream at the same
-//     position.
+//     position, and a cell rerun later in the process reproduces the
+//     digest of its first run.
 func Contract(t *testing.T, factory routing.PolicyFactory) {
 	machines := []struct {
 		name string
@@ -34,27 +35,40 @@ func Contract(t *testing.T, factory routing.PolicyFactory) {
 		{"mini", topotest.Mini(t)},
 		{"dfplus-mini", topotest.PlusMini(t)},
 	}
+	// first holds each cell's digest from its first run; subtests run
+	// sequentially, so no lock is needed.
+	first := map[string]string{}
 	for _, m := range machines {
-		for _, compact := range []bool{false, true} {
+		for _, regime := range tableRegimes {
 			for _, frac := range []float64{0, 0.2} {
-				regime := "dense"
-				if compact {
-					regime = "compact"
-				}
-				name := fmt.Sprintf("%s/%s/fault=%.2f", m.name, regime, frac)
-				ic, cp, fr := m.ic, compact, frac
-				t.Run(name, func(t *testing.T) {
-					contractCell(t, ic, factory, cp, fr)
+				ic, fr := m.ic, frac
+				cell := fmt.Sprintf("%s/fault=%.2f", m.name, frac)
+				t.Run(fmt.Sprintf("%s/%s/fault=%.2f", m.name, regime, frac), func(t *testing.T) {
+					d := contractCell(t, ic, factory, fr)
+					if prev, ok := first[cell]; ok && d != prev {
+						t.Fatalf("policy %q: rerun of %s diverged from its first run (digest %s vs %s)",
+							factory().Name(), cell, d, prev)
+					}
+					first[cell] = d
 				})
 			}
 		}
 	}
 }
 
-func contractCell(t *testing.T, ic topology.Interconnect, factory routing.PolicyFactory, compact bool, frac float64) {
+// tableRegimes are the historic names of the contract's table-layout
+// axis. The contract once ran every cell under each of two route/link
+// table layouts (dense and compact). One layout remains; every cell still
+// runs under both names, so each keeps its test ID, and the second run must
+// reproduce the first's digest — a chooser's routes may not depend on what
+// ran before it in the process.
+var tableRegimes = []string{"dense", "compact"}
+
+// contractCell runs one cell and returns the digest both choosers agreed on.
+func contractCell(t *testing.T, ic topology.Interconnect, factory routing.PolicyFactory, frac float64) string {
 	t.Helper()
 	const seed = 23
-	opts := routing.Options{Policy: factory, CompactTables: compact}
+	opts := routing.Options{Policy: factory}
 	var liveGlobal map[[2]topology.RouterID]bool
 	if frac > 0 {
 		set, err := faults.Resolve(&faults.Spec{GlobalFrac: frac, Seed: seed + 1}, ic)
@@ -114,6 +128,7 @@ func contractCell(t *testing.T, ic topology.Interconnect, factory routing.Policy
 		t.Fatalf("policy %q is not deterministic: two identically seeded choosers diverged (digest %s vs %s)",
 			factory().Name(), da.Sum(), db.Sum())
 	}
+	return da.Sum()
 }
 
 // contractRoute routes one pair, enforces validity (and, degraded,

@@ -4,18 +4,15 @@
 // IR), and the graph executor that replaced it must reproduce them bit for
 // bit — simulation clocks, event counts, per-rank communication times, link
 // statistics, and drop accounting, across machine x application x placement
-// x dense/compact table cells under adaptive routing (the RNG-consuming
-// mechanism, so a divergence in route-draw order fails too). Refresh (only
-// when a behavior change is intended and understood) with:
+// cells under adaptive routing (the RNG-consuming mechanism, so a divergence
+// in route-draw order fails too). Refresh (only when a behavior change is
+// intended and understood) with:
 //
 //	UPDATE_EQUIV=1 go test ./internal/topotest -run TestReplayEquivalence
 package topotest_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -57,37 +54,33 @@ func replayApps(t *testing.T) map[string]*trace.Trace {
 	return map[string]*trace.Trace{"CR": cr, "FB": fb, "AMG": amg}
 }
 
-// replayCells enumerates the differential grid: machine x app x placement x
-// dense/compact, each a full simulation under adaptive routing whose Result
-// is digested whole.
-func replayCells(t *testing.T) map[string]func(t *testing.T) string {
+// replayCells enumerates the differential grid: machine x app x placement,
+// each a full simulation under adaptive routing whose Result is digested
+// whole.
+func replayCells(t *testing.T) map[string]equivCell {
 	t.Helper()
 	apps := replayApps(t)
-	cells := map[string]func(t *testing.T) string{}
+	cells := map[string]equivCell{}
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, app := range []string{"CR", "FB", "AMG"} {
 			for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
-				for _, compact := range []bool{false, true} {
-					preset, app, place, compact := preset, app, place, compact
-					name := fmt.Sprintf("replay/%s/%s/%s/%s", preset, app, place, tableName(compact))
-					cells[name] = func(t *testing.T) string {
-						m, err := topology.Preset(preset)
-						if err != nil {
-							t.Fatalf("preset %s: %v", preset, err)
-						}
-						cfg := core.Config{
-							Topology:       m,
-							Params:         network.DefaultParams(),
-							Placement:      place,
-							Routing:        routing.Adaptive,
-							Trace:          apps[app],
-							Seed:           replayEquivSeed,
-							WatchdogEvents: 10_000_000_000,
-						}
-						cfg.Params.Route.CompactTables = compact
-						return policytest.SimDigest(t, cfg)
+				preset, app, place := preset, app, place
+				name := fmt.Sprintf("replay/%s/%s/%s", preset, app, place)
+				cells[name] = equivCell{tableKeys, func(t *testing.T) string {
+					m, err := topology.Preset(preset)
+					if err != nil {
+						t.Fatalf("preset %s: %v", preset, err)
 					}
-				}
+					return policytest.SimDigest(t, core.Config{
+						Topology:       m,
+						Params:         network.DefaultParams(),
+						Placement:      place,
+						Routing:        routing.Adaptive,
+						Trace:          apps[app],
+						Seed:           replayEquivSeed,
+						WatchdogEvents: 10_000_000_000,
+					})
+				}}
 			}
 		}
 	}
@@ -97,71 +90,5 @@ func replayCells(t *testing.T) map[string]func(t *testing.T) string {
 // TestReplayEquivalence compares every cell's digest against the committed
 // pre-graph-executor snapshot.
 func TestReplayEquivalence(t *testing.T) {
-	cells := replayCells(t)
-
-	if os.Getenv("UPDATE_EQUIV") != "" {
-		got := map[string]string{}
-		for name, f := range cells {
-			got[name] = f(t)
-		}
-		writeReplayEquiv(t, got)
-		t.Logf("replay equivalence: wrote %d cell digests to %s", len(got), replayEquivFile)
-		return
-	}
-
-	want := readReplayEquiv(t)
-	names := make([]string, 0, len(cells))
-	for name := range cells {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: no committed digest (run UPDATE_EQUIV=1 and review the diff)", name)
-		}
-	}
-	for name := range want {
-		if _, ok := cells[name]; !ok {
-			t.Errorf("%s: committed digest has no matching cell (stale %s?)", name, replayEquivFile)
-		}
-	}
-	for _, name := range names {
-		name := name
-		f := cells[name]
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			w, ok := want[name]
-			if !ok {
-				t.Skip("no committed digest")
-			}
-			if got := f(t); got != w {
-				t.Errorf("digest %s, want %s — behavior diverged from the fence-based replayer", got, w)
-			}
-		})
-	}
-}
-
-func readReplayEquiv(t *testing.T) map[string]string {
-	t.Helper()
-	data, err := os.ReadFile(replayEquivFile)
-	if err != nil {
-		t.Fatalf("read %s (generate with UPDATE_EQUIV=1): %v", replayEquivFile, err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", replayEquivFile, err)
-	}
-	return want
-}
-
-func writeReplayEquiv(t *testing.T, digests map[string]string) {
-	t.Helper()
-	data, err := json.MarshalIndent(digests, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(replayEquivFile, data, 0o644); err != nil {
-		t.Fatalf("write %s: %v", replayEquivFile, err)
-	}
+	checkEquiv(t, replayEquivFile, replayCells(t), "the fence-based replayer")
 }

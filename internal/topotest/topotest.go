@@ -36,6 +36,48 @@ func PlusMini(tb testing.TB) *topology.DragonflyPlus {
 	return mustPlus(tb, topology.PlusMini())
 }
 
+// ColumnFirst returns the mini XC40 machine with group isomorphism broken in
+// group 1: its canonical intra-group route takes the column hop before the
+// row hop, and its routers list their local neighbors (and so create their
+// local links) in reverse order. The other groups keep the preset's wiring,
+// so no single per-group template describes the machine — the route and
+// link tables must hold for it all the same.
+func ColumnFirst(tb testing.TB) topology.Interconnect {
+	tb.Helper()
+	df := Mini(tb)
+	m := &columnFirst{Dragonfly: df, nbrs: make([][]topology.RouterID, df.NumRouters())}
+	for r := range m.nbrs {
+		nb := df.LocalNeighbors(topology.RouterID(r))
+		if df.GroupOfRouter(topology.RouterID(r)) == 1 {
+			rev := make([]topology.RouterID, len(nb))
+			for i, v := range nb {
+				rev[len(nb)-1-i] = v
+			}
+			nb = rev
+		}
+		m.nbrs[r] = nb
+	}
+	return m
+}
+
+type columnFirst struct {
+	*topology.Dragonfly
+	nbrs [][]topology.RouterID
+}
+
+func (m *columnFirst) LocalNeighbors(r topology.RouterID) []topology.RouterID { return m.nbrs[r] }
+
+func (m *columnFirst) LocalNextHop(cur, dst topology.RouterID) topology.RouterID {
+	if m.GroupOfRouter(cur) != 1 || cur == dst {
+		return m.Dragonfly.LocalNextHop(cur, dst)
+	}
+	cc, cd := m.RouterCoord(cur), m.RouterCoord(dst)
+	if cc.Row != cd.Row {
+		return m.RouterAt(cc.Group, cd.Row, cc.Col)
+	}
+	return dst
+}
+
 func mustPlus(tb testing.TB, cfg topology.PlusConfig) *topology.DragonflyPlus {
 	tb.Helper()
 	t, err := topology.NewPlus(cfg)

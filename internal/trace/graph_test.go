@@ -231,7 +231,9 @@ func TestGenerators(t *testing.T) {
 		{"ring", func() (*Graph, error) { return RingAllReduce(RingAllReduceConfig{Ranks: 5, Bytes: 10 * KB, Rounds: 2}) }, 5},
 		{"tree-pow2", func() (*Graph, error) { return TreeAllReduce(TreeAllReduceConfig{Ranks: 8, Bytes: KB, Rounds: 2}) }, 8},
 		{"tree-ragged", func() (*Graph, error) { return TreeAllReduce(TreeAllReduceConfig{Ranks: 7, Bytes: KB, Rounds: 1}) }, 7},
-		{"moe", func() (*Graph, error) { return MoEAllToAll(MoEAllToAllConfig{Ranks: 6, Bytes: KB, Rounds: 2, Window: 2}) }, 6},
+		{"moe", func() (*Graph, error) {
+			return MoEAllToAll(MoEAllToAllConfig{Ranks: 6, Bytes: KB, Rounds: 2, Window: 2})
+		}, 6},
 		{"moe-unwindowed", func() (*Graph, error) { return MoEAllToAll(MoEAllToAllConfig{Ranks: 4, Bytes: KB, Rounds: 1}) }, 4},
 		{"halo2d", func() (*Graph, error) { return Halo(HaloConfig{X: 4, Y: 3, Bytes: KB, Rounds: 2}) }, 12},
 		{"halo3d", func() (*Graph, error) {
