@@ -16,10 +16,10 @@ fmt-check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-# Module-wide under the race detector: the farm executor (every sweep,
-# figure, and batch runs through it, concurrent Runs included) is the
-# concurrency surface, but every package runs so a data race introduced
-# anywhere is caught.
+# Module-wide under the race detector: the farm executor (every experiment
+# cell, dfsim batch, and dffarm sweep runs through it, concurrent Runs
+# included) is the concurrency surface, but every package runs so a data
+# race introduced anywhere is caught.
 race:
 	$(GO) test -race ./...
 
@@ -59,9 +59,13 @@ bench-diff:
 # store integrity verification, corpus emission. The cross-CLI leg then
 # banks Figure 3's 30 cells with dffarm and requires dfsweep to replay all
 # of them (zero simulations) into a report byte-identical to the golden one:
-# both CLIs must build the same cells and address them identically.
+# both CLIs must build the same cells and address them identically. The
+# extension leg runs the five farm-backed extension sweeps through dfsweep
+# cold then warm: the warm pass must replay all 104 distinct cells (zero
+# simulations) into a report byte-identical to the cold one.
 FARM_SMOKE := /tmp/dffarm-smoke
 FIG3_GRID := -apps CR,FB,AMG -placements cont,cab,chas,rotr,rand -routings min,adp
+EXT_SWEEP := -exp xmap,figr,figq,figa,figf -parallel 2 -quiet -farm-cache $(FARM_SMOKE)/ext
 farm-smoke: build
 	rm -rf $(FARM_SMOKE) && mkdir -p $(FARM_SMOKE)
 	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -quiet -corpus $(FARM_SMOKE)/cold.csv 2>&1 | tee $(FARM_SMOKE)/cold.log
@@ -74,7 +78,13 @@ farm-smoke: build
 	cat $(FARM_SMOKE)/fig3.log
 	grep -q "30 hits, 0 simulated" $(FARM_SMOKE)/fig3.log
 	cmp $(FARM_SMOKE)/fig3.txt internal/experiments/testdata/golden/fig3.txt
-	@echo "farm-smoke: warm rerun replayed all 8 cells from the store; corpora byte-identical; dfsweep replayed dffarm's 30 fig3 cells into the golden report"
+	$(GO) run ./cmd/dfsweep $(EXT_SWEEP) > $(FARM_SMOKE)/ext-cold.txt 2> $(FARM_SMOKE)/ext-cold.log
+	grep -q "0 hits, 104 simulated" $(FARM_SMOKE)/ext-cold.log
+	$(GO) run ./cmd/dfsweep $(EXT_SWEEP) > $(FARM_SMOKE)/ext-warm.txt 2> $(FARM_SMOKE)/ext-warm.log
+	cat $(FARM_SMOKE)/ext-warm.log
+	grep -q "104 hits, 0 simulated" $(FARM_SMOKE)/ext-warm.log
+	cmp $(FARM_SMOKE)/ext-cold.txt $(FARM_SMOKE)/ext-warm.txt
+	@echo "farm-smoke: warm rerun replayed all 8 cells from the store; corpora byte-identical; dfsweep replayed dffarm's 30 fig3 cells into the golden report and the extension sweeps' 104 cells into their cold report"
 
 # Collective-workload smoke: the graph-executor determinism suite (ring
 # all-reduce and MoE all-to-all on both the Dragonfly and Dragonfly+ mini

@@ -31,6 +31,7 @@ import (
 	"dragonfly/internal/des"
 	"dragonfly/internal/farm"
 	"dragonfly/internal/faults"
+	"dragonfly/internal/mapping"
 	"dragonfly/internal/network"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
@@ -97,7 +98,8 @@ type Options struct {
 	// Nil or an empty spec leaves the fault machinery out entirely, so the
 	// paper-reproduction reports stay byte-identical. The resilience sweep
 	// (figr), the learning-router comparison (figq), and the availability
-	// sweep (figf) drive their own fault specs and ignore this option.
+	// sweep (figf) drive their own fault specs and ignore this option; the
+	// co-run study (xmulti), whose co-runs have no fault model, rejects it.
 	Faults *faults.Spec
 	// Farm, when non-nil, banks every simulation cell in the given
 	// content-addressed store and replays banked cells instead of
@@ -114,10 +116,12 @@ type Options struct {
 	JobTimeout time.Duration
 }
 
-// Runner executes experiments. Every simulation cell goes through one
-// farm.Farm, whose memo makes figures that share runs (e.g. Figs. 3 and 4)
-// pay for them once, and whose single-flight semantics run a cell exactly
-// once even when several goroutines drive the Runner.
+// Runner executes experiments. Every simulation cell — of the paper's
+// figures and of the extension sweeps alike (xmulti's co-runs are not
+// cells) — goes through one farm.Farm, whose memo makes figures that share
+// runs (e.g. Figs. 3 and 4) pay for them once, and whose single-flight
+// semantics run a cell exactly once even when several goroutines drive the
+// Runner.
 type Runner struct {
 	opts Options
 	farm *farm.Farm
@@ -126,8 +130,7 @@ type Runner struct {
 	traces  map[string]*trace.Trace
 	graphs  map[string]*trace.Graph
 
-	mu        sync.Mutex // guards grid and farmStats
-	grid      map[string]bool
+	mu        sync.Mutex // guards farmStats
 	farmStats farm.Stats
 
 	progressMu sync.Mutex // serializes Progress lines
@@ -139,7 +142,6 @@ func NewRunner(opts Options) *Runner {
 		opts:   opts,
 		traces: make(map[string]*trace.Trace),
 		graphs: make(map[string]*trace.Graph),
-		grid:   make(map[string]bool),
 	}
 	fopts := farm.Options{Parallel: opts.Parallel, Retries: opts.Retries, JobTimeout: opts.JobTimeout}
 	if opts.Progress != nil {
@@ -597,13 +599,19 @@ func (r *Runner) burstyBackground(app string, bgNodes int) workload.BackgroundCo
 
 // --- shared simulation plumbing ---------------------------------------------
 
-// simReq identifies one simulation cell of an experiment's grid; equal
-// requests (background compared by pointer) are the same cell.
+// simReq identifies one simulation cell of an experiment. The zero machine,
+// mapping and fault spec select the runner's defaults: r.Machine(), the
+// identity task mapping, and Options.Faults. Sweeps that own the fault axis
+// (figr, figq, figf) mark a healthy cell with an empty spec, which the farm
+// address and core.Run both treat exactly like nil.
 type simReq struct {
 	app      string
 	cell     core.Cell
 	msgScale float64
 	bg       *workload.BackgroundConfig
+	machine  topology.Machine
+	mapping  mapping.Policy
+	faults   *faults.Spec
 }
 
 // CellConfig builds the full run configuration of one simulation cell —
@@ -619,15 +627,24 @@ func (r *Runner) CellConfig(app string, cell core.Cell, msgScale float64, bg *wo
 }
 
 func (r *Runner) cellConfig(rq simReq) (core.Config, error) {
+	machine := rq.machine
+	if machine == nil {
+		machine = r.Machine()
+	}
+	spec := rq.faults
+	if spec == nil {
+		spec = r.opts.Faults
+	}
 	cfg := core.Config{
-		Topology:  r.Machine(),
+		Topology:  machine,
 		Params:    network.DefaultParams(),
 		Placement: rq.cell.Placement,
 		Routing:   rq.cell.Routing,
+		Mapping:   rq.mapping,
 		MsgScale:  rq.msgScale,
 		Seed:      r.opts.Seed,
 		Audit:     r.opts.Audit,
-		Faults:    r.opts.Faults,
+		Faults:    spec,
 		// The stall watchdog is always armed: a wedged cell (a degraded
 		// fabric, a flow-control bug) fails with a queue diagnostic instead
 		// of hanging the sweep. The budget is far beyond any legitimate run.
@@ -667,77 +684,45 @@ func (r *Runner) resultFor(app string, cell core.Cell, msgScale float64, bg *wor
 	return res[0], nil
 }
 
-// prefetch resolves an experiment's whole simulation grid in one farm
-// request, so it fans out across the worker pool; the table-building loops
-// afterwards recall each cell from the farm's memo. Callers list their full
-// grid in table order — with one worker, cells then run and report progress
-// in exactly that order. Errors surface in request order.
-func (r *Runner) prefetch(reqs []simReq) error {
-	_, err := r.resolve(reqs)
-	return err
-}
-
-// resolve requests grid cells from the farm and returns their results, one
-// per distinct request in first-seen order. Repeated requests collapse
-// before reaching the farm, so a grid that lists one cell twice (Figure 7's
-// rand-adp baseline) neither simulates nor counts it twice.
+// resolve runs (or recalls) cells through the farm in one request, so they
+// fan out across the worker pool, and returns one result per request in
+// request order. Callers list a whole grid in table order — with one
+// worker, cells then run and report progress in exactly that order — and
+// list each cell once: the farm counts a repeat within one request as a
+// hit. Cells resolved earlier come from the farm's memo without being
+// counted again. The first failed or unfinished cell, in request order, is
+// the error; every cell is attempted first.
 func (r *Runner) resolve(reqs []simReq) ([]*core.Result, error) {
-	seen := make(map[simReq]bool, len(reqs))
-	var uniq []simReq
-	var cfgs []core.Config
-	for _, rq := range reqs {
-		if seen[rq] {
-			continue
-		}
-		seen[rq] = true
+	cfgs := make([]core.Config, len(reqs))
+	for i, rq := range reqs {
 		cfg, err := r.cellConfig(rq)
 		if err != nil {
 			return nil, err
 		}
-		addr, err := farm.Address(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.grid[addr] = true
-		r.mu.Unlock()
-		uniq = append(uniq, rq)
-		cfgs = append(cfgs, cfg)
+		cfgs[i] = cfg
 	}
-	results, err := r.runBatch(cfgs)
+	results, stats, err := r.farm.Run(cfgs)
+	r.mu.Lock()
+	r.farmStats.Add(stats)
+	r.mu.Unlock()
 	for i, res := range results {
-		rq := uniq[i]
+		rq := reqs[i]
 		if res == nil {
-			return nil, fmt.Errorf("experiments: %s under %s: %w", rq.app, rq.cell.Name(), err)
+			return nil, fmt.Errorf("experiments: %s under %s%s: %w", rq.app, rq.cell.Name(), r.extraAxes(cfgs[i]), err)
 		}
 		if !res.Completed {
-			return nil, fmt.Errorf("experiments: %s under %s did not complete within %v", rq.app, rq.cell.Name(), cfgs[i].MaxSimTime)
+			return nil, fmt.Errorf("experiments: %s under %s%s did not complete within %v",
+				rq.app, rq.cell.Name(), r.extraAxes(cfgs[i]), cfgs[i].MaxSimTime)
 		}
 	}
 	return results, nil
 }
 
-// runBatch resolves fully built configurations through the farm: results
-// in config order, first error in config order, every cell attempted. The
-// batch-style experiments (figr, figq, figa, figf, xmap) call it directly
-// and print their own progress lines afterwards.
-func (r *Runner) runBatch(cfgs []core.Config) ([]*core.Result, error) {
-	results, stats, err := r.farm.Run(cfgs)
-	r.mu.Lock()
-	r.farmStats.Add(stats)
-	r.mu.Unlock()
-	return results, err
-}
-
 // cellDone is the farm's progress callback: one line, in one Write, per
-// freshly resolved grid cell. Batch cells are left to their experiments,
-// whose lines name sweep axes a config does not carry.
+// cell just simulated or read from the store.
 func (r *Runner) cellDone(ev farm.Progress) {
-	r.mu.Lock()
-	grid := r.grid[ev.Addr]
-	r.mu.Unlock()
 	res := ev.Result
-	if !grid || res == nil || !res.Completed {
+	if res == nil || !res.Completed {
 		return
 	}
 	verb := "ran"
@@ -745,8 +730,29 @@ func (r *Runner) cellDone(ev farm.Progress) {
 		verb = "hit"
 	}
 	cfg := res.Config
-	r.progressf("%s %-3s %-9s scale=%-5g bg=%-12s simtime=%v events=%d",
-		verb, cfg.WorkloadApp(), cfg.Name(), orOne(cfg.MsgScale), describeBG(cfg.Background), res.Duration, res.Events)
+	r.progressf("%s %-3s %-9s scale=%-5g bg=%-12s simtime=%v events=%d%s",
+		verb, cfg.WorkloadApp(), cfg.Name(), orOne(cfg.MsgScale), describeBG(cfg.Background), res.Duration, res.Events,
+		r.extraAxes(cfg))
+}
+
+// extraAxes renders the machine, task mapping and fault spec of a cell as
+// " key=value" pairs, each only where it departs from the runner's
+// defaults, so paper-figure cells name just their grid axes.
+func (r *Runner) extraAxes(cfg core.Config) string {
+	var b strings.Builder
+	if cfg.Topology.CanonicalSpec() != r.Machine().CanonicalSpec() {
+		b.WriteString(" machine=" + cfg.Topology.Label())
+	}
+	if cfg.Mapping != mapping.Identity {
+		b.WriteString(" mapping=" + cfg.Mapping.String())
+	}
+	if spec := cfg.Faults.String(); spec != r.opts.Faults.String() {
+		if spec == "" {
+			spec = "none"
+		}
+		b.WriteString(" faults=" + spec)
+	}
+	return b.String()
 }
 
 func orOne(s float64) float64 {

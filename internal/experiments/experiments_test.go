@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dragonfly/internal/faults"
 )
 
 func quickRunner(t *testing.T) *Runner {
@@ -161,6 +163,11 @@ func TestFigure7RelativeBaseline(t *testing.T) {
 	if len(rep.Tables) != 3 {
 		t.Fatalf("Figure 7 tables = %d", len(rep.Tables))
 	}
+	// The rand-adp baseline is also an extreme cell: listed once per scale,
+	// it simulates once and never counts as a hit of its own grid.
+	if st := r.FarmStats(); st.Hits != 0 || st.Misses != 3*5*4 {
+		t.Fatalf("Figure 7 farm stats %+v, want 60 simulated and 0 hits", st)
+	}
 	for _, tbl := range rep.Tables {
 		// rand-adp column must be exactly 100% everywhere.
 		col := -1
@@ -294,6 +301,22 @@ func TestExtensionXMulti(t *testing.T) {
 	}
 	if worst < 1.05 {
 		t.Fatalf("no pairing showed interference (worst slowdown %.2fx)", worst)
+	}
+}
+
+// xmulti's co-runs have no fault model, so a degraded-fabric option must be
+// refused by name rather than noted over a healthy co-run's numbers.
+func TestExtensionXMultiRejectsFaults(t *testing.T) {
+	spec, err := faults.ParseSpec("global=0.25,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Faults: spec}).Run("xmulti")
+	if err == nil {
+		t.Fatalf("xmulti under faults %s returned a report, notes %q", spec, rep.Notes)
+	}
+	if !strings.Contains(err.Error(), "-faults") {
+		t.Fatalf("xmulti fault error %q does not name -faults", err)
 	}
 }
 

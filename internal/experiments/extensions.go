@@ -34,37 +34,23 @@ func (r *Runner) XMap() (*Report, error) {
 		Title:   "AMG communication time and locality by task mapping",
 		Columns: []string{"mapping", "median_ms", "max_ms", "mean_hops"},
 	}
-	tr, err := r.AppTrace("AMG")
-	if err != nil {
-		return nil, err
-	}
-	var cfgs []core.Config
+	var reqs []simReq
 	for _, pol := range mapping.All() {
-		cfgs = append(cfgs, core.Config{
-			Topology:       r.Machine(),
-			Params:         network.DefaultParams(),
-			Placement:      placement.RandomRouter,
-			Routing:        routing.Adaptive,
-			Mapping:        pol,
-			Trace:          tr,
-			Seed:           r.opts.Seed,
-			Faults:         r.opts.Faults,
-			WatchdogEvents: defaultWatchdogEvents,
+		reqs = append(reqs, simReq{
+			app:      "AMG",
+			cell:     core.Cell{Placement: placement.RandomRouter, Routing: routing.Adaptive},
+			msgScale: 1,
+			mapping:  pol,
 		})
 	}
-	results, err := r.runBatch(cfgs)
+	results, err := r.resolve(reqs)
 	if err != nil {
 		return nil, err
 	}
 	for i, res := range results {
-		pol := mapping.All()[i]
-		if !res.Completed {
-			return nil, fmt.Errorf("experiments: xmap %v did not complete", pol)
-		}
-		r.progressf("ran AMG mapping=%-13s simtime=%v events=%d", pol, res.Duration, res.Events)
 		box := stats.BoxOf(res.CommTimesMs())
 		t.Rows = append(t.Rows, []string{
-			pol.String(), fmtF(box.Median), fmtF(box.Max), fmtF(stats.Mean(res.AvgHops)),
+			reqs[i].mapping.String(), fmtF(box.Median), fmtF(box.Max), fmtF(stats.Mean(res.AvgHops)),
 		})
 	}
 	rep.Tables = append(rep.Tables, t)
@@ -73,8 +59,13 @@ func (r *Runner) XMap() (*Report, error) {
 
 // XMulti studies inter-job interference with real traces: a light AMG
 // victim co-running with a heavy CR bully under different placement
-// pairings, compared with AMG running alone.
+// pairings, compared with AMG running alone. Its co-runs go through
+// core.RunMulti, not the farm, and have no fault model, so a degraded
+// fabric (Options.Faults) is rejected rather than silently ignored.
 func (r *Runner) XMulti() (*Report, error) {
+	if !r.opts.Faults.Empty() {
+		return nil, fmt.Errorf("experiments: xmulti co-runs have no fault model; run it without -faults (got %s)", r.opts.Faults)
+	}
 	rep := &Report{
 		ID:    "xmulti",
 		Title: "Multijob co-run interference (extension; cf. the authors' prior bully study)",
@@ -95,6 +86,7 @@ func (r *Runner) XMulti() (*Report, error) {
 			Routing:  routing.Adaptive,
 			Jobs:     jobs,
 			Seed:     r.opts.Seed,
+			Audit:    r.opts.Audit,
 		})
 		if err != nil {
 			return nil, err

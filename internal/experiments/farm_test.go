@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/farm"
@@ -105,9 +106,9 @@ func TestFarmBackedGoldenFigA(t *testing.T) {
 	}
 }
 
-// TestFarmBackedGoldenFig3 covers the other execution path — the
-// resultFor/prefetch grid used by the paper's headline figure — against its
-// golden snapshot, cold then warm.
+// TestFarmBackedGoldenFig3 covers the paper's headline figure — its grid
+// resolved up front, then each cell recalled through resultFor — against
+// its golden snapshot, cold then warm.
 func TestFarmBackedGoldenFig3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates fig3 twice")
@@ -135,5 +136,51 @@ func TestFarmBackedGoldenFig3(t *testing.T) {
 	}
 	if err := compareWithGolden(filepath.Join(goldenDir(t), "fig3.txt"), cold); err != nil {
 		t.Errorf("farm-backed fig3 diverges from the committed golden: %v", err)
+	}
+}
+
+// TestExperimentsHonorAudit runs every farm-backed extension sweep under
+// -audit, each against its own store, and requires every banked record to
+// carry the auditor's summary: no sweep may build cells around the
+// runner's options.
+func TestExperimentsHonorAudit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five extension sweeps under the auditor")
+	}
+	for _, id := range []string{"xmap", "figr", "figq", "figa", "figf"} {
+		dir := t.TempDir()
+		store, err := farm.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: 2, Audit: true, Farm: store})
+		if _, err := r.Run(id); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		objects, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		banked, unaudited := 0, 0
+		for _, path := range objects {
+			addr := filepath.Base(path)
+			if strings.HasPrefix(addr, ".") {
+				continue
+			}
+			rec, err := store.Get(addr)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			banked++
+			if rec.Audit == nil {
+				unaudited++
+			}
+		}
+		if st := r.FarmStats(); banked == 0 || banked != st.Misses {
+			t.Fatalf("%s: %d records banked, %d cells simulated", id, banked, st.Misses)
+		}
+		if unaudited > 0 {
+			t.Errorf("%s: %d of %d banked records carry no audit summary", id, unaudited, banked)
+		}
 	}
 }

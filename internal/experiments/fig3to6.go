@@ -17,11 +17,9 @@ func (r *Runner) Figure3() (*Report, error) {
 	}
 	var grid []simReq
 	for _, app := range appNames() {
-		for _, cell := range core.AllCells() {
-			grid = append(grid, simReq{app: app, cell: cell, msgScale: 1})
-		}
+		grid = append(grid, isolatedGrid(app)...)
 	}
-	if err := r.prefetch(grid); err != nil {
+	if _, err := r.resolve(grid); err != nil {
 		return nil, err
 	}
 	for _, app := range appNames() {
@@ -63,7 +61,7 @@ func (r *Runner) Figure4() (*Report, error) {
 		Title:   "CR average hops per rank (distribution percentiles)",
 		Columns: []string{"config", "p25", "p50", "p75", "p90", "max"},
 	}
-	if err := r.prefetch(isolatedGrid("CR")); err != nil {
+	if _, err := r.resolve(isolatedGrid("CR")); err != nil {
 		return nil, err
 	}
 	for _, cell := range core.AllCells() {
@@ -121,7 +119,7 @@ func (r *Runner) Figure6() (*Report, error) {
 // The boolean selectors pick which of the four panels to emit; restrict
 // limits the census to channels of routers serving the application.
 func (r *Runner) channelTables(app string, restrict, localTraffic, globalTraffic, localSat, globalSat bool) ([]Table, []Plot, error) {
-	if err := r.prefetch(isolatedGrid(app)); err != nil {
+	if _, err := r.resolve(isolatedGrid(app)); err != nil {
 		return nil, nil, err
 	}
 	type panel struct {

@@ -37,13 +37,16 @@ func (r *Runner) Figure7() (*Report, error) {
 			scales = amgScales
 		}
 		for _, s := range scales {
+			// The baseline is one of the extreme cells; list it once, first.
 			grid = append(grid, simReq{app: app, cell: baseline, msgScale: s})
 			for _, cell := range core.ExtremeCells() {
-				grid = append(grid, simReq{app: app, cell: cell, msgScale: s})
+				if cell != baseline {
+					grid = append(grid, simReq{app: app, cell: cell, msgScale: s})
+				}
 			}
 		}
 	}
-	if err := r.prefetch(grid); err != nil {
+	if _, err := r.resolve(grid); err != nil {
 		return nil, err
 	}
 	for _, app := range appNames() {

@@ -87,7 +87,7 @@ func (r *Runner) commBoxTable(app, title string, bg *workload.BackgroundConfig) 
 		Title:   title,
 		Columns: []string{"config", "min", "q1", "median", "q3", "max"},
 	}
-	if err := r.prefetch(backgroundGrid(app, bg)); err != nil {
+	if _, err := r.resolve(backgroundGrid(app, bg)); err != nil {
 		return nil, nil, err
 	}
 	var boxes []ascii.NamedValues
@@ -118,7 +118,7 @@ func backgroundGrid(app string, bg *workload.BackgroundConfig) []simReq {
 // bgChannelTables renders the traffic through the channels of the routers
 // serving the application while it ran against the background.
 func (r *Runner) bgChannelTables(app string, bg *workload.BackgroundConfig, local, global bool) ([]Table, error) {
-	if err := r.prefetch(backgroundGrid(app, bg)); err != nil {
+	if _, err := r.resolve(backgroundGrid(app, bg)); err != nil {
 		return nil, err
 	}
 	var out []Table

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dragonfly/internal/core"
-	"dragonfly/internal/network"
-	"dragonfly/internal/placement"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
@@ -23,12 +19,6 @@ import (
 // fig3-style results per machine.
 func (r *Runner) FigureA() (*Report, error) {
 	apps := trace.GraphApps()
-	cells := []core.Cell{
-		{Placement: placement.Contiguous, Routing: routing.Minimal},
-		{Placement: placement.Contiguous, Routing: routing.Adaptive},
-		{Placement: placement.RandomNode, Routing: routing.Minimal},
-		{Placement: placement.RandomNode, Routing: routing.Adaptive},
-	}
 	machines := []topology.Machine{r.Machine(), r.figaPlusMachine()}
 	rep := &Report{
 		ID:    "figa",
@@ -58,29 +48,15 @@ func (r *Runner) FigureA() (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, structure)
 
-	var cfgs []core.Config
+	var reqs []simReq
 	for _, m := range machines {
 		for _, app := range apps {
-			g, err := r.AppGraph(app)
-			if err != nil {
-				return nil, err
-			}
-			for _, cell := range cells {
-				cfgs = append(cfgs, core.Config{
-					Topology:       m,
-					Params:         network.DefaultParams(),
-					Placement:      cell.Placement,
-					Routing:        cell.Routing,
-					Graph:          g,
-					Seed:           r.opts.Seed,
-					Audit:          r.opts.Audit,
-					Faults:         r.opts.Faults,
-					WatchdogEvents: defaultWatchdogEvents,
-				})
+			for _, cell := range extremeCells {
+				reqs = append(reqs, simReq{app: app, cell: cell, msgScale: 1, machine: m})
 			}
 		}
 	}
-	results, err := r.runBatch(cfgs)
+	results, err := r.resolve(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -92,18 +68,12 @@ func (r *Runner) FigureA() (*Report, error) {
 			Columns: []string{"app", "config", "median_ms", "max_ms", "mean_hops"},
 		}
 		for _, app := range apps {
-			for _, cell := range cells {
+			for _, cell := range extremeCells {
 				res := results[i]
 				i++
-				if !res.Completed {
-					return nil, fmt.Errorf("experiments: figa %s under %s on %s did not complete",
-						app, cell.Name(), m.Label())
-				}
-				r.progressf("ran %-6s %-9s machine=%-24s simtime=%v events=%d",
-					app, cell.Name(), m.Label(), res.Duration, res.Events)
 				b := stats.BoxOf(res.CommTimesMs())
 				t.Rows = append(t.Rows, []string{
-					app, cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(meanOf(res.AvgHops)),
+					app, cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops)),
 				})
 			}
 		}

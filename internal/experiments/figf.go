@@ -3,18 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"dragonfly/internal/core"
 	"dragonfly/internal/des"
 	"dragonfly/internal/faults"
-	"dragonfly/internal/network"
-	"dragonfly/internal/placement"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 )
 
 // figfScenario is one availability scenario of the figf sweep: a label and
-// the fault spec that realizes it on a particular machine (nil = healthy).
+// the fault spec that realizes it on a particular machine (empty = healthy).
 type figfScenario struct {
 	name string
 	spec *faults.Spec
@@ -31,12 +27,6 @@ type figfScenario struct {
 // accounting; a cell whose traffic hit a partition window is marked
 // "unreach" rather than erroring.
 func (r *Runner) FigureF() (*Report, error) {
-	cells := []core.Cell{
-		{Placement: placement.Contiguous, Routing: routing.Minimal},
-		{Placement: placement.Contiguous, Routing: routing.Adaptive},
-		{Placement: placement.RandomNode, Routing: routing.Minimal},
-		{Placement: placement.RandomNode, Routing: routing.Adaptive},
-	}
 	machines := []topology.Machine{r.Machine(), r.figaPlusMachine()}
 	rep := &Report{
 		ID:    "figf",
@@ -48,11 +38,7 @@ func (r *Runner) FigureF() (*Report, error) {
 		},
 	}
 
-	tr, err := r.AppTrace("CR")
-	if err != nil {
-		return nil, err
-	}
-	var cfgs []core.Config
+	var reqs []simReq
 	scens := make([][]figfScenario, len(machines))
 	for mi, m := range machines {
 		ic, err := m.Build()
@@ -64,22 +50,12 @@ func (r *Runner) FigureF() (*Report, error) {
 			return nil, err
 		}
 		for _, sc := range scens[mi] {
-			for _, cell := range cells {
-				cfgs = append(cfgs, core.Config{
-					Topology:       m,
-					Params:         network.DefaultParams(),
-					Placement:      cell.Placement,
-					Routing:        cell.Routing,
-					Trace:          tr,
-					Seed:           r.opts.Seed,
-					Audit:          r.opts.Audit,
-					Faults:         sc.spec,
-					WatchdogEvents: defaultWatchdogEvents,
-				})
+			for _, cell := range extremeCells {
+				reqs = append(reqs, simReq{app: "CR", cell: cell, msgScale: 1, machine: m, faults: sc.spec})
 			}
 		}
 	}
-	results, err := r.runBatch(cfgs)
+	results, err := r.resolve(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -92,22 +68,16 @@ func (r *Runner) FigureF() (*Report, error) {
 		}
 		for _, sc := range scens[mi] {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("%s %s: %s", m.Label(), sc.name, describeFaults(sc.spec)))
-			for _, cell := range cells {
+			for _, cell := range extremeCells {
 				res := results[i]
 				i++
-				if !res.Completed {
-					return nil, fmt.Errorf("experiments: figf %s under %s on %s did not complete",
-						sc.name, cell.Name(), m.Label())
-				}
-				r.progressf("ran CR %-9s scenario=%-8s machine=%-24s simtime=%v dropped=%d",
-					cell.Name(), sc.name, m.Label(), res.Duration, res.DroppedPackets)
 				status := "ok"
 				if res.RouteErr != nil {
 					status = "unreach"
 				}
 				b := stats.BoxOf(res.CommTimesMs())
 				t.Rows = append(t.Rows, []string{
-					sc.name, cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(meanOf(res.AvgHops)),
+					sc.name, cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops)),
 					fmt.Sprintf("%d", res.DroppedPackets), status,
 				})
 			}
@@ -133,7 +103,7 @@ func (r *Runner) figfScenarios(ic topology.Interconnect) ([]figfScenario, error)
 		repairAt = 120 * des.Microsecond
 	)
 	return []figfScenario{
-		{"healthy", nil},
+		{"healthy", &faults.Spec{}},
 		{"flap", &faults.Spec{
 			Flaps:     []faults.Flap{{A: c.A, B: c.B, MTBF: 100 * des.Microsecond, MTTR: 50 * des.Microsecond}},
 			FlapUntil: 500 * des.Microsecond,
@@ -152,7 +122,7 @@ func (r *Runner) figfScenarios(ic topology.Interconnect) ([]figfScenario, error)
 
 // describeFaults renders a scenario spec for the report notes.
 func describeFaults(s *faults.Spec) string {
-	if s == nil {
+	if s.Empty() {
 		return "no faults"
 	}
 	return s.String()

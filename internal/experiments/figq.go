@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dragonfly/internal/core"
-	"dragonfly/internal/faults"
-	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/stats"
@@ -20,7 +16,6 @@ import (
 // misroutes); the remaining tables are the figr-style resilience view:
 // slowdown against each cell's own healthy baseline, and drop accounting.
 func (r *Runner) FigureQ() (*Report, error) {
-	fracs := []float64{0, 0.15}
 	cells := []core.Cell{
 		{Placement: placement.Contiguous, Routing: routing.Minimal},
 		{Placement: placement.Contiguous, Routing: routing.Adaptive},
@@ -37,32 +32,7 @@ func (r *Runner) FigureQ() (*Report, error) {
 			"per fraction, one seeded fault draw degrades the machine for every cell; slowdown is against the same cell at fraction 0",
 		},
 	}
-
-	tr, err := r.AppTrace("CR")
-	if err != nil {
-		return nil, err
-	}
-	var cfgs []core.Config
-	for _, p := range fracs {
-		for _, cell := range cells {
-			cfg := core.Config{
-				Topology:  r.Machine(),
-				Params:    network.DefaultParams(),
-				Placement: cell.Placement,
-				Routing:   cell.Routing,
-				Trace:     tr,
-				Seed:      r.opts.Seed,
-				Audit:     r.opts.Audit,
-				// Degraded fabrics must fail loudly, never hang.
-				WatchdogEvents: 10_000_000_000,
-			}
-			if p > 0 {
-				cfg.Faults = &faults.Spec{GlobalFrac: p, Seed: r.opts.Seed}
-			}
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := r.runBatch(cfgs)
+	results, slow, drops, err := r.faultSweep([]float64{0, 0.15}, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -75,54 +45,9 @@ func (r *Runner) FigureQ() (*Report, error) {
 		res := results[ci] // fraction 0 block comes first
 		b := stats.BoxOf(res.CommTimesMs())
 		headToHead.Rows = append(headToHead.Rows, []string{
-			cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(meanOf(res.AvgHops)),
+			cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops)),
 		})
-	}
-
-	cols := []string{"failed_global_frac"}
-	for _, c := range cells {
-		cols = append(cols, c.Name())
-	}
-	slow := Table{Title: "CR comm-time slowdown vs healthy fabric", Columns: cols}
-	drops := Table{Title: "Dropped packets (traffic to unreachable destinations)", Columns: cols}
-
-	baseline := make([]float64, len(cells))
-	for fi, p := range fracs {
-		srow := []string{fmtF(p)}
-		drow := []string{fmtF(p)}
-		for ci := range cells {
-			res := results[fi*len(cells)+ci]
-			if !res.Completed {
-				return nil, fmt.Errorf("experiments: figq %s at frac %g did not complete", cells[ci].Name(), p)
-			}
-			ms := res.MaxCommTime().Milliseconds()
-			r.progressf("ran CR %-14s frac=%-4g simtime=%v dropped=%d",
-				cells[ci].Name(), p, res.Duration, res.DroppedPackets)
-			switch {
-			case p == 0:
-				baseline[ci] = ms
-				srow = append(srow, "1.00x")
-			case res.RouteErr != nil:
-				srow = append(srow, "unreach")
-			default:
-				srow = append(srow, fmt.Sprintf("%.2fx", ms/baseline[ci]))
-			}
-			drow = append(drow, fmt.Sprintf("%d", res.DroppedPackets))
-		}
-		slow.Rows = append(slow.Rows, srow)
-		drops.Rows = append(drops.Rows, drow)
 	}
 	rep.Tables = append(rep.Tables, headToHead, slow, drops)
 	return r.finish(rep)
-}
-
-func meanOf(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
 }

@@ -5,10 +5,20 @@ import (
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/faults"
-	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
 )
+
+// extremeCells lists the localizing and balancing extremes — contiguous
+// and random-node placement under minimal and adaptive routing — in the
+// placement-major order of the figr, figa and figf tables. (core.ExtremeCells
+// holds the same four cells in Figure 7's column order.)
+var extremeCells = []core.Cell{
+	{Placement: placement.Contiguous, Routing: routing.Minimal},
+	{Placement: placement.Contiguous, Routing: routing.Adaptive},
+	{Placement: placement.RandomNode, Routing: routing.Minimal},
+	{Placement: placement.RandomNode, Routing: routing.Adaptive},
+}
 
 // FigureR is the resilience sweep, an extension beyond the paper: the
 // paper's localizing-vs-balancing trade-off re-examined on a degraded
@@ -20,13 +30,6 @@ import (
 // "unreach" — the run still drains with every lost byte accounted, and the
 // second table shows the loss.
 func (r *Runner) FigureR() (*Report, error) {
-	fracs := []float64{0, 0.1, 0.25, 0.5}
-	cells := []core.Cell{
-		{Placement: placement.Contiguous, Routing: routing.Minimal},
-		{Placement: placement.Contiguous, Routing: routing.Adaptive},
-		{Placement: placement.RandomNode, Routing: routing.Minimal},
-		{Placement: placement.RandomNode, Routing: routing.Adaptive},
-	}
 	rep := &Report{
 		ID:    "figr",
 		Title: "Resilience sweep: comm-time slowdown vs failed global links (extension beyond the paper)",
@@ -35,35 +38,32 @@ func (r *Runner) FigureR() (*Report, error) {
 			"slowdown is against the same cell at fraction 0; unreach = placement spanned a partition (lossy run, see drops table)",
 		},
 	}
-
-	tr, err := r.AppTrace("CR")
+	_, slow, drops, err := r.faultSweep([]float64{0, 0.1, 0.25, 0.5}, extremeCells)
 	if err != nil {
 		return nil, err
 	}
-	var cfgs []core.Config
+	rep.Tables = append(rep.Tables, slow, drops)
+	return r.finish(rep)
+}
+
+// faultSweep runs CR under every cell at each fraction of failed global
+// links — fraction 0 first, on the healthy fabric — and renders the
+// slowdown table (each cell against itself at fraction 0) and the
+// dropped-packet table. It also returns the results, fraction-major.
+func (r *Runner) faultSweep(fracs []float64, cells []core.Cell) ([]*core.Result, Table, Table, error) {
+	var reqs []simReq
 	for _, p := range fracs {
+		spec := &faults.Spec{}
+		if p > 0 {
+			spec = &faults.Spec{GlobalFrac: p, Seed: r.opts.Seed}
+		}
 		for _, cell := range cells {
-			cfg := core.Config{
-				Topology:  r.Machine(),
-				Params:    network.DefaultParams(),
-				Placement: cell.Placement,
-				Routing:   cell.Routing,
-				Trace:     tr,
-				Seed:      r.opts.Seed,
-				Audit:     r.opts.Audit,
-				// Degraded fabrics must fail loudly, never hang: generous
-				// budgets that no legitimate run approaches.
-				WatchdogEvents: 10_000_000_000,
-			}
-			if p > 0 {
-				cfg.Faults = &faults.Spec{GlobalFrac: p, Seed: r.opts.Seed}
-			}
-			cfgs = append(cfgs, cfg)
+			reqs = append(reqs, simReq{app: "CR", cell: cell, msgScale: 1, faults: spec})
 		}
 	}
-	results, err := r.runBatch(cfgs)
+	results, err := r.resolve(reqs)
 	if err != nil {
-		return nil, err
+		return nil, Table{}, Table{}, err
 	}
 
 	cols := []string{"failed_global_frac"}
@@ -72,19 +72,13 @@ func (r *Runner) FigureR() (*Report, error) {
 	}
 	slow := Table{Title: "CR comm-time slowdown vs healthy fabric", Columns: cols}
 	drops := Table{Title: "Dropped packets (traffic to unreachable destinations)", Columns: cols}
-
 	baseline := make([]float64, len(cells))
 	for fi, p := range fracs {
 		srow := []string{fmtF(p)}
 		drow := []string{fmtF(p)}
 		for ci := range cells {
 			res := results[fi*len(cells)+ci]
-			if !res.Completed {
-				return nil, fmt.Errorf("experiments: figr %s at frac %g did not complete", cells[ci].Name(), p)
-			}
 			ms := res.MaxCommTime().Milliseconds()
-			r.progressf("ran CR %-9s frac=%-4g simtime=%v dropped=%d",
-				cells[ci].Name(), p, res.Duration, res.DroppedPackets)
 			switch {
 			case p == 0:
 				baseline[ci] = ms
@@ -99,6 +93,5 @@ func (r *Runner) FigureR() (*Report, error) {
 		slow.Rows = append(slow.Rows, srow)
 		drops.Rows = append(drops.Rows, drow)
 	}
-	rep.Tables = append(rep.Tables, slow, drops)
-	return r.finish(rep)
+	return results, slow, drops, nil
 }

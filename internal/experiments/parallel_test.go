@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dragonfly/internal/topology"
 )
 
 // renderReport runs one experiment on a fresh runner at the given worker
@@ -156,6 +158,38 @@ func TestParallelProgressLinesNotInterleaved(t *testing.T) {
 	}
 }
 
+// Extension sweeps report progress through the same callback as the
+// paper's grids: one line per cell, naming the axes a cell sweeps beyond
+// the runner's defaults (here xmap's task mapping and figr's fault draw).
+func TestExtensionProgressNamesSweptAxes(t *testing.T) {
+	var buf syncBuffer
+	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: 1, Progress: &buf, Machine: topology.Mini()})
+	for _, id := range []string{"xmap", "figr"} {
+		if _, err := r.Run(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 4+16 {
+		t.Fatalf("%d progress lines, want 20 (xmap 4 + figr 16):\n%s", len(lines), buf.String())
+	}
+	mapped, faulted := 0, 0
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "ran ") || strings.Contains(line, "machine=") {
+			t.Fatalf("malformed progress line: %q", line)
+		}
+		if strings.Contains(line, " mapping=") {
+			mapped++
+		}
+		if strings.Contains(line, " faults=global=") {
+			faulted++
+		}
+	}
+	if mapped != 3 || faulted != 12 {
+		t.Fatalf("%d lines name a mapping (want 3), %d a fault draw (want 12):\n%s", mapped, faulted, buf.String())
+	}
+}
+
 // syncBuffer makes the test's own reads race-safe; the Runner already
 // serializes its writes.
 type syncBuffer struct {
@@ -175,8 +209,8 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// The wall-clock budget bounds every cell, grid figures included, not only
-// the batch-style extensions.
+// The wall-clock budget bounds every experiment cell: paper figures and
+// extension sweeps share one cell path through the runner's farm.
 func TestJobTimeoutBoundsGridCells(t *testing.T) {
 	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: 1, JobTimeout: time.Nanosecond})
 	_, err := r.Figure3()

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"dragonfly/internal/core"
+	"dragonfly/internal/stats"
 )
 
 // CorpusColumns is the header of the training-corpus CSV: configuration
@@ -57,11 +58,11 @@ func CorpusRow(cfg core.Config, res *core.Result) ([]string, error) {
 		quoteFaults(cfg.Faults.String()), strconv.FormatInt(cfg.Seed, 10),
 
 		strconv.FormatBool(res.Completed),
-		cf(maxOf(comm)), cf(medianOf(comm)), cf(meanOf(comm)),
-		cf(meanOf(res.AvgHops)),
+		cf(maxOf(comm)), cf(medianOf(comm)), cf(stats.Mean(comm)),
+		cf(stats.Mean(res.AvgHops)),
 		strconv.FormatInt(int64(res.Duration), 10), strconv.FormatUint(res.Events, 10),
-		cf(sumOf(res.LocalSaturation(false))), cf(sumOf(res.GlobalSaturation(false))),
-		cf(sumOf(res.LocalTraffic(false))), cf(sumOf(res.GlobalTraffic(false))),
+		cf(stats.Sum(res.LocalSaturation(false))), cf(stats.Sum(res.GlobalSaturation(false))),
+		cf(stats.Sum(res.LocalTraffic(false))), cf(stats.Sum(res.GlobalTraffic(false))),
 		strconv.FormatInt(res.DroppedPackets, 10), strconv.FormatInt(res.DroppedBytes, 10),
 		strconv.Itoa(unreach),
 	}
@@ -114,17 +115,6 @@ func orOne(v float64) float64 {
 	return v
 }
 
-func meanOf(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}
-
 func maxOf(vals []float64) float64 {
 	out := 0.0
 	for _, v := range vals {
@@ -146,12 +136,4 @@ func medianOf(vals []float64) float64 {
 	} else {
 		return (s[n/2-1] + s[n/2]) / 2
 	}
-}
-
-func sumOf(vals []float64) float64 {
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
 }
