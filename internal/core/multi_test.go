@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"dragonfly/internal/des"
+	"dragonfly/internal/mapping"
 	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
@@ -199,5 +204,48 @@ func TestRunMultiDeterministic(t *testing.T) {
 	}
 	if a.Duration != b.Duration || a.Events != b.Events {
 		t.Fatalf("nondeterministic co-run: (%v,%d) vs (%v,%d)", a.Duration, a.Events, b.Duration, b.Events)
+	}
+}
+
+// TestRunMultiDigestPinned pins one audited co-run to a literal: a shuffled
+// victim, a router-packed bully that starts late, and a third job placed
+// into what the first two leave. The digest covers each job's nodes,
+// per-rank times and hops, every link's bytes and saturation, and the
+// run's duration and event count, so a change to the co-run's stream draws,
+// launch order or drain rule fails here even when reruns agree.
+func TestRunMultiDigestPinned(t *testing.T) {
+	cfg := multiConfig(t, []JobSpec{
+		{Name: "amg", Trace: smallAMG(t), Placement: placement.RandomNode, Mapping: mapping.Shuffle},
+		{Name: "cr", Trace: smallCR(t, 24, 64*trace.KB), Placement: placement.RandomRouter,
+			Mapping: mapping.RouterPacked, Start: 7 * des.Microsecond},
+		{Name: "probe", Trace: smallCR(t, 8, 16*trace.KB), Placement: placement.RandomCabinet,
+			Mapping: mapping.Shuffle, Start: 2 * des.Microsecond},
+	})
+	cfg.Audit = true
+	res, err := RunMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed() || res.Audit == nil {
+		t.Fatalf("co-run completed=%v audit=%v", res.Completed(), res.Audit)
+	}
+	h := fnv.New64a()
+	put := func(v int64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	for _, j := range res.Jobs {
+		for i := range j.Nodes {
+			put(int64(j.Nodes[i]))
+			put(int64(j.CommTimes[i]))
+			put(int64(math.Float64bits(j.AvgHops[i])))
+		}
+	}
+	for _, l := range res.Links {
+		put(l.Bytes)
+		put(int64(l.SatTime))
+	}
+	put(int64(res.Duration))
+	put(int64(res.Events))
+	const want = "062b16c1ebf85c98"
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("co-run digest %s, want %s (duration %v, %d events)", got, want, res.Duration, res.Events)
 	}
 }

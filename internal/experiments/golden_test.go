@@ -34,8 +34,10 @@ import (
 // included), and figa the collective-workload sweep (it anchors the
 // dependency-graph generators and the graph executor on both interconnects),
 // and figf the availability sweep (it anchors the flap expansion and the
-// correlated group/bundle fault domains end to end, mid-run repair included).
-var goldenIDs = []string{"fig2", "fig3", "fig8", "figr", "figq", "figa", "figf"}
+// correlated group/bundle fault domains end to end, mid-run repair included),
+// and xmulti the multijob co-runs (it anchors core.RunMulti: shared-pool
+// placement in spec order and concurrent replays on one fabric).
+var goldenIDs = []string{"fig2", "fig3", "fig8", "figr", "figq", "figa", "figf", "xmulti"}
 
 func updateGolden() bool { return os.Getenv("UPDATE_GOLDEN") == "1" }
 

@@ -1,6 +1,9 @@
 package placement
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -9,22 +12,44 @@ import (
 	"dragonfly/internal/topotest"
 )
 
+// TestPoolAllocateMatchesEmptyMachineAllocate pins allocation on an empty
+// pool to the empty-machine allocator it replaced: per policy, one digest
+// over every preset machine, six job sizes from one node to the whole
+// machine, and five seeds, recorded from that allocator's output.
 func TestPoolAllocateMatchesEmptyMachineAllocate(t *testing.T) {
-	topo := topotest.Theta(t)
+	want := map[Policy]string{
+		Contiguous:    "ce94d648e458acd0",
+		RandomCabinet: "2665fc08a8e29e96",
+		RandomChassis: "a3780ac0ecc2ad30",
+		RandomRouter:  "3ed786fad78ad851",
+		RandomNode:    "d4cc7bbb6cb3abc2",
+	}
 	for _, p := range All() {
-		direct, err := Allocate(topo, p, 500, des.NewRNG(3, "same"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := NewPool(topo)
-		pooled, err := AllocateFrom(pool, p, 500, des.NewRNG(3, "same"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range direct {
-			if direct[i] != pooled[i] {
-				t.Fatalf("%v: pool allocation diverges from empty-machine allocation at rank %d", p, i)
+		h := fnv.New64a()
+		for _, name := range topology.PresetNames() {
+			m, err := topology.Preset(name)
+			if err != nil {
+				t.Fatal(err)
 			}
+			topo, err := m.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := topo.NumNodes()
+			for _, size := range []int{1, 7, n / 5, n / 2, n - 1, n} {
+				for seed := int64(1); seed <= 5; seed++ {
+					nodes, err := AllocateFrom(NewPool(topo), p, size, des.NewRNG(seed, "same"))
+					if err != nil {
+						t.Fatalf("%s %v size %d: %v", name, p, size, err)
+					}
+					for _, node := range nodes {
+						_ = binary.Write(h, binary.LittleEndian, int32(node))
+					}
+				}
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[p] {
+			t.Errorf("%v: allocation digest %s, want %s", p, got, want[p])
 		}
 	}
 }

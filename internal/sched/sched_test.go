@@ -1,9 +1,13 @@
 package sched
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"dragonfly/internal/des"
+	"dragonfly/internal/mapping"
 	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
@@ -197,5 +201,81 @@ func TestSchedulerDeterministic(t *testing.T) {
 	}
 	if x.MeanWait() != y.MeanWait() {
 		t.Fatal("mean wait differs across identical runs")
+	}
+}
+
+// scheduleDigest hashes what a schedule decided and measured: each job's
+// start, finish, nodes and per-rank communication times, then the makespan
+// and the event count.
+func scheduleDigest(res *Result) string {
+	h := fnv.New64a()
+	put := func(v int64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	for _, j := range res.Jobs {
+		put(int64(j.Start))
+		put(int64(j.Finish))
+		for _, n := range j.Nodes {
+			put(int64(n))
+		}
+		for _, c := range j.CommTimes {
+			put(int64(c))
+		}
+	}
+	put(int64(res.Makespan))
+	put(int64(res.Events))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestScheduleDigestPinned pins whole schedules to literals: a queue of
+// randomly placed, shuffle-mapped jobs that overflows the machine, with and
+// without backfill, on both mini machines. Reruns within one build cannot
+// see a change to the scheduler's stream draws, launch order or drain rule;
+// only a literal can.
+func TestScheduleDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		machine  topology.Machine
+		backfill bool
+		want     string
+	}{
+		{topology.Mini(), false, "13de4b378b45bbc2"},
+		{topology.Mini(), true, "09209aed609753cb"},
+		{topology.PlusMini(), false, "70df759a75280cf4"},
+		{topology.PlusMini(), true, "ce511e566f0f1d20"},
+	} {
+		c := cfg(tc.backfill)
+		c.Topology = tc.machine
+		ic, err := tc.machine.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := ic.NumNodes()
+		// Sizes in eighths of the machine: the third job cannot start
+		// beside the first two, and the fourth fits the gap it leaves.
+		var jobs []JobRequest
+		for i, spec := range []struct {
+			eighths int
+			pol     placement.Policy
+		}{
+			{3, placement.RandomNode},
+			{3, placement.RandomCabinet},
+			{5, placement.RandomRouter},
+			{1, placement.RandomNode},
+			{2, placement.RandomChassis},
+		} {
+			j := job(t, fmt.Sprintf("j%d", i), spec.eighths*nodes/8, 32*trace.KB, des.Time(i)*3*des.Microsecond)
+			j.Placement = spec.pol
+			j.Mapping = mapping.Shuffle
+			jobs = append(jobs, j)
+		}
+		res, err := Run(c, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s/backfill=%v", tc.machine.Label(), tc.backfill)
+		if res.Jobs[3].Backfilled != tc.backfill {
+			t.Errorf("%s: fourth job backfilled = %v", name, res.Jobs[3].Backfilled)
+		}
+		if got := scheduleDigest(res); got != tc.want {
+			t.Errorf("%s: schedule digest %s, want %s", name, got, tc.want)
+		}
 	}
 }
