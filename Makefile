@@ -2,13 +2,20 @@
 
 GO ?= go
 
-.PHONY: build test fmt-check race fuzz-smoke bench bench-diff scale-smoke farm-smoke collectives-smoke chaos-smoke
+.PHONY: build test examples fmt-check race fuzz-smoke bench bench-diff scale-smoke farm-smoke collectives-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# Run every example main end to end; the first non-zero exit fails the
+# target. go test only compiles them, and examples/scheduler and
+# examples/corun are the only callers of the public dragonfly.Schedule and
+# of dragonfly.RunMulti with placement pairs besides ExampleRunMulti.
+examples: build
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Formatting gate: fail, listing the files, if gofmt would rewrite any Go
 # file in the tree.

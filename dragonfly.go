@@ -351,7 +351,8 @@ type (
 
 // Schedule runs a batch-scheduling trace: jobs arrive over simulated time,
 // queue FCFS (optionally with backfill), run on the shared fabric, and
-// release their nodes on completion.
+// release their nodes on completion. A job that cannot be placed or mapped
+// when it would start ends the run with an error naming it.
 func Schedule(cfg SchedConfig, jobs []JobRequest) (*SchedResult, error) {
 	return sched.Run(cfg, jobs)
 }

@@ -3,6 +3,12 @@
 // trace under minimal or adaptive routing — optionally against synthetic
 // background traffic — and reports the four evaluation metrics. One Run is
 // one cell of the paper's design space (Table I x application x load).
+//
+// A Session is the one simulation kernel: it builds the machine, fabric,
+// faults, watchdog and auditor, launches jobs placed from its free-node
+// pool, and drains the engine. Run (one job, optional background),
+// RunMulti (a co-run of several jobs) and package sched's batch queue are
+// front ends over it.
 package core
 
 import (
@@ -148,15 +154,7 @@ type Result struct {
 }
 
 // MaxCommTime returns the slowest rank's communication time.
-func (r *Result) MaxCommTime() des.Time {
-	var max des.Time
-	for _, t := range r.CommTimes {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (r *Result) MaxCommTime() des.Time { return metrics.MaxCommTime(r.CommTimes) }
 
 // CommTimesMs returns per-rank communication times in milliseconds.
 func (r *Result) CommTimesMs() []float64 { return metrics.CommTimesMs(r.CommTimes) }
@@ -189,63 +187,32 @@ func (r *Result) filter(restrict bool) map[topology.RouterID]bool {
 	return nil
 }
 
-// Run executes one simulation.
+// Run executes one simulation: one job placed on an empty machine, with
+// background traffic, when configured, on every node it leaves free.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil && cfg.Graph == nil {
 		return nil, fmt.Errorf("core: config has no workload (set Trace or Graph)")
 	}
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("core: config has no machine (set Topology)")
-	}
-	topo, err := cfg.Topology.Build()
+	root := des.NewRNG(cfg.Seed, "core")
+	s, err := NewSession(cfg, root)
 	if err != nil {
 		return nil, err
 	}
-	eng := des.New()
-	root := des.NewRNG(cfg.Seed, "core")
-	// A non-empty fault spec degrades the fabric; an empty one is skipped
-	// entirely so healthy runs stay byte-identical with or without the flag.
-	var fset *faults.Set
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		fset, err = faults.Resolve(cfg.Faults, topo)
-		if err != nil {
+	nodes, err := placement.AllocateFrom(s.Pool, cfg.Placement, cfg.WorkloadRanks(), root.Stream("placement"))
+	if err != nil {
+		return nil, err
+	}
+	nodes, err = mapping.Apply(cfg.Mapping, s.Topo, nodes, root.Stream("mapping"))
+	if err != nil {
+		return nil, err
+	}
+	var peak int64
+	if cfg.Background != nil {
+		if peak, err = s.Background(*cfg.Background, root.Stream("background")); err != nil {
 			return nil, err
 		}
-		cfg.Params.Route.Health = fset
 	}
-	fab, err := network.New(eng, topo, cfg.Params, cfg.Routing, root.Stream("fabric"))
-	if err != nil {
-		return nil, err
-	}
-	if fset != nil {
-		for _, ev := range fset.Events() {
-			ev := ev
-			eng.At(ev.At, func() {
-				fset.Apply(ev)
-				fab.RecordHealthEvent(ev.At, ev.String())
-				fab.ApplyHealthChange()
-			})
-		}
-	}
-	if cfg.WatchdogEvents > 0 || cfg.WatchdogTime > 0 {
-		eng.SetWatchdog(cfg.WatchdogEvents, cfg.WatchdogTime, fab.WatchdogDiagnostic)
-	}
-	var aud *audit.Auditor
-	if cfg.Audit {
-		aud = audit.New(topo)
-		fab.SetObserver(aud)
-		eng.SetObserver(aud.EventExecuted)
-	}
-
-	nodes, err := placement.Allocate(topo, cfg.Placement, cfg.WorkloadRanks(), root.Stream("placement"))
-	if err != nil {
-		return nil, err
-	}
-	nodes, err = mapping.Apply(cfg.Mapping, topo, nodes, root.Stream("mapping"))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := workload.NewReplay(fab, workload.Job{
+	rep, err := s.Launch(workload.Job{
 		Name:     cfg.WorkloadApp(),
 		Graph:    cfg.Graph,
 		Trace:    cfg.Trace,
@@ -255,62 +222,25 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var bg *workload.Background
-	var peak int64
-	if cfg.Background != nil {
-		if err := cfg.Background.Validate(); err != nil {
-			return nil, err
-		}
-		rest := placement.Remaining(topo, nodes)
-		bg = workload.StartBackground(fab, *cfg.Background, rest, root.Stream("background"))
-		peak = cfg.Background.PeakLoad(len(rest))
-	}
-
-	rep.Start()
-	deadline := cfg.MaxSimTime
-	if bg == nil && deadline == 0 {
-		// No perpetual traffic source: the queue drains by itself.
-		eng.Run()
-	} else {
-		for !rep.Done() {
-			if deadline > 0 && eng.Now() >= deadline {
-				break
-			}
-			if !eng.Step() {
-				break
-			}
-		}
-	}
-	if bg != nil {
-		bg.Stop()
-	}
-	if err := eng.Tripped(); err != nil {
+	sum, err := s.Drain(cfg.MaxSimTime)
+	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", cfg.Name(), err)
 	}
-	fab.FinishStats()
 
 	res := &Result{
 		Config:             cfg,
 		Completed:          rep.Done(),
 		CommTimes:          rep.CommTimes(),
 		AvgHops:            rep.AvgHopsPerRank(),
-		Links:              fab.LinkStats(),
-		AppRouters:         metrics.RouterSet(topo, rep.Nodes()),
+		Links:              s.Fabric.LinkStats(),
+		AppRouters:         metrics.RouterSet(s.Topo, rep.Nodes()),
 		AppNodes:           rep.Nodes(),
 		BackgroundPeakLoad: peak,
-		Duration:           eng.Now(),
-		Events:             eng.Processed(),
-		RouteErr:           fab.RouteError(),
+		Duration:           s.Engine.Now(),
+		Events:             s.Engine.Processed(),
+		RouteErr:           s.Fabric.RouteError(),
+		Audit:              sum,
 	}
-	res.DroppedPackets, res.DroppedBytes = fab.DropStats()
-	if aud != nil {
-		aud.Finish(eng.Pending() == 0)
-		s := aud.Summary()
-		res.Audit = &s
-		if err := aud.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", cfg.Name(), err)
-		}
-	}
+	res.DroppedPackets, res.DroppedBytes = s.Fabric.DropStats()
 	return res, nil
 }

@@ -57,15 +57,7 @@ type JobResult struct {
 }
 
 // MaxCommTime returns the job's slowest rank time.
-func (j *JobResult) MaxCommTime() des.Time {
-	var max des.Time
-	for _, t := range j.CommTimes {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (j *JobResult) MaxCommTime() des.Time { return metrics.MaxCommTime(j.CommTimes) }
 
 // MultiResult is the outcome of a co-run.
 type MultiResult struct {
@@ -89,82 +81,51 @@ func (m *MultiResult) Completed() bool {
 
 // RunMulti executes a multijob co-run: every job is placed from the shared
 // free pool in spec order, all replays run on one fabric, and the engine
-// drains (or hits MaxSimTime). Per-job communication times then expose
-// inter-job interference directly.
+// drains (or, with MaxSimTime, runs until the last job completes or the
+// deadline passes). Per-job communication times then expose inter-job
+// interference directly.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("core: co-run needs at least one job")
 	}
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("core: config has no machine (set Topology)")
-	}
-	topo, err := cfg.Topology.Build()
-	if err != nil {
-		return nil, err
-	}
-	eng := des.New()
 	root := des.NewRNG(cfg.Seed, "core/multi")
-	fab, err := network.New(eng, topo, cfg.Params, cfg.Routing, root.Stream("fabric"))
+	s, err := NewSession(Config{Topology: cfg.Topology, Params: cfg.Params, Routing: cfg.Routing, Audit: cfg.Audit}, root)
 	if err != nil {
 		return nil, err
 	}
-	var aud *audit.Auditor
-	if cfg.Audit {
-		aud = audit.New(topo)
-		fab.SetObserver(aud)
-		eng.SetObserver(aud.EventExecuted)
-	}
-
-	pool := placement.NewPool(topo)
 	replays := make([]*workload.Replay, len(cfg.Jobs))
 	for i, spec := range cfg.Jobs {
 		if spec.Trace == nil {
 			return nil, fmt.Errorf("core: job %d (%q) has no trace", i, spec.Name)
 		}
-		nodes, err := placement.AllocateFrom(pool, spec.Placement, spec.Trace.NumRanks(),
+		nodes, err := placement.AllocateFrom(s.Pool, spec.Placement, spec.Trace.NumRanks(),
 			root.Stream(fmt.Sprintf("placement/%d", i)))
+		if err == nil {
+			nodes, err = mapping.Apply(spec.Mapping, s.Topo, nodes, root.Stream(fmt.Sprintf("mapping/%d", i)))
+		}
+		if err == nil {
+			replays[i], err = s.Launch(workload.Job{
+				Name:     spec.Name,
+				Trace:    spec.Trace,
+				Nodes:    nodes,
+				MsgScale: spec.MsgScale,
+				Start:    spec.Start,
+			})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: job %d (%q): %w", i, spec.Name, err)
 		}
-		nodes, err = mapping.Apply(spec.Mapping, topo, nodes, root.Stream(fmt.Sprintf("mapping/%d", i)))
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d (%q): %w", i, spec.Name, err)
-		}
-		rep, err := workload.NewReplay(fab, workload.Job{
-			Name:     spec.Name,
-			Trace:    spec.Trace,
-			Nodes:    nodes,
-			MsgScale: spec.MsgScale,
-			Start:    spec.Start,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d (%q): %w", i, spec.Name, err)
-		}
-		replays[i] = rep
 	}
-	for _, rep := range replays {
-		rep.Start()
+	sum, err := s.Drain(cfg.MaxSimTime)
+	if err != nil {
+		return nil, fmt.Errorf("core: co-run: %w", err)
 	}
-	if cfg.MaxSimTime == 0 {
-		eng.Run()
-	} else {
-		for eng.Now() < cfg.MaxSimTime && eng.Step() {
-		}
-	}
-	fab.FinishStats()
 
 	out := &MultiResult{
-		Links:    fab.LinkStats(),
-		Duration: eng.Now(),
-		Events:   eng.Processed(),
-	}
-	if aud != nil {
-		aud.Finish(eng.Pending() == 0)
-		s := aud.Summary()
-		out.Audit = &s
-		if err := aud.Err(); err != nil {
-			return nil, fmt.Errorf("core: co-run: %w", err)
-		}
+		Links:    s.Fabric.LinkStats(),
+		Duration: s.Engine.Now(),
+		Events:   s.Engine.Processed(),
+		Audit:    sum,
 	}
 	for i, rep := range replays {
 		out.Jobs = append(out.Jobs, JobResult{
@@ -174,7 +135,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 			CommTimes: rep.CommTimes(),
 			AvgHops:   rep.AvgHopsPerRank(),
 			Nodes:     rep.Nodes(),
-			Routers:   metrics.RouterSet(topo, rep.Nodes()),
+			Routers:   metrics.RouterSet(s.Topo, rep.Nodes()),
 		})
 	}
 	return out, nil

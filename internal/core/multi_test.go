@@ -185,6 +185,31 @@ func TestRunMultiMaxSimTime(t *testing.T) {
 	if res.Completed() {
 		t.Fatal("claimed completion despite tiny deadline")
 	}
+
+	// A deadline the co-run never reaches changes nothing a job measures:
+	// the run stops at the last job's completion, as Run does.
+	cfg.MaxSimTime = 0
+	free, err := RunMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxSimTime = 10 * free.Duration
+	late, err := RunMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !late.Completed() {
+		t.Fatal("co-run with a deadline after completion did not complete")
+	}
+	if late.Duration > free.Duration {
+		t.Fatalf("co-run ran past its last job: %v > %v", late.Duration, free.Duration)
+	}
+	for i := range free.Jobs {
+		if fmt.Sprint(late.Jobs[i].CommTimes) != fmt.Sprint(free.Jobs[i].CommTimes) {
+			t.Fatalf("job %s: comm times %v with a late deadline, %v without",
+				free.Jobs[i].Name, late.Jobs[i].CommTimes, free.Jobs[i].CommTimes)
+		}
+	}
 }
 
 func TestRunMultiDeterministic(t *testing.T) {

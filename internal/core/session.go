@@ -1,0 +1,136 @@
+package core
+
+import (
+	"fmt"
+
+	"dragonfly/internal/audit"
+	"dragonfly/internal/des"
+	"dragonfly/internal/faults"
+	"dragonfly/internal/network"
+	"dragonfly/internal/placement"
+	"dragonfly/internal/topology"
+	"dragonfly/internal/workload"
+)
+
+// Session is one simulation on one machine: the kernel under Run, RunMulti
+// and sched.Run. It owns the built machine, the engine, the fabric with its
+// fault wiring, watchdog and auditor, and the pool of free nodes; it
+// launches jobs onto the fabric and drains the engine. Front ends keep their
+// own RNG roots and stream names and do their own placement (from Pool) and
+// mapping: the session draws one stream, the fabric's, first from the root
+// it is given.
+type Session struct {
+	Topo   topology.Interconnect
+	Engine *des.Engine
+	Fabric *network.Fabric
+	Pool   *placement.Pool
+
+	aud  *audit.Auditor
+	bg   *workload.Background
+	live int // launched jobs whose last rank has not finished
+}
+
+// NewSession builds the machine cfg describes — its Topology, Params,
+// Routing, Faults, watchdog limits and Audit; the workload fields are the
+// front end's business — drawing the fabric's stream first from root.
+func NewSession(cfg Config, root *des.RNG) (*Session, error) {
+	if cfg.Topology == nil {
+		return nil, fmt.Errorf("core: config has no machine (set Topology)")
+	}
+	topo, err := cfg.Topology.Build()
+	if err != nil {
+		return nil, err
+	}
+	eng := des.New()
+	// A non-empty fault spec degrades the fabric; an empty one is skipped
+	// entirely so healthy runs stay byte-identical with or without the flag.
+	var fset *faults.Set
+	if cfg.Faults != nil && !cfg.Faults.Empty() {
+		if fset, err = faults.Resolve(cfg.Faults, topo); err != nil {
+			return nil, err
+		}
+		cfg.Params.Route.Health = fset
+	}
+	fab, err := network.New(eng, topo, cfg.Params, cfg.Routing, root.Stream("fabric"))
+	if err != nil {
+		return nil, err
+	}
+	if fset != nil {
+		for _, ev := range fset.Events() {
+			eng.At(ev.At, func() {
+				fset.Apply(ev)
+				fab.RecordHealthEvent(ev.At, ev.String())
+				fab.ApplyHealthChange()
+			})
+		}
+	}
+	if cfg.WatchdogEvents > 0 || cfg.WatchdogTime > 0 {
+		eng.SetWatchdog(cfg.WatchdogEvents, cfg.WatchdogTime, fab.WatchdogDiagnostic)
+	}
+	s := &Session{Topo: topo, Engine: eng, Fabric: fab, Pool: placement.NewPool(topo)}
+	if cfg.Audit {
+		s.aud = audit.New(topo)
+		fab.SetObserver(s.aud)
+		eng.SetObserver(s.aud.EventExecuted)
+	}
+	return s, nil
+}
+
+// Background runs the synthetic interference job on every node still free
+// in the pool until Drain, and returns its Table II peak load.
+func (s *Session) Background(cfg workload.BackgroundConfig, rng *des.RNG) (int64, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	free := s.Pool.FreeNodes()
+	s.bg = workload.StartBackground(s.Fabric, cfg, free, rng)
+	return cfg.PeakLoad(len(free)), nil
+}
+
+// Launch starts a placed job at job.Start. The session counts it live until
+// its last rank finishes, when job.OnComplete (if any) still fires.
+func (s *Session) Launch(job workload.Job) (*workload.Replay, error) {
+	onComplete := job.OnComplete
+	job.OnComplete = func(at des.Time) {
+		s.live--
+		if onComplete != nil {
+			onComplete(at)
+		}
+	}
+	rep, err := workload.NewReplay(s.Fabric, job)
+	if err != nil {
+		return nil, err
+	}
+	s.live++
+	rep.Start()
+	return rep, nil
+}
+
+// Drain runs the engine and closes the run. With neither background traffic
+// nor a deadline (0 = none) the queue drains by itself; otherwise the engine
+// steps until every launched job has finished or the clock reaches the
+// deadline. Drain then stops the background, reports a watchdog trip,
+// finalizes the link statistics and closes the audit, returning its summary
+// (nil unless auditing).
+func (s *Session) Drain(deadline des.Time) (*audit.Summary, error) {
+	eng := s.Engine
+	if s.bg == nil && deadline == 0 {
+		eng.Run()
+	} else {
+		for s.live > 0 && (deadline == 0 || eng.Now() < deadline) && eng.Step() {
+		}
+	}
+	if s.bg != nil {
+		s.bg.Stop()
+	}
+	if err := eng.Tripped(); err != nil {
+		return nil, err
+	}
+	s.Fabric.FinishStats()
+	if s.aud == nil {
+		return nil, nil
+	}
+	s.aud.Finish(eng.Pending() == 0)
+	sum := s.aud.Summary()
+	return &sum, s.aud.Err()
+}

@@ -23,6 +23,17 @@ func CommTimesMs(times []des.Time) []float64 {
 	return out
 }
 
+// MaxCommTime returns the slowest rank's communication time.
+func MaxCommTime(times []des.Time) des.Time {
+	var max des.Time
+	for _, t := range times {
+		if t > max {
+			max = t
+		}
+	}
+	return max
+}
+
 // RouterSet builds the set of routers serving the given nodes — the routers
 // whose channels Figs. 8-10 analyze ("routers that serve the nodes assigned
 // to the target application").

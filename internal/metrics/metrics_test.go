@@ -79,3 +79,12 @@ func TestTotalBytes(t *testing.T) {
 		t.Fatalf("terminal total = %d", got)
 	}
 }
+
+func TestMaxCommTime(t *testing.T) {
+	if got := MaxCommTime(nil); got != 0 {
+		t.Fatalf("MaxCommTime(nil) = %v", got)
+	}
+	if got := MaxCommTime([]des.Time{3, 9, 0, 7}); got != 9 {
+		t.Fatalf("MaxCommTime = %v, want 9", got)
+	}
+}

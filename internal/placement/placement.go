@@ -77,80 +77,13 @@ func Parse(s string) (Policy, error) {
 // machine; rank i runs on the i-th returned node. The rng drives every
 // random choice, so a (policy, size, seed) triple is reproducible.
 func Allocate(topo topology.Interconnect, p Policy, size int, rng *des.RNG) ([]topology.NodeID, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("placement: job size %d must be >= 1", size)
-	}
-	if size > topo.NumNodes() {
-		return nil, fmt.Errorf("placement: job size %d exceeds machine size %d", size, topo.NumNodes())
-	}
-	switch p {
-	case Contiguous:
-		out := make([]topology.NodeID, size)
-		for i := range out {
-			out[i] = topology.NodeID(i)
-		}
-		return out, nil
-	case RandomCabinet:
-		return fillUnits(topo, size, rng, topo.CabinetCount(), func(u int) []topology.NodeID {
-			return nodesOfRouters(topo, topo.RoutersInCabinet(u))
-		}), nil
-	case RandomChassis:
-		return fillUnits(topo, size, rng, topo.ChassisCount(), func(u int) []topology.NodeID {
-			return nodesOfRouters(topo, topo.RoutersInChassis(u))
-		}), nil
-	case RandomRouter:
-		return fillUnits(topo, size, rng, topo.NumRouters(), func(u int) []topology.NodeID {
-			return topo.NodesOfRouter(topology.RouterID(u))
-		}), nil
-	case RandomNode:
-		perm := rng.Perm(topo.NumNodes())
-		out := make([]topology.NodeID, size)
-		for i := range out {
-			out[i] = topology.NodeID(perm[i])
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("placement: unknown policy %d", int(p))
-	}
+	return AllocateFrom(NewPool(topo), p, size, rng)
 }
 
-// fillUnits shuffles allocation units (cabinets, chassis, routers) and fills
-// them in shuffled order, keeping each unit's nodes contiguous.
-func fillUnits(topo topology.Interconnect, size int, rng *des.RNG, units int, nodesOf func(int) []topology.NodeID) []topology.NodeID {
-	order := rng.Perm(units)
-	out := make([]topology.NodeID, 0, size)
-	for _, u := range order {
-		for _, n := range nodesOf(u) {
-			out = append(out, n)
-			if len(out) == size {
-				return out
-			}
-		}
-	}
-	// size was validated against the machine; the units cover every node.
-	panic("placement: allocation units did not cover the machine")
-}
-
-func nodesOfRouters(topo topology.Interconnect, rs []topology.RouterID) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(rs)*topo.NodesPerRouter())
-	for _, r := range rs {
-		out = append(out, topo.NodesOfRouter(r)...)
-	}
-	return out
-}
-
-// Remaining returns the machine's nodes not in `used`, in ascending order —
-// the nodes the paper's synthetic background job occupies.
+// Remaining returns the machine's nodes not in used (an allocation), in
+// ascending order — the nodes the paper's synthetic background job occupies.
 func Remaining(topo topology.Interconnect, used []topology.NodeID) []topology.NodeID {
-	taken := make([]bool, topo.NumNodes())
-	for _, n := range used {
-		taken[n] = true
-	}
-	out := make([]topology.NodeID, 0, topo.NumNodes()-len(used))
-	for n := 0; n < topo.NumNodes(); n++ {
-		if !taken[n] {
-			out = append(out, topology.NodeID(n))
-		}
-	}
-	return out
+	p := NewPool(topo)
+	p.claim(used)
+	return p.FreeNodes()
 }

@@ -9,7 +9,9 @@ import (
 
 // Pool tracks which nodes of a machine are free, so several jobs can be
 // placed one after another — the multijob scenario of a production system
-// (Sec. IV-C motivates it; core.RunMulti uses it).
+// (Sec. IV-C motivates it). Every simulated job is placed from one: each
+// core.Session owns a pool, a single-job run places on it while it is still
+// empty, and Allocate is AllocateFrom on a fresh pool.
 type Pool struct {
 	topo  topology.Interconnect
 	taken []bool
@@ -30,6 +32,17 @@ func (p *Pool) Free() int { return p.free }
 
 // Taken reports whether a node is allocated.
 func (p *Pool) Taken(n topology.NodeID) bool { return p.taken[n] }
+
+// FreeNodes returns the unallocated nodes in ascending order.
+func (p *Pool) FreeNodes() []topology.NodeID {
+	out := make([]topology.NodeID, 0, p.free)
+	for n, taken := range p.taken {
+		if !taken {
+			out = append(out, topology.NodeID(n))
+		}
+	}
+	return out
+}
 
 // claim marks nodes allocated; it panics on double allocation (a Pool bug,
 // not a data condition).
@@ -88,12 +101,7 @@ func AllocateFrom(p *Pool, pol Policy, size int, rng *des.RNG) ([]topology.NodeI
 			return topo.NodesOfRouter(topology.RouterID(u))
 		})
 	case RandomNode:
-		frees := make([]topology.NodeID, 0, p.free)
-		for n := 0; n < topo.NumNodes(); n++ {
-			if !p.taken[n] {
-				frees = append(frees, topology.NodeID(n))
-			}
-		}
+		frees := p.FreeNodes()
 		perm := rng.Perm(len(frees))
 		out = make([]topology.NodeID, size)
 		for i := range out {
@@ -123,6 +131,14 @@ func fillUnitsFrom(p *Pool, size int, rng *des.RNG, units int, nodesOf func(int)
 				return out
 			}
 		}
+	}
+	return out
+}
+
+func nodesOfRouters(topo topology.Interconnect, rs []topology.RouterID) []topology.NodeID {
+	out := make([]topology.NodeID, 0, len(rs)*topo.NodesPerRouter())
+	for _, r := range rs {
+		out = append(out, topo.NodesOfRouter(r)...)
 	}
 	return out
 }

@@ -9,14 +9,20 @@
 // The discipline is FCFS, optionally with aggressive backfill: when the
 // queue head does not fit, any later job that does fit may start. (True
 // EASY backfill needs user runtime estimates, which traces do not carry.)
+//
+// The scheduler is a front end over core.Session, which owns the machine,
+// the fabric, the free-node pool, job launch and the drain; the scheduler
+// adds arrivals, the queue, and node release on completion.
 package sched
 
 import (
 	"fmt"
 	"sort"
 
+	"dragonfly/internal/core"
 	"dragonfly/internal/des"
 	"dragonfly/internal/mapping"
+	"dragonfly/internal/metrics"
 	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
@@ -54,15 +60,7 @@ func (j *JobRecord) Wait() des.Time { return j.Start - j.Arrival }
 func (j *JobRecord) Response() des.Time { return j.Finish - j.Arrival }
 
 // MaxCommTime returns the slowest rank's communication time.
-func (j *JobRecord) MaxCommTime() des.Time {
-	var max des.Time
-	for _, t := range j.CommTimes {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (j *JobRecord) MaxCommTime() des.Time { return metrics.MaxCommTime(j.CommTimes) }
 
 // Config describes the machine and discipline.
 type Config struct {
@@ -97,27 +95,25 @@ type pendingJob struct {
 	req JobRequest
 }
 
-// scheduler is the run state.
+// scheduler is the run state: the queue and records over one session.
 type scheduler struct {
-	cfg     Config
-	eng     *des.Engine
-	fab     *network.Fabric
-	topo    topology.Interconnect
-	pool    *placement.Pool
-	rng     *des.RNG
-	queue   []pendingJob
-	records []JobRecord
+	*core.Session
+	backfill bool
+	rng      *des.RNG
+	queue    []pendingJob
+	records  []JobRecord
+	err      error // the first job that could not start; stops scheduling
 }
 
 // Run executes a full scheduling trace: all jobs arrive, run, and complete.
+// A job that cannot be placed or mapped when it would start (a zero-rank
+// trace, an unknown policy) ends the run with an error naming it.
 func Run(cfg Config, jobs []JobRequest) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sched: no jobs submitted")
 	}
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("sched: config has no machine (set Topology)")
-	}
-	topo, err := cfg.Topology.Build()
+	root := des.NewRNG(cfg.Seed, "sched")
+	ses, err := core.NewSession(core.Config{Topology: cfg.Topology, Params: cfg.Params, Routing: cfg.Routing}, root)
 	if err != nil {
 		return nil, err
 	}
@@ -125,28 +121,19 @@ func Run(cfg Config, jobs []JobRequest) (*Result, error) {
 		if j.Trace == nil {
 			return nil, fmt.Errorf("sched: job %d (%q) has no trace", i, j.Name)
 		}
-		if j.Trace.NumRanks() > topo.NumNodes() {
+		if j.Trace.NumRanks() > ses.Topo.NumNodes() {
 			return nil, fmt.Errorf("sched: job %d (%q) needs %d nodes, machine has %d",
-				i, j.Name, j.Trace.NumRanks(), topo.NumNodes())
+				i, j.Name, j.Trace.NumRanks(), ses.Topo.NumNodes())
 		}
 		if j.Arrival < 0 {
 			return nil, fmt.Errorf("sched: job %d (%q) has negative arrival", i, j.Name)
 		}
 	}
-	eng := des.New()
-	root := des.NewRNG(cfg.Seed, "sched")
-	fab, err := network.New(eng, topo, cfg.Params, cfg.Routing, root.Stream("fabric"))
-	if err != nil {
-		return nil, err
-	}
 	s := &scheduler{
-		cfg:     cfg,
-		eng:     eng,
-		fab:     fab,
-		topo:    topo,
-		pool:    placement.NewPool(topo),
-		rng:     root.Stream("placement"),
-		records: make([]JobRecord, len(jobs)),
+		Session:  ses,
+		backfill: cfg.Backfill,
+		rng:      root.Stream("placement"),
+		records:  make([]JobRecord, len(jobs)),
 	}
 	// Sort arrivals but remember submission order for the records.
 	order := make([]int, len(jobs))
@@ -155,39 +142,44 @@ func Run(cfg Config, jobs []JobRequest) (*Result, error) {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].Arrival < jobs[order[b]].Arrival })
 	for _, idx := range order {
-		idx := idx
 		req := jobs[idx]
 		s.records[idx] = JobRecord{Name: req.Name, Ranks: req.Trace.NumRanks(), Arrival: req.Arrival}
-		eng.At(req.Arrival, func() {
+		s.Engine.At(req.Arrival, func() {
 			s.queue = append(s.queue, pendingJob{idx: idx, req: req})
 			s.trySchedule()
 		})
 	}
-	eng.Run()
+	if _, err := s.Drain(0); err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
 	for i := range s.records {
 		if s.records[i].Finish == 0 && s.records[i].CommTimes == nil {
 			return nil, fmt.Errorf("sched: job %d (%q) never completed", i, s.records[i].Name)
 		}
 	}
-	return &Result{Jobs: s.records, Makespan: eng.Now(), Events: eng.Processed()}, nil
+	return &Result{Jobs: s.records, Makespan: s.Engine.Now(), Events: s.Engine.Processed()}, nil
 }
 
-// trySchedule starts every currently startable job per the discipline.
+// trySchedule starts every currently startable job per the discipline. A
+// job that fails to start records the error and ends scheduling; jobs
+// already running drain.
 func (s *scheduler) trySchedule() {
-	for {
+	for s.err == nil {
 		started := false
 		for qi := 0; qi < len(s.queue); qi++ {
 			job := s.queue[qi]
-			if job.req.Trace.NumRanks() > s.pool.Free() {
-				if !s.cfg.Backfill {
+			if job.req.Trace.NumRanks() > s.Pool.Free() {
+				if !s.backfill {
 					return // strict FCFS: head blocks the queue
 				}
 				continue
 			}
 			if err := s.start(job, qi > 0); err != nil {
-				// Allocation can only fail for capacity, checked above;
-				// anything else is a programming error.
-				panic(err)
+				s.err = fmt.Errorf("sched: job %d (%q): %w", job.idx, job.req.Name, err)
+				return
 			}
 			s.queue = append(s.queue[:qi], s.queue[qi+1:]...)
 			started = true
@@ -202,36 +194,32 @@ func (s *scheduler) trySchedule() {
 // start allocates and launches one job.
 func (s *scheduler) start(job pendingJob, backfilled bool) error {
 	req := job.req
-	nodes, err := placement.AllocateFrom(s.pool, req.Placement, req.Trace.NumRanks(), s.rng)
+	nodes, err := placement.AllocateFrom(s.Pool, req.Placement, req.Trace.NumRanks(), s.rng)
 	if err != nil {
 		return err
 	}
-	nodes, err = mapping.Apply(req.Mapping, s.topo, nodes, s.rng.Stream(fmt.Sprintf("map/%d", job.idx)))
+	nodes, err = mapping.Apply(req.Mapping, s.Topo, nodes, s.rng.Stream(fmt.Sprintf("map/%d", job.idx)))
 	if err != nil {
 		return err
 	}
 	rec := &s.records[job.idx]
-	rec.Start = s.eng.Now()
+	rec.Start = s.Engine.Now()
 	rec.Nodes = nodes
 	rec.Backfilled = backfilled
 
 	var rep *workload.Replay
-	rep, err = workload.NewReplay(s.fab, workload.Job{
+	rep, err = s.Launch(workload.Job{
 		Name:     req.Name,
 		Trace:    req.Trace,
 		Nodes:    nodes,
 		MsgScale: req.MsgScale,
-		Start:    s.eng.Now(),
+		Start:    s.Engine.Now(),
 		OnComplete: func(at des.Time) {
 			rec.Finish = at
 			rec.CommTimes = rep.CommTimes()
-			s.pool.Release(nodes)
+			s.Pool.Release(nodes)
 			s.trySchedule()
 		},
 	})
-	if err != nil {
-		return err
-	}
-	rep.Start()
-	return nil
+	return err
 }

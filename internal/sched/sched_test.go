@@ -178,6 +178,36 @@ func TestSchedulerRejectsBadInput(t *testing.T) {
 	if _, err := Run(cfg(false), []JobRequest{bad}); err == nil {
 		t.Error("negative arrival accepted")
 	}
+	// The rest fail only when the job starts, inside a DES callback: the
+	// run must return an error naming the job, not panic, and stop
+	// scheduling while the jobs already running drain.
+	empty := job(t, "empty", 8, 1024, 0)
+	empty.Trace = &trace.Trace{App: "CR"}
+	badPlace := job(t, "bad-place", 8, 1024, 0)
+	badPlace.Placement = placement.Policy(99)
+	badMap := job(t, "bad-map", 8, 1024, 0)
+	badMap.Mapping = mapping.Policy(99)
+	for _, tc := range []struct {
+		bad  JobRequest
+		want string
+	}{
+		{empty, `sched: job 1 ("empty"): placement: job size 0 must be >= 1`},
+		{badPlace, `sched: job 1 ("bad-place"): placement: unknown policy 99`},
+		{badMap, `sched: job 1 ("bad-map"): mapping: unknown policy 99`},
+	} {
+		for _, backfill := range []bool{false, true} {
+			jobs := []JobRequest{
+				job(t, "ok", 16, 16*trace.KB, 0),
+				tc.bad,
+				job(t, "after", 8, 16*trace.KB, 2*des.Microsecond),
+			}
+			jobs[1].Arrival = des.Microsecond
+			_, err := Run(cfg(backfill), jobs)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s (backfill=%v): err %v, want %q", tc.bad.Name, backfill, err, tc.want)
+			}
+		}
+	}
 }
 
 func TestSchedulerDeterministic(t *testing.T) {

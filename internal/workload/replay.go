@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"dragonfly/internal/des"
+	"dragonfly/internal/metrics"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
 )
@@ -434,15 +435,7 @@ func (r *Replay) CommTimes() []des.Time {
 }
 
 // MaxCommTime returns the slowest rank's communication time.
-func (r *Replay) MaxCommTime() des.Time {
-	var max des.Time
-	for _, t := range r.CommTimes() {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (r *Replay) MaxCommTime() des.Time { return metrics.MaxCommTime(r.CommTimes()) }
 
 // Nodes returns the node of each rank.
 func (r *Replay) Nodes() []topology.NodeID {
