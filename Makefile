@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFaultSequence -fuzztime=10s ./internal/faults
 	$(GO) test -fuzz=FuzzGraph -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=10s ./internal/des
+	$(GO) test -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/farm
 
 # Refresh the in-repo performance snapshot (engine/fabric/routing
 # microbenches + artifact regeneration benches, plus the -scale suite's

@@ -378,10 +378,10 @@ func TestQuarantineObjectIdempotent(t *testing.T) {
 	if err := s.Put(addr, testRecord()); err != nil {
 		t.Fatal(err)
 	}
-	if !s.quarantineObject(addr) {
+	if !s.quarantineObject(s.entryPath(addr)) {
 		t.Fatal("first quarantine failed")
 	}
-	if !s.quarantineObject(addr) {
+	if !s.quarantineObject(s.entryPath(addr)) {
 		t.Fatal("second quarantine (source already moved) reported failure")
 	}
 	if _, err := os.Stat(filepath.Join(s.root, "quarantine", "objects", addr)); err != nil {

@@ -18,9 +18,10 @@ const codecVersion = 1
 // Record is the persisted form of one core.Result: every field the report
 // and corpus layers read, minus the two non-serializable ones (the Config,
 // which the replaying caller still holds, and the typed RouteErr, kept as
-// text). Numeric fields round-trip exactly — des.Time values are int64 and
-// float64 slices use Go's shortest-exact JSON encoding — which is what makes
-// a warm replay byte-identical to the cold run in every report.
+// text). The store's binary codec (codec.go) round-trips every field
+// exactly — integers as varints, each float64 as its raw 8 bytes, nil and
+// empty slices kept apart — which is what makes a warm replay
+// byte-identical to the cold run in every report.
 type Record struct {
 	Version   int  `json:"version"`
 	Completed bool `json:"completed"`

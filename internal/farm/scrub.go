@@ -83,21 +83,22 @@ func (s *Store) Scrub() (ScrubReport, error) {
 				rep.InFlight++
 				continue
 			}
-			data, err := os.ReadFile(filepath.Join(dir, name))
+			path := filepath.Join(dir, name)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				if os.IsNotExist(err) {
 					rep.Vanished++
 					continue
 				}
-				return rep, fmt.Errorf("farm: scrub %s: %w", name[:min(12, len(name))], err)
+				return rep, fmt.Errorf("farm: scrub %s: %w", short(name), err)
 			}
 			rep.Checked++
-			if verifyObject(name, data) {
+			if _, err := verifyEntry(name, data); err == nil {
 				rep.Healthy++
 				continue
 			}
 			rep.Corrupt++
-			if s.quarantineObject(name) {
+			if s.quarantineObject(path) {
 				rep.Quarantined++
 			}
 		}
@@ -105,28 +106,17 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// verifyObject runs the full Get-side integrity pipeline on raw bytes.
-func verifyObject(addr string, data []byte) bool {
-	payload, err := verifyEntry(addr, data)
-	if err != nil {
-		return false
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return false
-	}
-	return rec.Version == codecVersion
-}
-
-// quarantineObject moves one corrupt entry to quarantine/objects/<addr>.
+// quarantineObject moves the corrupt object file at path to
+// quarantine/objects/<name>. The path is the file's own, not one derived
+// from its name: a stray file need not sit in its name's fan-out directory.
 // It is idempotent under concurrent scrubbers: rename replaces an existing
 // quarantined copy, and a source already moved by a sibling counts as done.
-func (s *Store) quarantineObject(addr string) bool {
+func (s *Store) quarantineObject(path string) bool {
 	qdir := filepath.Join(s.root, "quarantine", "objects")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return false
 	}
-	err := os.Rename(s.entryPath(addr), filepath.Join(qdir, addr))
+	err := os.Rename(path, filepath.Join(qdir, filepath.Base(path)))
 	if err != nil && !os.IsNotExist(err) {
 		return false
 	}

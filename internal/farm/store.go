@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -46,14 +45,14 @@ var ErrMiss = errors.New("farm: cache miss")
 var ErrCorrupt = errors.New("farm: corrupt cache entry")
 
 // entryMagic is the first header token of every entry file; the version
-// suffix covers the container layout (header framing), while the JSON
-// payload carries its own codec version.
+// suffix covers the container layout (header framing), while the payload
+// carries its own record version.
 const entryMagic = "DFFARM1"
 
-// entryCodec names the payload encoding. Only "json" exists today; the
-// field is parsed (and gated) so a future binary codec can coexist in one
-// store without ambiguity.
-const entryCodec = "json"
+// entryCodec names the payload encoding: the binary record codec of
+// codec.go. An entry naming any other codec is corrupt and re-simulates
+// once, so entries banked in the earlier "json" payload heal on first use.
+const entryCodec = "bin1"
 
 // Open creates (if needed) and returns the store rooted at dir.
 func Open(dir string) (*Store, error) {
@@ -94,32 +93,27 @@ func (s *Store) Get(addr string) (*Record, error) {
 		if os.IsNotExist(err) {
 			return nil, ErrMiss
 		}
-		return nil, fmt.Errorf("farm: read %s: %w", addr[:12], err)
+		return nil, fmt.Errorf("farm: read %s: %w", short(addr), err)
 	}
 	if s.chaos.Fire(chaos.SiteStoreRead, addr) {
 		s.chaos.FlipBit(data, addr) // simulated disk rot; verification must catch it
 	}
-	payload, err := verifyEntry(addr, data)
-	if err != nil {
-		return nil, err
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("%w: %s: payload does not decode: %v", ErrCorrupt, addr[:12], err)
-	}
-	if rec.Version != codecVersion {
-		return nil, fmt.Errorf("%w: %s: codec version %d, want %d", ErrCorrupt, addr[:12], rec.Version, codecVersion)
-	}
-	return &rec, nil
+	return verifyEntry(addr, data)
 }
 
-// verifyEntry checks the container framing and returns the payload bytes.
-func verifyEntry(addr string, data []byte) ([]byte, error) {
+// short abbreviates an object name for messages; a name shorter than 12
+// bytes (a malformed address, a stray file) prints whole.
+func short(name string) string { return name[:min(12, len(name))] }
+
+// verifyEntry runs the full integrity pipeline on an entry's raw bytes —
+// container framing, payload digest, payload decode, record version — and
+// returns the record.
+func verifyEntry(addr string, data []byte) (*Record, error) {
 	corrupt := func(format string, args ...interface{}) error {
-		return fmt.Errorf("%w: %s: %s", ErrCorrupt, addr[:12], fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: %s: %s", ErrCorrupt, short(addr), fmt.Sprintf(format, args...))
 	}
 	// Three header lines, then the payload:
-	//   DFFARM1 json
+	//   DFFARM1 bin1
 	//   addr <64 hex>
 	//   payload <len> <sha256 hex>
 	rest := data
@@ -144,7 +138,7 @@ func verifyEntry(addr string, data []byte) ([]byte, error) {
 		return nil, corrupt("bad address line %q", lines[1])
 	}
 	if af[1] != addr {
-		return nil, corrupt("entry holds address %s", af[1][:min(12, len(af[1]))])
+		return nil, corrupt("entry holds address %s", short(af[1]))
 	}
 	pf := strings.Fields(lines[2])
 	if len(pf) != 3 || pf[0] != "payload" {
@@ -161,7 +155,14 @@ func verifyEntry(addr string, data []byte) ([]byte, error) {
 	if hex.EncodeToString(sum[:]) != pf[2] {
 		return nil, corrupt("payload digest mismatch")
 	}
-	return rest, nil
+	rec, err := decodeRecord(rest)
+	if err != nil {
+		return nil, corrupt("payload does not decode: %v", err)
+	}
+	if rec.Version != codecVersion {
+		return nil, corrupt("codec version %d, want %d", rec.Version, codecVersion)
+	}
+	return rec, nil
 }
 
 // Put stores rec at addr, atomically. An existing entry is replaced; since
@@ -172,12 +173,9 @@ func (s *Store) Put(addr string, rec *Record) error {
 		return fmt.Errorf("farm: malformed address %q", addr)
 	}
 	if s.chaos.Fire(chaos.SiteStoreWrite, addr) {
-		return fmt.Errorf("farm: put %s: chaos: injected write failure", addr[:12])
+		return fmt.Errorf("farm: put %s: chaos: injected write failure", short(addr))
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("farm: encode %s: %w", addr[:12], err)
-	}
+	payload := encodeRecord(rec)
 	sum := sha256.Sum256(payload)
 	var b bytes.Buffer
 	b.Grow(len(payload) + 160)
@@ -187,25 +185,25 @@ func (s *Store) Put(addr string, rec *Record) error {
 
 	dir := filepath.Dir(s.entryPath(addr))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("farm: put %s: %w", addr[:12], err)
+		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	tmp, err := os.CreateTemp(dir, ".put-*")
 	if err != nil {
-		return fmt.Errorf("farm: put %s: %w", addr[:12], err)
+		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	name := tmp.Name()
 	if _, err := tmp.Write(b.Bytes()); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return fmt.Errorf("farm: put %s: %w", addr[:12], err)
+		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("farm: put %s: %w", addr[:12], err)
+		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	if err := os.Rename(name, s.entryPath(addr)); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("farm: put %s: %w", addr[:12], err)
+		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	return nil
 }
@@ -222,5 +220,6 @@ func (s *Store) Has(addr string) bool {
 	if err != nil {
 		return false
 	}
-	return verifyObject(addr, data)
+	_, err = verifyEntry(addr, data)
+	return err == nil
 }

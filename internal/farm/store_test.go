@@ -2,8 +2,12 @@ package farm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -99,12 +103,15 @@ func TestStoreDetectsCorruption(t *testing.T) {
 		{"unknown payload codec", func(t *testing.T, s *Store, addr string) {
 			p := s.entryPath(addr)
 			data, _ := os.ReadFile(p)
-			os.WriteFile(p, bytes.Replace(data, []byte("DFFARM1 json"), []byte("DFFARM1 cbor"), 1), 0o644)
+			os.WriteFile(p, bytes.Replace(data, []byte(entryMagic+" "+entryCodec), []byte(entryMagic+" cbor"), 1), 0o644)
 		}},
 		{"appended garbage", func(t *testing.T, s *Store, addr string) {
 			p := s.entryPath(addr)
 			data, _ := os.ReadFile(p)
 			os.WriteFile(p, append(data, "tail"...), 0o644)
+		}},
+		{"undecodable payload under a valid digest", func(t *testing.T, s *Store, addr string) {
+			writeRawEntry(t, s, addr, entryCodec, append(encodeRecord(testRecord()), 0))
 		}},
 	}
 	for _, tc := range cases {
@@ -120,6 +127,17 @@ func TestStoreDetectsCorruption(t *testing.T) {
 				t.Fatalf("Get after %s = %v, want ErrCorrupt", tc.name, err)
 			}
 		})
+	}
+}
+
+// writeRawEntry installs payload at addr under a well-formed header that
+// names codec and carries the payload's true length and digest.
+func writeRawEntry(t *testing.T, s *Store, addr, codec string, payload []byte) {
+	t.Helper()
+	sum := sha256.Sum256(payload)
+	entry := fmt.Sprintf("%s %s\naddr %s\npayload %d %x\n%s", entryMagic, codec, addr, len(payload), sum, payload)
+	if err := os.WriteFile(s.entryPath(addr), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -158,6 +176,98 @@ func TestStoreRejectsRelocatedEntry(t *testing.T) {
 	}
 	if _, err := s.Get(b); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("relocated entry Get = %v, want ErrCorrupt (embedded address mismatch)", err)
+	}
+}
+
+// TestStoreRejectsLegacyJSONEntry: an entry banked in the earlier "json"
+// payload codec, with intact framing, length and digest, is corrupt rather
+// than decoded. Get and Has reject it, one Farm run re-simulates the cell,
+// and that run's Put heals the address for the next.
+func TestStoreRejectsLegacyJSONEntry(t *testing.T) {
+	s := openTestStore(t)
+	cfgs := testJob(t)[:1]
+	if _, _, err := New(s, Options{Parallel: 1}).Run(cfgs); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := Address(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.Get(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRawEntry(t, s, addr, "json", payload)
+
+	if _, err := s.Get(addr); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("legacy entry Get = %v, want ErrCorrupt", err)
+	}
+	if s.Has(addr) {
+		t.Fatal("Has reports a legacy entry as verifiable")
+	}
+	_, stats, err := New(s, Options{Parallel: 1}).Run(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Corrupt != 1 || stats.Misses != 1 || stats.Hits != 0 {
+		t.Fatalf("legacy entry handled as corrupt=%d misses=%d hits=%d, want 1/1/0", stats.Corrupt, stats.Misses, stats.Hits)
+	}
+	_, stats, err = New(s, Options{Parallel: 1}).Run(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Hits != 1 || stats.Misses != 0 {
+		t.Fatalf("healed entry: hits=%d misses=%d, want 1/0", stats.Hits, stats.Misses)
+	}
+}
+
+// TestShortObjectNamesAreCorrupt: a name shorter than the 12-byte address
+// prefix used in messages, such as a stray file or a malformed address
+// over junk, is an error, never a slice-bounds panic; the scrubber
+// quarantines such files like any other corrupt object.
+func TestShortObjectNamesAreCorrupt(t *testing.T) {
+	s := openTestStore(t)
+	stray := filepath.Join(s.root, "objects", "ab", "notes")
+	if err := os.MkdirAll(filepath.Dir(stray), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, []byte("not an entry\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.entryPath("abcdef"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("abcdef"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get over junk = %v, want ErrCorrupt", err)
+	}
+	if err := os.Mkdir(s.entryPath("abcdefg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("abcdefg"); err == nil || errors.Is(err, ErrMiss) {
+		t.Fatalf("Get over a directory = %v, want a read error", err)
+	}
+	if err := os.Remove(s.entryPath("abcdefg")); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := s.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checked != 2 || rep.Corrupt != 2 || rep.Quarantined != 2 {
+		t.Fatalf("scrub report %+v, want checked=2 corrupt=2 quarantined=2", rep)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("stray file still in place (stat err %v)", err)
+	}
+	for _, name := range []string{"notes", "abcdef"} {
+		if _, err := os.Stat(filepath.Join(s.root, "quarantine", "objects", name)); err != nil {
+			t.Fatalf("%s not quarantined: %v", name, err)
+		}
 	}
 }
 
