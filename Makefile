@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzGraph -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=10s ./internal/des
 	$(GO) test -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/farm
+	$(GO) test -fuzz=FuzzLayout -fuzztime=10s ./internal/topology
 
 # Refresh the in-repo performance snapshot (engine/fabric/routing
 # microbenches + artifact regeneration benches, plus the -scale suite's

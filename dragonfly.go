@@ -65,7 +65,7 @@ type (
 	// (extension beyond the paper).
 	PlusTopologyConfig = topology.PlusConfig
 	// Topology is a wired XC40-style dragonfly machine.
-	Topology = topology.Topology
+	Topology = topology.Dragonfly
 	// DragonflyPlus is a wired Dragonfly+ machine.
 	DragonflyPlus = topology.DragonflyPlus
 	// Interconnect is the machine-neutral topology interface every layer of

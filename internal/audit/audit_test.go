@@ -149,7 +149,7 @@ func TestAuditCleanMultiJob(t *testing.T) {
 
 // --- deliberate-violation unit tests ----------------------------------------
 
-func newTestAuditor(t *testing.T) (*audit.Auditor, *topology.Topology) {
+func newTestAuditor(t *testing.T) (*audit.Auditor, *topology.Dragonfly) {
 	t.Helper()
 	topo, err := topology.New(topology.Mini())
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"dragonfly/internal/topotest"
 )
 
-func alloc(t *testing.T, topo *topology.Topology, pol placement.Policy, n int) []topology.NodeID {
+func alloc(t *testing.T, topo *topology.Dragonfly, pol placement.Policy, n int) []topology.NodeID {
 	t.Helper()
 	nodes, err := placement.Allocate(topo, pol, n, des.NewRNG(1, "alloc"))
 	if err != nil {

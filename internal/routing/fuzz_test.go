@@ -28,7 +28,7 @@ func (c fuzzCong) OutputBacklog(from, to topology.RouterID) int64 {
 // with enough global ports that every group pair is wired (the generators'
 // own precondition — unconnected pairs are a config error, not a routing
 // bug).
-func fuzzTopology(groups, rows, cols, nodesPer, extraPorts uint8) (*topology.Topology, error) {
+func fuzzTopology(groups, rows, cols, nodesPer, extraPorts uint8) (*topology.Dragonfly, error) {
 	cfg := topology.Config{
 		Groups:            1 + int(groups)%6,
 		Rows:              1 + int(rows)%3,

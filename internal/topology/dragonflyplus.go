@@ -74,12 +74,23 @@ func (c PlusConfig) Validate() error {
 		return errors.New("topology: LeavesPerChassis must be >= 1")
 	case c.ChassisPerCabinet < 1:
 		return errors.New("topology: ChassisPerCabinet must be >= 1")
-	case c.Groups > 1 && c.GlobalPortsPerSpine < 1:
-		return errors.New("topology: multi-group machine needs GlobalPortsPerSpine >= 1")
-	case c.GlobalPortsPerSpine < 0:
-		return errors.New("topology: GlobalPortsPerSpine must be >= 0")
 	}
-	return nil
+	return c.layout().validate()
+}
+
+// layout puts the leaves first in each group, holding the nodes, and the
+// spines after them, holding the global ports.
+func (c PlusConfig) layout() layout {
+	return layout{
+		groups:            c.Groups,
+		routersPerGroup:   c.RoutersPerGroup(),
+		holders:           c.Leaves,
+		nodesPerRouter:    c.NodesPerLeaf,
+		chassisSize:       c.LeavesPerChassis,
+		chassisPerCabinet: c.ChassisPerCabinet,
+		portBase:          c.Leaves,
+		portsPerRouter:    c.GlobalPortsPerSpine,
+	}
 }
 
 // RoutersPerGroup returns the router count of one group (leaves + spines).
@@ -101,20 +112,12 @@ func (c PlusConfig) CanonicalSpec() string {
 		c.Groups, c.Leaves, c.Spines, c.NodesPerLeaf, c.GlobalPortsPerSpine, c.LeavesPerChassis, c.ChassisPerCabinet)
 }
 
-// DragonflyPlus is an immutable, fully wired Dragonfly+ machine. Routers are
-// numbered group-major; within a group the leaves come first (0..Leaves-1),
-// then the spines. Nodes attach to leaves only, numbered consecutively per
-// leaf in leaf order, so RouterOfNode stays monotone.
+// DragonflyPlus is an immutable, fully wired Dragonfly+ machine: the shared
+// group-major layout with the leaves first in each group (0..Leaves-1), then
+// the spines, plus the complete bipartite leaf-spine local fabric.
 type DragonflyPlus struct {
 	cfg PlusConfig
-
-	routersPerGroup int
-	numRouters      int
-	numNodes        int
-
-	globalPeer     []RouterID
-	globalPeerPort []int32
-	gateways       [][][]Gateway
+	layout
 
 	// Shared local-neighbor lists, resolved once at construction: every leaf
 	// of group g has exactly the spines of g as neighbors and every spine the
@@ -131,19 +134,8 @@ func NewPlus(cfg PlusConfig) (*DragonflyPlus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &DragonflyPlus{
-		cfg:             cfg,
-		routersPerGroup: cfg.RoutersPerGroup(),
-	}
-	t.numRouters = cfg.Groups * t.routersPerGroup
-	t.numNodes = cfg.Groups * cfg.Leaves * cfg.NodesPerLeaf
-	g := cfg.GlobalPortsPerSpine
-	t.globalPeer, t.globalPeerPort, t.gateways = roundRobinWire(
-		cfg.Groups, t.numRouters, g, cfg.Spines*g,
-		func(group, k int) RouterID {
-			return RouterID(group*t.routersPerGroup + cfg.Leaves + k/g)
-		},
-	)
+	t := &DragonflyPlus{cfg: cfg, layout: cfg.layout()}
+	t.wire(t)
 	t.spineNbrs = make([][]RouterID, cfg.Groups)
 	t.leafNbrs = make([][]RouterID, cfg.Groups)
 	spineFlat := make([]RouterID, cfg.Groups*cfg.Spines)
@@ -179,124 +171,8 @@ func (t *DragonflyPlus) Config() PlusConfig { return t.cfg }
 // Name identifies the topology family.
 func (t *DragonflyPlus) Name() string { return "dragonfly+" }
 
-// NumGroups returns the group count.
-func (t *DragonflyPlus) NumGroups() int { return t.cfg.Groups }
-
-// NumRouters returns the machine-wide router count (leaves and spines).
-func (t *DragonflyPlus) NumRouters() int { return t.numRouters }
-
-// NumNodes returns the machine-wide compute-node count.
-func (t *DragonflyPlus) NumNodes() int { return t.numNodes }
-
-// NodesPerRouter returns the node count of a leaf router; spines hold none.
-func (t *DragonflyPlus) NodesPerRouter() int { return t.cfg.NodesPerLeaf }
-
 // IsLeaf reports whether r is a leaf (node-holding) router.
-func (t *DragonflyPlus) IsLeaf(r RouterID) bool {
-	return int(r)%t.routersPerGroup < t.cfg.Leaves
-}
-
-// leafIndex returns r's machine-wide leaf ordinal; r must be a leaf.
-func (t *DragonflyPlus) leafIndex(r RouterID) int {
-	g := int(r) / t.routersPerGroup
-	l := int(r) % t.routersPerGroup
-	return g*t.cfg.Leaves + l
-}
-
-// leafRouter returns the router of the machine-wide leaf ordinal i.
-func (t *DragonflyPlus) leafRouter(i int) RouterID {
-	return RouterID(i/t.cfg.Leaves*t.routersPerGroup + i%t.cfg.Leaves)
-}
-
-// RouterOfNode returns the leaf router a node attaches to.
-func (t *DragonflyPlus) RouterOfNode(n NodeID) RouterID {
-	return t.leafRouter(int(n) / t.cfg.NodesPerLeaf)
-}
-
-// NodeSlot returns the node's terminal-port slot on its leaf.
-func (t *DragonflyPlus) NodeSlot(n NodeID) int {
-	return int(n) % t.cfg.NodesPerLeaf
-}
-
-// NodeAt returns the node in a given slot of a leaf router.
-func (t *DragonflyPlus) NodeAt(r RouterID, slot int) NodeID {
-	return NodeID(t.leafIndex(r)*t.cfg.NodesPerLeaf + slot)
-}
-
-// GroupOfRouter returns the group containing a router.
-func (t *DragonflyPlus) GroupOfRouter(r RouterID) int {
-	return int(r) / t.routersPerGroup
-}
-
-// GroupOfNode returns the group containing a node.
-func (t *DragonflyPlus) GroupOfNode(n NodeID) int {
-	return t.GroupOfRouter(t.RouterOfNode(n))
-}
-
-// NodesOfRouter returns the nodes attached to a router, in slot order;
-// spines return nil.
-func (t *DragonflyPlus) NodesOfRouter(r RouterID) []NodeID {
-	if !t.IsLeaf(r) {
-		return nil
-	}
-	out := make([]NodeID, t.cfg.NodesPerLeaf)
-	for i := range out {
-		out[i] = t.NodeAt(r, i)
-	}
-	return out
-}
-
-// --- chassis / cabinet structure -----------------------------------------
-
-// chassisPerGroup counts the chassis of one group; a trailing partial
-// chassis counts as one. Only leaves belong to chassis — spines hold no
-// nodes, so placement units never need them.
-func (t *DragonflyPlus) chassisPerGroup() int {
-	return (t.cfg.Leaves + t.cfg.LeavesPerChassis - 1) / t.cfg.LeavesPerChassis
-}
-
-// ChassisCount returns the machine-wide chassis count.
-func (t *DragonflyPlus) ChassisCount() int { return t.cfg.Groups * t.chassisPerGroup() }
-
-// RoutersInChassis returns the leaf routers of one chassis in leaf order.
-func (t *DragonflyPlus) RoutersInChassis(chassis int) []RouterID {
-	perGroup := t.chassisPerGroup()
-	group := chassis / perGroup
-	first := (chassis % perGroup) * t.cfg.LeavesPerChassis
-	last := first + t.cfg.LeavesPerChassis
-	if last > t.cfg.Leaves {
-		last = t.cfg.Leaves
-	}
-	out := make([]RouterID, 0, last-first)
-	for l := first; l < last; l++ {
-		out = append(out, RouterID(group*t.routersPerGroup+l))
-	}
-	return out
-}
-
-// CabinetsPerGroup returns how many cabinets one group spans.
-func (t *DragonflyPlus) CabinetsPerGroup() int {
-	return (t.chassisPerGroup() + t.cfg.ChassisPerCabinet - 1) / t.cfg.ChassisPerCabinet
-}
-
-// CabinetCount returns the machine-wide cabinet count.
-func (t *DragonflyPlus) CabinetCount() int { return t.cfg.Groups * t.CabinetsPerGroup() }
-
-// RoutersInCabinet returns the leaf routers of one cabinet in chassis order.
-func (t *DragonflyPlus) RoutersInCabinet(cabinet int) []RouterID {
-	perGroup := t.CabinetsPerGroup()
-	group := cabinet / perGroup
-	firstChassis := group*t.chassisPerGroup() + (cabinet%perGroup)*t.cfg.ChassisPerCabinet
-	lastChassis := firstChassis + t.cfg.ChassisPerCabinet
-	if max := (group + 1) * t.chassisPerGroup(); lastChassis > max {
-		lastChassis = max
-	}
-	var out []RouterID
-	for ch := firstChassis; ch < lastChassis; ch++ {
-		out = append(out, t.RoutersInChassis(ch)...)
-	}
-	return out
-}
+func (t *DragonflyPlus) IsLeaf(r RouterID) bool { return t.holds(r) }
 
 // --- local connectivity ----------------------------------------------------
 
@@ -364,93 +240,6 @@ func (t *DragonflyPlus) LocalNextHop(cur, dst RouterID) RouterID {
 	return RouterID(base + (ci+di)%t.cfg.Leaves)
 }
 
-// NumValiantRouters returns the eligible Valiant-intermediate count: leaves
-// only. Restricting intermediates to leaves keeps every intra-group segment
-// of a Valiant route up-down and bounds the local VC class at 3, within
-// routing.NumLocalVC (see DESIGN.md).
-func (t *DragonflyPlus) NumValiantRouters() int { return t.cfg.Groups * t.cfg.Leaves }
-
-// ValiantRouter returns the i-th eligible Valiant intermediate.
-func (t *DragonflyPlus) ValiantRouter(i int) RouterID { return t.leafRouter(i) }
-
-// --- global connectivity ---------------------------------------------------
-
-// GlobalPeer returns the router and port at the far end of router r's global
-// port p; ok is false when the port is unwired (always, for leaves).
-func (t *DragonflyPlus) GlobalPeer(r RouterID, p int) (peer RouterID, peerPort int, ok bool) {
-	g := t.cfg.GlobalPortsPerSpine
-	if p < 0 || p >= g {
-		panic(fmt.Sprintf("topology: global port %d out of range [0,%d)", p, g))
-	}
-	idx := int(r)*g + p
-	if t.globalPeer[idx] < 0 {
-		return 0, 0, false
-	}
-	return t.globalPeer[idx], int(t.globalPeerPort[idx]), true
-}
-
-// Gateways returns the (spine, port, peer) triples of group src whose global
-// links land in group dst. The returned slice is shared; callers must not
-// mutate it.
-func (t *DragonflyPlus) Gateways(src, dst int) []Gateway {
-	return t.gateways[src][dst]
-}
-
-// GlobalConnected reports whether routers a and b are joined by a wired
-// global link.
-func (t *DragonflyPlus) GlobalConnected(a, b RouterID) bool {
-	g := t.cfg.GlobalPortsPerSpine
-	for p := 0; p < g; p++ {
-		if t.globalPeer[int(a)*g+p] == b {
-			return true
-		}
-	}
-	return false
-}
-
-// GlobalConns enumerates every wired global link exactly once.
-func (t *DragonflyPlus) GlobalConns() []GlobalConn {
-	g := t.cfg.GlobalPortsPerSpine
-	var out []GlobalConn
-	for r := 0; r < t.numRouters; r++ {
-		for p := 0; p < g; p++ {
-			peer := t.globalPeer[r*g+p]
-			if peer < 0 || RouterID(r) > peer ||
-				(RouterID(r) == peer && p > int(t.globalPeerPort[r*g+p])) {
-				continue
-			}
-			out = append(out, GlobalConn{
-				A: RouterID(r), APort: p,
-				B: peer, BPort: int(t.globalPeerPort[r*g+p]),
-			})
-		}
-	}
-	return out
-}
-
-// MinimalRouterHops returns the number of routers a minimally routed packet
-// traverses from src node to dst node; same-router delivery counts 1, the
-// worst minimal inter-group path (leaf, gateway spine, peer spine, leaf)
-// counts 4.
-func (t *DragonflyPlus) MinimalRouterHops(src, dst NodeID) int {
-	rs, rd := t.RouterOfNode(src), t.RouterOfNode(dst)
-	gs, gd := t.GroupOfRouter(rs), t.GroupOfRouter(rd)
-	if gs == gd {
-		return 1 + t.LocalDistance(rs, rd)
-	}
-	best := -1
-	for _, gw := range t.Gateways(gs, gd) {
-		h := 1 + t.LocalDistance(rs, gw.Router) + 1 + t.LocalDistance(gw.Peer, rd)
-		if best < 0 || h < best {
-			best = h
-		}
-	}
-	if best < 0 {
-		panic(fmt.Sprintf("topology: groups %d and %d are not connected", gs, gd))
-	}
-	return best
-}
-
 // Describe returns a human-readable inventory of the machine.
 func (t *DragonflyPlus) Describe() string {
 	c := t.cfg
@@ -460,7 +249,7 @@ func (t *DragonflyPlus) Describe() string {
 			"  chassis: %d (%d leaves each), cabinets: %d (%d chassis each)\n"+
 			"  local links: complete bipartite leaf<->spine (%d per group)\n"+
 			"  global ports/spine: %d; bidirectional global links: %d (%d per group pair)\n",
-		c.Groups, c.Leaves, c.Spines, c.NodesPerLeaf, t.numRouters, t.numNodes,
+		c.Groups, c.Leaves, c.Spines, c.NodesPerLeaf, t.NumRouters(), t.NumNodes(),
 		t.ChassisCount(), c.LeavesPerChassis, t.CabinetCount(), c.ChassisPerCabinet,
 		c.Leaves*c.Spines,
 		c.GlobalPortsPerSpine, wired, perPairOrZero(wired, c.Groups),

@@ -219,6 +219,8 @@ func TestPlusValidate(t *testing.T) {
 		{},
 		{Groups: 2, Leaves: 0, Spines: 1, NodesPerLeaf: 1, GlobalPortsPerSpine: 1, LeavesPerChassis: 1, ChassisPerCabinet: 1},
 		{Groups: 2, Leaves: 2, Spines: 1, NodesPerLeaf: 1, GlobalPortsPerSpine: 0, LeavesPerChassis: 1, ChassisPerCabinet: 1},
+		// One spine port per group cannot reach 9 other groups.
+		{Groups: 10, Leaves: 2, Spines: 1, NodesPerLeaf: 2, GlobalPortsPerSpine: 1, LeavesPerChassis: 1, ChassisPerCabinet: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPlus(cfg); err == nil {

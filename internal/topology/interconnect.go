@@ -8,7 +8,9 @@ import (
 // Interconnect is the machine-neutral service-provider interface the rest of
 // the stack (routing, network, placement, mapping, audit, core) consumes.
 // Dragonfly (the XC40 grid of the paper) and DragonflyPlus (two-layer
-// leaf/spine groups per Kang et al.) implement it.
+// leaf/spine groups per Kang et al.) implement it. Both embed the shared
+// group-major layout (layout.go), which answers every method except Name,
+// Describe and the four Local* queries; a family supplies only those.
 //
 // The interface is a construction-time seam, not a per-event one: consumers
 // resolve what they need into dense tables when they are built (router of
@@ -26,12 +28,13 @@ import (
 //     canonical minimal route; repeatedly applying it must terminate at dst
 //     and the union of those routes must be cycle-free per VC class (see
 //     DESIGN.md "The interconnect SPI" for the deadlock argument).
-//   - Gateways(a, b) is non-empty for every group pair a != b, and each
-//     Gateway carries its precomputed far-end router in Peer.
+//   - Gateways(a, b) is non-empty for every group pair a != b (Validate
+//     rejects a machine with fewer than Groups-1 global ports per group),
+//     and each Gateway carries its precomputed far-end router in Peer.
 //   - ValiantRouter enumerates the routers eligible as Valiant
-//     intermediates; implementations must pick a set that keeps the VC
-//     classes within routing.NumLocalVC/NumGlobalVC (e.g. leaves only on
-//     DragonflyPlus).
+//     intermediates; the set must keep the VC classes within
+//     routing.NumLocalVC/NumGlobalVC. The layout picks the node-holding
+//     routers, which on DragonflyPlus are the leaves.
 type Interconnect interface {
 	// Name identifies the topology family ("dragonfly", "dragonfly+").
 	Name() string

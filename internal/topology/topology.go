@@ -83,44 +83,32 @@ func (c Config) Validate() error {
 		return errors.New("topology: NodesPerRouter must be >= 1")
 	case c.ChassisPerCabinet < 1:
 		return errors.New("topology: ChassisPerCabinet must be >= 1")
-	case c.Groups > 1 && c.GlobalPortsPerRouter < 1:
-		return errors.New("topology: multi-group machine needs GlobalPortsPerRouter >= 1")
-	case c.GlobalPortsPerRouter < 0:
-		return errors.New("topology: GlobalPortsPerRouter must be >= 0")
 	}
-	return nil
+	return c.layout().validate()
+}
+
+// layout places every router of a group on the grid: all of them hold nodes
+// and global ports, and a chassis is one grid row.
+func (c Config) layout() layout {
+	return layout{
+		groups:            c.Groups,
+		routersPerGroup:   c.RoutersPerGroup(),
+		holders:           c.RoutersPerGroup(),
+		nodesPerRouter:    c.NodesPerRouter,
+		chassisSize:       c.Cols,
+		chassisPerCabinet: c.ChassisPerCabinet,
+		portsPerRouter:    c.GlobalPortsPerRouter,
+	}
 }
 
 // RoutersPerGroup returns the router count of one group.
 func (c Config) RoutersPerGroup() int { return c.Rows * c.Cols }
 
-// Dragonfly is an immutable, fully wired XC40-style dragonfly machine. It is
-// the reference Interconnect implementation; Topology is kept as an alias for
-// existing callers.
+// Dragonfly is an immutable, fully wired XC40-style dragonfly machine: the
+// shared group-major layout plus the row and column all-to-all local fabric.
 type Dragonfly struct {
 	cfg Config
-
-	routersPerGroup int
-	numRouters      int
-	numNodes        int
-
-	// globalPeer[r*G+p] is the router on the other end of router r's global
-	// port p, or -1 if the port is unwired (non-divisible configurations).
-	globalPeer []RouterID
-	// globalPeerPort[r*G+p] is the peer's port index for the same link.
-	globalPeerPort []int32
-	// gateways[a][b] lists, for source group a and destination group b, the
-	// (router, port) pairs in group a whose global link lands in group b.
-	gateways [][][]Gateway
-}
-
-// Gateway is a router (with the specific global port) that connects its
-// group to some destination group. Peer is the router at the far end of the
-// link, precomputed so route construction never needs a per-port lookup.
-type Gateway struct {
-	Router RouterID
-	Port   int
-	Peer   RouterID
+	layout
 }
 
 // New builds and wires a machine.
@@ -128,13 +116,8 @@ func New(cfg Config) (*Dragonfly, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Dragonfly{
-		cfg:             cfg,
-		routersPerGroup: cfg.RoutersPerGroup(),
-	}
-	t.numRouters = cfg.Groups * t.routersPerGroup
-	t.numNodes = t.numRouters * cfg.NodesPerRouter
-	t.wireGlobal()
+	t := &Dragonfly{cfg: cfg, layout: cfg.layout()}
+	t.wire(t)
 	return t, nil
 }
 
@@ -146,11 +129,6 @@ func MustNew(cfg Config) *Dragonfly {
 	}
 	return t
 }
-
-// Topology is the historical name of the XC40 dragonfly implementation.
-//
-// Deprecated: use Dragonfly (or the Interconnect interface).
-type Topology = Dragonfly
 
 // Build makes Config a Machine: it wires the described dragonfly.
 func (c Config) Build() (Interconnect, error) { return New(c) }
@@ -178,21 +156,6 @@ func (t *Dragonfly) Config() Config { return t.cfg }
 // Name identifies the topology family.
 func (t *Dragonfly) Name() string { return "dragonfly" }
 
-// NodesPerRouter returns the compute-node count attached to every router.
-func (t *Dragonfly) NodesPerRouter() int { return t.cfg.NodesPerRouter }
-
-// NumGroups returns the group count.
-func (t *Dragonfly) NumGroups() int { return t.cfg.Groups }
-
-// NumRouters returns the machine-wide router count.
-func (t *Dragonfly) NumRouters() int { return t.numRouters }
-
-// NumNodes returns the machine-wide compute-node count.
-func (t *Dragonfly) NumNodes() int { return t.numNodes }
-
-// RoutersPerGroup returns the per-group router count.
-func (t *Dragonfly) RoutersPerGroup() int { return t.routersPerGroup }
-
 // RouterAt returns the router at a coordinate.
 func (t *Dragonfly) RouterAt(group, row, col int) RouterID {
 	return RouterID((group*t.cfg.Rows+row)*t.cfg.Cols + col)
@@ -204,96 +167,6 @@ func (t *Dragonfly) RouterCoord(r RouterID) Coord {
 	rest := int(r) / t.cfg.Cols
 	row := rest % t.cfg.Rows
 	return Coord{Group: rest / t.cfg.Rows, Row: row, Col: col}
-}
-
-// GroupOfRouter returns the group containing a router.
-func (t *Dragonfly) GroupOfRouter(r RouterID) int {
-	return int(r) / t.routersPerGroup
-}
-
-// RouterOfNode returns the router a node attaches to.
-func (t *Dragonfly) RouterOfNode(n NodeID) RouterID {
-	return RouterID(int(n) / t.cfg.NodesPerRouter)
-}
-
-// NodeSlot returns the node's terminal-port slot on its router.
-func (t *Dragonfly) NodeSlot(n NodeID) int {
-	return int(n) % t.cfg.NodesPerRouter
-}
-
-// NodeAt returns the node in a given slot of a router.
-func (t *Dragonfly) NodeAt(r RouterID, slot int) NodeID {
-	return NodeID(int(r)*t.cfg.NodesPerRouter + slot)
-}
-
-// GroupOfNode returns the group containing a node.
-func (t *Dragonfly) GroupOfNode(n NodeID) int {
-	return t.GroupOfRouter(t.RouterOfNode(n))
-}
-
-// NodesOfRouter returns the nodes attached to a router, in slot order.
-func (t *Dragonfly) NodesOfRouter(r RouterID) []NodeID {
-	out := make([]NodeID, t.cfg.NodesPerRouter)
-	for i := range out {
-		out[i] = t.NodeAt(r, i)
-	}
-	return out
-}
-
-// --- chassis / cabinet structure -----------------------------------------
-
-// ChassisCount returns the machine-wide chassis count (one chassis per grid
-// row per group, as on Theta).
-func (t *Dragonfly) ChassisCount() int { return t.cfg.Groups * t.cfg.Rows }
-
-// ChassisOfRouter returns the chassis index of a router.
-func (t *Dragonfly) ChassisOfRouter(r RouterID) int {
-	c := t.RouterCoord(r)
-	return c.Group*t.cfg.Rows + c.Row
-}
-
-// RoutersInChassis returns the routers of one chassis in column order.
-func (t *Dragonfly) RoutersInChassis(chassis int) []RouterID {
-	group := chassis / t.cfg.Rows
-	row := chassis % t.cfg.Rows
-	out := make([]RouterID, t.cfg.Cols)
-	for col := range out {
-		out[col] = t.RouterAt(group, row, col)
-	}
-	return out
-}
-
-// CabinetsPerGroup returns how many cabinets one group spans; a trailing
-// partial cabinet counts as one.
-func (t *Dragonfly) CabinetsPerGroup() int {
-	return (t.cfg.Rows + t.cfg.ChassisPerCabinet - 1) / t.cfg.ChassisPerCabinet
-}
-
-// CabinetCount returns the machine-wide cabinet count.
-func (t *Dragonfly) CabinetCount() int { return t.cfg.Groups * t.CabinetsPerGroup() }
-
-// CabinetOfRouter returns the cabinet index of a router.
-func (t *Dragonfly) CabinetOfRouter(r RouterID) int {
-	c := t.RouterCoord(r)
-	return c.Group*t.CabinetsPerGroup() + c.Row/t.cfg.ChassisPerCabinet
-}
-
-// RoutersInCabinet returns the routers of one cabinet in row-major order.
-func (t *Dragonfly) RoutersInCabinet(cabinet int) []RouterID {
-	perGroup := t.CabinetsPerGroup()
-	group := cabinet / perGroup
-	firstRow := (cabinet % perGroup) * t.cfg.ChassisPerCabinet
-	lastRow := firstRow + t.cfg.ChassisPerCabinet
-	if lastRow > t.cfg.Rows {
-		lastRow = t.cfg.Rows
-	}
-	var out []RouterID
-	for row := firstRow; row < lastRow; row++ {
-		for col := 0; col < t.cfg.Cols; col++ {
-			out = append(out, t.RouterAt(group, row, col))
-		}
-	}
-	return out
 }
 
 // --- local connectivity ----------------------------------------------------
@@ -372,9 +245,20 @@ func (t *Dragonfly) LocalNextHop(cur, dst RouterID) RouterID {
 	return dst
 }
 
-// NumValiantRouters returns how many routers are eligible as Valiant
-// intermediates; on the XC40 grid every router qualifies.
-func (t *Dragonfly) NumValiantRouters() int { return t.numRouters }
-
-// ValiantRouter returns the i-th eligible Valiant intermediate.
-func (t *Dragonfly) ValiantRouter(i int) RouterID { return RouterID(i) }
+// Describe returns a human-readable inventory of the machine — the textual
+// equivalent of the paper's Figure 1 system diagram.
+func (t *Dragonfly) Describe() string {
+	c := t.cfg
+	localPerRouter := (c.Cols - 1) + (c.Rows - 1)
+	wired := len(t.GlobalConns())
+	return fmt.Sprintf(
+		"dragonfly: %d groups x (%dx%d routers) x %d nodes = %d routers, %d nodes\n"+
+			"  chassis: %d (one per grid row), cabinets: %d (%d chassis each)\n"+
+			"  local links/router: %d (row all-to-all + column all-to-all)\n"+
+			"  global ports/router: %d; bidirectional global links: %d (%d per group pair)\n",
+		c.Groups, c.Rows, c.Cols, c.NodesPerRouter, t.NumRouters(), t.NumNodes(),
+		t.ChassisCount(), t.CabinetCount(), c.ChassisPerCabinet,
+		localPerRouter,
+		c.GlobalPortsPerRouter, wired, perPairOrZero(wired, c.Groups),
+	)
+}

@@ -36,6 +36,10 @@ func TestValidate(t *testing.T) {
 		{Groups: 2, Rows: 1, Cols: 1, NodesPerRouter: 0, ChassisPerCabinet: 1},
 		{Groups: 2, Rows: 1, Cols: 1, NodesPerRouter: 1, ChassisPerCabinet: 0},
 		{Groups: 2, Rows: 1, Cols: 1, NodesPerRouter: 1, ChassisPerCabinet: 1, GlobalPortsPerRouter: 0},
+		{Groups: 2, Rows: 1, Cols: 1, NodesPerRouter: 1, ChassisPerCabinet: 1, GlobalPortsPerRouter: -1},
+		// 2 global ports per group cannot reach 9 other groups: round-robin
+		// wiring would leave 84 of the 90 ordered group pairs unconnected.
+		{Groups: 10, Rows: 1, Cols: 2, NodesPerRouter: 2, GlobalPortsPerRouter: 1, ChassisPerCabinet: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -6,33 +6,22 @@ import (
 	"dragonfly/internal/par"
 )
 
-// Global-link wiring. Each router owns GlobalPortsPerRouter global ports.
-// Within a group, ports are enumerated linearly: port p of the i-th router
-// has index k = i*G + p. Port k is assigned to the (k mod (Groups-1))-th
-// other group, and is the (k div (Groups-1))-th parallel "slot" toward that
-// group. The link in slot s from group a to group b pairs with the link in
-// slot s from b to a, forming one bidirectional global link — the canonical
-// round-robin ("relative-group") arrangement used by dragonfly simulators.
+// Global-link wiring. Each port-owning router (from portBase on in its
+// group) owns portsPerRouter global ports. Within a group, ports are
+// enumerated linearly: port p of the i-th port-owning router has index
+// k = i*P + p. Port k is assigned to the (k mod (Groups-1))-th other group,
+// and is the (k div (Groups-1))-th parallel "slot" toward that group. The
+// link in slot s from group a to group b pairs with the link in slot s from
+// b to a, forming one bidirectional global link — the canonical round-robin
+// ("relative-group") arrangement used by dragonfly simulators.
 //
-// When Groups-1 does not divide routersPerGroup*G, opposite directions of a
-// pair can own different slot counts; the surplus ports stay unwired
+// When Groups-1 does not divide the ports of a group, opposite directions of
+// a pair can own different slot counts; the surplus ports stay unwired
 // (globalPeer = -1). All preset machines divide evenly.
 
-func (t *Dragonfly) wireGlobal() {
-	g := t.cfg.GlobalPortsPerRouter
-	t.globalPeer, t.globalPeerPort, t.gateways = roundRobinWire(
-		t.cfg.Groups, t.numRouters, g, t.routersPerGroup*g,
-		func(group, k int) RouterID { return RouterID(group*t.routersPerGroup + k/g) },
-	)
-}
-
-// roundRobinWire runs the round-robin pairing described above for a machine
-// whose groups each expose portsPerGroup ports on the routers selected by
-// ownerOf (mapping a group-linear port index k to the owning router; the
-// router's own port index is k mod portsPerRouter). It returns the dense
-// peer/peerPort tables (indexed r*portsPerRouter+p, -1 when unwired) and the
-// per-group-pair gateway lists. Both dragonfly variants share it, so their
-// global wiring follows the same canonical arrangement.
+// wire records the family's local fabric and runs the round-robin pairing
+// described above, filling the dense peer/peerPort tables (indexed
+// r*portsPerRouter+p, -1 when unwired) and the per-group-pair gateway lists.
 //
 // The wiring is sharded across the par worker pool: slot enumeration by
 // group, pair wiring by source group. Every group pair (a, b) with a < b is
@@ -40,19 +29,22 @@ func (t *Dragonfly) wireGlobal() {
 // port slots in peer/peerPort and the two gateways[a][b]/gateways[b][a]
 // cells — touch no other pair's, so the wired machine is byte-identical at
 // every worker count.
-func roundRobinWire(groups, numRouters, portsPerRouter, portsPerGroup int, ownerOf func(group, k int) RouterID) (peer []RouterID, peerPort []int32, gateways [][][]Gateway) {
-	peer = make([]RouterID, numRouters*portsPerRouter)
-	peerPort = make([]int32, numRouters*portsPerRouter)
+func (l *layout) wire(local localDistance) {
+	l.local = local
+	groups, rpg, ports, portsPerGroup := l.groups, l.routersPerGroup, l.portsPerRouter, l.portsPerGroup()
+	peer := make([]RouterID, l.NumRouters()*ports)
+	peerPort := make([]int32, l.NumRouters()*ports)
 	for i := range peer {
 		peer[i] = -1
 		peerPort[i] = -1
 	}
-	gateways = make([][][]Gateway, groups)
+	gateways := make([][][]Gateway, groups)
 	for a := range gateways {
 		gateways[a] = make([][]Gateway, groups)
 	}
-	if groups < 2 || portsPerRouter == 0 {
-		return peer, peerPort, gateways
+	l.globalPeer, l.globalPeerPort, l.gateways = peer, peerPort, gateways
+	if groups < 2 || ports == 0 {
+		return
 	}
 
 	others := groups - 1
@@ -102,12 +94,13 @@ func roundRobinWire(groups, numRouters, portsPerRouter, portsPerGroup int, owner
 				ba := make([]Gateway, 0, n)
 				for s := 0; s < n; s++ {
 					ka, kb := slotPort[a][b][s], slotPort[b][a][s]
-					ra, rb := ownerOf(a, ka), ownerOf(b, kb)
-					pa, pb := ka%portsPerRouter, kb%portsPerRouter
-					peer[int(ra)*portsPerRouter+pa] = rb
-					peerPort[int(ra)*portsPerRouter+pa] = int32(pb)
-					peer[int(rb)*portsPerRouter+pb] = ra
-					peerPort[int(rb)*portsPerRouter+pb] = int32(pa)
+					ra := RouterID(a*rpg + l.portBase + ka/ports)
+					rb := RouterID(b*rpg + l.portBase + kb/ports)
+					pa, pb := ka%ports, kb%ports
+					peer[int(ra)*ports+pa] = rb
+					peerPort[int(ra)*ports+pa] = int32(pb)
+					peer[int(rb)*ports+pb] = ra
+					peerPort[int(rb)*ports+pb] = int32(pa)
 					ab = append(ab, Gateway{Router: ra, Port: pa, Peer: rb})
 					ba = append(ba, Gateway{Router: rb, Port: pb, Peer: ra})
 				}
@@ -116,39 +109,48 @@ func roundRobinWire(groups, numRouters, portsPerRouter, portsPerGroup int, owner
 			}
 		}
 	})
-	return peer, peerPort, gateways
 }
 
 // GlobalPeer returns the router and port at the far end of router r's global
 // port p; ok is false when the port is unwired.
-func (t *Dragonfly) GlobalPeer(r RouterID, p int) (peer RouterID, peerPort int, ok bool) {
-	g := t.cfg.GlobalPortsPerRouter
+func (l *layout) GlobalPeer(r RouterID, p int) (peer RouterID, peerPort int, ok bool) {
+	g := l.portsPerRouter
 	if p < 0 || p >= g {
 		panic(fmt.Sprintf("topology: global port %d out of range [0,%d)", p, g))
 	}
 	idx := int(r)*g + p
-	if t.globalPeer[idx] < 0 {
+	if l.globalPeer[idx] < 0 {
 		return 0, 0, false
 	}
-	return t.globalPeer[idx], int(t.globalPeerPort[idx]), true
+	return l.globalPeer[idx], int(l.globalPeerPort[idx]), true
 }
 
-// Gateways returns the (router, port) pairs in group src whose global links
-// land in group dst. The returned slice is shared; callers must not mutate it.
-func (t *Dragonfly) Gateways(src, dst int) []Gateway {
-	return t.gateways[src][dst]
+// Gateways returns the (router, port, peer) triples of group src whose
+// global links land in group dst. The returned slice is shared; callers
+// must not mutate it.
+func (l *layout) Gateways(src, dst int) []Gateway {
+	return l.gateways[src][dst]
 }
 
 // GlobalConnected reports whether routers a and b are joined by a wired
-// global link in either direction.
-func (t *Dragonfly) GlobalConnected(a, b RouterID) bool {
-	g := t.cfg.GlobalPortsPerRouter
+// global link.
+func (l *layout) GlobalConnected(a, b RouterID) bool {
+	g := l.portsPerRouter
 	for p := 0; p < g; p++ {
-		if t.globalPeer[int(a)*g+p] == b {
+		if l.globalPeer[int(a)*g+p] == b {
 			return true
 		}
 	}
 	return false
+}
+
+// Gateway is a router (with the specific global port) that connects its
+// group to some destination group. Peer is the router at the far end of the
+// link, precomputed so route construction never needs a per-port lookup.
+type Gateway struct {
+	Router RouterID
+	Port   int
+	Peer   RouterID
 }
 
 // GlobalConn is one bidirectional global link, reported once with A < B.
@@ -160,71 +162,26 @@ type GlobalConn struct {
 }
 
 // GlobalConns enumerates every wired global link exactly once.
-func (t *Dragonfly) GlobalConns() []GlobalConn {
-	g := t.cfg.GlobalPortsPerRouter
+func (l *layout) GlobalConns() []GlobalConn {
+	g := l.portsPerRouter
 	var out []GlobalConn
-	for r := 0; r < t.numRouters; r++ {
+	for r := 0; r < l.NumRouters(); r++ {
 		for p := 0; p < g; p++ {
-			peer := t.globalPeer[r*g+p]
+			peer := l.globalPeer[r*g+p]
 			if peer < 0 || RouterID(r) > peer ||
-				(RouterID(r) == peer && p > int(t.globalPeerPort[r*g+p])) {
+				(RouterID(r) == peer && p > int(l.globalPeerPort[r*g+p])) {
 				continue
 			}
 			out = append(out, GlobalConn{
 				A: RouterID(r), APort: p,
-				B: peer, BPort: int(t.globalPeerPort[r*g+p]),
+				B: peer, BPort: int(l.globalPeerPort[r*g+p]),
 			})
 		}
 	}
 	return out
 }
 
-// MinimalRouterHops returns the number of routers a minimally routed packet
-// traverses from src node to dst node — the quantity behind the paper's
-// "average hops" metric (Fig. 4a). Delivery through a single shared router
-// counts 1; the worst minimal inter-group path (two local hops each side of
-// the global hop) counts 6.
-func (t *Dragonfly) MinimalRouterHops(src, dst NodeID) int {
-	rs, rd := t.RouterOfNode(src), t.RouterOfNode(dst)
-	gs, gd := t.GroupOfRouter(rs), t.GroupOfRouter(rd)
-	if gs == gd {
-		return 1 + t.LocalDistance(rs, rd)
-	}
-	best := -1
-	for _, gw := range t.Gateways(gs, gd) {
-		peer, _, ok := t.GlobalPeer(gw.Router, gw.Port)
-		if !ok {
-			continue
-		}
-		h := 1 + t.LocalDistance(rs, gw.Router) + 1 + t.LocalDistance(peer, rd)
-		if best < 0 || h < best {
-			best = h
-		}
-	}
-	if best < 0 {
-		panic(fmt.Sprintf("topology: groups %d and %d are not connected", gs, gd))
-	}
-	return best
-}
-
-// Describe returns a human-readable inventory of the machine — the textual
-// equivalent of the paper's Figure 1 system diagram.
-func (t *Dragonfly) Describe() string {
-	c := t.cfg
-	localPerRouter := (c.Cols - 1) + (c.Rows - 1)
-	wired := len(t.GlobalConns())
-	return fmt.Sprintf(
-		"dragonfly: %d groups x (%dx%d routers) x %d nodes = %d routers, %d nodes\n"+
-			"  chassis: %d (one per grid row), cabinets: %d (%d chassis each)\n"+
-			"  local links/router: %d (row all-to-all + column all-to-all)\n"+
-			"  global ports/router: %d; bidirectional global links: %d (%d per group pair)\n",
-		c.Groups, c.Rows, c.Cols, c.NodesPerRouter, t.numRouters, t.numNodes,
-		t.ChassisCount(), t.CabinetCount(), c.ChassisPerCabinet,
-		localPerRouter,
-		c.GlobalPortsPerRouter, wired, perPairOrZero(wired, c.Groups),
-	)
-}
-
+// perPairOrZero is the global links per group pair that Describe reports.
 func perPairOrZero(wired, groups int) int {
 	pairs := groups * (groups - 1) / 2
 	if pairs == 0 {
