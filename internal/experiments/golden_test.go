@@ -12,8 +12,9 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// The golden-run regression suite: committed byte-exact snapshots of small
-// fig2/fig3/fig8 outputs (rendered text and every CSV) anchor the model.
+// The golden-run regression suite: committed byte-exact snapshots of every
+// paper artifact and every extension at small scale (rendered text and
+// every CSV) anchor the model.
 // Any refactor that perturbs a simulated result — event ordering, RNG
 // consumption, float formatting, flow-control behavior — fails these tests
 // loudly instead of silently drifting the paper's figures.
@@ -24,20 +25,27 @@ import (
 //
 // and commit the rewritten files under testdata/golden with a justification.
 
-// goldenIDs are the anchored experiments: fig2 exercises the trace
+// goldenIDs are the anchored experiments: table1 and table2 the
+// configuration catalog and the analytic background loads, fig2 the trace
 // generators alone, fig3 the full placement x routing simulation grid,
-// fig8 the background-interference path, figr the degraded-fabric
-// resilience sweep (on the mini machine, so the snapshot also anchors the
-// fault model's deterministic draw and the fault-aware routing layer), and
-// figq the learning-router comparison (also on mini — it anchors the
-// qadaptive policy's Q-table trajectory end to end, saturation feedback
-// included), and figa the collective-workload sweep (it anchors the
-// dependency-graph generators and the graph executor on both interconnects),
-// and figf the availability sweep (it anchors the flap expansion and the
-// correlated group/bundle fault domains end to end, mid-run repair included),
-// and xmulti the multijob co-runs (it anchors core.RunMulti: shared-pool
-// placement in spec order and concurrent replays on one fabric).
-var goldenIDs = []string{"fig2", "fig3", "fig8", "figr", "figq", "figa", "figf", "xmulti"}
+// fig4-fig6 the hop and channel views of that grid, fig7 the message-size
+// sweep, fig8-fig10 the background-interference path (uniform and bursty),
+// and xmap the task-mapping sweep. Among the other extensions, figr is the
+// degraded-fabric resilience sweep (on the mini machine, so the snapshot
+// also anchors the fault model's deterministic draw and the fault-aware
+// routing layer), figq the learning-router comparison (also on mini — it
+// anchors the qadaptive policy's Q-table trajectory end to end, saturation
+// feedback included), figa the collective-workload sweep (it anchors the
+// dependency-graph generators and the graph executor on both
+// interconnects), figf the availability sweep (it anchors the flap
+// expansion and the correlated group/bundle fault domains end to end,
+// mid-run repair included), and xmulti the multijob co-runs (it anchors
+// core.RunMulti: shared-pool placement in spec order and concurrent
+// replays on one fabric).
+var goldenIDs = []string{
+	"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"xmap", "xmulti", "figr", "figq", "figa", "figf",
+}
 
 func updateGolden() bool { return os.Getenv("UPDATE_GOLDEN") == "1" }
 
