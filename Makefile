@@ -71,10 +71,13 @@ bench-diff:
 # both CLIs must build the same cells and address them identically. The
 # extension leg runs the five farm-backed extension sweeps through dfsweep
 # cold then warm: the warm pass must replay all 104 distinct cells (zero
-# simulations) into a report byte-identical to the cold one.
+# simulations) into a report byte-identical to the cold one. The paper leg
+# does the same for every paper artifact (dfsweep -exp all): 128 distinct
+# cells, since Figure 7's scale-1 extreme cells are Figure 3's.
 FARM_SMOKE := /tmp/dffarm-smoke
 FIG3_GRID := -apps CR,FB,AMG -placements cont,cab,chas,rotr,rand -routings min,adp
 EXT_SWEEP := -exp xmap,figr,figq,figa,figf -parallel 2 -quiet -farm-cache $(FARM_SMOKE)/ext
+ALL_SWEEP := -exp all -parallel 2 -quiet -farm-cache $(FARM_SMOKE)/all
 farm-smoke: build
 	rm -rf $(FARM_SMOKE) && mkdir -p $(FARM_SMOKE)
 	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -quiet -corpus $(FARM_SMOKE)/cold.csv 2>&1 | tee $(FARM_SMOKE)/cold.log
@@ -93,7 +96,13 @@ farm-smoke: build
 	cat $(FARM_SMOKE)/ext-warm.log
 	grep -q "104 hits, 0 simulated" $(FARM_SMOKE)/ext-warm.log
 	cmp $(FARM_SMOKE)/ext-cold.txt $(FARM_SMOKE)/ext-warm.txt
-	@echo "farm-smoke: warm rerun replayed all 8 cells from the store; corpora byte-identical; dfsweep replayed dffarm's 30 fig3 cells into the golden report and the extension sweeps' 104 cells into their cold report"
+	$(GO) run ./cmd/dfsweep $(ALL_SWEEP) > $(FARM_SMOKE)/all-cold.txt 2> $(FARM_SMOKE)/all-cold.log
+	grep -q "0 hits, 128 simulated" $(FARM_SMOKE)/all-cold.log
+	$(GO) run ./cmd/dfsweep $(ALL_SWEEP) > $(FARM_SMOKE)/all-warm.txt 2> $(FARM_SMOKE)/all-warm.log
+	cat $(FARM_SMOKE)/all-warm.log
+	grep -q "128 hits, 0 simulated" $(FARM_SMOKE)/all-warm.log
+	cmp $(FARM_SMOKE)/all-cold.txt $(FARM_SMOKE)/all-warm.txt
+	@echo "farm-smoke: warm rerun replayed all 8 cells from the store; corpora byte-identical; dfsweep replayed dffarm's 30 fig3 cells into the golden report, the extension sweeps' 104 cells and the paper figures' 128 cells into their cold reports"
 
 # Collective-workload smoke: the graph-executor determinism suite (ring
 # all-reduce and MoE all-to-all on both the Dragonfly and Dragonfly+ mini

@@ -83,10 +83,7 @@ func main() {
 
 	// Resolve every sweep axis up front so flag mistakes exit before any
 	// simulation starts.
-	opts := dragonfly.ExperimentOptions{
-		BurstDivisor: *burst,
-		Audit:        *auditOn,
-	}
+	opts := dragonfly.ExperimentOptions{Audit: *auditOn}
 	switch *scale {
 	case "quick":
 		opts.Scale = dragonfly.ScaleQuick
@@ -135,6 +132,9 @@ func main() {
 	}
 	appNames, err := cliutil.Apps(*apps)
 	if err != nil {
+		cliutil.Usagef("dffarm", "%v", err)
+	}
+	if opts.BurstDivisor, err = cliutil.BurstDivisor(*burst); err != nil {
 		cliutil.Usagef("dffarm", "%v", err)
 	}
 	if *retries, err = cliutil.Retries(*retries); err != nil {

@@ -55,11 +55,10 @@ func main() {
 	}()
 
 	opts := dragonfly.ExperimentOptions{
-		Seed:         *seed,
-		DataDir:      *dataDir,
-		BurstDivisor: *burst,
-		Parallel:     *parallel,
-		Audit:        *auditOn,
+		Seed:     *seed,
+		DataDir:  *dataDir,
+		Parallel: *parallel,
+		Audit:    *auditOn,
 	}
 	switch *scale {
 	case "quick":
@@ -81,6 +80,9 @@ func main() {
 		cliutil.Usagef("dfsweep", "%v", err)
 	}
 	opts.Faults = fspec
+	if opts.BurstDivisor, err = cliutil.BurstDivisor(*burst); err != nil {
+		cliutil.Usagef("dfsweep", "%v", err)
+	}
 	if opts.Retries, err = cliutil.Retries(*retries); err != nil {
 		cliutil.Usagef("dfsweep", "%v", err)
 	}

@@ -294,6 +294,16 @@ func Retries(n int) (int, error) {
 	return n, nil
 }
 
+// BurstDivisor validates the -burst-divisor flag: 0 selects the scale's
+// default bursty-background volume, a positive value divides each node's
+// bursty fan-out.
+func BurstDivisor(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("burst divisor %d: want 0 (the scale default) or a positive divisor", n)
+	}
+	return n, nil
+}
+
 // JobTimeout validates the -job-timeout flag: the per-cell wall-clock
 // budget, 0 disabling it.
 func JobTimeout(d time.Duration) (time.Duration, error) {

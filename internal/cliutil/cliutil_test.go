@@ -112,6 +112,10 @@ func TestParsers(t *testing.T) {
 		{"retries/positive", func() (interface{}, error) { return Retries(3) }, 3, ""},
 		{"retries/negative", func() (interface{}, error) { return Retries(-1) }, nil, "want 0 (fail on first error) or a positive"},
 
+		{"burst-divisor/zero", func() (interface{}, error) { return BurstDivisor(0) }, 0, ""},
+		{"burst-divisor/positive", func() (interface{}, error) { return BurstDivisor(8) }, 8, ""},
+		{"burst-divisor/negative", func() (interface{}, error) { return BurstDivisor(-1) }, nil, "want 0 (the scale default) or a positive divisor"},
+
 		{"job-timeout/zero", func() (interface{}, error) { return JobTimeout(0) }, time.Duration(0), ""},
 		{"job-timeout/positive", func() (interface{}, error) { return JobTimeout(5 * time.Minute) }, 5 * time.Minute, ""},
 		{"job-timeout/negative", func() (interface{}, error) { return JobTimeout(-time.Second) }, nil, "want 0 (no wall-clock budget) or a positive"},

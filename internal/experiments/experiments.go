@@ -33,6 +33,7 @@ import (
 	"dragonfly/internal/faults"
 	"dragonfly/internal/mapping"
 	"dragonfly/internal/network"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/workload"
@@ -152,8 +153,10 @@ func NewRunner(opts Options) *Runner {
 }
 
 // FarmStats returns the accumulated farm statistics of every simulation
-// cell this runner resolved; without a store every cell counts as
-// simulated.
+// cell this runner's experiments requested. Each experiment requests each
+// of its cells once, so a cell counts once per experiment that draws on
+// it; a cell an earlier experiment already resolved counts in Cells and
+// InShard only. Without a store every new cell counts as simulated.
 func (r *Runner) FarmStats() farm.Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -516,7 +519,19 @@ func (r *Runner) generateTrace(name string) (*trace.Trace, error) {
 func (r *Runner) Background(kind workload.BackgroundKind, app string) (*workload.BackgroundConfig, error) {
 	switch kind {
 	case workload.UniformRandom:
-		cfg := r.uniformBackground()
+		// The paper's uniform-random interference: 16 KiB per node per
+		// interval (Sec. IV-C / Table II).
+		cfg := workload.BackgroundConfig{
+			Kind:     workload.UniformRandom,
+			MsgBytes: 16 * 1024,
+			Interval: 50 * des.Microsecond, // within the paper's 0.002-1 ms band
+		}
+		if r.opts.Scale == ScaleQuick {
+			// Sized to the miniature apps' microsecond-scale runs so several
+			// interference waves land while they communicate.
+			cfg.MsgBytes = 32 * 1024
+			cfg.Interval = 5 * des.Microsecond
+		}
 		return &cfg, nil
 	case workload.Bursty:
 		ranks, err := r.appRanks(app)
@@ -544,23 +559,6 @@ func (r *Runner) appRanks(name string) (int, error) {
 		return 0, err
 	}
 	return tr.NumRanks(), nil
-}
-
-// uniformBackground returns the paper's uniform-random interference
-// (16 KiB per node per interval; Sec. IV-C / Table II).
-func (r *Runner) uniformBackground() workload.BackgroundConfig {
-	cfg := workload.BackgroundConfig{
-		Kind:     workload.UniformRandom,
-		MsgBytes: 16 * 1024,
-		Interval: 50 * des.Microsecond, // within the paper's 0.002-1 ms band
-	}
-	if r.opts.Scale == ScaleQuick {
-		// Sized to the miniature apps' microsecond-scale runs so several
-		// interference waves land while they communicate.
-		cfg.MsgBytes = 32 * 1024
-		cfg.Interval = 5 * des.Microsecond
-	}
-	return cfg
 }
 
 // burstyBackground returns the paper's bursty interference for a target
@@ -675,23 +673,17 @@ func (r *Runner) cellConfig(rq simReq) (core.Config, error) {
 	return cfg, nil
 }
 
-// resultFor runs (or recalls) one simulation cell. Safe for concurrent use.
-func (r *Runner) resultFor(app string, cell core.Cell, msgScale float64, bg *workload.BackgroundConfig) (*core.Result, error) {
-	res, err := r.resolve([]simReq{{app: app, cell: cell, msgScale: msgScale, bg: bg}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // resolve runs (or recalls) cells through the farm in one request, so they
 // fan out across the worker pool, and returns one result per request in
-// request order. Callers list a whole grid in table order — with one
-// worker, cells then run and report progress in exactly that order — and
-// list each cell once: the farm counts a repeat within one request as a
-// hit. Cells resolved earlier come from the farm's memo without being
-// counted again. The first failed or unfinished cell, in request order, is
-// the error; every cell is attempted first.
+// request order. It is the runner's one result path: each experiment lists
+// its whole grid once, in table order, calls resolve once, and renders from
+// the returned slice by grid position. With one worker, cells then run and
+// report progress in exactly that order. A cell listed twice in one request
+// would count as a hit, so grids list each cell once. Cells an earlier
+// experiment resolved come from the farm's memo and count in FarmStats'
+// Cells and InShard only. The first failed or unfinished cell, in request
+// order, is the error; every cell is attempted first. Safe for concurrent
+// use.
 func (r *Runner) resolve(reqs []simReq) ([]*core.Result, error) {
 	cfgs := make([]core.Config, len(reqs))
 	for i, rq := range reqs {
@@ -771,6 +763,13 @@ func describeBG(bg *workload.BackgroundConfig) string {
 
 // fmtF renders a float compactly for tables.
 func fmtF(v float64) string { return fmt.Sprintf("%.4g", v) }
+
+// medianMaxHops renders the median_ms, max_ms and mean_hops columns of one
+// result: its median and maximum communication time and its mean hops.
+func medianMaxHops(res *core.Result) []string {
+	b := stats.BoxOf(res.CommTimesMs())
+	return []string{fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops))}
+}
 
 // percentileRow renders [p25 p50 p75 p90 max] of values; ok for empty input.
 func percentileRow(values []float64) []string {

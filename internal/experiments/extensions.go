@@ -8,7 +8,6 @@ import (
 	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
-	"dragonfly/internal/stats"
 	"dragonfly/internal/trace"
 )
 
@@ -48,10 +47,7 @@ func (r *Runner) XMap() (*Report, error) {
 		return nil, err
 	}
 	for i, res := range results {
-		box := stats.BoxOf(res.CommTimesMs())
-		t.Rows = append(t.Rows, []string{
-			reqs[i].mapping.String(), fmtF(box.Median), fmtF(box.Max), fmtF(stats.Mean(res.AvgHops)),
-		})
+		t.Rows = append(t.Rows, append([]string{reqs[i].mapping.String()}, medianMaxHops(res)...))
 	}
 	rep.Tables = append(rep.Tables, t)
 	return r.finish(rep)

@@ -106,9 +106,9 @@ func TestFarmBackedGoldenFigA(t *testing.T) {
 	}
 }
 
-// TestFarmBackedGoldenFig3 covers the paper's headline figure — its grid
-// resolved up front, then each cell recalled through resultFor — against
-// its golden snapshot, cold then warm.
+// TestFarmBackedGoldenFig3 covers the paper's headline figure — its
+// 30-cell grid resolved in one request and rendered from the returned
+// results — against its golden snapshot, cold then warm.
 func TestFarmBackedGoldenFig3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates fig3 twice")

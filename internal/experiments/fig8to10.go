@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"dragonfly/internal/ascii"
 	"dragonfly/internal/core"
-	"dragonfly/internal/stats"
 	"dragonfly/internal/workload"
 )
 
@@ -13,24 +11,22 @@ import (
 // the traffic through the channels of AMG's routers under uniform-random
 // background traffic.
 func (r *Runner) Figure8() (*Report, error) {
-	rep := &Report{
-		ID:    "fig8",
-		Title: "Communication time and channel traffic of AMG with uniform random background (Figure 8)",
-	}
-	uni := r.uniformBackground()
-	box, plot, err := r.commBoxTable("AMG", "AMG communication time under uniform background (ms)", &uni)
+	uni, err := r.Background(workload.UniformRandom, "AMG")
 	if err != nil {
 		return nil, err
 	}
-	rep.Tables = append(rep.Tables, *box)
-	rep.Plots = append(rep.Plots, *plot)
-
-	traffic, err := r.bgChannelTables("AMG", &uni, true, true)
+	results, err := r.resolve(backgroundGrid("AMG", uni))
 	if err != nil {
 		return nil, err
 	}
-	rep.Tables = append(rep.Tables, traffic...)
-	return r.finish(rep)
+	title := "AMG communication time under uniform background (ms)"
+	box, plot := boxTable(title, title, results)
+	return r.finish(&Report{
+		ID:     "fig8",
+		Title:  "Communication time and channel traffic of AMG with uniform random background (Figure 8)",
+		Tables: append([]Table{box}, bgChannelTables("AMG", uni, results, true, true)...),
+		Plots:  []Plot{plot},
+	})
 }
 
 // Figure9 regenerates the CR interference study: communication time under
@@ -47,66 +43,37 @@ func (r *Runner) Figure10() (*Report, error) {
 		"Communication time and local channel traffic of FB with background traffic (Figure 10)")
 }
 
+// appInterference is the body of Figs. 9 and 10: one application's grid
+// under the uniform background, then under the bursty one, in one request.
 func (r *Runner) appInterference(id, app, title string) (*Report, error) {
+	uni, err := r.Background(workload.UniformRandom, app)
+	if err != nil {
+		return nil, err
+	}
+	bur, err := r.Background(workload.Bursty, app)
+	if err != nil {
+		return nil, err
+	}
+	results, err := r.resolve(append(backgroundGrid(app, uni), backgroundGrid(app, bur)...))
+	if err != nil {
+		return nil, err
+	}
+	n := len(core.AllCells())
 	rep := &Report{ID: id, Title: title}
-	uni := r.uniformBackground()
-	boxU, plotU, err := r.commBoxTable(app, fmt.Sprintf("%s communication time under uniform background (ms)", app), &uni)
-	if err != nil {
-		return nil, err
+	for i, bg := range []*workload.BackgroundConfig{uni, bur} {
+		boxTitle := fmt.Sprintf("%s communication time under %s background (ms)", app, bg.Kind)
+		t, p := boxTable(boxTitle, boxTitle, results[i*n:(i+1)*n])
+		rep.Tables = append(rep.Tables, t)
+		rep.Plots = append(rep.Plots, p)
 	}
-	rep.Tables = append(rep.Tables, *boxU)
-	rep.Plots = append(rep.Plots, *plotU)
-
-	machineNodes := r.machineNodes()
-	tr, err := r.AppTrace(app)
-	if err != nil {
-		return nil, err
-	}
-	bur := r.burstyBackground(app, machineNodes-tr.NumRanks())
-	boxB, plotB, err := r.commBoxTable(app, fmt.Sprintf("%s communication time under bursty background (ms)", app), &bur)
-	if err != nil {
-		return nil, err
-	}
-	rep.Tables = append(rep.Tables, *boxB)
-	rep.Plots = append(rep.Plots, *plotB)
-
-	local, err := r.bgChannelTables(app, &bur, true, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.Tables = append(rep.Tables, local...)
+	rep.Tables = append(rep.Tables, bgChannelTables(app, bur, results[n:], true, false)...)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"bursty volume reduced by fan-out limit (%d peers/node); Table II reports full loads", bur.FanOut))
 	return r.finish(rep)
 }
 
-// commBoxTable renders a per-configuration box plot of communication times
-// for one application under a background load, with its ASCII panel.
-func (r *Runner) commBoxTable(app, title string, bg *workload.BackgroundConfig) (*Table, *Plot, error) {
-	t := Table{
-		Title:   title,
-		Columns: []string{"config", "min", "q1", "median", "q3", "max"},
-	}
-	if _, err := r.resolve(backgroundGrid(app, bg)); err != nil {
-		return nil, nil, err
-	}
-	var boxes []ascii.NamedValues
-	for _, cell := range core.AllCells() {
-		res, err := r.resultFor(app, cell, 1, bg)
-		if err != nil {
-			return nil, nil, err
-		}
-		times := res.CommTimesMs()
-		b := stats.BoxOf(times)
-		t.Rows = append(t.Rows, []string{
-			cell.Name(), fmtF(b.Min), fmtF(b.Q1), fmtF(b.Median), fmtF(b.Q3), fmtF(b.Max),
-		})
-		boxes = append(boxes, ascii.NamedValues{Name: cell.Name(), Values: times})
-	}
-	return &t, &Plot{Title: title, Text: ascii.BoxPlot(boxes, 60)}, nil
-}
-
-// backgroundGrid lists one application's ten cells against a background load.
+// backgroundGrid lists one application's ten cells in the paper's
+// presentation order, against a background load or, with nil, isolated.
 func backgroundGrid(app string, bg *workload.BackgroundConfig) []simReq {
 	var grid []simReq
 	for _, cell := range core.AllCells() {
@@ -115,13 +82,10 @@ func backgroundGrid(app string, bg *workload.BackgroundConfig) []simReq {
 	return grid
 }
 
-// bgChannelTables renders the traffic through the channels of the routers
-// serving the application while it ran against the background.
-func (r *Runner) bgChannelTables(app string, bg *workload.BackgroundConfig, local, global bool) ([]Table, error) {
-	if _, err := r.resolve(backgroundGrid(app, bg)); err != nil {
-		return nil, err
-	}
-	var out []Table
+// bgChannelTables renders, from one application's ten-cell grid results
+// under a background, the traffic through the channels of the routers
+// serving the application.
+func bgChannelTables(app string, bg *workload.BackgroundConfig, results []*core.Result, local, global bool) []Table {
 	type panel struct {
 		on    bool
 		title string
@@ -133,6 +97,7 @@ func (r *Runner) bgChannelTables(app string, bg *workload.BackgroundConfig, loca
 		{global, fmt.Sprintf("%s global channel traffic under %s background (MiB, app routers)", app, bg.Kind),
 			func(res *core.Result) []float64 { return res.GlobalTraffic(true) }},
 	}
+	var out []Table
 	for _, p := range panels {
 		if !p.on {
 			continue
@@ -141,14 +106,10 @@ func (r *Runner) bgChannelTables(app string, bg *workload.BackgroundConfig, loca
 			Title:   p.title,
 			Columns: []string{"config", "p25", "p50", "p75", "p90", "max"},
 		}
-		for _, cell := range core.AllCells() {
-			res, err := r.resultFor(app, cell, 1, bg)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, append([]string{cell.Name()}, percentileRow(p.get(res))...))
+		for _, res := range results {
+			t.Rows = append(t.Rows, append([]string{res.Config.Name()}, percentileRow(p.get(res))...))
 		}
 		out = append(out, t)
 	}
-	return out, nil
+	return out
 }

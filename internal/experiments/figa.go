@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
 )
@@ -69,12 +68,8 @@ func (r *Runner) FigureA() (*Report, error) {
 		}
 		for _, app := range apps {
 			for _, cell := range extremeCells {
-				res := results[i]
+				t.Rows = append(t.Rows, append([]string{app, cell.Name()}, medianMaxHops(results[i])...))
 				i++
-				b := stats.BoxOf(res.CommTimesMs())
-				t.Rows = append(t.Rows, []string{
-					app, cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops)),
-				})
 			}
 		}
 		rep.Tables = append(rep.Tables, t)

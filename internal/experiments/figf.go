@@ -5,7 +5,6 @@ import (
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/faults"
-	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 )
 
@@ -75,11 +74,8 @@ func (r *Runner) FigureF() (*Report, error) {
 				if res.RouteErr != nil {
 					status = "unreach"
 				}
-				b := stats.BoxOf(res.CommTimesMs())
-				t.Rows = append(t.Rows, []string{
-					sc.name, cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops)),
-					fmt.Sprintf("%d", res.DroppedPackets), status,
-				})
+				row := append([]string{sc.name, cell.Name()}, medianMaxHops(res)...)
+				t.Rows = append(t.Rows, append(row, fmt.Sprintf("%d", res.DroppedPackets), status))
 			}
 		}
 		rep.Tables = append(rep.Tables, t)

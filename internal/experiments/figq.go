@@ -4,7 +4,6 @@ import (
 	"dragonfly/internal/core"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
-	"dragonfly/internal/stats"
 )
 
 // FigureQ is the learning-router comparison, an extension beyond the
@@ -42,11 +41,8 @@ func (r *Runner) FigureQ() (*Report, error) {
 		Columns: []string{"config", "median_ms", "max_ms", "mean_hops"},
 	}
 	for ci, cell := range cells {
-		res := results[ci] // fraction 0 block comes first
-		b := stats.BoxOf(res.CommTimesMs())
-		headToHead.Rows = append(headToHead.Rows, []string{
-			cell.Name(), fmtF(b.Median), fmtF(b.Max), fmtF(stats.Mean(res.AvgHops)),
-		})
+		// The fraction 0 block comes first.
+		headToHead.Rows = append(headToHead.Rows, append([]string{cell.Name()}, medianMaxHops(results[ci])...))
 	}
 	rep.Tables = append(rep.Tables, headToHead, slow, drops)
 	return r.finish(rep)

@@ -109,6 +109,11 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One result path: the fresh runner's experiment requests each
+			// of its cells once, so every counted cell was simulated once.
+			if st := r.FarmStats(); st.Cells != st.InShard || st.Cells != st.Misses || st.Hits != 0 {
+				t.Errorf("%s farm stats %+v: want Cells == InShard == Misses and 0 hits", id, st)
+			}
 			var buf bytes.Buffer
 			if err := rep.WriteText(&buf); err != nil {
 				t.Fatal(err)

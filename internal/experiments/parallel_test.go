@@ -99,12 +99,12 @@ func firstDiff(a, b string) string {
 }
 
 // The single-flight contract directly: hammer two cells from many
-// goroutines and require exactly two simulations, each cell's result shared
-// by every caller.
+// goroutines, each resolving a one-cell grid, and require exactly two
+// simulations, each cell's result shared by every caller.
 func TestResultCacheSingleFlight(t *testing.T) {
 	var progress syncBuffer
 	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Progress: &progress})
-	cells := isolatedGrid("CR")[:2]
+	cells := backgroundGrid("CR", nil)[:2]
 	const goroutines = 8
 	results := make([]interface{}, goroutines)
 	var wg sync.WaitGroup
@@ -112,13 +112,12 @@ func TestResultCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rq := cells[g%len(cells)]
-			res, err := r.resultFor(rq.app, rq.cell, rq.msgScale, rq.bg)
+			res, err := r.resolve(cells[g%len(cells) : g%len(cells)+1])
 			if err != nil {
 				results[g] = err
 				return
 			}
-			results[g] = res
+			results[g] = res[0]
 		}(g)
 	}
 	wg.Wait()
