@@ -99,4 +99,15 @@ func BenchmarkQueueHoldModel(b *testing.B) {
 			return fabricDelays[r.Intn(len(fabricDelays))]
 		})
 	})
+	// The same mix plus Figure 10's uniform background, whose sends are
+	// offset 0-5 us into their interval: most of those land past the
+	// timing wheel, so this case pays for the far tier and migration.
+	b.Run("farmix", func(b *testing.B) {
+		holdModel(b, 1024, func(r *rand.Rand) Time {
+			if j := r.Intn(len(fabricDelays) + 1); j < len(fabricDelays) {
+				return fabricDelays[j]
+			}
+			return Time(r.Intn(5000))
+		})
+	})
 }

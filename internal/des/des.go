@@ -2,10 +2,14 @@
 // engine and named, reproducible random-number streams.
 //
 // Events run in time order, and events at the same time run in the order
-// they were scheduled. The queue behind that order is a monotone radix
-// heap: simulated time never moves backwards, so the queue buckets events
-// by the highest bit in which their time differs from the earliest pending
-// time, and a pop only ever touches the lowest non-empty bucket.
+// they were scheduled. The queue behind that order has two tiers, both
+// built on the one fact a DES guarantees: simulated time never moves
+// backwards. Events due within a short window after the engine clock sit
+// in a timing wheel of per-nanosecond FIFO slots, where a bitmap scan
+// finds the next one; later events wait in a monotone radix heap, which
+// buckets them by the highest bit in which their time differs from its
+// earliest pending time, and move into the wheel as the clock brings them
+// inside the window.
 //
 // It is the substitute for the ROSS parallel discrete-event core that CODES
 // runs on. The paper uses parallel execution only for simulator speed; a
@@ -29,9 +33,10 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// MaxTime is the latest schedulable instant. Run drains the queue by running
-// until MaxTime; it also serves callers that need an "unbounded" deadline for
-// RunUntil. It is below math.MaxInt64 so that small offsets added to it do
+// MaxTime is the latest schedulable instant: scheduling past it panics.
+// Run drains the queue by running until MaxTime; it also serves callers that
+// need an "unbounded" deadline for RunUntil. It is below math.MaxInt64 so
+// that small offsets added to it, such as the event queue's window end, do
 // not overflow.
 const MaxTime Time = 1<<62 - 1
 
@@ -71,44 +76,77 @@ type event struct {
 	next uint32
 }
 
-// eventQueue is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
-// JACM 1990) keyed on event time. last is the time of the settled minimum
-// and no queued event is earlier, because the engine never schedules into
-// the past. An event at t lives in bucket bits.Len64(t ^ last): bucket 0
-// holds exactly the events at last, and bucket b > 0 the times whose
-// highest bit differing from last is bit b-1, so every time in a bucket
-// precedes every time in a higher one. A pop takes the head of bucket 0.
-// Only when bucket 0 is empty does peek settle: the lowest non-empty
-// bucket's minimum becomes last and that bucket's events relink into
-// strictly lower buckets. An event thus moves at most once per bucket
-// over its life, where a heap sifts it through log n levels on every pop.
+// wheelSize is the timing wheel's span W in nanoseconds, a power of two.
+// It covers the fabric's scheduling horizon (at most 1314 ns ahead for
+// 4 KiB packets under DefaultParams), so nearly every event the fabric
+// schedules skips the radix heap.
+const wheelSize = 2048
+
+// eventQueue holds the pending events in two tiers over one slab of slots.
 //
-// The buckets are FIFO lists threaded through one slab of slots with a
-// free list: the queue's memory is one growable slice, as a binary heap's
-// would be, and steady state allocates nothing. Events with equal times
-// always share a bucket and both appending and relinking preserve list
-// order, so equal times pop in scheduling order; no sequence number is
-// needed for the FIFO tie-break.
+// The near tier is a timing wheel: wheelSize per-nanosecond FIFO slots
+// covering [base, base+wheelSize), where base is the time of the latest
+// pop (the engine clock, never a peeked time). An event at t lives in slot
+// t mod wheelSize; one bit per slot, and one summary bit per 64 slots,
+// find the next non-empty slot in at most three word scans. A push inside
+// the window is a list append, and a pop takes the head of the first
+// non-empty slot.
+//
+// The far tier is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990) holding the events at or beyond base+wheelSize. last is the
+// time of its settled minimum and no far event is earlier. A far event at
+// t lives in bucket bits.Len64(t ^ last): bucket 0 holds exactly the
+// events at last, and bucket b > 0 the times whose highest bit differing
+// from last is bit b-1, so every time in a bucket precedes every time in
+// a higher one. Settling makes the lowest non-empty bucket's minimum the
+// new last and relinks that bucket's events into strictly lower buckets,
+// so an event moves at most once per bucket over its life.
+//
+// Every pop that advances base migrates the far events now inside the
+// window into the wheel before the popped event's callback runs: while
+// the lowest non-empty far bucket can hold a time below base+wheelSize,
+// the far tier settles and bucket 0 moves wholesale onto its wheel slot.
+// The wheel therefore always holds every pending event inside the window,
+// and the far tier only ever supplies the minimum when the wheel is empty.
+// A far push earlier than last follows a settle whose minimum lay beyond
+// the window: one made by a migration check, or by a peek on an empty
+// wheel after which RunUntil or the watchdog stopped. unsettle then undoes
+// that settle first.
+//
+// Every list is FIFO and threaded through the slab, and slots return to a
+// free list: the queue's memory is one growable slice plus the fixed wheel
+// arrays, and steady state allocates nothing. Events with equal times
+// always share one list, and appending, relinking and migrating all keep
+// list order. A far event at t was pushed while t lay beyond the window,
+// so before any push at t could land in the wheel, and it migrates before
+// such a push can happen. Equal times thus pop in scheduling order with no
+// sequence number.
 type eventQueue struct {
 	slab []event
-	free uint32     // head of the free-slot list; 0 when empty
+	free uint32 // head of the free-slot list; 0 when empty
+	n    int
+
+	// Near tier: the timing wheel.
+	base  Time
+	cur   uint32                 // slot of the minimum found by the latest peek
+	used  uint64                 // bit w set iff occ[w] != 0
+	occ   [wheelSize / 64]uint64 // bit s%64 of occ[s/64] set iff slot s is non-empty
+	whead [wheelSize]uint32      // slot s's first and last event while its bit is set
+	wtail [wheelSize]uint32
+
+	// Far tier: the radix heap.
 	mask uint64     // bit b set iff bucket b is non-empty
 	head [64]uint32 // bucket b's first and last slot while its mask bit is set
 	tail [64]uint32
 	last Time
-	prev Time // last before the latest settle: the engine clock at that settle
-	n    int
+	prev Time // last before the latest settle
 }
 
 func (q *eventQueue) len() int { return q.n }
 
-// push appends an event at time at to its bucket. at precedes last only
-// when RunUntil or the watchdog stopped after a settle; the settle is then
-// undone first.
+// push appends an event at time at, which must not precede base, to its
+// wheel slot or far bucket.
 func (q *eventQueue) push(at Time, cb Callback, arg any) {
-	if at < q.last {
-		q.unsettle()
-	}
 	i := q.free
 	if i != 0 {
 		q.free = q.slab[i].next
@@ -125,12 +163,33 @@ func (q *eventQueue) push(at Time, cb Callback, arg any) {
 	// through a bulk write barrier first whenever the GC is marking.
 	ev := &q.slab[i]
 	ev.at, ev.cb, ev.arg, ev.next = at, cb, arg, 0
-	q.link(bits.Len64(uint64(at^q.last)), i, i)
 	q.n++
+	if at-q.base < wheelSize {
+		q.wlink(uint32(at)&(wheelSize-1), i, i)
+		return
+	}
+	if at < q.last {
+		q.unsettle()
+	}
+	q.link(bits.Len64(uint64(at^q.last)), i, i)
+}
+
+// wlink appends the list from slot first to slot end, whose next must be
+// 0, to wheel slot s.
+func (q *eventQueue) wlink(s, first, end uint32) {
+	w, bit := s>>6, uint64(1)<<(s&63)
+	if q.occ[w]&bit == 0 {
+		q.whead[s] = first
+		q.occ[w] |= bit
+		q.used |= 1 << w
+	} else {
+		q.slab[q.wtail[s]].next = first
+	}
+	q.wtail[s] = end
 }
 
 // link appends the list from slot first to slot end, whose next must be 0,
-// to bucket b.
+// to far bucket b.
 func (q *eventQueue) link(b int, first, end uint32) {
 	if q.mask&(1<<b) == 0 {
 		q.head[b] = first
@@ -141,34 +200,95 @@ func (q *eventQueue) link(b int, first, end uint32) {
 	q.tail[b] = end
 }
 
-// peek settles the queue and returns the earliest pending time. The queue
-// must be non-empty.
+// peek returns the earliest pending time. The queue must be non-empty.
+// With the wheel empty it settles the far tier, whose minimum is then the
+// earliest.
 func (q *eventQueue) peek() Time {
-	if q.mask&1 == 0 {
-		q.settle()
+	if q.used == 0 {
+		if q.mask&1 == 0 {
+			q.settle()
+		}
+		return q.last
 	}
-	return q.last
+	p := uint32(q.base) & (wheelSize - 1)
+	w := p >> 6
+	if m := q.occ[w] >> (p & 63); m != 0 {
+		q.cur = p + uint32(bits.TrailingZeros64(m))
+	} else {
+		// The words after w, else wrap around to the ring's start; slots
+		// below p hold the window's latest times.
+		u := q.used &^ (2<<w - 1)
+		if u == 0 {
+			u = q.used
+		}
+		w = uint32(bits.TrailingZeros64(u))
+		q.cur = w<<6 | uint32(bits.TrailingZeros64(q.occ[w]))
+	}
+	return q.base + Time((q.cur-p)&(wheelSize-1))
 }
 
 // pop removes the earliest event, FIFO among equal times, and returns its
-// callback. A peek must have settled the queue since the last push or pop.
+// callback. A peek must have run since the last push or pop. When the pop
+// advances base, the far events the window now covers move into the wheel
+// before pop returns.
 func (q *eventQueue) pop() (Callback, any) {
-	i := q.head[0]
+	if q.used == 0 {
+		// peek settled the far tier: its minimum opens the new window.
+		q.base = q.last
+		q.migrate()
+		q.cur = uint32(q.base) & (wheelSize - 1)
+	}
+	s := q.cur
+	i := q.whead[s]
 	ev := &q.slab[i]
-	cb, arg := ev.cb, ev.arg
-	if q.head[0] = ev.next; ev.next == 0 {
-		q.mask &^= 1
+	cb, arg, at := ev.cb, ev.arg, ev.at
+	if q.whead[s] = ev.next; ev.next == 0 {
+		w := s >> 6
+		if q.occ[w] &^= 1 << (s & 63); q.occ[w] == 0 {
+			q.used &^= 1 << w
+		}
 	}
 	// Drop cb/arg so their targets can be collected, and free the slot.
 	ev.cb, ev.arg, ev.next = nil, nil, q.free
 	q.free = i
 	q.n--
+	if at != q.base {
+		q.base = at
+		if q.mask != 0 {
+			q.migrate()
+		}
+	}
 	return cb, arg
 }
 
-// settle makes the minimum of the lowest non-empty bucket the new last and
-// relinks that bucket's events, in list order, into the buckets below it,
-// which are empty. Bucket 0 must be empty and some bucket non-empty.
+// migrate moves every far event inside the window [base, base+wheelSize)
+// into the wheel, in time order, by relinking whole bucket-0 lists onto
+// their wheel slots. A slot receiving a far list is empty: no push at its
+// time could have reached the wheel while that time lay beyond the window.
+// The far tier settles only when its lowest non-empty bucket b can hold a
+// time inside the window, that is when the bucket's lower bound, last with
+// its low b bits cleared and bit b-1 set, is below base+wheelSize.
+func (q *eventQueue) migrate() {
+	end := q.base + wheelSize
+	for q.mask != 0 {
+		if q.mask&1 == 0 {
+			b := bits.TrailingZeros64(q.mask)
+			if q.last&^(1<<b-1)|1<<(b-1) >= end {
+				return
+			}
+			q.settle()
+		}
+		if q.last >= end {
+			return
+		}
+		q.wlink(uint32(q.last)&(wheelSize-1), q.head[0], q.tail[0])
+		q.mask &^= 1
+	}
+}
+
+// settle makes the minimum of the lowest non-empty far bucket the new last
+// and relinks that bucket's events, in list order, into the buckets below
+// it, which are empty. Bucket 0 must be empty and some bucket non-empty.
 func (q *eventQueue) settle() {
 	b := bits.TrailingZeros64(q.mask)
 	q.mask &^= 1 << b
@@ -189,13 +309,17 @@ func (q *eventQueue) settle() {
 	}
 }
 
-// unsettle undoes the latest settle, which no pop has followed, so that an
-// event between prev and last can be queued. That settle emptied bucket b
-// = bits.Len64(prev ^ last) into the buckets below it. Bucket b has stayed
-// empty, since last has bit b-1 set and no later time can first differ
-// from it there, and higher buckets mean the same around prev and last.
-// Splicing the lower buckets back into b therefore restores the queue
-// around prev; equal times share one list, so their FIFO order survives.
+// unsettle undoes the latest settle, so that a far event between prev and
+// last can be queued. No far event has left since that settle: only a
+// migration removes far events, it takes bucket 0 only at a last inside
+// the window, and no far push is earlier than the window's end. The settle
+// emptied bucket b = bits.Len64(prev ^ last) into the buckets below it.
+// Bucket b has stayed empty, since last has bit b-1 set and no later time
+// can first differ from it there, and higher buckets mean the same around
+// prev and last. Splicing the lower buckets back into b therefore restores
+// the queue around prev; equal times share one list, so their FIFO order
+// survives. prev precedes the window's end (it was a last whose bucket 0
+// had emptied), so one unsettle always suffices.
 func (q *eventQueue) unsettle() {
 	b := bits.Len64(uint64(q.prev ^ q.last))
 	low := q.mask & (1<<b - 1)
@@ -249,38 +373,53 @@ func (e *Engine) Pending() int { return e.pq.len() }
 // allocate; the closure itself is the caller's (cold-path) allocation.
 func runClosure(arg any, _ Time) { arg.(func())() }
 
-// Schedule runs fn after delay. A negative delay is an error in the caller;
-// it panics, since time cannot flow backwards in a DES.
+// Schedule runs fn after delay. A negative delay, or one that reaches past
+// MaxTime, is an error in the caller; it panics, since time cannot flow
+// backwards in a DES and nothing is schedulable after MaxTime.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %d", delay))
-	}
-	e.AtCall(e.now+delay, runClosure, fn)
+	e.ScheduleCall(delay, runClosure, fn)
 }
 
-// At runs fn at absolute time t (>= Now). It is the closure-based shim over
-// AtCall: convenient for setup and cold paths, one closure allocation per
-// call when fn captures variables.
+// At runs fn at absolute time t (Now <= t <= MaxTime). It is the
+// closure-based shim over AtCall: convenient for setup and cold paths, one
+// closure allocation per call when fn captures variables.
 func (e *Engine) At(t Time, fn func()) {
 	e.AtCall(t, runClosure, fn)
 }
 
-// ScheduleCall runs cb(arg, at) after delay. See AtCall.
+// ScheduleCall runs cb(arg, at) after delay. See Schedule and AtCall.
 func (e *Engine) ScheduleCall(delay Time, cb Callback, arg any) {
+	if delay < 0 || delay > MaxTime-e.now {
+		e.badDelay(delay)
+	}
+	e.pq.push(e.now+delay, cb, arg)
+}
+
+// AtCall runs cb(arg, t) at absolute time t (Now <= t <= MaxTime); any other
+// t panics. This is the hot-path entry: with a package-level cb and a
+// pointer-shaped arg it allocates nothing beyond the amortized growth of
+// the event queue itself.
+func (e *Engine) AtCall(t Time, cb Callback, arg any) {
+	if t < e.now || t > MaxTime {
+		e.badTime(t)
+	}
+	e.pq.push(t, cb, arg)
+}
+
+// badDelay and badTime panic with the scheduling error; kept out of line so
+// the checks cost the hot path only their compares.
+func (e *Engine) badDelay(delay Time) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %d", delay))
 	}
-	e.AtCall(e.now+delay, cb, arg)
+	panic(fmt.Sprintf("des: delay %d from now %v is past MaxTime (%dns)", delay, e.now, MaxTime))
 }
 
-// AtCall runs cb(arg, t) at absolute time t (>= Now). This is the hot-path
-// entry: with a package-level cb and a pointer-shaped arg it allocates
-// nothing beyond the amortized growth of the event queue itself.
-func (e *Engine) AtCall(t Time, cb Callback, arg any) {
+func (e *Engine) badTime(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, e.now))
 	}
-	e.pq.push(t, cb, arg)
+	panic(fmt.Sprintf("des: schedule at %dns is past MaxTime (%dns)", t, MaxTime))
 }
 
 // Run executes events until the queue drains and returns the final time.

@@ -3,8 +3,10 @@ package des
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +192,66 @@ func TestMaxTime(t *testing.T) {
 	}
 	if !hit {
 		t.Fatal("event at MaxTime did not run under Run()")
+	}
+}
+
+// panicText runs fn and returns what it panicked with, "" if it returned.
+func panicText(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestAtPastMaxTimePanics: an instant past MaxTime is rejected where it is
+// scheduled. Accepted, it would sit in the queue beyond Run's deadline and
+// never run, although Run promises to drain the queue.
+func TestAtPastMaxTimePanics(t *testing.T) {
+	e := New()
+	for name, fn := range map[string]func(){
+		"At":     func() { e.At(MaxTime+1, func() {}) },
+		"AtCall": func() { e.AtCall(MaxTime+1, fireTick, nil) },
+	} {
+		if msg := panicText(fn); !strings.Contains(msg, "MaxTime") {
+			t.Errorf("%s(MaxTime+1) panicked with %q, want a panic naming MaxTime", name, msg)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued past MaxTime", e.Pending())
+	}
+	if got := e.Run(); got != 0 {
+		t.Fatalf("Run = %v on an empty engine", got)
+	}
+}
+
+// TestScheduleOverflowPanics: a delay whose end lies past MaxTime is
+// rejected with a panic naming MaxTime, including delays for which now +
+// delay would overflow int64 and read as a time before now. A delay ending
+// exactly at MaxTime is accepted and runs.
+func TestScheduleOverflowPanics(t *testing.T) {
+	e := New()
+	e.Schedule(5, func() {})
+	e.Run()
+	for name, fn := range map[string]func(){
+		"Schedule overflow":     func() { e.Schedule(math.MaxInt64-3, func() {}) },
+		"ScheduleCall overflow": func() { e.ScheduleCall(math.MaxInt64-3, fireTick, nil) },
+		"Schedule past":         func() { e.Schedule(MaxTime-4, func() {}) },
+		"ScheduleCall past":     func() { e.ScheduleCall(MaxTime-4, fireTick, nil) },
+	} {
+		if msg := panicText(fn); !strings.Contains(msg, "MaxTime") {
+			t.Errorf("%s panicked with %q, want a panic naming MaxTime", name, msg)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued past MaxTime", e.Pending())
+	}
+	hit := false
+	e.Schedule(MaxTime-5, func() { hit = true })
+	if got := e.Run(); got != MaxTime || !hit {
+		t.Fatalf("delay to exactly MaxTime: Run = %v, ran = %v", got, hit)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -157,12 +158,154 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{op(opBurst, 7), op(opNow, 0), op(opPop, 0), op(opNow, 0), op(opShort, 3)})
 	f.Add([]byte{op(opLong, 31), op(opShort, 1), op(opPeek, 0), op(opShort, 2), op(opBurst, 2), op(opPop, 0)})
 	f.Add([]byte{op(opNearMax, 5), op(opNearMax, 0), op(opPop, 0), op(opLong, 4), op(opBurst, 9)})
+	// Window edges (W = wheelSize = 2048). A far event at 8188 watches the
+	// clock step 6139, 6140, 6141: 2049, W and W-1 before it, so it stays
+	// far twice and migrates on the third pop, before the pushes at now.
+	f.Add([]byte{op(opLong, 4), op(opLong, 3), op(opPop, 0), op(opLong, 2), op(opPop, 0),
+		op(opShort, 1), op(opPop, 0), op(opShort, 1), op(opPop, 0), op(opNow, 0), op(opBurst, 3)})
+	// The pop at 4093 settles the far tier on 8188 without migrating it;
+	// a far push at 8186 must then undo that settle.
+	f.Add([]byte{op(opLong, 4), op(opLong, 3), op(opPop, 0), op(opLong, 3), op(opPop, 0), op(opNow, 0)})
+	// A peek settles the far tier with the wheel empty; pushes then land
+	// in the wheel (2046 = W-2) and in the far tier before the settled 8188.
+	f.Add([]byte{op(opLong, 4), op(opPeek, 0), op(opLong, 2), op(opLong, 3), op(opShort, 5),
+		op(opPop, 0), op(opLong, 3), op(opPeek, 0), op(opBurst, 2)})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip() // TestEventQueueOrderProperty covers long schedules; here they only slow minimization
 		}
 		if err := checkQueueOrder(ops); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// edgeQueue drives an eventQueue beside the reference heap through a
+// schedule written out by hand.
+type edgeQueue struct {
+	q    eventQueue
+	ref  refHeap
+	seq  uint64
+	peak int
+}
+
+func (d *edgeQueue) push(at Time) {
+	d.seq++
+	d.q.push(at, nil, d.seq)
+	heap.Push(&d.ref, refEvent{at, d.seq})
+	d.peak = max(d.peak, d.q.len())
+}
+
+// pop pops the earliest event and fails unless it is the reference's.
+func (d *edgeQueue) pop(t *testing.T) {
+	t.Helper()
+	at := d.q.peek()
+	_, arg := d.q.pop()
+	want := heap.Pop(&d.ref).(refEvent)
+	if at != want.at || arg.(uint64) != want.seq {
+		t.Fatalf("popped (at=%d, seq=%v), reference (at=%d, seq=%d)", at, arg, want.at, want.seq)
+	}
+}
+
+// drain pops everything and checks that no slot was allocated twice.
+func (d *edgeQueue) drain(t *testing.T) {
+	t.Helper()
+	for d.q.len() > 0 {
+		d.pop(t)
+	}
+	if len(d.q.slab) != d.peak+1 {
+		t.Fatalf("slab holds %d slots for a peak of %d events", len(d.q.slab), d.peak)
+	}
+}
+
+// far reports whether the far tier holds any event.
+func (d *edgeQueue) far() bool { return d.q.mask != 0 }
+
+// TestEventQueueWindowEdges pins the two-tier queue's hand-offs against the
+// (at, seq) reference: far events entering the wheel ahead of later pushes
+// at their time, pushes at delays W-1, W and W+1, and pushes on both sides
+// of the window's end after a stop on a far-tier minimum.
+func TestEventQueueWindowEdges(t *testing.T) {
+	const W = wheelSize
+	t.Run("far-to-wheel-handoff", func(t *testing.T) {
+		var d edgeQueue
+		d.push(5000) // beyond [0, W): far
+		d.push(3000)
+		d.push(10)
+		d.pop(t) // base 10: the window ends at 2058, nothing moves
+		if !d.far() {
+			t.Fatal("events beyond the window left the far tier early")
+		}
+		d.pop(t) // base 3000: the window now covers 5000
+		if d.far() {
+			t.Fatal("far event at 5000 did not migrate when the window reached it")
+		}
+		d.push(5000) // direct pushes at 5000 queue behind the migrated one
+		d.push(5000)
+		d.push(3000)
+		d.drain(t)
+	})
+	t.Run("delays-around-W", func(t *testing.T) {
+		var d edgeQueue
+		d.push(100)
+		d.pop(t)            // base 100
+		d.push(100 + W - 1) // wheel
+		d.push(100 + W + 1) // far
+		d.push(100 + W + 1)
+		d.push(3000)
+		d.push(101)
+		// base 101: the far tier settles on 100+W+1 = base+W, which stays
+		// far although its bucket's lower bound lies inside the window.
+		d.pop(t)
+		if !d.far() || d.q.last != 101+W {
+			t.Fatalf("event at exactly base+W left the far tier (last=%d)", d.q.last)
+		}
+		d.push(101 + W - 1) // wheel
+		d.push(101 + W)     // far, behind the two at that time
+		d.push(101 + W + 1) // far
+		d.push(102)
+		d.pop(t)        // base 102: the three events at 101+W migrate
+		d.push(101 + W) // = base+W-1: wheel, behind them
+		d.push(102 + W) // far
+		d.drain(t)
+	})
+	t.Run("stop-on-far-minimum", func(t *testing.T) {
+		// RunUntil peeks, finds the minimum beyond its deadline and stops;
+		// the peek settled the far tier with the wheel empty.
+		e := New()
+		var ran []refEvent
+		var seq uint64
+		at := func(when Time) {
+			seq++
+			s := seq
+			e.At(when, func() {
+				if e.Now() != when {
+					t.Errorf("event %d scheduled at %d ran at %v", s, when, e.Now())
+				}
+				ran = append(ran, refEvent{when, s})
+			})
+		}
+		at(1000)
+		at(50_000)
+		if got := e.RunUntil(20_000); got != 1000 {
+			t.Fatalf("RunUntil stopped at %v, want 1000", got)
+		}
+		if e.pq.mask&1 == 0 || e.pq.last != 50_000 {
+			t.Fatalf("stop did not settle the far tier on 50000 (last=%d)", e.pq.last)
+		}
+		// Now = base = 1000: pushes on both sides of base+W, far ones below
+		// the settled minimum (the first undoes the settle), and one at it.
+		for _, when := range []Time{1000 + W - 1, 1000 + W, 1000 + W + 1, 1000, 50_000, 1000 + W} {
+			at(when)
+		}
+		e.Run()
+		if len(ran) != int(seq) {
+			t.Fatalf("ran %d of %d events", len(ran), seq)
+		}
+		if !sort.SliceIsSorted(ran, func(i, j int) bool {
+			return ran[i].at < ran[j].at || ran[i].at == ran[j].at && ran[i].seq < ran[j].seq
+		}) {
+			t.Fatalf("events ran out of (at, seq) order: %v", ran)
 		}
 	})
 }

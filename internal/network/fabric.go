@@ -10,7 +10,9 @@ import (
 )
 
 // message is an in-flight transfer between two nodes. Packets carry a
-// pointer to it, so reassembly is a byte count, not a lookup.
+// pointer to it, so reassembly is a byte count, not a lookup. Messages are
+// pooled like packets: closeIfDone recycles one once every byte is
+// accounted for, when no packet or NIC queue refers to it any more.
 type message struct {
 	id          uint64
 	src, dst    topology.NodeID
@@ -21,6 +23,7 @@ type message struct {
 	dropped     int64 // bytes lost to dead equipment (faulted fabrics only)
 	onInjected  func(des.Time)
 	onDelivered func(des.Time)
+	next        *message // free-list link while pooled
 }
 
 // nic is a node's network interface: an injection FIFO feeding the node's
@@ -153,12 +156,14 @@ type Fabric struct {
 	healthLog [healthLogSize]healthLogEntry
 	healthN   int // total events recorded; the ring holds the last healthLogSize
 
-	// Free lists, recycled at delivery (packets) and on credit arrival
-	// (tokens). Each fabric is driven by one sequential engine owned by one
-	// sweep worker, so the lists need no locking; Params.NoPacketPool turns
-	// recycling off for the pooling-equivalence tests.
+	// Free lists, recycled at delivery (packets), on credit arrival
+	// (tokens) and at message close (messages). Each fabric is driven by
+	// one sequential engine owned by one sweep worker, so the lists need no
+	// locking; Params.NoPacketPool turns recycling off for the
+	// pooling-equivalence tests.
 	pktFree *packet
 	crFree  *creditReturn
+	msgFree *message
 
 	// per-destination-node hop accounting for the paper's avg-hops metric
 	hopSum   []int64
@@ -237,6 +242,31 @@ func (f *Fabric) freeCredit(c *creditReturn) {
 	}
 	c.next = f.crFree
 	f.crFree = c
+}
+
+// newMessage takes a message from the free list (or allocates one) and
+// initializes it for a fresh send.
+func (f *Fabric) newMessage(src, dst topology.NodeID, bytes int64, onInjected, onDelivered func(des.Time)) *message {
+	m := f.msgFree
+	if m == nil {
+		m = &message{}
+	} else {
+		f.msgFree = m.next
+	}
+	f.msgSeq++
+	m.id, m.src, m.dst, m.next = f.msgSeq, src, dst, nil
+	m.total, m.remaining, m.injected, m.received, m.dropped = bytes, bytes, 0, 0, 0
+	m.onInjected, m.onDelivered = onInjected, onDelivered
+	return m
+}
+
+func (f *Fabric) freeMessage(m *message) {
+	m.onInjected, m.onDelivered = nil, nil
+	if f.params.NoPacketPool {
+		return
+	}
+	m.next = f.msgFree
+	f.msgFree = m
 }
 
 // New builds and wires a fabric on the given engine.
@@ -488,12 +518,7 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int64, onInjected, onDeliv
 	if bytes < 1 {
 		bytes = 1
 	}
-	f.msgSeq++
-	msg := &message{
-		id: f.msgSeq, src: src, dst: dst,
-		total: bytes, remaining: bytes,
-		onInjected: onInjected, onDelivered: onDelivered,
-	}
+	msg := f.newMessage(src, dst, bytes, onInjected, onDelivered)
 	if f.obs != nil {
 		f.obs.MessageQueued(msg.id, src, dst, bytes)
 	}
@@ -534,19 +559,25 @@ func (f *Fabric) dropPacket(pkt *packet) {
 }
 
 // closeIfDone fires a message's completion callbacks once every byte is
-// accounted for. On a healthy fabric dropped is always zero and delivery
-// alone closes the message; a lossy close also completes the send side (the
-// NIC will never finish injecting a message it partly discarded), so the
-// replay layer's ranks terminate instead of waiting forever.
+// accounted for, and recycles the message. On a healthy fabric dropped is
+// always zero and delivery alone closes the message; a lossy close also
+// completes the send side (the NIC will never finish injecting a message it
+// partly discarded), so the replay layer's ranks terminate instead of
+// waiting forever. The callbacks are read before the message is recycled,
+// since either may Send at once and reuse it.
 func (f *Fabric) closeIfDone(msg *message) {
 	if msg.received+msg.dropped != msg.total {
 		return
 	}
-	if msg.dropped > 0 && msg.injected < msg.total && msg.onInjected != nil {
-		msg.onInjected(f.eng.Now())
+	onInjected, onDelivered := msg.onInjected, msg.onDelivered
+	sendOpen := msg.dropped > 0 && msg.injected < msg.total
+	f.freeMessage(msg)
+	now := f.eng.Now()
+	if sendOpen && onInjected != nil {
+		onInjected(now)
 	}
-	if msg.onDelivered != nil {
-		msg.onDelivered(f.eng.Now())
+	if onDelivered != nil {
+		onDelivered(now)
 	}
 }
 

@@ -39,10 +39,10 @@ type Params struct {
 	// the paper's setup (nearest gateways, two Valiant candidates).
 	Route routing.Options
 
-	// NoPacketPool disables the fabric's packet and credit-token free
-	// lists, allocating fresh structs per packet as the pre-pooling code
-	// did. Results are identical either way; the knob exists for the
-	// pooling equivalence tests.
+	// NoPacketPool disables the fabric's packet, credit-token and message
+	// free lists, allocating fresh structs per packet and message as the
+	// pre-pooling code did. Results are identical either way; the knob
+	// exists for the pooling equivalence tests.
 	NoPacketPool bool
 }
 

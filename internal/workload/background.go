@@ -85,6 +85,10 @@ type Background struct {
 	nodes   []topology.NodeID
 	rng     *des.RNG
 	stopped bool
+	// sends holds the current uniform wave's scheduled messages, one per
+	// node, as typed event arguments. Offsets stay below Interval, so each
+	// wave's sends all fire before the next wave overwrites the slice.
+	sends []bgSend
 
 	MessagesSent int64
 	BytesSent    int64
@@ -116,26 +120,37 @@ func (b *Background) scheduleWave() {
 	})
 }
 
+// bgSend is one scheduled uniform-random background message.
+type bgSend struct {
+	b        *Background
+	src, dst topology.NodeID
+}
+
+func bgSendCB(arg any, _ des.Time) {
+	s := arg.(*bgSend)
+	if !s.b.stopped {
+		s.b.send(s.src, s.dst)
+	}
+}
+
 func (b *Background) emitWave() {
 	n := len(b.nodes)
 	switch b.cfg.Kind {
 	case UniformRandom:
 		// One message per node to a random peer, spread over the interval
 		// so the offered load is smooth.
+		if b.sends == nil {
+			b.sends = make([]bgSend, n)
+		}
 		for i, src := range b.nodes {
 			j := b.rng.Intn(n - 1)
 			if j >= i {
 				j++
 			}
-			dst := b.nodes[j]
 			offset := des.Time(b.rng.Int63n(int64(b.cfg.Interval)))
-			src := src
-			b.f.Engine().Schedule(offset, func() {
-				if b.stopped {
-					return
-				}
-				b.send(src, dst)
-			})
+			s := &b.sends[i]
+			s.b, s.src, s.dst = b, src, b.nodes[j]
+			b.f.Engine().ScheduleCall(offset, bgSendCB, s)
 		}
 	case Bursty:
 		// Every node addresses FanOut peers at once.
