@@ -103,5 +103,6 @@ func benchRouteFault(b *testing.B, mech Mechanism) {
 	}
 }
 
-func BenchmarkRouteFaultMinimal(b *testing.B)  { benchRouteFault(b, Minimal) }
-func BenchmarkRouteFaultAdaptive(b *testing.B) { benchRouteFault(b, Adaptive) }
+func BenchmarkRouteFaultMinimal(b *testing.B)   { benchRouteFault(b, Minimal) }
+func BenchmarkRouteFaultAdaptive(b *testing.B)  { benchRouteFault(b, Adaptive) }
+func BenchmarkRouteFaultQAdaptive(b *testing.B) { benchRouteFault(b, QAdaptive) }

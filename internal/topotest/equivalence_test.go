@@ -1,10 +1,12 @@
-// Differential policy-equivalence suite: the digests in
-// testdata/equivalence.json were generated from the pre-SPI chooser (the
-// hard-coded minimal/adaptive switch), and every refactor since must
-// reproduce them bit for bit — routes, unreachability errors, RNG stream
-// positions, link statistics, and simulation clocks, across healthy and
-// faulted fabrics. Refresh (only when a behavior change is intended and
-// understood) with:
+// Differential policy-equivalence suite: the min and adp digests in
+// testdata/equivalence.json under healthy and global-cable faults were
+// generated from the pre-SPI chooser (the hard-coded minimal/adaptive
+// switch); the qadaptive cells and the mixed-fault cells were captured
+// while the chooser still kept separate healthy and fault-aware builders.
+// Every refactor since must reproduce them bit for bit — routes,
+// unreachability errors, RNG stream positions, link statistics, and
+// simulation clocks, across healthy and faulted fabrics. Refresh (only
+// when a behavior change is intended and understood) with:
 //
 //	UPDATE_EQUIV=1 go test ./internal/topotest -run TestPolicyEquivalence
 //
@@ -47,28 +49,60 @@ const equivSeed = 11
 var tableKeys = []string{"dense", "compact"}
 
 // equivCell is one grid cell: the committed key suffixes its digest is
-// checked against, and the run producing the digest.
+// checked against, and the run producing the digest. A cell without
+// suffixes is committed under its own name.
 type equivCell struct {
 	keys []string
 	run  func(t *testing.T) string
 }
 
-// routeCells enumerates the chooser-level grid: preset x mechanism x
-// healthy/faulted, plus the gateway-policy ablations the SPI also absorbed.
+// faultRegime is one column of the fault axis: the name it carries in the
+// cell name and the spec the cell runs under (nil is the healthy fabric).
+// Historic regimes are as old as the dense/compact keys; cells added since
+// carry one key.
+type faultRegime struct {
+	name     string
+	spec     *faults.Spec
+	historic bool
+}
+
+// faultRegimes: healthy, 15% of the global cables down, and a mixed
+// regime that also fails local links and routers, so the live walks around
+// dead local links and the dead Valiant intermediates are pinned too.
+var faultRegimes = []faultRegime{
+	{"fault=0.00", nil, true},
+	{"fault=0.15", &faults.Spec{GlobalFrac: 0.15, Seed: equivSeed + 1}, true},
+	{"fault=mixed", &faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.1, Routers: 2, Seed: equivSeed + 1}, false},
+}
+
+// equivMechs are the built-in policies of the grid.
+var equivMechs = []routing.Mechanism{routing.Minimal, routing.Adaptive, routing.QAdaptive}
+
+// cellKeys returns a cell's committed key suffixes: the historic pair for
+// min and adp under a historic regime, none otherwise.
+func cellKeys(mech routing.Mechanism, r faultRegime) []string {
+	if r.historic && mech != routing.QAdaptive {
+		return tableKeys
+	}
+	return nil
+}
+
+// routeCells enumerates the chooser-level grid: preset x mechanism x fault
+// regime, plus the gateway-policy ablations the SPI also absorbed.
 func routeCells() map[string]equivCell {
 	cells := map[string]equivCell{}
 	for _, preset := range []string{"mini", "dfplus-mini"} {
-		for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
-			for _, frac := range []float64{0, 0.15} {
-				preset, mech, frac := preset, mech, frac
-				name := fmt.Sprintf("route/%s/%s/fault=%.2f", preset, mech, frac)
-				cells[name] = equivCell{tableKeys, func(t *testing.T) string {
+		for _, mech := range equivMechs {
+			for _, r := range faultRegimes {
+				preset, mech, r := preset, mech, r
+				name := fmt.Sprintf("route/%s/%s/%s", preset, mech, r.name)
+				cells[name] = equivCell{cellKeys(mech, r), func(t *testing.T) string {
 					ic := buildPreset(t, preset)
 					return policytest.RouteDigest(t, ic, policytest.RouteSpec{
 						Mech:   mech,
 						Seed:   equivSeed,
 						Salt:   3,
-						Faults: frac,
+						Faults: r.spec,
 					})
 				}}
 			}
@@ -91,18 +125,18 @@ func routeCells() map[string]equivCell {
 }
 
 // simCells enumerates full-simulation cells: preset x placement x
-// mechanism x healthy/faulted, each a small crystal-router replay whose
+// mechanism x fault regime, each a small crystal-router replay whose
 // Result (clocks, events, comm times, link stats, drops) is digested whole.
 func simCells() map[string]equivCell {
 	cells := map[string]equivCell{}
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
-			for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
-				for _, frac := range []float64{0, 0.15} {
-					preset, place, mech, frac := preset, place, mech, frac
-					name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f", preset, place, mech, frac)
-					cells[name] = equivCell{tableKeys, func(t *testing.T) string {
-						return policytest.SimDigest(t, simConfig(t, preset, place, mech, frac))
+			for _, mech := range equivMechs {
+				for _, r := range faultRegimes {
+					preset, place, mech, r := preset, place, mech, r
+					name := fmt.Sprintf("sim/%s/%s-%s/%s", preset, place, mech, r.name)
+					cells[name] = equivCell{cellKeys(mech, r), func(t *testing.T) string {
+						return policytest.SimDigest(t, simConfig(t, preset, place, mech, r.spec))
 					}}
 				}
 			}
@@ -124,7 +158,7 @@ func buildPreset(t *testing.T, preset string) topology.Interconnect {
 	return ic
 }
 
-func simConfig(t *testing.T, preset string, place placement.Policy, mech routing.Mechanism, frac float64) core.Config {
+func simConfig(t *testing.T, preset string, place placement.Policy, mech routing.Mechanism, fs *faults.Spec) core.Config {
 	t.Helper()
 	m, err := topology.Preset(preset)
 	if err != nil {
@@ -141,36 +175,47 @@ func simConfig(t *testing.T, preset string, place placement.Policy, mech routing
 		Routing:        mech,
 		Trace:          tr,
 		Seed:           equivSeed,
+		Faults:         fs,
 		WatchdogEvents: 10_000_000_000,
-	}
-	if frac > 0 {
-		cfg.Faults = &faults.Spec{GlobalFrac: frac, Seed: equivSeed + 1}
 	}
 	return cfg
 }
 
 // TestPolicyEquivalence compares every cell's digest against the committed
-// pre-SPI snapshot.
+// snapshot.
 func TestPolicyEquivalence(t *testing.T) {
 	cells := routeCells()
 	for name, c := range simCells() {
 		cells[name] = c
 	}
-	checkEquiv(t, equivFile, cells, "the pre-SPI chooser")
+	checkEquiv(t, equivFile, cells, "the committed snapshot")
+}
+
+// keyNames returns the committed keys of the cell called name: name plus
+// "/" plus each suffix, or name alone for a cell without suffixes.
+func (c equivCell) keyNames(name string) []string {
+	if len(c.keys) == 0 {
+		return []string{name}
+	}
+	out := make([]string, len(c.keys))
+	for i, k := range c.keys {
+		out[i] = name + "/" + k
+	}
+	return out
 }
 
 // checkEquiv runs every cell once and compares its digest against the
-// committed digest under each of its keys (cell name + "/" + suffix), one
-// subtest per key; a committed key without a cell, or a cell key without a
-// committed digest, fails too. With UPDATE_EQUIV set it rewrites file from
-// fresh digests instead.
+// committed digest under each of its keys, one subtest per key suffix; a
+// committed key without a cell, or a cell key without a committed digest,
+// fails too. With UPDATE_EQUIV set it rewrites file from fresh digests
+// instead.
 func checkEquiv(t *testing.T, file string, cells map[string]equivCell, baseline string) {
 	if os.Getenv("UPDATE_EQUIV") != "" {
 		got := map[string]string{}
 		for name, c := range cells {
 			d := c.run(t)
-			for _, k := range c.keys {
-				got[name+"/"+k] = d
+			for _, k := range c.keyNames(name) {
+				got[k] = d
 			}
 		}
 		writeEquiv(t, file, got)
@@ -183,8 +228,7 @@ func checkEquiv(t *testing.T, file string, cells map[string]equivCell, baseline 
 	keyed := map[string]bool{}
 	for name, c := range cells {
 		names = append(names, name)
-		for _, k := range c.keys {
-			key := name + "/" + k
+		for _, key := range c.keyNames(name) {
 			keyed[key] = true
 			if _, ok := want[key]; !ok {
 				t.Errorf("%s: no committed digest (run UPDATE_EQUIV=1 and review the diff)", key)
@@ -197,21 +241,26 @@ func checkEquiv(t *testing.T, file string, cells map[string]equivCell, baseline 
 			t.Errorf("%s: committed digest has no matching cell (stale %s?)", key, file)
 		}
 	}
+	check := func(t *testing.T, key, got string) {
+		w, ok := want[key]
+		if !ok {
+			t.Skip("no committed digest")
+		}
+		if got != w {
+			t.Errorf("digest %s, want %s — behavior diverged from %s", got, w, baseline)
+		}
+	}
 	for _, name := range names {
 		name, c := name, cells[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			got := c.run(t)
+			if len(c.keys) == 0 {
+				check(t, name, got)
+				return
+			}
 			for _, k := range c.keys {
-				w, ok := want[name+"/"+k]
-				t.Run(k, func(t *testing.T) {
-					if !ok {
-						t.Skip("no committed digest")
-					}
-					if got != w {
-						t.Errorf("digest %s, want %s — behavior diverged from %s", got, w, baseline)
-					}
-				})
+				t.Run(k, func(t *testing.T) { check(t, name+"/"+k, got) })
 			}
 		})
 	}

@@ -15,13 +15,14 @@ import (
 // Contract is the acceptance suite every routing.Policy implementation must
 // pass — built-ins, the learning policy, and any out-of-tree policy written
 // against the exported Chooser surface. It checks the contract stated on
-// routing.Policy on small XC40 and Dragonfly+ machines, healthy and
-// degraded:
+// routing.Policy on small XC40 and Dragonfly+ machines, healthy, with a
+// fifth of the global cables down, and under mixed faults that also kill
+// local links and routers (dead endpoints, dead Valiant intermediates):
 //
 //   - validity: every emitted route passes routing.Validate, and on a
 //     faulted fabric touches only live routers and links;
-//   - typed failure: FaultRoute reports unroutable pairs as
-//     routing.ErrUnreachable, never an untyped error or a panic;
+//   - typed failure: unroutable pairs, a dead endpoint router among them,
+//     fail as routing.ErrUnreachable, never an untyped error or a panic;
 //   - determinism: two choosers built from the same factory, seed, and
 //     congestion oracle — fed the identical saturation-feedback sequence —
 //     produce hop-identical routes and leave the RNG stream at the same
@@ -40,11 +41,11 @@ func Contract(t *testing.T, factory routing.PolicyFactory) {
 	first := map[string]string{}
 	for _, m := range machines {
 		for _, regime := range tableRegimes {
-			for _, frac := range []float64{0, 0.2} {
-				ic, fr := m.ic, frac
-				cell := fmt.Sprintf("%s/fault=%.2f", m.name, frac)
-				t.Run(fmt.Sprintf("%s/%s/fault=%.2f", m.name, regime, frac), func(t *testing.T) {
-					d := contractCell(t, ic, factory, fr)
+			for _, f := range contractFaults {
+				ic, fs := m.ic, f.spec
+				cell := fmt.Sprintf("%s/fault=%s", m.name, f.name)
+				t.Run(fmt.Sprintf("%s/%s/fault=%s", m.name, regime, f.name), func(t *testing.T) {
+					d := contractCell(t, ic, factory, fs)
 					if prev, ok := first[cell]; ok && d != prev {
 						t.Fatalf("policy %q: rerun of %s diverged from its first run (digest %s vs %s)",
 							factory().Name(), cell, d, prev)
@@ -64,14 +65,28 @@ func Contract(t *testing.T, factory routing.PolicyFactory) {
 // ran before it in the process.
 var tableRegimes = []string{"dense", "compact"}
 
+// contractSeed seeds every stream of the contract, fault draws included.
+const contractSeed = 23
+
+// contractFaults is the fault axis of the contract: the subtest name and
+// the spec the cell runs under (nil is the healthy fabric).
+var contractFaults = []struct {
+	name string
+	spec *faults.Spec
+}{
+	{"0.00", nil},
+	{"0.20", &faults.Spec{GlobalFrac: 0.2, Seed: contractSeed + 1}},
+	{"mixed", &faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.1, Routers: 2, Seed: contractSeed + 1}},
+}
+
 // contractCell runs one cell and returns the digest both choosers agreed on.
-func contractCell(t *testing.T, ic topology.Interconnect, factory routing.PolicyFactory, frac float64) string {
+func contractCell(t *testing.T, ic topology.Interconnect, factory routing.PolicyFactory, fs *faults.Spec) string {
 	t.Helper()
-	const seed = 23
+	const seed = contractSeed
 	opts := routing.Options{Policy: factory}
 	var liveGlobal map[[2]topology.RouterID]bool
-	if frac > 0 {
-		set, err := faults.Resolve(&faults.Spec{GlobalFrac: frac, Seed: seed + 1}, ic)
+	if fs != nil {
+		set, err := faults.Resolve(fs, ic)
 		if err != nil {
 			t.Fatalf("resolve faults: %v", err)
 		}
@@ -136,7 +151,11 @@ func contractCell(t *testing.T, ic topology.Interconnect, factory routing.Policy
 func contractRoute(t *testing.T, ic topology.Interconnect, ch *routing.Chooser, d *Digest,
 	src, dst topology.NodeID, health topology.Health, liveGlobal map[[2]topology.RouterID]bool) {
 	t.Helper()
+	rs, rd := ic.RouterOfNode(src), ic.RouterOfNode(dst)
 	p, err := ch.TryRoute(src, dst)
+	if health != nil && err == nil && (!health.RouterUp(rs) || !health.RouterUp(rd)) {
+		t.Fatalf("degraded fabric %d->%d: routed between routers %d and %d, one of them dead", src, dst, rs, rd)
+	}
 	if err != nil {
 		if health == nil {
 			t.Fatalf("healthy fabric %d->%d: unexpected error: %v", src, dst, err)
@@ -147,7 +166,6 @@ func contractRoute(t *testing.T, ic topology.Interconnect, ch *routing.Chooser, 
 		d.Str("unreach")
 		return
 	}
-	rs, rd := ic.RouterOfNode(src), ic.RouterOfNode(dst)
 	if err := routing.Validate(ic, rs, rd, p); err != nil {
 		t.Fatalf("%d->%d: invalid route: %v\npath: %+v", src, dst, err, p.Hops)
 	}

@@ -107,10 +107,10 @@ type RouteSpec struct {
 	Mech    routing.Mechanism
 	Opts    routing.Options // Health is set from Faults below, not here
 	Seed    int64
-	Pairs   int     // sampled (src, dst) node pairs; 0 means 2048
-	Salt    uint64  // congestion oracle salt
-	Faults  float64 // GlobalFrac of a seeded fault spec; 0 = healthy
-	RNGName string  // chooser stream name; "" means the fabric's "route"
+	Pairs   int          // sampled (src, dst) node pairs; 0 means 2048
+	Salt    uint64       // congestion oracle salt
+	Faults  *faults.Spec // resolved against the machine; nil = healthy
+	RNGName string       // chooser stream name; "" means the fabric's "route"
 	// Policy, when non-nil, overrides Mech (see routing.Options.Policy).
 	Policy routing.PolicyFactory
 }
@@ -124,9 +124,8 @@ type RouteSpec struct {
 func RouteDigest(tb testing.TB, ic topology.Interconnect, spec RouteSpec) string {
 	tb.Helper()
 	opts := spec.Opts
-	if spec.Faults > 0 {
-		fs := &faults.Spec{GlobalFrac: spec.Faults, Seed: spec.Seed + 1}
-		set, err := faults.Resolve(fs, ic)
+	if spec.Faults != nil {
+		set, err := faults.Resolve(spec.Faults, ic)
 		if err != nil {
 			tb.Fatalf("policytest: resolve faults: %v", err)
 		}
