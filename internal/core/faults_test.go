@@ -150,3 +150,29 @@ func TestWatchdogErrorNamesHealthHistory(t *testing.T) {
 		t.Fatalf("watchdog error lacks the health history: %v", err)
 	}
 }
+
+// TestZeroTerminalLatencyDynamicDrop: with TerminalLatency 0 a packet's
+// injection-complete event and its arrival at the first router fall at the
+// same instant. A group outage that drops the packet on arrival recycles
+// it, so the injection event must run first; a run that used to read the
+// recycled packet's message panicked.
+func TestZeroTerminalLatencyDynamicDrop(t *testing.T) {
+	cfg := MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Adaptive}, 11)
+	cfg.Params.TerminalLatency = 0
+	spec, err := faults.ParseSpec("fail=group:1@2us,repair=group:1@20us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = spec
+	cfg.Audit = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("run did not complete")
+	}
+	if res.DroppedPackets == 0 {
+		t.Fatal("the outage dropped no packet, so the drop path went untested")
+	}
+}

@@ -31,8 +31,10 @@ func packetArriveCB(arg any, _ des.Time) {
 }
 
 // packetInjectedCB is the typed injection-complete event: the packet has
-// fully left its source NIC. Injection always strictly precedes delivery,
-// so the packet cannot have been recycled.
+// fully left its source NIC. transmit pushes it before the packet's
+// arrival at the first router, so it runs first even when zero terminal
+// latency puts both at one instant, and the packet — which a dead router
+// may drop and recycle on arrival — has not been recycled yet.
 func packetInjectedCB(arg any, at des.Time) {
 	p := arg.(*packet)
 	p.f.nics[p.msg.src].injected(p, at)
@@ -282,6 +284,12 @@ func (l *link) transmit() {
 
 		pkt, vc := r.pkt, r.vc
 		pkt.arrLink, pkt.arrVC = l, int32(vc)
+		if r.in == nil {
+			// Injection: the NIC finishes putting this packet on the wire
+			// when serialization ends. Pushed before the arrival, which
+			// falls at the same instant when the terminal latency is zero.
+			l.f.eng.AtCall(l.busyUntil, packetInjectedCB, pkt)
+		}
 		l.f.eng.AtCall(l.busyUntil+l.latency, packetArriveCB, pkt)
 
 		if r.in != nil {
@@ -296,10 +304,6 @@ func (l *link) transmit() {
 			if q.len() > 0 {
 				l.f.requestNext(q)
 			}
-		} else {
-			// Injection: the NIC finishes putting this packet on the wire
-			// when serialization ends.
-			l.f.eng.AtCall(l.busyUntil, packetInjectedCB, pkt)
 		}
 		if len(l.reqs) > 0 || (l.kind == routing.Terminal && !l.eject) {
 			l.kick()

@@ -67,9 +67,9 @@ func BenchmarkRouteAdaptiveNoCache(b *testing.B) {
 }
 
 // Degraded-mode benchmarks: route computation with a quarter of the global
-// links dead. These bound the fault-mode overhead; the healthy-path
-// benchmarks above are the 0 allocs/op gate proving the Health nil check
-// costs nothing when no fault set is installed.
+// links dead, through the same builders and policies as the healthy
+// benchmarks above. They bound the fault-mode overhead and are held to the
+// same 0 allocs/op gate: the live gateway picker works in chooser scratch.
 func benchRouteFault(b *testing.B, mech Mechanism) {
 	topo := topotest.Mini(b)
 	set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.25, Seed: 3}, topo)

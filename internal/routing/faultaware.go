@@ -1,20 +1,21 @@
 package routing
 
-// Fault-aware routing: the degraded-fabric code path the chooser switches to
-// when Options.Health is set. It is deliberately separate from the healthy
-// builders in routing.go — the healthy hot path keeps its canonical next-hop
-// walk and zero-allocation profile untouched (guarded by the bench-diff
-// gate), while this path trades a little speed for routing around dead
-// equipment. Its BFS tables share the healthy nextHop rows' (router, local
-// destination) layout.
+// Fault-aware routing: the degraded-fabric state of the chooser, installed
+// with Options.Health. Only the chooser knows whether the fabric is
+// degraded: the route builders in routing.go (MinimalPath, ValiantPath)
+// serve both fabrics, and the switch sits in two places — the nextHop
+// table they walk, which RebuildHealth refills with trees over the live
+// local links, and the gateway picker (pickGateway when healthy,
+// pickLiveGateway here). Policies make one decision over primitives that
+// report infeasibility.
 //
 // Degraded-mode contract:
 //
 //   - Intra-group segments follow per-destination BFS trees over the live
-//     local links (rebuilt by RebuildHealth), not the canonical DOR tables:
-//     a live shortest path is taken even where the canonical route died, so
-//     routes may be longer than the healthy 2-hop bound and may differ from
-//     DOR where DOR would have survived.
+//     local links, not the canonical DOR tables: a live shortest path is
+//     taken even where the canonical route died, so routes may be longer
+//     than the healthy 2-hop bound and may differ from DOR where DOR would
+//     have survived.
 //   - Inter-group routes pick among the live direct gateways (dead global
 //     ports are never candidates — adaptive routing's "infinitely congested"
 //     ports fall out by construction). When a group pair has no live direct
@@ -59,24 +60,21 @@ func (e *UnreachableError) Unwrap() error { return ErrUnreachable }
 const noRouter = topology.RouterID(-1)
 
 // RebuildHealth recomputes the degraded-mode tables against the current
-// Health view: per-destination BFS next hops and live distances over the
-// live local links of every group. The core layer calls it after every
-// dynamic fault event; with a nil Health it is a no-op. Cost is
-// O(routers x routersPerGroup), far off the per-packet path.
+// Health view: per-destination BFS next hops (into nextHop) and live
+// distances over the live local links of every group. The core layer calls
+// it after every dynamic fault event; with a nil Health it is a no-op. Cost
+// is O(routers x routersPerGroup), far off the per-packet path.
 func (c *Chooser) RebuildHealth() {
 	if c.health == nil {
 		return
 	}
 	rpg := c.routersPerGroup
-	if c.liveNextHop == nil {
-		// One slot per (router, local dst), like the healthy nextHop rows.
-		n := c.numRouters * rpg
-		c.liveNextHop = make([]topology.RouterID, n)
-		c.liveDist = make([]int32, n)
+	if c.liveDist == nil {
+		c.liveDist = make([]int32, len(c.nextHop))
 		c.bfsQueue = make([]topology.RouterID, 0, rpg)
 	}
-	for i := range c.liveNextHop {
-		c.liveNextHop[i] = noRouter
+	for i := range c.nextHop {
+		c.nextHop[i] = noRouter
 		c.liveDist[i] = -1
 	}
 	for g := 0; g < c.numGroups; g++ {
@@ -101,7 +99,7 @@ func (c *Chooser) RebuildHealth() {
 						continue
 					}
 					c.liveDist[int(v)*rpg+j] = du + 1
-					c.liveNextHop[int(v)*rpg+j] = u
+					c.nextHop[int(v)*rpg+j] = u
 					q = append(q, v)
 				}
 			}
@@ -113,75 +111,6 @@ func (c *Chooser) RebuildHealth() {
 // live path exists. Both routers must share a group.
 func (c *Chooser) liveLocalDist(a, b topology.RouterID) int32 {
 	return c.liveDist[int(a)*c.routersPerGroup+int(b)-int(c.groupOf[a])*c.routersPerGroup]
-}
-
-// faultRoute is TryRoute's degraded-mode body.
-func (c *Chooser) faultRoute(rs, rd topology.RouterID) (Path, error) {
-	if !c.health.RouterUp(rs) || !c.health.RouterUp(rd) {
-		return Path{}, &UnreachableError{Src: rs, Dst: rd}
-	}
-	if rs == rd {
-		return Path{}, nil
-	}
-	return c.policy.FaultRoute(rs, rd)
-}
-
-// appendLocalLive walks the BFS tree from cur to dst (same group) on the
-// given local VC class; reports false when the pair is partitioned.
-func (c *Chooser) appendLocalLive(hops []Hop, cur, dst topology.RouterID, class uint8) ([]Hop, bool) {
-	base := int(c.groupOf[cur]) * c.routersPerGroup
-	for cur != dst {
-		next := c.liveNextHop[int(cur)*c.routersPerGroup+int(dst)-base]
-		if next == noRouter {
-			return hops, false
-		}
-		hops = append(hops, Hop{From: cur, To: next, Kind: Local, VC: class})
-		cur = next
-	}
-	return hops, true
-}
-
-// appendMinimalFault appends the degraded-mode minimal route cur -> dst.
-// allowTransit permits the two-global-hop detour when the group pair has no
-// live direct gateway; Valiant segments pass false to stay inside the VC
-// budget. Reports false when no live route exists under those constraints.
-func (c *Chooser) appendMinimalFault(hops []Hop, cur, dst topology.RouterID, st *segmentState, allowTransit bool) ([]Hop, bool) {
-	gs := int(c.groupOf[cur])
-	gd := int(c.groupOf[dst])
-	if gs == gd {
-		return c.appendLocalLive(hops, cur, dst, st.localClass())
-	}
-	if gw, ok := c.pickLiveGateway(cur, gs, gd, dst); ok {
-		hops, ok = c.appendLocalLive(hops, cur, gw.Router, st.localClass())
-		if !ok {
-			return hops, false
-		}
-		hops = append(hops, Hop{From: gw.Router, To: gw.Peer, Kind: Global, VC: st.globalClass()})
-		st.globalHops++
-		return c.appendLocalLive(hops, gw.Peer, dst, st.localClass())
-	}
-	if !allowTransit || st.globalHops != 0 {
-		return hops, false
-	}
-	gw1, gw2, ok := c.findTransit(cur, gs, gd, dst)
-	if !ok {
-		return hops, false
-	}
-	// The detour's VC classes are exactly a Valiant path's: global classes
-	// 0 then 1, local classes 0 / 1 / 2 across the three groups.
-	hops, ok = c.appendLocalLive(hops, cur, gw1.Router, st.localClass())
-	if !ok {
-		return hops, false
-	}
-	hops = append(hops, Hop{From: gw1.Router, To: gw1.Peer, Kind: Global, VC: st.globalClass()})
-	st.globalHops++
-	hops, ok = c.appendLocalLive(hops, gw1.Peer, gw2.Router, st.localClass())
-	if !ok {
-		return hops, false
-	}
-	hops = append(hops, Hop{From: gw2.Router, To: gw2.Peer, Kind: Global, VC: st.globalClass()})
-	st.globalHops++
-	return c.appendLocalLive(hops, gw2.Peer, dst, st.localClass())
 }
 
 // pickLiveGateway selects a live global link from group gs to gd usable from
@@ -272,45 +201,4 @@ func (c *Chooser) findTransit(cur topology.RouterID, gs, gd int, dst topology.Ro
 		}
 	}
 	return topology.Gateway{}, topology.Gateway{}, false
-}
-
-// FaultMinimalPath is MinimalPath's degraded-mode twin: the live minimal
-// route (with the two-global-hop transit detour when the group pair has no
-// live direct gateway), or a typed error when the pair is partitioned.
-func (c *Chooser) FaultMinimalPath(rs, rd topology.RouterID) (Path, error) {
-	var st segmentState
-	hops, ok := c.appendMinimalFault(c.getHops(), rs, rd, &st, true)
-	if !ok {
-		c.putHops(hops)
-		return Path{}, &UnreachableError{Src: rs, Dst: rd}
-	}
-	return Path{Hops: hops, arena: c.useArena}, nil
-}
-
-// FaultValiantPath builds a non-minimal candidate on the faulted fabric. A
-// candidate whose intermediate is dead or whose segments cannot route direct
-// is infeasible: it reports false and the caller simply fields fewer
-// candidates.
-func (c *Chooser) FaultValiantPath(rs, rd topology.RouterID) (Path, bool) {
-	mid := c.valiant[c.rng.Intn(len(c.valiant))]
-	if mid == rs || mid == rd {
-		p, err := c.FaultMinimalPath(rs, rd)
-		return p, err == nil
-	}
-	if !c.health.RouterUp(mid) {
-		return Path{}, false
-	}
-	var st segmentState
-	hops, ok := c.appendMinimalFault(c.getHops(), rs, mid, &st, false)
-	if !ok {
-		c.putHops(hops)
-		return Path{}, false
-	}
-	st.midsPassed++
-	hops, ok = c.appendMinimalFault(hops, mid, rd, &st, false)
-	if !ok {
-		c.putHops(hops)
-		return Path{}, false
-	}
-	return Path{Hops: hops, arena: c.useArena}, true
 }

@@ -1,13 +1,16 @@
 package routing
 
 // The routing-policy SPI. The Chooser owns the resolved tables (next hops,
-// gateways, hop arena, live-BFS trees) and exposes them as route
-// construction primitives — MinimalPath, ValiantPath, their fault-aware
-// twins, Score, the RNG stream — while a Policy makes the decisions the
-// paper's trade-off turns on: which path class (minimal vs. Valiant
-// detour), which candidates, when to misroute. The built-in mechanisms
-// (min/adp) are policies like any other; external implementations get the
-// same primitives and are held to the same contract (see
+// gateways, hop arena, the health view) and exposes them as route
+// construction primitives — MinimalPath, ValiantPath, Score, the RNG
+// stream — while a Policy makes the decisions the paper's trade-off turns
+// on: which path class (minimal vs. Valiant detour), which candidates,
+// when to misroute. Only the chooser knows whether the fabric is degraded:
+// the primitives route around dead equipment and report infeasibility
+// (MinimalPath's typed error, ValiantPath's false), so a policy writes its
+// decision once for both fabrics. The built-in mechanisms
+// (min/adp/qadaptive) are policies like any other; external implementations get the same
+// primitives and are held to the same contract (see
 // internal/topotest/policytest):
 //
 //   - Validity: every returned path must pass Validate against the live
@@ -21,9 +24,10 @@ package routing
 //     hops via the primitives (arena-backed), recycle losing candidates
 //     with Release, and keep per-policy state in flat arrays sized at
 //     Bind time.
-//   - Fault duty: FaultRoute is called with both endpoint routers alive
-//     and distinct; it must return a typed *UnreachableError (never a
-//     panic or a hang) when the fabric offers no live route.
+//   - Fault duty: Route is called with both endpoint routers alive and
+//     distinct; it must return a typed *UnreachableError (never a panic or
+//     a hang) when the fabric offers no live route — passing on
+//     MinimalPath's error does that.
 
 import (
 	"fmt"
@@ -41,13 +45,10 @@ type Policy interface {
 	Name() string
 	// Bind attaches the policy to its chooser before the first route.
 	Bind(c *Chooser)
-	// Route returns the path between two distinct routers on a healthy
-	// fabric. It must not fail: the resolved tables cover every pair.
-	Route(rs, rd topology.RouterID) Path
-	// FaultRoute returns the path between two distinct live routers on a
-	// degraded fabric, or a typed error wrapping ErrUnreachable when no
-	// live route exists.
-	FaultRoute(rs, rd topology.RouterID) (Path, error)
+	// Route returns the path between two distinct live routers, or a
+	// typed error wrapping ErrUnreachable when the degraded fabric offers
+	// no live route. On a healthy fabric it never fails.
+	Route(rs, rd topology.RouterID) (Path, error)
 }
 
 // PolicyFactory constructs a fresh Policy for one Chooser. Options carries
@@ -120,11 +121,8 @@ type minimalPolicy struct {
 
 func (p *minimalPolicy) Name() string    { return "min" }
 func (p *minimalPolicy) Bind(c *Chooser) { p.c = c }
-func (p *minimalPolicy) Route(rs, rd topology.RouterID) Path {
+func (p *minimalPolicy) Route(rs, rd topology.RouterID) (Path, error) {
 	return p.c.MinimalPath(rs, rd)
-}
-func (p *minimalPolicy) FaultRoute(rs, rd topology.RouterID) (Path, error) {
-	return p.c.FaultMinimalPath(rs, rd)
 }
 
 // adaptivePolicy implements the UGAL-style choice described in the paper
@@ -140,63 +138,30 @@ type adaptivePolicy struct {
 func (p *adaptivePolicy) Name() string    { return "adp" }
 func (p *adaptivePolicy) Bind(c *Chooser) { p.c = c }
 
-func (p *adaptivePolicy) Route(rs, rd topology.RouterID) Path {
+// Route drops infeasible candidates (a healthy fabric has none) and
+// misroutes only when the best non-minimal candidate beats the best
+// minimal one by more than the minimal-preference bias, as Aries adaptive
+// routing does. Failed ports never appear as candidates, which is the
+// "infinitely congested" treatment in its strongest form.
+func (p *adaptivePolicy) Route(rs, rd topology.RouterID) (Path, error) {
 	c := p.c
-	cands := append(c.candBuf[:0], c.MinimalPath(rs, rd))
-	nMin := 1
-	if c.groupOf[rs] != c.groupOf[rd] {
-		// A second minimal candidate only exists when gateway choice varies.
-		cands = append(cands, c.MinimalPath(rs, rd))
-		nMin = 2
-	}
-	nonMin := c.opts.valiantCandidates()
-	for i := 0; i < nonMin; i++ {
-		cands = append(cands, c.ValiantPath(rs, rd))
-	}
-	c.candBuf = cands[:0]
-
-	minIdx, minScore := pickBest(c, cands[:nMin])
-	nonIdx, nonScore := pickBest(c, cands[nMin:])
-	nonIdx += nMin
-
-	// Misroute only when the non-minimal candidate wins by more than the
-	// minimal-preference bias, as Aries adaptive routing does.
-	win := minIdx
-	if nonScore+c.opts.minimalBias() < minScore {
-		win = nonIdx
-	}
-	for i := range cands {
-		// Every candidate owns its arena storage, so each loser is
-		// recycled exactly once.
-		if i != win && cands[i].arena {
-			c.putHops(cands[i].Hops)
-		}
-	}
-	return cands[win]
-}
-
-// FaultRoute is the UGAL choice on the faulted fabric: the same candidate
-// structure and scoring, with infeasible candidates dropped. Failed ports
-// never appear as candidates, which is the "infinitely congested"
-// treatment in its strongest form.
-func (p *adaptivePolicy) FaultRoute(rs, rd topology.RouterID) (Path, error) {
-	c := p.c
-	first, err := c.FaultMinimalPath(rs, rd)
+	first, err := c.MinimalPath(rs, rd)
 	if err != nil {
 		return Path{}, err
 	}
 	cands := append(c.candBuf[:0], first)
 	nMin := 1
 	if c.groupOf[rs] != c.groupOf[rd] {
-		if p, err := c.FaultMinimalPath(rs, rd); err == nil {
-			cands = append(cands, p)
+		// A second minimal candidate only exists when gateway choice varies.
+		if q, err := c.MinimalPath(rs, rd); err == nil {
+			cands = append(cands, q)
 			nMin = 2
 		}
 	}
 	nonMin := c.opts.valiantCandidates()
 	for i := 0; i < nonMin; i++ {
-		if p, ok := c.FaultValiantPath(rs, rd); ok {
-			cands = append(cands, p)
+		if q, ok := c.ValiantPath(rs, rd); ok {
+			cands = append(cands, q)
 		}
 	}
 	c.candBuf = cands[:0]
@@ -209,6 +174,8 @@ func (p *adaptivePolicy) FaultRoute(rs, rd topology.RouterID) (Path, error) {
 		}
 	}
 	for i := range cands {
+		// Every candidate owns its arena storage, so each loser is
+		// recycled exactly once.
 		if i != win && cands[i].arena {
 			c.putHops(cands[i].Hops)
 		}

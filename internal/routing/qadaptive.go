@@ -142,46 +142,12 @@ func (p *QAdaptivePolicy) update(pair, class int, cost float64) float64 {
 // is per group pair and its two classes only differ in global-fabric
 // crossing, so there is nothing to learn inside a group. Inter-group pairs
 // field the same candidate set as adp (two minimal, ValiantCandidates
-// non-minimal — same RNG draw pattern), but decide minimal-vs-Valiant from
-// the learned estimates instead of the instantaneous scores alone.
-func (p *QAdaptivePolicy) Route(rs, rd topology.RouterID) Path {
+// non-minimal — same RNG draw pattern, infeasible candidates dropped), but
+// decide minimal-vs-Valiant from the learned estimates instead of the
+// instantaneous scores alone, whenever both classes fielded a candidate.
+func (p *QAdaptivePolicy) Route(rs, rd topology.RouterID) (Path, error) {
 	c := p.c
-	gs := c.GroupOf(rs)
-	gd := c.GroupOf(rd)
-	if gs == gd {
-		return c.MinimalPath(rs, rd)
-	}
-	cands := append(c.candBuf[:0], c.MinimalPath(rs, rd), c.MinimalPath(rs, rd))
-	const nMin = 2
-	nonMin := c.ValiantCandidates()
-	for i := 0; i < nonMin; i++ {
-		cands = append(cands, c.ValiantPath(rs, rd))
-	}
-	c.candBuf = cands[:0]
-
-	minIdx, minScore := pickBest(c, cands[:nMin])
-	nonIdx, nonScore := pickBest(c, cands[nMin:])
-	nonIdx += nMin
-
-	win := minIdx
-	if p.decide(gs*p.n+gd, minScore, nonScore) {
-		win = nonIdx
-	}
-	for i := range cands {
-		if i != win && cands[i].arena {
-			c.putHops(cands[i].Hops)
-		}
-	}
-	return cands[win]
-}
-
-// FaultRoute implements Policy on the degraded fabric: adp's candidate
-// feasibility rules (infeasible candidates dropped, typed error when even
-// the minimal route is gone), with the Q-decision applied whenever both
-// classes fielded a candidate.
-func (p *QAdaptivePolicy) FaultRoute(rs, rd topology.RouterID) (Path, error) {
-	c := p.c
-	first, err := c.FaultMinimalPath(rs, rd)
+	first, err := c.MinimalPath(rs, rd)
 	if err != nil {
 		return Path{}, err
 	}
@@ -192,13 +158,13 @@ func (p *QAdaptivePolicy) FaultRoute(rs, rd topology.RouterID) (Path, error) {
 	}
 	cands := append(c.candBuf[:0], first)
 	nMin := 1
-	if q, err := c.FaultMinimalPath(rs, rd); err == nil {
+	if q, err := c.MinimalPath(rs, rd); err == nil {
 		cands = append(cands, q)
 		nMin = 2
 	}
 	nonMin := c.ValiantCandidates()
 	for i := 0; i < nonMin; i++ {
-		if q, ok := c.FaultValiantPath(rs, rd); ok {
+		if q, ok := c.ValiantPath(rs, rd); ok {
 			cands = append(cands, q)
 		}
 	}

@@ -186,11 +186,11 @@ type Options struct {
 	// the knob is the allocate-fresh reference of the pooling equivalence
 	// tests and a memory-vs-speed debugging aid.
 	NoCache bool
-	// Health, when non-nil, switches the chooser to the fault-aware code
-	// path (see faultaware.go): routes avoid dead routers and links, fall
-	// back to non-minimal detours, and report ErrUnreachable from TryRoute
-	// on partitioned pairs. nil (the default) is the healthy fabric and
-	// costs one nil check per route.
+	// Health, when non-nil, is the degraded fabric's health view (see
+	// faultaware.go): the route builders walk trees over live links, pick
+	// only live gateways, fall back to a transit detour, and report
+	// ErrUnreachable from TryRoute on partitioned pairs. nil (the default)
+	// is the healthy fabric.
 	Health topology.Health
 	// Policy, when non-nil, overrides the Mechanism passed to the chooser
 	// constructor: each chooser installs a fresh instance from the
@@ -256,10 +256,11 @@ type Chooser struct {
 	// routerOf[n] is the router of node n; groupOf[r] the group of router r.
 	routerOf []topology.RouterID
 	groupOf  []int32
-	// nextHop is the machine's LocalNextHop as per-group rows: the router
-	// after cur toward dst (same group) is nextHop[cur*R + dst-g*R], R =
-	// routersPerGroup — the (router, local destination) layout liveNextHop
-	// shares.
+	// nextHop is the intra-group next-hop table as per-group rows: the
+	// router after cur toward dst (same group) is nextHop[cur*R + dst-g*R],
+	// R = routersPerGroup. On a healthy fabric it holds the machine's
+	// LocalNextHop; with a health view RebuildHealth fills it with trees
+	// over the live local links, noRouter where the pair is partitioned.
 	nextHop []topology.RouterID
 	// valiant enumerates the eligible Valiant intermediate routers.
 	valiant []topology.RouterID
@@ -277,18 +278,17 @@ type Chooser struct {
 	// packets and discarded adaptive candidates. Each Chooser belongs to one
 	// engine/fabric (one sweep worker), so access is single-threaded.
 	freeHops [][]Hop
-	// candBuf is the reusable candidate scratch of adaptivePath.
+	// candBuf is the reusable candidate scratch of the adaptive policies.
 	candBuf []Path
 
 	// Degraded-mode state (all nil/unused while health is nil; see
-	// faultaware.go). liveNextHop/liveDist mirror the nextHop layout with
-	// BFS-over-live-links trees; the buffers are pickLiveGateway scratch.
-	health      topology.Health
-	liveNextHop []topology.RouterID
-	liveDist    []int32
-	bfsQueue    []topology.RouterID
-	gwBuf       []topology.Gateway
-	gwDistBuf   []int32
+	// faultaware.go). liveDist holds the live hop distances in the nextHop
+	// layout; the buffers are RebuildHealth and pickLiveGateway scratch.
+	health    topology.Health
+	liveDist  []int32
+	bfsQueue  []topology.RouterID
+	gwBuf     []topology.Gateway
+	gwDistBuf []int32
 }
 
 // NewChooser builds a route chooser with default Options. rng drives
@@ -326,25 +326,28 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	})
 	rpg := c.routersPerGroup
 	c.nextHop = make([]topology.RouterID, c.numRouters*rpg)
-	par.ForChunks(c.numGroups, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			base := g * rpg
-			for i := 0; i < rpg; i++ {
-				for j := 0; j < rpg; j++ {
-					c.nextHop[(base+i)*rpg+j] = topo.LocalNextHop(
-						topology.RouterID(base+i), topology.RouterID(base+j))
+	c.health = opts.Health
+	if c.health != nil {
+		c.RebuildHealth()
+	} else {
+		par.ForChunks(c.numGroups, func(lo, hi int) {
+			for g := lo; g < hi; g++ {
+				base := g * rpg
+				for i := 0; i < rpg; i++ {
+					for j := 0; j < rpg; j++ {
+						c.nextHop[(base+i)*rpg+j] = topo.LocalNextHop(
+							topology.RouterID(base+i), topology.RouterID(base+j))
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 	c.valiant = make([]topology.RouterID, topo.NumValiantRouters())
 	for i := range c.valiant {
 		c.valiant[i] = topo.ValiantRouter(i)
 	}
 	c.nearestGW = make([][][]topology.Gateway, c.numRouters)
 	c.useArena = !opts.NoCache
-	c.health = opts.Health
-	c.RebuildHealth()
 	if opts.Policy != nil {
 		c.policy = opts.Policy()
 	} else {
@@ -403,27 +406,30 @@ func (c *Chooser) Route(src, dst topology.NodeID) Path {
 func (c *Chooser) TryRoute(src, dst topology.NodeID) (Path, error) {
 	rs := c.routerOf[src]
 	rd := c.routerOf[dst]
-	if c.health != nil {
-		return c.faultRoute(rs, rd)
+	if c.health != nil && (!c.health.RouterUp(rs) || !c.health.RouterUp(rd)) {
+		return Path{}, &UnreachableError{Src: rs, Dst: rd}
 	}
 	if rs == rd {
 		return Path{}, nil
 	}
-	return c.policy.Route(rs, rd), nil
+	return c.policy.Route(rs, rd)
 }
 
-// appendLocalDOR appends the machine's canonical minimal intra-group segment
-// from cur to dst (same group) using the given local VC class, returning
-// dst. The segment is the nextHop table walked to the destination — on the
-// XC40 grid that is the historical row-first-then-column dimension order.
-func (c *Chooser) appendLocalDOR(hops []Hop, cur, dst topology.RouterID, class uint8) ([]Hop, topology.RouterID) {
+// appendLocal appends the intra-group segment from cur to dst (same group)
+// on the given local VC class by walking the nextHop table — on a healthy
+// XC40 grid the historical row-first-then-column dimension order. Reports
+// false when the degraded fabric has partitioned the pair.
+func (c *Chooser) appendLocal(hops []Hop, cur, dst topology.RouterID, class uint8) ([]Hop, bool) {
 	base := int(c.groupOf[cur]) * c.routersPerGroup
 	for cur != dst {
 		next := c.nextHop[int(cur)*c.routersPerGroup+int(dst)-base]
+		if next == noRouter {
+			return hops, false
+		}
 		hops = append(hops, Hop{From: cur, To: next, Kind: Local, VC: class})
 		cur = next
 	}
-	return hops, cur
+	return hops, true
 }
 
 // segmentState tracks VC-class progress while a multi-segment path is built.
@@ -436,19 +442,55 @@ func (s segmentState) localClass() uint8  { return uint8(s.globalHops + s.midsPa
 func (s segmentState) globalClass() uint8 { return uint8(s.globalHops) }
 
 // appendMinimal appends a minimal route from cur to dst given the current
-// VC-class state, updating the state across global hops.
-func (c *Chooser) appendMinimal(hops []Hop, cur, dst topology.RouterID, st *segmentState) ([]Hop, topology.RouterID) {
+// VC-class state, updating the state across global hops. allowTransit
+// permits the two-global-hop detour when a degraded group pair has no live
+// direct gateway; Valiant segments pass false to stay inside the VC budget.
+// Reports false when no live route exists under those constraints, which
+// never happens on a healthy fabric.
+func (c *Chooser) appendMinimal(hops []Hop, cur, dst topology.RouterID, st *segmentState, allowTransit bool) ([]Hop, bool) {
 	gs := int(c.groupOf[cur])
 	gd := int(c.groupOf[dst])
 	if gs == gd {
-		return c.appendLocalDOR(hops, cur, dst, st.localClass())
+		return c.appendLocal(hops, cur, dst, st.localClass())
 	}
-	gw := c.pickGateway(cur, gs, gd)
-	hops, cur = c.appendLocalDOR(hops, cur, gw.Router, st.localClass())
+	gw, ok := c.gateway(cur, gs, gd, dst)
+	if !ok {
+		// Detour: cross into the transit group over via, leave it over
+		// gw. The VC classes are exactly a Valiant path's: global classes
+		// 0 then 1, local classes 0 / 1 / 2 across the three groups.
+		if !allowTransit || st.globalHops != 0 {
+			return hops, false
+		}
+		var via topology.Gateway
+		if via, gw, ok = c.findTransit(cur, gs, gd, dst); !ok {
+			return hops, false
+		}
+		if hops, ok = c.appendLocal(hops, cur, via.Router, st.localClass()); !ok {
+			return hops, false
+		}
+		hops = append(hops, Hop{From: via.Router, To: via.Peer, Kind: Global, VC: st.globalClass()})
+		st.globalHops++
+		cur = via.Peer
+	}
+	if hops, ok = c.appendLocal(hops, cur, gw.Router, st.localClass()); !ok {
+		return hops, false
+	}
 	hops = append(hops, Hop{From: gw.Router, To: gw.Peer, Kind: Global, VC: st.globalClass()})
 	st.globalHops++
-	cur = gw.Peer
-	return c.appendLocalDOR(hops, cur, dst, st.localClass())
+	return c.appendLocal(hops, gw.Peer, dst, st.localClass())
+}
+
+// gateway selects the global link from group gs toward gd for a route at
+// cur bound for dst. The two pickers differ on purpose: the healthy one
+// caches its candidates per (router, destination group) and, under
+// GatewayRandom, draws even from a single candidate; the live one admits
+// only gateways that reach cur and dst and draws only when the choice
+// varies. Reports false when the degraded pair has no live direct gateway.
+func (c *Chooser) gateway(cur topology.RouterID, gs, gd int, dst topology.RouterID) (topology.Gateway, bool) {
+	if c.health == nil {
+		return c.pickGateway(cur, gs, gd), true
+	}
+	return c.pickLiveGateway(cur, gs, gd, dst)
 }
 
 // pickGateway selects a global link from group gs to gd: among the gateways
@@ -510,30 +552,50 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 	return cand
 }
 
-// MinimalPath builds the minimal route between two distinct routers on the
-// healthy fabric — the chooser's primary construction primitive — into
-// recycled arena storage.
-func (c *Chooser) MinimalPath(rs, rd topology.RouterID) Path {
+// MinimalPath builds the minimal route between two distinct live routers
+// — the chooser's primary construction primitive — into recycled arena
+// storage. On a degraded fabric it takes the live route, detouring through
+// a transit group when the group pair has no live direct gateway, and
+// fails with a typed *UnreachableError when the pair is partitioned. On a
+// healthy fabric it never fails.
+func (c *Chooser) MinimalPath(rs, rd topology.RouterID) (Path, error) {
 	var st segmentState
-	hops, _ := c.appendMinimal(c.getHops(), rs, rd, &st)
-	return Path{Hops: hops, arena: c.useArena}
+	hops, ok := c.appendMinimal(c.getHops(), rs, rd, &st, true)
+	if !ok {
+		c.putHops(hops)
+		return Path{}, &UnreachableError{Src: rs, Dst: rd}
+	}
+	return Path{Hops: hops, arena: c.useArena}, nil
 }
 
 // ValiantPath routes minimally to a random intermediate router (drawn from
 // the machine's eligible set — every router on the XC40 grid, leaves only on
 // Dragonfly+), then minimally to the destination, bumping the VC class at
 // the intermediate. One RNG draw per call, even when the draw degenerates
-// to the minimal path.
-func (c *Chooser) ValiantPath(rs, rd topology.RouterID) Path {
+// to the minimal path. On a degraded fabric a candidate whose intermediate
+// is dead, or whose segments cannot route direct, is infeasible: it reports
+// false and the caller fields fewer candidates. On a healthy fabric it
+// always reports true.
+func (c *Chooser) ValiantPath(rs, rd topology.RouterID) (Path, bool) {
 	mid := c.valiant[c.rng.Intn(len(c.valiant))]
 	if mid == rs || mid == rd {
-		return c.MinimalPath(rs, rd)
+		p, err := c.MinimalPath(rs, rd)
+		return p, err == nil
+	}
+	if c.health != nil && !c.health.RouterUp(mid) {
+		return Path{}, false
 	}
 	var st segmentState
-	hops, cur := c.appendMinimal(c.getHops(), rs, mid, &st)
-	st.midsPassed++
-	hops, _ = c.appendMinimal(hops, cur, rd, &st)
-	return Path{Hops: hops, arena: c.useArena}
+	hops, ok := c.appendMinimal(c.getHops(), rs, mid, &st, false)
+	if ok {
+		st.midsPassed++
+		hops, ok = c.appendMinimal(hops, mid, rd, &st, false)
+	}
+	if !ok {
+		c.putHops(hops)
+		return Path{}, false
+	}
+	return Path{Hops: hops, arena: c.useArena}, true
 }
 
 func pickBest(c *Chooser, paths []Path) (int, int64) {

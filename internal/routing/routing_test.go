@@ -92,7 +92,10 @@ func TestValiantPathsValid(t *testing.T) {
 		if rs == rd {
 			continue
 		}
-		p := ch.ValiantPath(rs, rd)
+		p, ok := ch.ValiantPath(rs, rd)
+		if !ok {
+			t.Fatalf("valiant %d->%d: infeasible on a healthy fabric", s, d)
+		}
 		if err := Validate(topo, rs, rd, p); err != nil {
 			t.Fatalf("valiant %d->%d: %v", s, d, err)
 		}

@@ -26,11 +26,12 @@ func TestContractQAdaptive(t *testing.T) {
 }
 
 // flipPolicy alternates between the chooser's minimal and Valiant builders
-// for inter-group traffic. It is deliberately written against nothing but
-// the exported Chooser surface (MinimalPath, ValiantPath, FaultMinimalPath,
-// FaultValiantPath, GroupOf) — passing the contract proves the SPI is
-// sufficient for an out-of-tree policy, not just for the built-ins that
-// share the package.
+// for inter-group traffic, falling back to minimal when the Valiant
+// candidate is infeasible. It is deliberately written against nothing but
+// the exported Chooser surface (MinimalPath, ValiantPath, GroupOf) and
+// never asks whether the fabric is degraded — passing the contract, faulted
+// regimes included, proves the SPI is sufficient for an out-of-tree
+// policy, not just for the built-ins that share the package.
 type flipPolicy struct {
 	c *routing.Chooser
 	n int
@@ -39,22 +40,14 @@ type flipPolicy struct {
 func (p *flipPolicy) Name() string            { return "flip" }
 func (p *flipPolicy) Bind(c *routing.Chooser) { p.c = c }
 
-func (p *flipPolicy) Route(rs, rd topology.RouterID) routing.Path {
-	p.n++
-	if p.c.GroupOf(rs) == p.c.GroupOf(rd) || p.n%2 == 0 {
-		return p.c.MinimalPath(rs, rd)
-	}
-	return p.c.ValiantPath(rs, rd)
-}
-
-func (p *flipPolicy) FaultRoute(rs, rd topology.RouterID) (routing.Path, error) {
+func (p *flipPolicy) Route(rs, rd topology.RouterID) (routing.Path, error) {
 	p.n++
 	if p.c.GroupOf(rs) != p.c.GroupOf(rd) && p.n%2 == 1 {
-		if v, ok := p.c.FaultValiantPath(rs, rd); ok {
+		if v, ok := p.c.ValiantPath(rs, rd); ok {
 			return v, nil
 		}
 	}
-	return p.c.FaultMinimalPath(rs, rd)
+	return p.c.MinimalPath(rs, rd)
 }
 
 func TestContractCustomPolicy(t *testing.T) {
