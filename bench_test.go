@@ -6,16 +6,31 @@ package dragonfly
 // applications); `cmd/dfsweep -scale paper` runs the same code at the
 // paper's machine and application sizes. Reported custom metrics:
 // sim_events/op (DES events executed) — the natural work unit of the
-// simulator.
+// simulator — and gcs/op, the collector cycles per iteration.
 
 import (
+	"runtime"
 	"testing"
 )
+
+// numGC returns the number of completed collector cycles.
+func numGC() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumGC
+}
+
+// reportGCs reports the collector cycles per iteration since the count
+// was before.
+func reportGCs(b *testing.B, before uint32) {
+	b.ReportMetric(float64(numGC()-before)/float64(b.N), "gcs/op")
+}
 
 // benchArtifact runs one experiment per iteration on a fresh runner so the
 // result cache never amortizes across iterations.
 func benchArtifact(b *testing.B, id string) {
 	b.Helper()
+	gcs := numGC()
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(ExperimentOptions{Scale: ScaleQuick, Seed: 1})
 		rep, err := r.Run(id)
@@ -26,6 +41,7 @@ func benchArtifact(b *testing.B, id string) {
 			b.Fatalf("%s produced no tables", id)
 		}
 	}
+	reportGCs(b, gcs)
 }
 
 // BenchmarkTableINomenclature regenerates Table I.
@@ -74,6 +90,7 @@ func BenchmarkSingleRunCR(b *testing.B) {
 		b.Fatal(err)
 	}
 	var events uint64
+	gcs := numGC()
 	for i := 0; i < b.N; i++ {
 		cfg := MiniConfig(tr, Cell{Placement: RandomNode, Routing: Minimal}, int64(i))
 		res, err := Run(cfg)
@@ -83,6 +100,7 @@ func BenchmarkSingleRunCR(b *testing.B) {
 		events += res.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "sim_events/op")
+	reportGCs(b, gcs)
 }
 
 // BenchmarkSingleRunAdaptive measures the adaptive-routing variant, whose
@@ -93,6 +111,7 @@ func BenchmarkSingleRunAdaptive(b *testing.B) {
 		b.Fatal(err)
 	}
 	var events uint64
+	gcs := numGC()
 	for i := 0; i < b.N; i++ {
 		cfg := MiniConfig(tr, Cell{Placement: RandomNode, Routing: Adaptive}, int64(i))
 		res, err := Run(cfg)
@@ -102,4 +121,5 @@ func BenchmarkSingleRunAdaptive(b *testing.B) {
 		events += res.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "sim_events/op")
+	reportGCs(b, gcs)
 }

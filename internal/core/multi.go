@@ -93,6 +93,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	replays := make([]*workload.Replay, len(cfg.Jobs))
 	for i, spec := range cfg.Jobs {
 		if spec.Trace == nil {

@@ -1,33 +1,40 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/faults"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
+	"dragonfly/internal/topology"
 	"dragonfly/internal/workload"
 )
 
-// The allocation-avoidance machinery — the fabric's packet, credit-token
-// and message free lists and the router's hop arena — must be invisible to
-// the model: every Result field has to match the allocate-fresh
-// configuration exactly, for both routing mechanisms (minimal exercises the
-// arena, adaptive additionally the candidate scratch, the Valiant
-// mid-router draw ordering, and arena recycling of losing candidates).
-// Background cells recycle messages whose callbacks are nil and whose
-// closes interleave with the app's; the dynamic-failure cell recycles
-// messages that close lossily, where the close also completes the send
-// side.
-func TestPoolingDoesNotChangeResults(t *testing.T) {
+// poolCase is one cell of the allocation-avoidance equivalence suites.
+type poolCase struct {
+	name  string
+	cfg   Config
+	lossy bool // the run must drop bytes, so messages close lossily
+}
+
+// poolingCases are the cells the allocation-avoidance machinery — the
+// fabric's packet, credit-token and message free lists, the router's hop
+// arena, and the engine and fabric storage recycled across runs — must be
+// invisible to, for both routing mechanisms (minimal exercises the arena,
+// adaptive additionally the candidate scratch, the Valiant mid-router draw
+// ordering, and arena recycling of losing candidates). Background cells
+// recycle messages whose callbacks are nil and whose closes interleave
+// with the app's; the dynamic-failure cell recycles messages that close
+// lossily, where the close also completes the send side.
+func poolingCases(t *testing.T) []poolCase {
 	tr := miniCR(t)
-	type poolCase struct {
-		name  string
-		cfg   Config
-		lossy bool // the run must drop bytes, so messages close lossily
-	}
 	var cases []poolCase
 	for _, cell := range []Cell{
 		{placement.RandomNode, routing.Minimal},
@@ -39,67 +46,234 @@ func TestPoolingDoesNotChangeResults(t *testing.T) {
 	} {
 		cases = append(cases, poolCase{name: cell.Name(), cfg: MiniConfig(tr, cell, 11)})
 	}
+	return append(cases,
+		poolCase{name: "uniform-background", cfg: uniformCell(t)},
+		poolCase{name: "bursty-background", cfg: burstyCell(t)},
+		poolCase{name: "dynamic-group-failure", cfg: failingCell(t), lossy: true},
+	)
+}
 
-	uniform := MiniConfig(tr, Cell{placement.RandomNode, routing.Adaptive}, 11)
-	uniform.Background = &workload.BackgroundConfig{
+func uniformCell(t *testing.T) Config {
+	cfg := MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Adaptive}, 11)
+	cfg.Background = &workload.BackgroundConfig{
 		Kind: workload.UniformRandom, MsgBytes: 32 * 1024, Interval: 5 * des.Microsecond,
 	}
-	bursty := MiniConfig(tr, Cell{placement.Contiguous, routing.Adaptive}, 11)
-	bursty.Background = &workload.BackgroundConfig{
+	return cfg
+}
+
+func burstyCell(t *testing.T) Config {
+	cfg := MiniConfig(miniCR(t), Cell{placement.Contiguous, routing.Adaptive}, 11)
+	cfg.Background = &workload.BackgroundConfig{
 		Kind: workload.Bursty, MsgBytes: 8 * 1024, Interval: 8 * des.Microsecond, FanOut: 7,
 	}
-	failing := MiniConfig(tr, Cell{placement.RandomNode, routing.Adaptive}, 11)
-	failing.Faults = &faults.Spec{Events: []faults.Event{
+	return cfg
+}
+
+// failingCell loses group 1 from 2 µs to 20 µs.
+func failingCell(t *testing.T) Config {
+	cfg := MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Adaptive}, 11)
+	cfg.Faults = &faults.Spec{Events: []faults.Event{
 		{At: 2_000, IsGroup: true, Group: 1},
 		{At: 20_000, IsGroup: true, Group: 1, Repair: true},
 	}}
-	failing.WatchdogEvents = 200_000_000
-	cases = append(cases,
-		poolCase{name: "uniform-background", cfg: uniform},
-		poolCase{name: "bursty-background", cfg: bursty},
-		poolCase{name: "dynamic-group-failure", cfg: failing, lossy: true},
-	)
+	cfg.WatchdogEvents = 200_000_000
+	return cfg
+}
 
-	for _, c := range cases {
+// plusMiniCell is an app-only cell on the Dragonfly+ mini machine.
+func plusMiniCell(t *testing.T) Config {
+	cfg := MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Adaptive}, 11)
+	cfg.Topology = topology.PlusMini()
+	return cfg
+}
+
+// freshRun runs cfg under the auditor on the allocate-fresh reference: no
+// free lists, no hop arena, and engine and fabric storage that no earlier
+// run used.
+func freshRun(t *testing.T, name string, cfg Config) *Result {
+	t.Helper()
+	cfg.Audit = true
+	cfg.Params.NoPacketPool = true
+	cfg.Params.Route.NoCache = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s fresh: %v", name, err)
+	}
+	return res
+}
+
+// requireSameRun fails unless got matches the reference want in every
+// field that reusing memory could perturb, the audit counts included.
+func requireSameRun(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if got.Duration != want.Duration || got.Events != want.Events {
+		t.Fatalf("%s: run (%v, %d events) differs from fresh (%v, %d events)",
+			name, got.Duration, got.Events, want.Duration, want.Events)
+	}
+	if got.DroppedPackets != want.DroppedPackets || got.DroppedBytes != want.DroppedBytes {
+		t.Errorf("%s: drops (%d, %d) differ from fresh (%d, %d)", name,
+			got.DroppedPackets, got.DroppedBytes, want.DroppedPackets, want.DroppedBytes)
+	}
+	if !reflect.DeepEqual(got.CommTimes, want.CommTimes) {
+		t.Errorf("%s: per-rank comm times differ from fresh", name)
+	}
+	if !reflect.DeepEqual(got.AvgHops, want.AvgHops) {
+		t.Errorf("%s: per-rank hop averages differ from fresh", name)
+	}
+	if !reflect.DeepEqual(got.Links, want.Links) {
+		t.Errorf("%s: link statistics differ from fresh", name)
+	}
+	if got.Audit == nil || len(got.Audit.Violations) != 0 {
+		t.Errorf("%s: auditor flagged the run: %v", name, got.Audit)
+	} else if got.Audit.Stats != want.Audit.Stats {
+		t.Errorf("%s: audit counts %+v differ from fresh %+v", name, got.Audit.Stats, want.Audit.Stats)
+	}
+}
+
+// TestPoolingDoesNotChangeResults: a pooled run matches the allocate-fresh
+// reference exactly.
+func TestPoolingDoesNotChangeResults(t *testing.T) {
+	for _, c := range poolingCases(t) {
 		cfg := c.cfg
 		cfg.Audit = true
 		pooled, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s pooled: %v", c.name, err)
 		}
-
-		cfg.Params.NoPacketPool = true
-		cfg.Params.Route.NoCache = true
-		fresh, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s fresh: %v", c.name, err)
-		}
-
 		if !pooled.Completed {
 			t.Fatalf("%s: pooled run did not complete", c.name)
 		}
 		if c.lossy && pooled.DroppedBytes == 0 {
 			t.Fatalf("%s: no bytes dropped, so no message closed lossily", c.name)
 		}
-		if pooled.Duration != fresh.Duration || pooled.Events != fresh.Events {
-			t.Fatalf("%s: pooled run (%v, %d events) differs from fresh (%v, %d events)",
-				c.name, pooled.Duration, pooled.Events, fresh.Duration, fresh.Events)
-		}
-		if pooled.DroppedPackets != fresh.DroppedPackets || pooled.DroppedBytes != fresh.DroppedBytes {
-			t.Errorf("%s: drops differ with pooling: (%d, %d) vs (%d, %d)", c.name,
-				pooled.DroppedPackets, pooled.DroppedBytes, fresh.DroppedPackets, fresh.DroppedBytes)
-		}
-		if !reflect.DeepEqual(pooled.CommTimes, fresh.CommTimes) {
-			t.Errorf("%s: per-rank comm times differ with pooling", c.name)
-		}
-		if !reflect.DeepEqual(pooled.AvgHops, fresh.AvgHops) {
-			t.Errorf("%s: per-rank hop averages differ with pooling", c.name)
-		}
-		if !reflect.DeepEqual(pooled.Links, fresh.Links) {
-			t.Errorf("%s: link statistics differ with pooling", c.name)
-		}
-		if pooled.Audit == nil || len(pooled.Audit.Violations) != 0 {
-			t.Errorf("%s: auditor flagged the pooled run: %v", c.name, pooled.Audit)
+		requireSameRun(t, c.name, pooled, freshRun(t, c.name, c.cfg))
+	}
+}
+
+// closeBusySession runs cfg's job, and its background if any, on a session
+// until the job finishes or cfg.MaxSimTime passes, then closes the session
+// with work still in flight. It fails unless events are still pending and
+// messages still queued at NICs, so the storage the session hands on is as
+// dirty as a run leaves it.
+func closeBusySession(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	root := des.NewRNG(cfg.Seed, "core")
+	s, err := NewSession(cfg, root)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	nodes, err := placement.AllocateFrom(s.Pool, cfg.Placement, cfg.WorkloadRanks(), root.Stream("placement"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if cfg.Background != nil {
+		if _, err := s.Background(*cfg.Background, root.Stream("background")); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	if _, err := s.Launch(workload.Job{Name: cfg.WorkloadApp(), Trace: cfg.Trace, Nodes: nodes}); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if _, err := s.Drain(cfg.MaxSimTime); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if s.Engine.Pending() == 0 || s.Fabric.QueuedMessages() == 0 {
+		t.Fatalf("%s: closing with %d pending events and %d queued messages; want both > 0",
+			name, s.Engine.Pending(), s.Fabric.QueuedMessages())
+	}
+	s.Close()
+}
+
+// TestRecycledStorageDoesNotChangeResults: every pooling case, and a
+// Dragonfly+ cell, run right after a heavier session closed with work in
+// flight matches its run on fresh storage. One heavy session is the bursty
+// cell, closed with background messages queued at NICs, packets on the
+// wire and its next waves pending in the engine's far tier; the other is
+// the group-failure cell cut off mid-outage, with links down.
+func TestRecycledStorageDoesNotChangeResults(t *testing.T) {
+	cut := failingCell(t)
+	cut.MaxSimTime = 10 * des.Microsecond
+	heavy := []poolCase{
+		{name: "bursty-background", cfg: burstyCell(t)},
+		{name: "group-failure-cut", cfg: cut},
+	}
+	cases := append(poolingCases(t), poolCase{name: "dfplus-mini", cfg: plusMiniCell(t)})
+	for _, c := range cases {
+		fresh := freshRun(t, c.name, c.cfg)
+		cfg := c.cfg
+		cfg.Audit = true
+		for _, h := range heavy {
+			closeBusySession(t, h.name, h.cfg)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s after %s: %v", c.name, h.name, err)
+			}
+			requireSameRun(t, c.name+" after "+h.name, res, fresh)
+		}
+	}
+}
+
+// resultDigest hashes what a run measured: per-rank comm times and hops,
+// every link's traffic and saturation, drops, duration and event count.
+func resultDigest(res *Result) string {
+	h := fnv.New64a()
+	put := func(v int64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	for i := range res.CommTimes {
+		put(int64(res.CommTimes[i]))
+		put(int64(math.Float64bits(res.AvgHops[i])))
+	}
+	for _, l := range res.Links {
+		put(l.Bytes)
+		put(l.Packets)
+		put(int64(l.SatTime))
+	}
+	put(res.DroppedPackets)
+	put(res.DroppedBytes)
+	put(int64(res.Duration))
+	put(int64(res.Events))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestConcurrentRunsRecycleStorage runs a mixed cell list — both mini
+// machines, uniform and bursty background, a dynamic fault — through Run
+// from four goroutines at once, each starting at a different cell, so the
+// goroutines hand engine and fabric storage to one another through the
+// shared pools as farm workers do. Every result must digest as its cell's
+// sequential run does. CI runs it under the race detector with -count=10.
+func TestConcurrentRunsRecycleStorage(t *testing.T) {
+	cfgs := []Config{
+		MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Minimal}, 3),
+		plusMiniCell(t),
+		uniformCell(t),
+		burstyCell(t),
+		failingCell(t),
+	}
+	want := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		want[i] = resultDigest(res)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range cfgs {
+				i := (w + k) % len(cfgs)
+				res, err := Run(cfgs[i])
+				if err != nil {
+					t.Errorf("worker %d cell %d: %v", w, i, err)
+					return
+				}
+				if got := resultDigest(res); got != want[i] {
+					t.Errorf("worker %d cell %d: digest %s, sequential run %s", w, i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -18,7 +18,8 @@ import (
 // launches jobs onto the fabric and drains the engine. Front ends keep their
 // own RNG roots and stream names and do their own placement (from Pool) and
 // mapping: the session draws one stream, the fabric's, first from the root
-// it is given.
+// it is given. Once a front end has copied its result out, Close hands the
+// engine's and fabric's storage to the next session.
 type Session struct {
 	Topo   topology.Interconnect
 	Engine *des.Engine
@@ -41,7 +42,14 @@ func NewSession(cfg Config, root *des.RNG) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := des.New()
+	// Params.NoPacketPool is the allocate-fresh reference: a zero engine,
+	// not a recycled one, and (in network.New) fresh fabric storage.
+	var eng *des.Engine
+	if cfg.Params.NoPacketPool {
+		eng = new(des.Engine)
+	} else {
+		eng = des.New()
+	}
 	// A non-empty fault spec degrades the fabric; an empty one is skipped
 	// entirely so healthy runs stay byte-identical with or without the flag.
 	var fset *faults.Set
@@ -133,4 +141,17 @@ func (s *Session) Drain(deadline des.Time) (*audit.Summary, error) {
 	s.aud.Finish(eng.Pending() == 0)
 	sum := s.aud.Summary()
 	return &sum, s.aud.Err()
+}
+
+// Close returns the engine's and the fabric's storage, with every pointer
+// in it cleared, to their packages' pools for later sessions (left to the
+// collector under Params.NoPacketPool). Call it once every result has been
+// copied out: the session, its Engine and Fabric, and the replays launched
+// on it must not be used after.
+func (s *Session) Close() {
+	if !s.Fabric.Params().NoPacketPool {
+		s.Engine.Close()
+	}
+	s.Fabric.Close()
+	s.Engine, s.Fabric = nil, nil
 }

@@ -20,6 +20,7 @@ package des
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Time is simulated time in nanoseconds.
@@ -115,7 +116,8 @@ const wheelSize = 2048
 //
 // Every list is FIFO and threaded through the slab, and slots return to a
 // free list: the queue's memory is one growable slice plus the fixed wheel
-// arrays, and steady state allocates nothing. Events with equal times
+// arrays, and steady state allocates nothing. Both outlive the engine: Close
+// hands them to the next New (see enginePool). Events with equal times
 // always share one list, and appending, relinking and migrating all keep
 // list order. A far event at t was pushed while t lay beyond the window,
 // so before any push at t could land in the wheel, and it migrates before
@@ -332,7 +334,7 @@ func (q *eventQueue) unsettle() {
 }
 
 // Engine is a sequential discrete-event simulator. The zero value is ready
-// to use at time 0.
+// to use at time 0; New also recycles the storage of closed engines.
 type Engine struct {
 	pq        eventQueue
 	now       Time
@@ -356,8 +358,35 @@ type Engine struct {
 // event when unused.
 func (e *Engine) SetObserver(fn func(Time)) { e.observer = fn }
 
-// New returns a fresh engine at time 0.
-func New() *Engine { return &Engine{} }
+// enginePool holds closed engines, whose slot slab and wheel arrays a later
+// New reuses. A New on one worker may take what a Close on another
+// returned; the pool orders the two.
+var enginePool sync.Pool
+
+// New returns an engine at time 0 with nothing pending. It reuses a closed
+// engine's storage when there is one and sets every field either way, so
+// a recycled engine runs exactly as a zero Engine does.
+func New() *Engine {
+	e, _ := enginePool.Get().(*Engine)
+	if e == nil {
+		e = new(Engine)
+	}
+	slab := e.pq.slab[:0]
+	*e = Engine{}
+	e.pq.slab = slab
+	return e
+}
+
+// Close drops every pending event, clears every callback and argument the
+// engine holds, and returns the engine to enginePool for a later New. Call
+// it once the run's results have been read out, and not from an event
+// handler; the engine must not be used after.
+func (e *Engine) Close() {
+	clear(e.pq.slab)
+	e.pq.slab = e.pq.slab[:0]
+	e.observer, e.wdDiag, e.wdErr = nil, nil, nil
+	enginePool.Put(e)
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }

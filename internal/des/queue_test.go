@@ -46,12 +46,11 @@ const (
 	opNearMax        // schedule at MaxTime-x
 )
 
-// checkQueueOrder drives an eventQueue and the reference heap through the
-// monotone schedule ops encodes, then drains both. It reports the first
-// pop whose (at, seq) differs, a length mismatch after any operation, or a
-// slab that outgrew the peak number of resident events.
-func checkQueueOrder(ops []byte) error {
-	var q eventQueue
+// checkQueueOrder drives q, which must be empty, and the reference heap
+// through the monotone schedule ops encodes, then drains both. It reports
+// the first pop whose (at, seq) differs, a length mismatch after any
+// operation, or a slab that outgrew the peak number of resident events.
+func checkQueueOrder(q *eventQueue, ops []byte) error {
 	var ref refHeap
 	var now Time
 	var seq uint64
@@ -128,27 +127,93 @@ func checkQueueOrder(ops []byte) error {
 	return nil
 }
 
+// randomSchedule draws up to 4000 operations from a random subset of the
+// kinds, so some schedules are dominated by same-time bursts, some by
+// 2^40-scale delays, some by settles without pops, and some run at times
+// near MaxTime.
+func randomSchedule(r *rand.Rand) (ops, kinds []byte) {
+	kinds = []byte{opPop}
+	for k := byte(opPopToo); k <= opNearMax; k++ {
+		if r.Intn(2) == 0 {
+			kinds = append(kinds, k)
+		}
+	}
+	ops = make([]byte, r.Intn(4000))
+	for j := range ops {
+		ops[j] = kinds[r.Intn(len(kinds))]<<5 | byte(r.Intn(32))
+	}
+	return ops, kinds
+}
+
 // TestEventQueueOrderProperty: under random monotone schedules the queue
-// pops exactly the (at, seq) sequence container/heap does. Each schedule
-// draws its operations from a random subset of the kinds, so some are
-// dominated by same-time bursts, some by 2^40-scale delays, some by
-// settles without pops, and some run at times near MaxTime.
+// pops exactly the (at, seq) sequence container/heap does.
 func TestEventQueueOrderProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 400; i++ {
-		kinds := []byte{opPop}
-		for k := byte(opPopToo); k <= opNearMax; k++ {
-			if r.Intn(2) == 0 {
-				kinds = append(kinds, k)
-			}
-		}
-		ops := make([]byte, r.Intn(4000))
-		for j := range ops {
-			ops[j] = kinds[r.Intn(len(kinds))]<<5 | byte(r.Intn(32))
-		}
-		if err := checkQueueOrder(ops); err != nil {
+		ops, kinds := randomSchedule(r)
+		if err := checkQueueOrder(new(eventQueue), ops); err != nil {
 			t.Fatalf("schedule %d (kinds %v): %v", i, kinds, err)
 		}
+	}
+}
+
+// closedBusyEngine returns an engine that ran part of a schedule and was
+// closed with events pending in both tiers, its watchdog armed and tripped
+// and an observer installed: the dirtiest storage Close can hand to New.
+func closedBusyEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := New()
+	e.SetObserver(func(Time) {})
+	e.SetWatchdog(40, 0, func() string { return "busy" })
+	arg := new(int)
+	nop := func(any, Time) {}
+	for i := 0; i < 64; i++ {
+		e.AtCall(Time(i*37), nop, arg)         // the wheel
+		e.AtCall(Time(10_000+i*997), nop, arg) // the far tier
+	}
+	e.Run()
+	if e.Tripped() == nil || e.pq.used == 0 || e.pq.mask == 0 {
+		t.Fatalf("engine stopped with wheel %v, far tier %v, watchdog %v; want all set",
+			e.pq.used != 0, e.pq.mask != 0, e.Tripped())
+	}
+	e.Close()
+	return e
+}
+
+// TestClosedEngineTakenBackAsNew: an engine closed with wheel and far-tier
+// events pending, taken back by New, holds none of its old callbacks or
+// arguments and behaves as a new engine: nothing pending, the clock at 0,
+// no watchdog or observer, and the queue-order property holds on it.
+func TestClosedEngineTakenBackAsNew(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 40; i++ {
+		var e *Engine
+		// The pool may drop a closed engine (it does so at random under the
+		// race detector); close busy engines until New takes one back.
+		for attempt := 0; ; attempt++ {
+			if closed := closedBusyEngine(t); New() == closed {
+				e = closed
+				break
+			}
+			if attempt == 100 {
+				t.Fatal("New never took back a closed engine")
+			}
+		}
+		for _, ev := range e.pq.slab[:cap(e.pq.slab)] {
+			if ev.cb != nil || ev.arg != nil {
+				t.Fatal("a recycled slot still holds a callback or argument")
+			}
+		}
+		if e.Pending() != 0 || e.Now() != 0 || e.Processed() != 0 || e.Tripped() != nil ||
+			e.wdArmed || e.observer != nil {
+			t.Fatalf("recycled engine: pending %d, now %v, processed %d, tripped %v, watchdog %v, observer %v",
+				e.Pending(), e.Now(), e.Processed(), e.Tripped(), e.wdArmed, e.observer != nil)
+		}
+		ops, kinds := randomSchedule(r)
+		if err := checkQueueOrder(&e.pq, ops); err != nil {
+			t.Fatalf("schedule %d (kinds %v) on a recycled engine: %v", i, kinds, err)
+		}
+		e.Close()
 	}
 }
 
@@ -174,7 +239,7 @@ func FuzzEventQueue(f *testing.F) {
 		if len(ops) > 4096 {
 			t.Skip() // TestEventQueueOrderProperty covers long schedules; here they only slow minimization
 		}
-		if err := checkQueueOrder(ops); err != nil {
+		if err := checkQueueOrder(new(eventQueue), ops); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/routing"
@@ -10,9 +11,10 @@ import (
 )
 
 // message is an in-flight transfer between two nodes. Packets carry a
-// pointer to it, so reassembly is a byte count, not a lookup. Messages are
-// pooled like packets: closeIfDone recycles one once every byte is
-// accounted for, when no packet or NIC queue refers to it any more.
+// pointer to it, so reassembly is a byte count, not a lookup. Messages come
+// from the fabric's message slab like packets: closeIfDone recycles one
+// once every byte is accounted for, when no packet or NIC queue refers to
+// it any more.
 type message struct {
 	id          uint64
 	src, dst    topology.NodeID
@@ -23,40 +25,36 @@ type message struct {
 	dropped     int64 // bytes lost to dead equipment (faulted fabrics only)
 	onInjected  func(des.Time)
 	onDelivered func(des.Time)
-	next        *message // free-list link while pooled
+	next        *message // NIC send-queue link while queued, free-list link while free
 }
 
 // nic is a node's network interface: an injection FIFO feeding the node's
-// terminal link, and the instant-drain receive side. The send queue is
-// head-indexed for the same no-realloc reason as inputQueue.
+// terminal link, and the instant-drain receive side. The send queue is a
+// list threaded through the queued messages' next links — a queued message
+// is on no free list — so it needs no array of its own.
 type nic struct {
-	f        *Fabric
-	node     topology.NodeID
-	sendq    []*message
-	sendHead int
+	f          *Fabric
+	head, tail *message
+	queued     int
 }
 
-func (n *nic) queued() int { return len(n.sendq) - n.sendHead }
-
 func (n *nic) enqueueMsg(m *message) {
-	if n.sendHead > 0 && len(n.sendq) == cap(n.sendq) && n.sendHead*2 >= len(n.sendq) {
-		c := copy(n.sendq, n.sendq[n.sendHead:])
-		for i := c; i < len(n.sendq); i++ {
-			n.sendq[i] = nil
-		}
-		n.sendq = n.sendq[:c]
-		n.sendHead = 0
+	if n.tail == nil {
+		n.head = m
+	} else {
+		n.tail.next = m
 	}
-	n.sendq = append(n.sendq, m)
+	n.tail = m
+	n.queued++
 }
 
 func (n *nic) dequeueMsg() {
-	n.sendq[n.sendHead] = nil
-	n.sendHead++
-	if n.sendHead == len(n.sendq) {
-		n.sendq = n.sendq[:0]
-		n.sendHead = 0
+	m := n.head
+	n.head, m.next = m.next, nil
+	if n.head == nil {
+		n.tail = nil
 	}
+	n.queued--
 }
 
 // fillInjection synthesizes at most one pending injection request for the
@@ -67,8 +65,8 @@ func (n *nic) dequeueMsg() {
 // loop moves on, so an unreachable destination drains instead of wedging
 // the send queue.
 func (n *nic) fillInjection(l *link) {
-	for len(l.reqs) == 0 && n.queued() > 0 {
-		msg := n.sendq[n.sendHead]
+	for len(l.reqs) == 0 && n.queued > 0 {
+		msg := n.head
 		bytes := int(msg.remaining)
 		if bytes > n.f.params.PacketBytes {
 			bytes = n.f.params.PacketBytes
@@ -87,7 +85,7 @@ func (n *nic) fillInjection(l *link) {
 		if n.f.obs != nil {
 			n.f.obs.RouteComputed(msg.src, msg.dst, pkt.path)
 		}
-		l.enqueue(request{pkt: pkt, vc: 0, in: nil})
+		l.enqueue(request{pkt: pkt, bytes: int32(bytes)})
 	}
 }
 
@@ -107,6 +105,13 @@ func (n *nic) injected(pkt *packet, at des.Time) {
 // driven by one DES engine. It implements routing.Congestion so the
 // adaptive policy can sense its own output backlogs.
 type Fabric struct {
+	// storage holds the links, NICs, hop counters and the packet, message
+	// and credit slabs (whose chunks pool apart). home is where Close
+	// returns it: storage taken from storagePool, or nil when
+	// Params.NoPacketPool asks for fresh memory.
+	storage
+	home *storage
+
 	eng    *des.Engine
 	topo   topology.Interconnect
 	params Params
@@ -118,11 +123,6 @@ type Fabric struct {
 	// the per-event cost on non-learning policies is one nil check.
 	fb  routing.Feedback
 	obs Observer // nil unless an auditor is attached
-
-	links   []*link
-	nics    []*nic
-	termIn  []*link // node -> router, indexed by node
-	termOut []*link // router -> node, indexed by node
 
 	// Router-to-router channel lookup, the per-hop switch operation (see
 	// pairLinks). Local links sit in per-router slot rows: localSlot[a*rpg
@@ -137,7 +137,7 @@ type Fabric struct {
 	localSlot   []int32 // per-router rows of local link IDs, -1 when not adjacent
 	globalOff   []int32 // per-router offsets into globalTo/globalLinks
 	globalTo    []topology.RouterID
-	globalLinks []*link
+	globalLinks []int32 // link IDs
 
 	msgSeq uint64
 
@@ -156,30 +156,131 @@ type Fabric struct {
 	healthLog [healthLogSize]healthLogEntry
 	healthN   int // total events recorded; the ring holds the last healthLogSize
 
-	// Free lists, recycled at delivery (packets), on credit arrival
-	// (tokens) and at message close (messages). Each fabric is driven by
-	// one sequential engine owned by one sweep worker, so the lists need no
-	// locking; Params.NoPacketPool turns recycling off for the
-	// pooling-equivalence tests.
+	// Free lists through the slabs, recycled at delivery (packets), on
+	// credit arrival (tokens) and at message close (messages). Each fabric
+	// is driven by one sequential engine owned by one sweep worker, so the
+	// lists need no locking; Params.NoPacketPool turns recycling off for
+	// the pooling-equivalence tests.
 	pktFree *packet
 	crFree  *creditReturn
 	msgFree *message
+}
+
+// storage is the memory a fabric hands out while it runs. It outlives the
+// fabric: Close clears every pointer in it and returns it to storagePool
+// (the slab chunks to their own pools), and New takes it back, so a
+// sweep's runs reuse one set of links, NICs and slab chunks instead of
+// leaving each set to the collector. New sets every field of whatever it
+// hands out, on recycled and fresh memory alike, so nothing a run computes
+// depends on which it got.
+type storage struct {
+	// links holds every directed channel in creation order: two terminal
+	// links per node first (see termIn), then the local links router by
+	// router, then the global links.
+	links []link
+	nics  []nic
 
 	// per-destination-node hop accounting for the paper's avg-hops metric
 	hopSum   []int64
 	hopCount []int64
+
+	pkts    slab[packet]
+	msgs    slab[message]
+	credits slab[creditReturn]
 }
 
-// pairLinks returns the parallel directed channels from one router to
-// another (empty when the pair is not adjacent), in creation order.
-func (f *Fabric) pairLinks(from, to topology.RouterID) []*link {
+// storagePool holds the storage of closed fabrics, and the chunk pools
+// their slab chunks. A New on one worker may take what a Close on another
+// returned; the pools order the two.
+var (
+	storagePool   sync.Pool // *storage
+	packetChunks  sync.Pool // *[slabChunk]packet
+	messageChunks sync.Pool // *[slabChunk]message
+	creditChunks  sync.Pool // *[slabChunk]creditReturn
+)
+
+// recycle clears every pointer in the storage, keeping its arrays, and
+// returns the slab chunks to their pools.
+func (s *storage) recycle() {
+	for i := range s.links {
+		s.links[i].recycle()
+	}
+	clear(s.nics)
+	s.pkts.release()
+	s.msgs.release()
+	s.credits.release()
+}
+
+// slab carves values of one type from fixed-size chunks, so a run's
+// packets, messages or credit tokens cost one allocation per chunk rather
+// than one per value. A run takes values in order and recycles them
+// through the fabric's free lists. Chunks come from a package-wide pool
+// and go back to it at Close, each on its own: a sync.Pool keeps an object
+// that only its own processor can take, so pooling a fabric's chunks as
+// one set would cost a run that misses that set every chunk, where pooling
+// them singly costs it at most one chunk per processor.
+type slab[T any] struct {
+	pool   *sync.Pool // of *[slabChunk]T; nil for fresh chunks under Params.NoPacketPool
+	chunks []*[slabChunk]T
+	n      int // values taken this run
+}
+
+// slabChunk is the number of values in one slab chunk.
+const slabChunk = 256
+
+func (s *slab[T]) take() *T {
+	c := s.n / slabChunk
+	if c == len(s.chunks) {
+		var ch *[slabChunk]T
+		if s.pool != nil {
+			ch, _ = s.pool.Get().(*[slabChunk]T)
+		}
+		if ch == nil {
+			ch = new([slabChunk]T)
+		}
+		s.chunks = append(s.chunks, ch)
+	}
+	v := &s.chunks[c][s.n%slabChunk]
+	s.n++
+	return v
+}
+
+// release zeroes every value taken and returns the chunks to the pool.
+func (s *slab[T]) release() {
+	for _, ch := range s.chunks {
+		k := min(s.n, slabChunk)
+		clear(ch[:k])
+		s.n -= k
+		s.pool.Put(ch)
+	}
+	clear(s.chunks)
+	s.chunks = s.chunks[:0]
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// termIn and termOut return node n's injection (node -> router) and
+// ejection (router -> node) links.
+func (f *Fabric) termIn(n topology.NodeID) *link  { return &f.links[2*int(n)] }
+func (f *Fabric) termOut(n topology.NodeID) *link { return &f.links[2*int(n)+1] }
+
+// pairLinks returns the IDs of the parallel directed channels from one
+// router to another (empty when the pair is not adjacent), in creation
+// order.
+func (f *Fabric) pairLinks(from, to topology.RouterID) []int32 {
 	base := int(from) - int(from)%f.rpg
 	if j := int(to) - base; j >= 0 && j < f.rpg {
-		id := f.localSlot[int(from)*f.rpg+j]
-		if id < 0 {
+		k := int(from)*f.rpg + j
+		if f.localSlot[k] < 0 {
 			return nil
 		}
-		return f.links[id : id+1]
+		return f.localSlot[k : k+1]
 	}
 	// A router's global runs are its handful of ports: a linear scan beats
 	// any index small enough to keep.
@@ -196,16 +297,16 @@ func (f *Fabric) pairLinks(from, to topology.RouterID) []*link {
 	return nil
 }
 
-// newPacket takes a packet from the free list (or allocates one) and
+// newPacket takes a packet from the free list (or the slab) and
 // initializes it for a fresh injection.
 func (f *Fabric) newPacket(msg *message, bytes int, path routing.Path) *packet {
 	p := f.pktFree
 	if p == nil {
-		p = &packet{f: f}
+		p = f.pkts.take()
 	} else {
 		f.pktFree = p.next
 	}
-	p.msg, p.bytes, p.path, p.hop = msg, bytes, path, 0
+	p.f, p.msg, p.bytes, p.path, p.hop = f, msg, bytes, path, 0
 	p.arrLink, p.arrVC, p.next = nil, 0, nil
 	return p
 }
@@ -227,7 +328,7 @@ func (f *Fabric) freePacket(p *packet) {
 func (f *Fabric) newCredit(l *link, vc, n int) *creditReturn {
 	c := f.crFree
 	if c == nil {
-		c = &creditReturn{}
+		c = f.credits.take()
 	} else {
 		f.crFree = c.next
 	}
@@ -244,12 +345,12 @@ func (f *Fabric) freeCredit(c *creditReturn) {
 	f.crFree = c
 }
 
-// newMessage takes a message from the free list (or allocates one) and
+// newMessage takes a message from the free list (or the slab) and
 // initializes it for a fresh send.
 func (f *Fabric) newMessage(src, dst topology.NodeID, bytes int64, onInjected, onDelivered func(des.Time)) *message {
 	m := f.msgFree
 	if m == nil {
-		m = &message{}
+		m = f.msgs.take()
 	} else {
 		f.msgFree = m.next
 	}
@@ -269,51 +370,85 @@ func (f *Fabric) freeMessage(m *message) {
 	f.msgFree = m
 }
 
-// New builds and wires a fabric on the given engine.
+// New builds and wires a fabric on the given engine, on the storage a
+// closed fabric returned to storagePool when there is some, unless
+// p.NoPacketPool asks for fresh memory.
 func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mechanism, rng *des.RNG) (*Fabric, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	var home *storage
+	if !p.NoPacketPool {
+		home, _ = storagePool.Get().(*storage)
+		if home == nil {
+			home = new(storage)
+		}
+	}
 	f := &Fabric{
+		home:       home,
 		eng:        eng,
 		topo:       topo,
 		params:     p,
 		numRouters: topo.NumRouters(),
-		hopSum:     make([]int64, topo.NumNodes()),
-		hopCount:   make([]int64, topo.NumNodes()),
 	}
+	if home != nil {
+		f.storage = *home
+		f.pkts.pool, f.msgs.pool, f.credits.pool = &packetChunks, &messageChunks, &creditChunks
+	}
+	nodes := topo.NumNodes()
+	f.hopSum = resize(f.hopSum, nodes)
+	f.hopCount = resize(f.hopCount, nodes)
+	clear(f.hopSum)
+	clear(f.hopCount)
 	f.chooser = routing.NewChooserOpts(topo, mech, rng.Stream("route"), f, p.Route)
 	f.fb = f.chooser.Feedback()
 
-	// Terminal links, both directions, and NICs.
-	f.nics = make([]*nic, topo.NumNodes())
-	f.termIn = make([]*link, topo.NumNodes())
-	f.termOut = make([]*link, topo.NumNodes())
-	for n := 0; n < topo.NumNodes(); n++ {
-		node := topology.NodeID(n)
-		r := topo.RouterOfNode(node)
-		in := newLink(f, routing.Terminal, 1, p.TerminalVCBuffer, p.TerminalBandwidth, p.TerminalLatency)
-		in.from, in.to, in.node = r, r, node
-		out := newLink(f, routing.Terminal, 1, p.TerminalVCBuffer, p.TerminalBandwidth, p.TerminalLatency)
-		out.from, out.to, out.node, out.eject = r, r, node, true
-		f.termIn[n], f.termOut[n] = in, out
-		f.nics[n] = &nic{f: f, node: node}
-	}
-
-	// Router-to-router links: locals per router in LocalNeighbors order,
-	// then globals in GlobalConns order. Link IDs, and so every downstream
-	// enumeration (LinkStats, RefreshHealth), follow this creation order.
-	if err := f.buildLocalLinks(topo, p); err != nil {
+	// Link IDs, and so every downstream enumeration (LinkStats,
+	// RefreshHealth), follow creation order: terminal links, both
+	// directions, node by node; then locals per router in LocalNeighbors
+	// order; then globals in GlobalConns order. The count comes first, so
+	// the links never move once pointers into them exist.
+	nLocal, err := f.buildLocalSlots(topo, 2*nodes)
+	if err != nil {
 		return nil, err
 	}
-	f.buildGlobalLinks(p, topo.GlobalConns())
+	conns := topo.GlobalConns()
+	f.links = resize(f.links, 2*nodes+nLocal+2*len(conns))
+	f.nics = resize(f.nics, nodes)
+	for n := 0; n < nodes; n++ {
+		node := topology.NodeID(n)
+		r := topo.RouterOfNode(node)
+		in, out := f.termIn(node), f.termOut(node)
+		in.init(f, 2*n, routing.Terminal, 1, p.TerminalVCBuffer, p.TerminalBandwidth, p.TerminalLatency)
+		in.from, in.to, in.node = r, r, node
+		out.init(f, 2*n+1, routing.Terminal, 1, p.TerminalVCBuffer, p.TerminalBandwidth, p.TerminalLatency)
+		out.from, out.to, out.node, out.eject = r, r, node, true
+		f.nics[n] = nic{f: f}
+	}
+	f.buildLocalLinks(p)
+	f.buildGlobalLinks(p, conns, 2*nodes+nLocal)
 	f.RefreshHealth()
 	return f, nil
 }
 
-// buildLocalLinks creates one directed link per ordered local neighbor pair
-// and records its ID in the source router's slot row.
-func (f *Fabric) buildLocalLinks(topo topology.Interconnect, p Params) error {
+// Close ends the fabric's run and returns its storage to storagePool for
+// a later New, with every pointer in it cleared, so nothing of this run
+// stays reachable from the pool. Call it once every result has been read
+// out; neither the fabric nor anything it handed out may be used after.
+// With Params.NoPacketPool the storage is left to the collector.
+func (f *Fabric) Close() {
+	if f.home != nil {
+		f.storage.recycle()
+		*f.home = f.storage
+		storagePool.Put(f.home)
+	}
+	*f = Fabric{}
+}
+
+// buildLocalSlots fills the per-router slot rows with the IDs the local
+// links will take, numbered from first in creation order, and returns
+// their count.
+func (f *Fabric) buildLocalSlots(topo topology.Interconnect, first int) (int, error) {
 	nR := f.numRouters
 	rpg := nR / topo.NumGroups()
 	f.rpg = rpg
@@ -321,31 +456,48 @@ func (f *Fabric) buildLocalLinks(topo topology.Interconnect, p Params) error {
 	for i := range f.localSlot {
 		f.localSlot[i] = -1
 	}
+	id := first
 	for r := 0; r < nR; r++ {
 		from := topology.RouterID(r)
 		row := f.localSlot[r*rpg : (r+1)*rpg]
 		for _, to := range topo.LocalNeighbors(from) {
 			j := int(to) - (r - r%rpg)
 			if j < 0 || j >= rpg || row[j] >= 0 {
-				return fmt.Errorf("network: %s lists router %d as a local neighbor of %d twice or outside its group",
+				return 0, fmt.Errorf("network: %s lists router %d as a local neighbor of %d twice or outside its group",
 					topo.Name(), to, from)
 			}
-			l := newLink(f, routing.Local, routing.NumLocalVC, p.LocalVCBuffer, p.LocalBandwidth, p.LocalLatency)
-			l.from, l.to = from, to
-			row[j] = int32(l.id)
+			row[j] = int32(id)
+			id++
 		}
 	}
-	return nil
+	return id - first, nil
+}
+
+// buildLocalLinks creates the local link of every filled slot.
+func (f *Fabric) buildLocalLinks(p Params) {
+	rpg := f.rpg
+	for r := 0; r < f.numRouters; r++ {
+		base := r - r%rpg
+		for j, id := range f.localSlot[r*rpg : (r+1)*rpg] {
+			if id < 0 {
+				continue
+			}
+			l := &f.links[id]
+			l.init(f, int(id), routing.Local, routing.NumLocalVC, p.LocalVCBuffer, p.LocalBandwidth, p.LocalLatency)
+			l.from, l.to = topology.RouterID(r), topology.RouterID(base+j)
+		}
+	}
 }
 
 // buildGlobalLinks creates the global links — two directed links per
-// bidirectional connection, in conns order, parallel links between the same
-// router pair kept distinct — and lays them into per-router runs: count per
-// source router, prefix-sum, place, then group each router's entries by
-// destination. The insertion sort is stable, so parallel links keep their
-// conns order within a run. Each direction remembers its source-side global
-// port, the identity the health view addresses global channels by.
-func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn) {
+// bidirectional connection, in conns order from link ID first, parallel
+// links between the same router pair kept distinct — and lays them into
+// per-router runs: count per source router, prefix-sum, place, then group
+// each router's entries by destination. The insertion sort is stable, so
+// parallel links keep their conns order within a run. Each direction
+// remembers its source-side global port, the identity the health view
+// addresses global channels by.
+func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn, first int) {
 	nR := f.numRouters
 	gcnt := make([]int32, nR+1)
 	for _, c := range conns {
@@ -357,18 +509,21 @@ func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn) {
 	}
 	f.globalOff = gcnt
 	f.globalTo = make([]topology.RouterID, gcnt[nR])
-	f.globalLinks = make([]*link, gcnt[nR])
+	f.globalLinks = make([]int32, gcnt[nR])
 	cursor := make([]int32, nR)
+	id := first
 	for _, c := range conns {
 		for _, dir := range [2]struct {
 			from, to topology.RouterID
 			port     int
 		}{{c.A, c.B, c.APort}, {c.B, c.A, c.BPort}} {
-			l := newLink(f, routing.Global, routing.NumGlobalVC, p.GlobalVCBuffer, p.GlobalBandwidth, p.GlobalLatency)
+			l := &f.links[id]
+			l.init(f, id, routing.Global, routing.NumGlobalVC, p.GlobalVCBuffer, p.GlobalBandwidth, p.GlobalLatency)
 			l.from, l.to, l.gport = dir.from, dir.to, int32(dir.port)
 			i := f.globalOff[dir.from] + cursor[dir.from]
 			cursor[dir.from]++
-			f.globalTo[i], f.globalLinks[i] = dir.to, l
+			f.globalTo[i], f.globalLinks[i] = dir.to, int32(id)
+			id++
 		}
 	}
 	for r := 0; r < nR; r++ {
@@ -396,7 +551,8 @@ func (f *Fabric) RefreshHealth() {
 	if h == nil {
 		return
 	}
-	for _, l := range f.links {
+	for i := range f.links {
+		l := &f.links[i]
 		var up bool
 		switch {
 		case l.kind == routing.Terminal:
@@ -463,7 +619,7 @@ func (f *Fabric) failLink(l *link) {
 			continue
 		}
 		q := r.in
-		q.link.release(q.vc, r.pkt.bytes)
+		q.link.release(q.vc, int(r.bytes))
 		q.pop()
 		f.dropPacket(r.pkt)
 		if q.len() > 0 {
@@ -522,9 +678,8 @@ func (f *Fabric) Send(src, dst topology.NodeID, bytes int64, onInjected, onDeliv
 	if f.obs != nil {
 		f.obs.MessageQueued(msg.id, src, dst, bytes)
 	}
-	n := f.nics[src]
-	n.enqueueMsg(msg)
-	f.termIn[src].kick()
+	f.nics[src].enqueueMsg(msg)
+	f.termIn(src).kick()
 }
 
 // noteRouteError records the first routing failure of the run; core.Run
@@ -616,12 +771,12 @@ func (f *Fabric) requestNext(q *inputQueue) {
 		here := q.link.to
 		if pkt.hop >= len(pkt.path.Hops) {
 			// Final router: eject toward the destination node.
-			out := f.termOut[pkt.msg.dst]
+			out := f.termOut(pkt.msg.dst)
 			if out.from != here {
 				panic(fmt.Sprintf("network: packet for node %d ejecting at router %d, want %d",
 					pkt.msg.dst, here, out.from))
 			}
-			out.enqueue(request{pkt: pkt, vc: 0, in: q})
+			out.enqueue(request{pkt: pkt, in: q, bytes: int32(pkt.bytes)})
 			return
 		}
 		h := pkt.path.Hops[pkt.hop]
@@ -630,7 +785,7 @@ func (f *Fabric) requestNext(q *inputQueue) {
 		}
 		out := f.pickLink(h.From, h.To)
 		if out != nil {
-			out.enqueue(request{pkt: pkt, vc: int(h.VC), in: q})
+			out.enqueue(request{pkt: pkt, in: q, vc: int32(h.VC), bytes: int32(pkt.bytes)})
 			return
 		}
 		// Dead end mid-route: every channel of the hop failed after the
@@ -649,19 +804,20 @@ func (f *Fabric) requestNext(q *inputQueue) {
 // nil when every channel of the pair is down (only possible on a faulted
 // fabric).
 func (f *Fabric) pickLink(from, to topology.RouterID) *link {
-	ls := f.pairLinks(from, to)
-	switch len(ls) {
+	ids := f.pairLinks(from, to)
+	switch len(ids) {
 	case 0:
 		panic(fmt.Sprintf("network: no link %d->%d", from, to))
 	case 1:
-		if ls[0].down {
-			return nil
+		if l := &f.links[ids[0]]; !l.down {
+			return l
 		}
-		return ls[0]
+		return nil
 	}
 	var best *link
 	var bestLoad int64
-	for _, l := range ls {
+	for _, id := range ids {
+		l := &f.links[id]
 		if l.down {
 			continue
 		}
@@ -699,8 +855,8 @@ func (f *Fabric) deliver(pkt *packet) {
 // the directed channel(s) from one router to another.
 func (f *Fabric) OutputBacklog(from, to topology.RouterID) int64 {
 	var total int64
-	for _, l := range f.pairLinks(from, to) {
-		total += l.load()
+	for _, id := range f.pairLinks(from, to) {
+		total += f.links[id].load()
 	}
 	return total
 }
@@ -709,8 +865,8 @@ func (f *Fabric) OutputBacklog(from, to topology.RouterID) int64 {
 // after the engine drains and before reading link statistics.
 func (f *Fabric) FinishStats() {
 	now := f.eng.Now()
-	for _, l := range f.links {
-		l.closeStats(now)
+	for i := range f.links {
+		f.links[i].closeStats(now)
 	}
 }
 
@@ -730,7 +886,8 @@ type LinkStat struct {
 // LinkStats snapshots every directed channel.
 func (f *Fabric) LinkStats() []LinkStat {
 	out := make([]LinkStat, len(f.links))
-	for i, l := range f.links {
+	for i := range f.links {
+		l := &f.links[i]
 		out[i] = LinkStat{
 			Kind: l.kind, From: l.from, To: l.to,
 			Node: l.node, Eject: l.eject,
@@ -754,8 +911,8 @@ func (f *Fabric) AvgHops(node topology.NodeID) (avg float64, packets int64) {
 // useful for detecting stalls in tests.
 func (f *Fabric) QueuedMessages() int {
 	n := 0
-	for _, nc := range f.nics {
-		n += nc.queued()
+	for i := range f.nics {
+		n += f.nics[i].queued
 	}
 	return n
 }
@@ -769,15 +926,12 @@ func (f *Fabric) WatchdogDiagnostic() string {
 	fmt.Fprintf(&sb, "network: %d messages queued at NICs; %d packets (%d bytes) dropped",
 		f.QueuedMessages(), f.droppedPackets, f.droppedBytes)
 	occ := make([]int64, f.numRouters)
-	for _, l := range f.links {
+	for i := range f.links {
+		l := &f.links[i]
 		if l.kind == routing.Terminal && l.eject {
 			continue
 		}
-		b := l.pending
-		for _, o := range l.occ {
-			b += int64(o)
-		}
-		occ[l.from] += b
+		occ[l.from] += l.load()
 	}
 	const top = 5
 	for i := 0; i < top; i++ {

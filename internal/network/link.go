@@ -7,10 +7,11 @@ import (
 )
 
 // packet is one unit of switching: at most Params.PacketBytes of a message.
-// Packets are pooled: the fabric recycles them on a free list at delivery,
-// so steady-state switching allocates none. A packet doubles as the typed
-// event argument for its own in-flight hops (arrLink/arrVC are valid while
-// exactly one wire traversal is scheduled, which the protocol guarantees).
+// Packets are carved from the fabric's packet slab and recycled on a free
+// list at delivery, so steady-state switching allocates none. A packet
+// doubles as the typed event argument for its own in-flight hops
+// (arrLink/arrVC are valid while exactly one wire traversal is scheduled,
+// which the protocol guarantees).
 type packet struct {
 	f     *Fabric
 	msg   *message
@@ -41,7 +42,7 @@ func packetInjectedCB(arg any, at des.Time) {
 }
 
 // creditReturn carries one upstream buffer release over the wire latency;
-// tokens are pooled on the fabric.
+// tokens come from the fabric's credit slab and recycle on a free list.
 type creditReturn struct {
 	l    *link
 	vc   int32
@@ -66,13 +67,16 @@ func linkKickCB(arg any, at des.Time) {
 }
 
 // request is a packet (at the head of some input queue, or fresh at a NIC)
-// asking to be transmitted over an output link on a given VC.
+// asking to be transmitted over an output link on a given VC. It carries
+// the packet's byte count, so arbitration scans the FIFO without touching
+// the packets.
 type request struct {
 	pkt *packet
-	vc  int
 	// in is the input queue currently holding the packet; nil for injection
 	// (the packet materializes at the NIC when accepted).
-	in *inputQueue
+	in    *inputQueue
+	vc    int32
+	bytes int32
 }
 
 // inputQueue is the receiver-side buffer of one (link, VC): packets that
@@ -120,21 +124,33 @@ func (q *inputQueue) pop() {
 // (router->node), local, or global. It owns the receiver-side per-VC buffer
 // occupancy (credits), the transmitter serialization state, a FIFO request
 // queue with VC skipping, and the paper's per-channel statistics.
+//
+// Links live in one slice per fabric (see storage), and the per-VC state is
+// inline: fixed arrays sized for the largest VC class count, of which a
+// link uses its first numVC entries. The auditor checks every credit
+// movement against numVC.
 type link struct {
-	f    *Fabric
-	id   int
-	kind routing.LinkKind
-	// from/to are router IDs for Local/Global links. For Terminal links,
-	// node is the attached compute node: direction In means node->router
-	// (from == to == the router), direction Out means router->node.
-	from, to topology.RouterID
-	node     topology.NodeID
-	eject    bool // terminal link in the router->node direction
+	f *Fabric
 
-	bw      float64
+	// Arbitration and credit state, read on every transmit.
+	occ       [routing.NumLocalVC]int // receiver-buffer bytes reserved, per VC
+	reqs      []request               // FIFO with VC skipping
+	pending   int64                   // bytes across queued requests (congestion signal)
+	busyUntil des.Time
+	kickAt    des.Time // time of the earliest scheduled kick, -1 if none
+
+	// Constants fixed at New. xferMax is the serialization time of a
+	// max-size packet; a VC is saturated — it cannot take a max-size
+	// packet — once its occupancy exceeds satAt.
 	latency des.Time
+	xferMax des.Time
+	bw      float64
 	vcCap   int
+	satAt   int
 	numVC   int
+	id      int
+	kind    routing.LinkKind
+	eject   bool // terminal link in the router->node direction
 
 	// down marks a failed channel on a faulted fabric: the transmitter is
 	// parked, pickLink skips it, and in-flight arrivals drop. gport is the
@@ -144,14 +160,11 @@ type link struct {
 	down  bool
 	gport int32
 
-	occ       []int // receiver-buffer bytes reserved, per VC
-	busyUntil des.Time
-	kickAt    des.Time // time of the earliest scheduled kick, -1 if none
-
-	reqs    []request // FIFO with VC skipping
-	pending int64     // bytes across queued requests (congestion signal)
-
-	inq []inputQueue // receiver-side queues, one per VC
+	// from/to are router IDs for Local/Global links. For Terminal links,
+	// node is the attached compute node: direction In means node->router
+	// (from == to == the router), direction Out means router->node.
+	from, to topology.RouterID
+	node     topology.NodeID
 
 	// statistics
 	bytesTx  int64
@@ -159,20 +172,40 @@ type link struct {
 	fullVCs  int
 	satSince des.Time
 	satTotal des.Time
+
+	inq [routing.NumLocalVC]inputQueue // receiver-side queues, one per VC
 }
 
-func newLink(f *Fabric, kind routing.LinkKind, numVC, vcCap int, bw float64, lat des.Time) *link {
-	l := &link{
-		f: f, id: len(f.links), kind: kind,
-		bw: bw, latency: lat, vcCap: vcCap, numVC: numVC,
-		occ: make([]int, numVC), kickAt: -1,
+// The per-VC arrays hold a global link's VC classes too.
+var _ [routing.NumLocalVC - routing.NumGlobalVC]struct{}
+
+// init sets every field of the link for a new run, keeping only the backing
+// arrays of its request FIFO and input queues.
+func (l *link) init(f *Fabric, id int, kind routing.LinkKind, numVC, vcCap int, bw float64, lat des.Time) {
+	reqs, inq := l.reqs[:0], l.inq
+	*l = link{
+		f: f, id: id, kind: kind, numVC: numVC, vcCap: vcCap, bw: bw, latency: lat,
+		xferMax: serializationTime(f.params.PacketBytes, bw),
+		satAt:   vcCap - f.params.PacketBytes,
+		kickAt:  -1,
+		reqs:    reqs,
 	}
-	l.inq = make([]inputQueue, numVC)
 	for v := range l.inq {
-		l.inq[v] = inputQueue{link: l, vc: v}
+		l.inq[v] = inputQueue{link: l, vc: v, q: inq[v].q[:0]}
 	}
-	f.links = append(f.links, l)
-	return l
+}
+
+// recycle clears every pointer the link holds, keeping the backing arrays
+// of its request FIFO and input queues for the next run.
+func (l *link) recycle() {
+	clear(l.reqs[:cap(l.reqs)])
+	l.reqs = l.reqs[:0]
+	l.f = nil
+	for v := range l.inq {
+		q := &l.inq[v]
+		clear(q.q[:cap(q.q)])
+		q.link, q.q = nil, q.q[:0]
+	}
 }
 
 // hasCredit reports whether the receiver buffer of vc can accept n bytes.
@@ -180,9 +213,7 @@ func (l *link) hasCredit(vc, n int) bool { return l.occ[vc]+n <= l.vcCap }
 
 // vcFull reports the saturation condition of one VC: it cannot accept a
 // max-size packet.
-func (l *link) vcFull(vc int) bool {
-	return l.vcCap-l.occ[vc] < l.f.params.PacketBytes
-}
+func (l *link) vcFull(vc int) bool { return l.occ[vc] > l.satAt }
 
 // The link saturation clock (Sec. III-E: the time during which a link "has
 // used up all its buffers") integrates the condition "at least one VC
@@ -233,7 +264,7 @@ func (l *link) release(vc, n int) {
 // enqueue adds a transmission request and kicks the transmitter.
 func (l *link) enqueue(r request) {
 	l.reqs = append(l.reqs, r)
-	l.pending += int64(r.pkt.bytes)
+	l.pending += int64(r.bytes)
 	l.kick()
 }
 
@@ -260,49 +291,52 @@ func (l *link) transmit() {
 	if l.down {
 		return // failed channel: requests were drained, arrivals will drop
 	}
-	now := l.f.eng.Now()
+	f := l.f
+	now := f.eng.Now()
 	if l.busyUntil > now {
 		l.kick()
 		return
 	}
 	// NIC-fed links synthesize their next request lazily.
 	if l.kind == routing.Terminal && !l.eject {
-		l.f.nics[l.node].fillInjection(l)
+		f.nics[l.node].fillInjection(l)
 	}
 	for i, r := range l.reqs {
-		if !l.hasCredit(r.vc, r.pkt.bytes) {
+		vc, bytes := int(r.vc), int(r.bytes)
+		if !l.hasCredit(vc, bytes) {
 			continue
 		}
 		// Accept request i.
 		l.reqs = append(l.reqs[:i], l.reqs[i+1:]...)
-		l.pending -= int64(r.pkt.bytes)
-		l.reserve(r.vc, r.pkt.bytes)
-		xfer := serializationTime(r.pkt.bytes, l.bw)
+		l.pending -= int64(bytes)
+		l.reserve(vc, bytes)
+		xfer := l.xferMax
+		if bytes != f.params.PacketBytes {
+			xfer = serializationTime(bytes, l.bw)
+		}
 		l.busyUntil = now + xfer
-		l.bytesTx += int64(r.pkt.bytes)
+		l.bytesTx += int64(bytes)
 		l.packets++
 
-		pkt, vc := r.pkt, r.vc
-		pkt.arrLink, pkt.arrVC = l, int32(vc)
+		pkt := r.pkt
+		pkt.arrLink, pkt.arrVC = l, r.vc
 		if r.in == nil {
 			// Injection: the NIC finishes putting this packet on the wire
 			// when serialization ends. Pushed before the arrival, which
 			// falls at the same instant when the terminal latency is zero.
-			l.f.eng.AtCall(l.busyUntil, packetInjectedCB, pkt)
+			f.eng.AtCall(l.busyUntil, packetInjectedCB, pkt)
 		}
-		l.f.eng.AtCall(l.busyUntil+l.latency, packetArriveCB, pkt)
+		f.eng.AtCall(l.busyUntil+l.latency, packetArriveCB, pkt)
 
-		if r.in != nil {
+		if q := r.in; q != nil {
 			// Free the upstream buffer slot the packet occupied; the credit
 			// travels back over the inbound wire.
-			up := r.in.link
-			l.f.eng.AtCall(now+up.latency, creditReturnCB,
-				l.f.newCredit(up, r.in.vc, pkt.bytes))
+			up := q.link
+			f.eng.AtCall(now+up.latency, creditReturnCB, f.newCredit(up, q.vc, bytes))
 			// Pop the input queue and let its next head request an output.
-			q := r.in
 			q.pop()
 			if q.len() > 0 {
-				l.f.requestNext(q)
+				f.requestNext(q)
 			}
 		}
 		if len(l.reqs) > 0 || (l.kind == routing.Terminal && !l.eject) {

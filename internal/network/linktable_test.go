@@ -20,11 +20,11 @@ func TestPairLinksMatchLinkList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[[2]topology.RouterID][]*link{}
+		want := map[[2]topology.RouterID][]int32{}
 		for _, l := range f.links {
 			if l.kind != routing.Terminal {
 				k := [2]topology.RouterID{l.from, l.to}
-				want[k] = append(want[k], l)
+				want[k] = append(want[k], int32(l.id))
 			}
 		}
 		nR := topo.NumRouters()
@@ -37,7 +37,7 @@ func TestPairLinksMatchLinkList(t *testing.T) {
 				}
 				for i := range w {
 					if got[i] != w[i] {
-						t.Fatalf("pair %d->%d slot %d: link %d, want %d", a, b, i, got[i].id, w[i].id)
+						t.Fatalf("pair %d->%d slot %d: link %d, want %d", a, b, i, got[i], w[i])
 					}
 				}
 			}

@@ -61,7 +61,8 @@ func (f *Fabric) SetObserver(o Observer) {
 	if o == nil {
 		return
 	}
-	for _, l := range f.links {
+	for i := range f.links {
+		l := &f.links[i]
 		o.LinkAdded(l.id, l.kind, l.numVC, l.vcCap)
 	}
 }

@@ -10,6 +10,7 @@ package network
 
 import (
 	"errors"
+	"math"
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/routing"
@@ -69,8 +70,8 @@ func DefaultParams() Params {
 // Validate reports whether the parameters can carry any traffic at all.
 func (p Params) Validate() error {
 	switch {
-	case p.PacketBytes < 1:
-		return errors.New("network: PacketBytes must be >= 1")
+	case p.PacketBytes < 1 || p.PacketBytes > math.MaxInt32:
+		return errors.New("network: PacketBytes must be in [1, 2^31)")
 	case p.TerminalBandwidth <= 0 || p.LocalBandwidth <= 0 || p.GlobalBandwidth <= 0:
 		return errors.New("network: bandwidths must be positive")
 	case p.TerminalLatency < 0 || p.LocalLatency < 0 || p.GlobalLatency < 0:

@@ -39,6 +39,9 @@ func TestThetaScaleSmoke(t *testing.T) {
 func BenchmarkFabricRandomTraffic(b *testing.B)     { benchFabric(b, topotest.Mini(b)) }
 func BenchmarkFabricRandomTrafficPlus(b *testing.B) { benchFabric(b, topotest.PlusMini(b)) }
 
+// benchFabric times whole fabric lifetimes — New, 500 random messages,
+// drain, Close — so, as in a sweep, each iteration runs on the storage the
+// previous one closed.
 func benchFabric(b *testing.B, topo topology.Interconnect) {
 	for i := 0; i < b.N; i++ {
 		eng := des.New()
@@ -53,5 +56,7 @@ func benchFabric(b *testing.B, topo topology.Interconnect) {
 			f.Send(src, dst, int64(rng.IntnRange(1, 64<<10)), nil, nil)
 		}
 		eng.Run()
+		f.Close()
+		eng.Close()
 	}
 }

@@ -278,8 +278,10 @@ type Chooser struct {
 	// packets and discarded adaptive candidates. Each Chooser belongs to one
 	// engine/fabric (one sweep worker), so access is single-threaded.
 	freeHops [][]Hop
-	// candBuf is the reusable candidate scratch of the adaptive policies.
+	// candBuf is the reusable candidate scratch of the adaptive policies;
+	// gwBuf that of gatewayCandidates and pickLiveGateway.
 	candBuf []Path
+	gwBuf   []topology.Gateway
 
 	// Degraded-mode state (all nil/unused while health is nil; see
 	// faultaware.go). liveDist holds the live hop distances in the nextHop
@@ -287,7 +289,6 @@ type Chooser struct {
 	health    topology.Health
 	liveDist  []int32
 	bfsQueue  []topology.RouterID
-	gwBuf     []topology.Gateway
 	gwDistBuf []int32
 }
 
@@ -531,8 +532,10 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 	if c.opts.Gateway == GatewaySpread {
 		maxDist = 1
 	}
+	// Collect in the gwBuf scratch and keep an exact-length copy: growing
+	// each cached list by append would allocate every doubling on the way.
 	best := 3
-	var cand []topology.Gateway
+	cand := c.gwBuf[:0]
 	for _, gw := range gws {
 		d := c.topo.LocalDistance(cur, gw.Router)
 		switch {
@@ -548,8 +551,10 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 			cand = append(cand, gw)
 		}
 	}
-	shard[gd] = cand
-	return cand
+	c.gwBuf = cand[:0]
+	shard[gd] = make([]topology.Gateway, len(cand))
+	copy(shard[gd], cand)
+	return shard[gd]
 }
 
 // MinimalPath builds the minimal route between two distinct live routers

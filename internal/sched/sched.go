@@ -117,6 +117,7 @@ func Run(cfg Config, jobs []JobRequest) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ses.Close()
 	for i, j := range jobs {
 		if j.Trace == nil {
 			return nil, fmt.Errorf("sched: job %d (%q) has no trace", i, j.Name)
