@@ -14,6 +14,7 @@ import (
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/trace"
 	"dragonfly/internal/workload"
 )
 
@@ -184,32 +185,128 @@ func closeBusySession(t *testing.T, name string, cfg Config) {
 	s.Close()
 }
 
-// TestRecycledStorageDoesNotChangeResults: every pooling case, and a
-// Dragonfly+ cell, run right after a heavier session closed with work in
-// flight matches its run on fresh storage. One heavy session is the bursty
-// cell, closed with background messages queued at NICs, packets on the
-// wire and its next waves pending in the engine's far tier; the other is
-// the group-failure cell cut off mid-outage, with links down.
-func TestRecycledStorageDoesNotChangeResults(t *testing.T) {
-	cut := failingCell(t)
-	cut.MaxSimTime = 10 * des.Microsecond
-	heavy := []poolCase{
-		{name: "bursty-background", cfg: burstyCell(t)},
-		{name: "group-failure-cut", cfg: cut},
+// quickMachine is the quick-scale XC40 machine of the experiments: 5 groups
+// x (2x8 routers) x 2 nodes.
+func quickMachine() topology.Config {
+	return topology.Config{Groups: 5, Rows: 2, Cols: 8, NodesPerRouter: 2, GlobalPortsPerRouter: 4, ChassisPerCabinet: 2}
+}
+
+// prelude is a session run just before a pooling case, leaving the pools
+// holding storage, a chooser's tables and replays that another run dirtied.
+type prelude struct {
+	name string
+	run  func(t *testing.T, c poolCase)
+}
+
+// preludes lists what the session before a case did: closed a bursty cell
+// with packets in flight; closed a group outage cut off mid-run, its job's
+// ranks half done; ran the case's graph on each other machine under another
+// placement; replayed a different graph; ran qadaptive under mixed global,
+// local and router faults, whose chooser walked live trees. The first two
+// and the machine runs replay the case's own graph, so the case takes back
+// a replay of its graph that ran on another node map, or stopped mid-run.
+func preludes(t *testing.T) []prelude {
+	ps := []prelude{
+		{"bursty-background", func(t *testing.T, c poolCase) {
+			cfg := burstyCell(t)
+			cfg.Trace = c.cfg.Trace
+			closeBusySession(t, "bursty-background", cfg)
+		}},
+		{"group-failure-cut", func(t *testing.T, c poolCase) {
+			cfg := failingCell(t)
+			cfg.Trace = c.cfg.Trace
+			cfg.MaxSimTime = 10 * des.Microsecond
+			closeBusySession(t, "group-failure-cut", cfg)
+		}},
 	}
+	for _, m := range []topology.Machine{quickMachine(), topology.Mini(), topology.PlusMini()} {
+		ps = append(ps, prelude{"machine " + m.Label(), func(t *testing.T, c poolCase) {
+			if m.CanonicalSpec() == c.cfg.Topology.CanonicalSpec() {
+				return
+			}
+			cfg := MiniConfig(c.cfg.Trace, Cell{placement.Contiguous, routing.Adaptive}, 5)
+			cfg.Topology = m
+			runOK(t, "machine "+m.Label(), cfg)
+		}})
+	}
+	ring, err := trace.RingAllReduce(trace.RingAllReduceConfig{Ranks: 24, Bytes: 64 * trace.KB, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := &faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.1, Routers: 2, Seed: 4}
+	return append(ps,
+		prelude{"other-graph", func(t *testing.T, _ poolCase) {
+			cfg := MiniConfig(nil, Cell{placement.RandomNode, routing.Adaptive}, 9)
+			cfg.Graph = ring
+			runOK(t, "other-graph", cfg)
+		}},
+		prelude{"qadaptive-mixed-faults", func(t *testing.T, c poolCase) {
+			cfg := MiniConfig(c.cfg.Trace, Cell{placement.RandomNode, routing.QAdaptive}, 13)
+			cfg.Faults = mixed
+			runOK(t, "qadaptive-mixed-faults", cfg)
+		}},
+	)
+}
+
+// runOK runs cfg and fails the test on an error.
+func runOK(t *testing.T, name string, cfg Config) *Result {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
+
+// TestRecycledStorageDoesNotChangeResults: every pooling case, and a
+// Dragonfly+ cell, run right after each prelude session matches its run on
+// fresh storage. The preludes leave engine and fabric storage, a chooser's
+// tables (gateway lists of another machine, next-hop rows holding live
+// trees, arena hop slices released from packets in flight) and replays of
+// the case's graph (another node map, a run stopped mid-way) in the pools.
+func TestRecycledStorageDoesNotChangeResults(t *testing.T) {
 	cases := append(poolingCases(t), poolCase{name: "dfplus-mini", cfg: plusMiniCell(t)})
+	pre := preludes(t)
 	for _, c := range cases {
 		fresh := freshRun(t, c.name, c.cfg)
 		cfg := c.cfg
 		cfg.Audit = true
-		for _, h := range heavy {
-			closeBusySession(t, h.name, h.cfg)
+		for _, p := range pre {
+			p.run(t, c)
 			res, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("%s after %s: %v", c.name, h.name, err)
+				t.Fatalf("%s after %s: %v", c.name, p.name, err)
 			}
-			requireSameRun(t, c.name+" after "+h.name, res, fresh)
+			requireSameRun(t, c.name+" after "+p.name, res, fresh)
 		}
+	}
+}
+
+// TestResultNodesOutliveRecycledReplays: the node maps a Result and a
+// JobResult report stay as they were while later runs of the same graph
+// take back the replays that produced them.
+func TestResultNodesOutliveRecycledReplays(t *testing.T) {
+	tr := miniCR(t)
+	first := runOK(t, "first", MiniConfig(tr, Cell{placement.RandomNode, routing.Adaptive}, 1))
+	multi, err := RunMulti(MultiConfig{
+		Topology: topology.Mini(), Params: first.Config.Params, Routing: routing.Minimal, Seed: 2,
+		Jobs: []JobSpec{{Name: "a", Trace: tr, Placement: placement.RandomNode}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]topology.NodeID(nil), first.AppNodes...)
+	wantJob := append([]topology.NodeID(nil), multi.Jobs[0].Nodes...)
+	for seed := int64(3); seed < 13; seed++ {
+		for _, pol := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
+			runOK(t, "later", MiniConfig(tr, Cell{pol, routing.Minimal}, seed))
+		}
+	}
+	if !reflect.DeepEqual(first.AppNodes, want) {
+		t.Errorf("Result.AppNodes changed under later runs of its graph: %v, was %v", first.AppNodes, want)
+	}
+	if !reflect.DeepEqual(multi.Jobs[0].Nodes, wantJob) {
+		t.Errorf("JobResult.Nodes changed under later runs of its graph: %v, was %v", multi.Jobs[0].Nodes, wantJob)
 	}
 }
 
@@ -235,18 +332,29 @@ func resultDigest(res *Result) string {
 }
 
 // TestConcurrentRunsRecycleStorage runs a mixed cell list — both mini
-// machines, uniform and bursty background, a dynamic fault — through Run
-// from four goroutines at once, each starting at a different cell, so the
-// goroutines hand engine and fabric storage to one another through the
-// shared pools as farm workers do. Every result must digest as its cell's
-// sequential run does. CI runs it under the race detector with -count=10.
+// machines, uniform and bursty background, a dynamic fault, and four cells
+// sharing one graph across both machines, placements and routings — through
+// Run from four goroutines at once, each starting at a different cell, so
+// the goroutines hand engine, fabric and chooser storage, and replays of
+// the shared graph, to one another through the shared pools as farm
+// workers do. Every result must digest as its cell's sequential run does.
+// CI runs it under the race detector with -count=10.
 func TestConcurrentRunsRecycleStorage(t *testing.T) {
+	shared := miniCR(t)
+	onPlus := MiniConfig(shared, Cell{placement.Contiguous, routing.Adaptive}, 8)
+	onPlus.Topology = topology.PlusMini()
+	sharedBursty := burstyCell(t)
+	sharedBursty.Trace = shared
 	cfgs := []Config{
 		MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Minimal}, 3),
 		plusMiniCell(t),
 		uniformCell(t),
 		burstyCell(t),
 		failingCell(t),
+		MiniConfig(shared, Cell{placement.RandomNode, routing.QAdaptive}, 6),
+		MiniConfig(shared, Cell{placement.Contiguous, routing.Minimal}, 7),
+		onPlus,
+		sharedBursty,
 	}
 	want := make([]string, len(cfgs))
 	for i, cfg := range cfgs {

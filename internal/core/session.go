@@ -19,16 +19,18 @@ import (
 // own RNG roots and stream names and do their own placement (from Pool) and
 // mapping: the session draws one stream, the fabric's, first from the root
 // it is given. Once a front end has copied its result out, Close hands the
-// engine's and fabric's storage to the next session.
+// engine's, fabric's and chooser's storage to the next session, and each
+// replay to the next run of its graph.
 type Session struct {
 	Topo   topology.Interconnect
 	Engine *des.Engine
 	Fabric *network.Fabric
 	Pool   *placement.Pool
 
-	aud  *audit.Auditor
-	bg   *workload.Background
-	live int // launched jobs whose last rank has not finished
+	aud     *audit.Auditor
+	bg      *workload.Background
+	replays []*workload.Replay // every job launched, for Close to hand back
+	live    int                // launched jobs whose last rank has not finished
 }
 
 // NewSession builds the machine cfg describes — its Topology, Params,
@@ -109,6 +111,7 @@ func (s *Session) Launch(job workload.Job) (*workload.Replay, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.replays = append(s.replays, rep)
 	s.live++
 	rep.Start()
 	return rep, nil
@@ -143,15 +146,21 @@ func (s *Session) Drain(deadline des.Time) (*audit.Summary, error) {
 	return &sum, s.aud.Err()
 }
 
-// Close returns the engine's and the fabric's storage, with every pointer
-// in it cleared, to their packages' pools for later sessions (left to the
-// collector under Params.NoPacketPool). Call it once every result has been
-// copied out: the session, its Engine and Fabric, and the replays launched
-// on it must not be used after.
+// Close returns the engine's, the fabric's and its chooser's storage, with
+// every pointer in it cleared, to their packages' pools for later sessions,
+// then hands each replay it launched to its graph's pool. The engine and
+// fabric go first: their pending events and queued messages hold the
+// replays' callbacks. Params.NoPacketPool leaves the engine, fabric and
+// replays to the collector, Route.NoCache the chooser. Call it once every
+// result has been copied out: the session, its Engine and Fabric, and the
+// replays launched on it must not be used after.
 func (s *Session) Close() {
 	if !s.Fabric.Params().NoPacketPool {
 		s.Engine.Close()
 	}
 	s.Fabric.Close()
-	s.Engine, s.Fabric = nil, nil
+	for _, rep := range s.replays {
+		rep.Close()
+	}
+	s.Engine, s.Fabric, s.replays = nil, nil, nil
 }

@@ -20,7 +20,8 @@ package des
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+
+	"dragonfly/internal/recycle"
 )
 
 // Time is simulated time in nanoseconds.
@@ -361,7 +362,7 @@ func (e *Engine) SetObserver(fn func(Time)) { e.observer = fn }
 // enginePool holds closed engines, whose slot slab and wheel arrays a later
 // New reuses. A New on one worker may take what a Close on another
 // returned; the pool orders the two.
-var enginePool sync.Pool
+var enginePool recycle.Pool // *Engine
 
 // New returns an engine at time 0 with nothing pending. It reuses a closed
 // engine's storage when there is one and sets every field either way, so

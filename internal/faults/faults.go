@@ -242,11 +242,11 @@ func ParseSpec(text string) (*Spec, error) {
 			}
 			s.Routers = k
 		case "router":
-			r, err := strconv.Atoi(val)
-			if err != nil || r < 0 {
+			r, ok := parseRouter(val)
+			if !ok {
 				return nil, fmt.Errorf("faults: router=%q: want a router ID", val)
 			}
-			s.FailRouters = append(s.FailRouters, topology.RouterID(r))
+			s.FailRouters = append(s.FailRouters, r)
 		case "link":
 			a, b, err := parsePair(val)
 			if err != nil {
@@ -297,20 +297,27 @@ func ParseSpec(text string) (*Spec, error) {
 	return s, nil
 }
 
+// parseRouter reads a router ID: a non-negative integer that fits
+// topology.RouterID, so the spec's rendering reads back as the same ID.
+func parseRouter(s string) (topology.RouterID, bool) {
+	r, err := strconv.ParseInt(s, 10, 32)
+	return topology.RouterID(r), err == nil && r >= 0
+}
+
 func parsePair(val string) (a, b topology.RouterID, err error) {
 	as, bs, ok := strings.Cut(val, "-")
 	if !ok {
 		return 0, 0, fmt.Errorf("want A-B router pair")
 	}
-	ai, err1 := strconv.Atoi(as)
-	bi, err2 := strconv.Atoi(bs)
-	if err1 != nil || err2 != nil || ai < 0 || bi < 0 {
+	a, okA := parseRouter(as)
+	b, okB := parseRouter(bs)
+	if !okA || !okB {
 		return 0, 0, fmt.Errorf("want A-B router pair")
 	}
-	if ai == bi {
+	if a == b {
 		return 0, 0, fmt.Errorf("endpoints are equal")
 	}
-	return topology.RouterID(ai), topology.RouterID(bi), nil
+	return a, b, nil
 }
 
 func parseGroupPair(val string) (g1, g2 int, err error) {
@@ -345,12 +352,12 @@ func parseEvent(val string, repair bool) (Event, error) {
 	}
 	switch kind {
 	case "router":
-		r, err := strconv.Atoi(target)
-		if err != nil || r < 0 {
+		r, ok := parseRouter(target)
+		if !ok {
 			return Event{}, fmt.Errorf("bad router ID %q", target)
 		}
 		ev.IsRouter = true
-		ev.Router = topology.RouterID(r)
+		ev.Router = r
 	case "link":
 		a, b, err := parsePair(target)
 		if err != nil {
@@ -400,12 +407,12 @@ func parseFlap(val string) (Flap, error) {
 	}
 	switch kind {
 	case "router":
-		r, err := strconv.Atoi(target)
-		if err != nil || r < 0 {
+		r, ok := parseRouter(target)
+		if !ok {
 			return Flap{}, fmt.Errorf("bad router ID %q", target)
 		}
 		fl.IsRouter = true
-		fl.Router = topology.RouterID(r)
+		fl.Router = r
 	case "link":
 		a, b, err := parsePair(target)
 		if err != nil {

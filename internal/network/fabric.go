@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dragonfly/internal/des"
+	"dragonfly/internal/recycle"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topology"
 )
@@ -105,10 +106,10 @@ func (n *nic) injected(pkt *packet, at des.Time) {
 // driven by one DES engine. It implements routing.Congestion so the
 // adaptive policy can sense its own output backlogs.
 type Fabric struct {
-	// storage holds the links, NICs, hop counters and the packet, message
-	// and credit slabs (whose chunks pool apart). home is where Close
-	// returns it: storage taken from storagePool, or nil when
-	// Params.NoPacketPool asks for fresh memory.
+	// storage holds the links, NICs, hop counters, link lookup tables and
+	// the packet, message and credit slabs (whose chunks pool apart). home
+	// is where Close returns it: storage taken from storagePool, or nil
+	// when Params.NoPacketPool asks for fresh memory.
 	storage
 	home *storage
 
@@ -124,20 +125,8 @@ type Fabric struct {
 	fb  routing.Feedback
 	obs Observer // nil unless an auditor is attached
 
-	// Router-to-router channel lookup, the per-hop switch operation (see
-	// pairLinks). Local links sit in per-router slot rows: localSlot[a*rpg
-	// + b-g*rpg] is the ID of the one directed link a -> b of group g, or
-	// -1 when the pair is not adjacent. Global links live in per-router
-	// runs (globalOff/globalTo/globalLinks), grouped by destination with
-	// creation order preserved within a run, which pickLink's first-wins
-	// tie break depends on. Memory is O(routers x rpg + links), and no
-	// two groups need to be wired alike.
-	numRouters  int
-	rpg         int     // routers per group
-	localSlot   []int32 // per-router rows of local link IDs, -1 when not adjacent
-	globalOff   []int32 // per-router offsets into globalTo/globalLinks
-	globalTo    []topology.RouterID
-	globalLinks []int32 // link IDs
+	numRouters int
+	rpg        int // routers per group
 
 	msgSeq uint64
 
@@ -169,10 +158,10 @@ type Fabric struct {
 // storage is the memory a fabric hands out while it runs. It outlives the
 // fabric: Close clears every pointer in it and returns it to storagePool
 // (the slab chunks to their own pools), and New takes it back, so a
-// sweep's runs reuse one set of links, NICs and slab chunks instead of
-// leaving each set to the collector. New sets every field of whatever it
-// hands out, on recycled and fresh memory alike, so nothing a run computes
-// depends on which it got.
+// sweep's runs reuse one set of links, NICs, lookup tables and slab chunks
+// instead of leaving each set to the collector. New sets every field of
+// whatever it hands out, on recycled and fresh memory alike, so nothing a
+// run computes depends on which it got.
 type storage struct {
 	// links holds every directed channel in creation order: two terminal
 	// links per node first (see termIn), then the local links router by
@@ -184,6 +173,21 @@ type storage struct {
 	hopSum   []int64
 	hopCount []int64
 
+	// Router-to-router channel lookup, the per-hop switch operation (see
+	// pairLinks). Local links sit in per-router slot rows: localSlot[a*rpg
+	// + b-g*rpg] is the ID of the one directed link a -> b of group g, or
+	// -1 when the pair is not adjacent. Global links live in per-router
+	// runs (globalOff/globalTo/globalLinks), grouped by destination with
+	// creation order preserved within a run, which pickLink's first-wins
+	// tie break depends on. Memory is O(routers x rpg + links), and no
+	// two groups need to be wired alike. globalFill is buildGlobalLinks'
+	// per-router placement cursor.
+	localSlot   []int32 // per-router rows of local link IDs, -1 when not adjacent
+	globalOff   []int32 // per-router offsets into globalTo/globalLinks
+	globalTo    []topology.RouterID
+	globalLinks []int32 // link IDs
+	globalFill  []int32
+
 	pkts    slab[packet]
 	msgs    slab[message]
 	credits slab[creditReturn]
@@ -193,10 +197,10 @@ type storage struct {
 // their slab chunks. A New on one worker may take what a Close on another
 // returned; the pools order the two.
 var (
-	storagePool   sync.Pool // *storage
-	packetChunks  sync.Pool // *[slabChunk]packet
-	messageChunks sync.Pool // *[slabChunk]message
-	creditChunks  sync.Pool // *[slabChunk]creditReturn
+	storagePool   recycle.Pool // *storage
+	packetChunks  sync.Pool    // *[slabChunk]packet
+	messageChunks sync.Pool    // *[slabChunk]message
+	creditChunks  sync.Pool    // *[slabChunk]creditReturn
 )
 
 // recycle clears every pointer in the storage, keeping its arrays, and
@@ -255,14 +259,6 @@ func (s *slab[T]) release() {
 	}
 	clear(s.chunks)
 	s.chunks = s.chunks[:0]
-}
-
-// resize returns s with length n, reusing its array when it is large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // termIn and termOut return node n's injection (node -> router) and
@@ -396,8 +392,8 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 		f.pkts.pool, f.msgs.pool, f.credits.pool = &packetChunks, &messageChunks, &creditChunks
 	}
 	nodes := topo.NumNodes()
-	f.hopSum = resize(f.hopSum, nodes)
-	f.hopCount = resize(f.hopCount, nodes)
+	f.hopSum = recycle.Resize(f.hopSum, nodes)
+	f.hopCount = recycle.Resize(f.hopCount, nodes)
 	clear(f.hopSum)
 	clear(f.hopCount)
 	f.chooser = routing.NewChooserOpts(topo, mech, rng.Stream("route"), f, p.Route)
@@ -413,8 +409,8 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 		return nil, err
 	}
 	conns := topo.GlobalConns()
-	f.links = resize(f.links, 2*nodes+nLocal+2*len(conns))
-	f.nics = resize(f.nics, nodes)
+	f.links = recycle.Resize(f.links, 2*nodes+nLocal+2*len(conns))
+	f.nics = recycle.Resize(f.nics, nodes)
 	for n := 0; n < nodes; n++ {
 		node := topology.NodeID(n)
 		r := topo.RouterOfNode(node)
@@ -431,18 +427,33 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 	return f, nil
 }
 
-// Close ends the fabric's run and returns its storage to storagePool for
-// a later New, with every pointer in it cleared, so nothing of this run
-// stays reachable from the pool. Call it once every result has been read
-// out; neither the fabric nor anything it handed out may be used after.
-// With Params.NoPacketPool the storage is left to the collector.
+// Close ends the fabric's run in three steps: the paths of the packets
+// still in flight go back to the chooser's hop arena, the chooser closes
+// (returning its tables and arena to its own pool), and the fabric's
+// storage goes to storagePool for a later New, with every pointer in it
+// cleared, so nothing of this run stays reachable from the pools. Call it
+// once every result has been read out; neither the fabric nor anything it
+// handed out may be used after. With Params.NoPacketPool the storage is
+// left to the collector, and with Route.NoCache the chooser's tables.
 func (f *Fabric) Close() {
+	f.releasePaths()
+	f.chooser.Close()
 	if f.home != nil {
 		f.storage.recycle()
 		*f.home = f.storage
 		storagePool.Put(f.home)
 	}
 	*f = Fabric{}
+}
+
+// releasePaths hands the path of every packet still in flight — queued at
+// a link, buffered at a router or on the wire — back to the chooser's
+// arena. A packet that was delivered or dropped holds none: freePacket
+// released its path and cleared it.
+func (f *Fabric) releasePaths() {
+	for i := 0; i < f.pkts.n; i++ {
+		f.chooser.Release(f.pkts.chunks[i/slabChunk][i%slabChunk].path)
+	}
 }
 
 // buildLocalSlots fills the per-router slot rows with the IDs the local
@@ -452,7 +463,7 @@ func (f *Fabric) buildLocalSlots(topo topology.Interconnect, first int) (int, er
 	nR := f.numRouters
 	rpg := nR / topo.NumGroups()
 	f.rpg = rpg
-	f.localSlot = make([]int32, nR*rpg)
+	f.localSlot = recycle.Resize(f.localSlot, nR*rpg)
 	for i := range f.localSlot {
 		f.localSlot[i] = -1
 	}
@@ -499,7 +510,8 @@ func (f *Fabric) buildLocalLinks(p Params) {
 // addresses global channels by.
 func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn, first int) {
 	nR := f.numRouters
-	gcnt := make([]int32, nR+1)
+	gcnt := recycle.Resize(f.globalOff, nR+1)
+	clear(gcnt)
 	for _, c := range conns {
 		gcnt[int(c.A)+1]++
 		gcnt[int(c.B)+1]++
@@ -508,9 +520,11 @@ func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn, first i
 		gcnt[i] += gcnt[i-1]
 	}
 	f.globalOff = gcnt
-	f.globalTo = make([]topology.RouterID, gcnt[nR])
-	f.globalLinks = make([]int32, gcnt[nR])
-	cursor := make([]int32, nR)
+	f.globalTo = recycle.Resize(f.globalTo, int(gcnt[nR]))
+	f.globalLinks = recycle.Resize(f.globalLinks, int(gcnt[nR]))
+	cursor := recycle.Resize(f.globalFill, nR)
+	clear(cursor)
+	f.globalFill = cursor
 	id := first
 	for _, c := range conns {
 		for _, dir := range [2]struct {

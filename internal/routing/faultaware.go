@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dragonfly/internal/recycle"
 	"dragonfly/internal/topology"
 )
 
@@ -69,8 +70,10 @@ func (c *Chooser) RebuildHealth() {
 		return
 	}
 	rpg := c.routersPerGroup
-	if c.liveDist == nil {
-		c.liveDist = make([]int32, len(c.nextHop))
+	c.liveDist = recycle.Resize(c.liveDist, len(c.nextHop))
+	// A BFS within one group queues at most rpg routers, so the queue never
+	// grows past this capacity.
+	if cap(c.bfsQueue) < rpg {
 		c.bfsQueue = make([]topology.RouterID, 0, rpg)
 	}
 	for i := range c.nextHop {

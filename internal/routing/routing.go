@@ -24,6 +24,7 @@ import (
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/par"
+	"dragonfly/internal/recycle"
 	"dragonfly/internal/topology"
 )
 
@@ -242,6 +243,12 @@ const maxPathHops = 12
 // gateway shards only for routers that originate inter-group routes — and
 // assumes nothing beyond the SPI's group-major numbering.
 type Chooser struct {
+	// tables holds every array the chooser fills and routes from. home is
+	// where Close returns it: tables taken from tablesPool, or nil when
+	// Options.NoCache asks for fresh memory.
+	tables
+	home *tables
+
 	topo   topology.Interconnect
 	mech   Mechanism
 	policy Policy
@@ -253,6 +260,23 @@ type Chooser struct {
 	numGroups       int
 	routersPerGroup int
 
+	// useArena enables the recycled hop-slice arena (off only with
+	// NoCache, which reproduces the historical fresh-allocation behavior).
+	useArena bool
+
+	// health is the degraded fabric's view (nil while healthy; see
+	// faultaware.go).
+	health topology.Health
+}
+
+// tables is the memory a chooser routes from. It outlives the chooser:
+// Close returns it to tablesPool and NewChooserOpts takes it back, so a
+// sweep's runs reuse one set of arrays, cached gateway lists and arena hop
+// slices instead of leaving each set to the collector. NewChooserOpts sets
+// every entry a route reads, on recycled and fresh memory alike, so no
+// route depends on which it got. Nothing in it points outside the chooser's
+// own memory.
+type tables struct {
 	// routerOf[n] is the router of node n; groupOf[r] the group of router r.
 	routerOf []topology.RouterID
 	groupOf  []int32
@@ -268,11 +292,10 @@ type Chooser struct {
 	// nearestGW caches the gateway candidates of every inter-group route,
 	// per (router, destination group): one shard of numGroups slots per
 	// router, allocated on the first route leaving that router and filled
-	// slot by slot — memory O(touched routers x groups).
+	// slot by slot — memory O(touched routers x groups). A slot is cached
+	// when non-empty; NewChooserOpts empties every slot and keeps the
+	// arrays.
 	nearestGW [][][]topology.Gateway
-	// useArena enables the recycled hop-slice arena (off only with
-	// NoCache, which reproduces the historical fresh-allocation behavior).
-	useArena bool
 
 	// freeHops is the scratch arena: hop slices recycled from delivered
 	// packets and discarded adaptive candidates. Each Chooser belongs to one
@@ -283,14 +306,18 @@ type Chooser struct {
 	candBuf []Path
 	gwBuf   []topology.Gateway
 
-	// Degraded-mode state (all nil/unused while health is nil; see
-	// faultaware.go). liveDist holds the live hop distances in the nextHop
-	// layout; the buffers are RebuildHealth and pickLiveGateway scratch.
-	health    topology.Health
+	// Degraded-mode state (unused while health is nil; see faultaware.go).
+	// liveDist holds the live hop distances in the nextHop layout; the
+	// buffers are RebuildHealth and pickLiveGateway scratch.
 	liveDist  []int32
 	bfsQueue  []topology.RouterID
 	gwDistBuf []int32
 }
+
+// tablesPool holds the tables of closed choosers. A NewChooserOpts on one
+// worker may take what a Close on another returned; the pool orders the
+// two.
+var tablesPool recycle.Pool // *tables
 
 // NewChooser builds a route chooser with default Options. rng drives
 // gateway and Valiant sampling; cong may be nil (treated as an idle
@@ -301,33 +328,47 @@ func NewChooser(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong C
 
 // NewChooserOpts builds a route chooser with explicit Options, resolving the
 // machine's node attachment, group membership, canonical intra-group next
-// hops, and Valiant intermediates into per-route tables.
+// hops, and Valiant intermediates into per-route tables. It fills the
+// tables a closed chooser returned to tablesPool when there are some,
+// unless opts.NoCache asks for fresh memory.
 func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong Congestion, opts Options) *Chooser {
 	if cong == nil {
 		cong = zeroCongestion{}
 	}
+	var home *tables
+	if !opts.NoCache {
+		home, _ = tablesPool.Get().(*tables)
+		if home == nil {
+			home = new(tables)
+		}
+	}
 	c := &Chooser{
+		home: home,
 		topo: topo, mech: mech, rng: rng, cong: cong, opts: opts,
 		numRouters: topo.NumRouters(),
 		numGroups:  topo.NumGroups(),
+		useArena:   !opts.NoCache,
+		health:     opts.Health,
+	}
+	if home != nil {
+		c.tables = *home
 	}
 	c.routersPerGroup = c.numRouters / c.numGroups
 
-	c.routerOf = make([]topology.RouterID, topo.NumNodes())
+	c.routerOf = recycle.Resize(c.routerOf, topo.NumNodes())
 	par.ForChunks(len(c.routerOf), func(lo, hi int) {
 		for n := lo; n < hi; n++ {
 			c.routerOf[n] = topo.RouterOfNode(topology.NodeID(n))
 		}
 	})
-	c.groupOf = make([]int32, c.numRouters)
+	c.groupOf = recycle.Resize(c.groupOf, c.numRouters)
 	par.ForChunks(c.numRouters, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			c.groupOf[r] = int32(topo.GroupOfRouter(topology.RouterID(r)))
 		}
 	})
 	rpg := c.routersPerGroup
-	c.nextHop = make([]topology.RouterID, c.numRouters*rpg)
-	c.health = opts.Health
+	c.nextHop = recycle.Resize(c.nextHop, c.numRouters*rpg)
 	if c.health != nil {
 		c.RebuildHealth()
 	} else {
@@ -343,12 +384,11 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 			}
 		})
 	}
-	c.valiant = make([]topology.RouterID, topo.NumValiantRouters())
+	c.valiant = recycle.Resize(c.valiant, topo.NumValiantRouters())
 	for i := range c.valiant {
 		c.valiant[i] = topo.ValiantRouter(i)
 	}
-	c.nearestGW = make([][][]topology.Gateway, c.numRouters)
-	c.useArena = !opts.NoCache
+	c.resetGatewayCache()
 	if opts.Policy != nil {
 		c.policy = opts.Policy()
 	} else {
@@ -356,6 +396,40 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	}
 	c.policy.Bind(c)
 	return c
+}
+
+// resetGatewayCache empties every gateway-cache slot an earlier chooser of
+// these tables filled, on this machine or another, keeping the arrays.
+// Slots past this machine's router or group count are emptied too, since a
+// later, larger machine sees them again; shards too short for this
+// machine's group count are dropped and rebuilt on first use.
+func (c *Chooser) resetGatewayCache() {
+	c.nearestGW = recycle.Resize(c.nearestGW, c.numRouters)
+	all := c.nearestGW[:cap(c.nearestGW)]
+	for r, shard := range all {
+		shard = shard[:cap(shard)]
+		for g := range shard {
+			shard[g] = shard[g][:0]
+		}
+		if len(shard) < c.numGroups {
+			all[r] = nil
+		} else {
+			all[r] = shard[:c.numGroups]
+		}
+	}
+}
+
+// Close ends the chooser's run and returns its tables, the arena's hop
+// slices included, to tablesPool for a later NewChooserOpts. Release every
+// path still in flight first, so that the arena holds its hop slices too.
+// Neither the chooser nor any path released to it may be used after. With
+// Options.NoCache the tables are left to the collector.
+func (c *Chooser) Close() {
+	if c.home != nil {
+		*c.home = c.tables
+		tablesPool.Put(c.home)
+	}
+	*c = Chooser{}
 }
 
 // getHops returns an empty hop slice for path construction: recycled arena
@@ -521,7 +595,7 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 		shard = make([][]topology.Gateway, c.numGroups)
 		c.nearestGW[cur] = shard
 	}
-	if cand := shard[gd]; cand != nil {
+	if cand := shard[gd]; len(cand) > 0 {
 		return cand
 	}
 	gws := c.topo.Gateways(gs, gd)
@@ -532,8 +606,9 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 	if c.opts.Gateway == GatewaySpread {
 		maxDist = 1
 	}
-	// Collect in the gwBuf scratch and keep an exact-length copy: growing
-	// each cached list by append would allocate every doubling on the way.
+	// Collect in the gwBuf scratch and keep a copy in the slot's array:
+	// growing each cached list by append would allocate every doubling on
+	// the way, and a recycled slot's array usually fits.
 	best := 3
 	cand := c.gwBuf[:0]
 	for _, gw := range gws {
@@ -552,8 +627,7 @@ func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topolog
 		}
 	}
 	c.gwBuf = cand[:0]
-	shard[gd] = make([]topology.Gateway, len(cand))
-	copy(shard[gd], cand)
+	shard[gd] = append(shard[gd][:0], cand...)
 	return shard[gd]
 }
 

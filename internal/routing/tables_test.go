@@ -4,9 +4,11 @@ package routing
 // the worker count, and the steady-state route path must not allocate.
 
 import (
+	"reflect"
 	"testing"
 
 	"dragonfly/internal/des"
+	"dragonfly/internal/faults"
 	"dragonfly/internal/par"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/topotest"
@@ -95,5 +97,84 @@ func TestCompactMemoSteadyStateAllocFree(t *testing.T) {
 	warm()
 	if avg := testing.AllocsPerRun(20, warm); avg > 0 {
 		t.Fatalf("steady-state routing allocates %.1f per sweep, want 0", avg)
+	}
+}
+
+// takeBackAfter builds a chooser with old, routes 400 random pairs on it
+// (releasing every other path at once and the rest, as a fabric's paths in
+// flight, just before Close), closes it, and builds the next chooser with
+// next until that one takes back the closed tables.
+func takeBackAfter(t *testing.T, old, next func() *Chooser) *Chooser {
+	t.Helper()
+	// The pool may drop what Close returns (its overflow does so at random
+	// under the race detector); close choosers until one's tables are taken
+	// back.
+	for attempt := 0; ; attempt++ {
+		c := old()
+		nodes := c.topo.NumNodes()
+		rng := des.NewRNG(2, "old-pairs")
+		var held []Path
+		for i := 0; i < 400; i++ {
+			p, err := c.TryRoute(topology.NodeID(rng.Intn(nodes)), topology.NodeID(rng.Intn(nodes)))
+			switch {
+			case err != nil:
+			case i%2 == 0:
+				c.Release(p)
+			default:
+				held = append(held, p)
+			}
+		}
+		for _, p := range held {
+			c.Release(p)
+		}
+		home := c.home
+		c.Close()
+		if ch := next(); ch.home == home {
+			if len(ch.freeHops) == 0 {
+				t.Fatal("the taken-back arena holds no hop slices")
+			}
+			return ch
+		}
+		if attempt == 100 {
+			t.Fatal("NewChooserOpts never took back a closed chooser's tables")
+		}
+	}
+}
+
+// TestClosedChooserTakenBackAsNew: NewChooserOpts takes back the tables a
+// chooser closed — after caching another machine's gateway lists, or after
+// filling the next-hop rows with live trees under faults — with its arena
+// full of hop slices, and routes exactly as a chooser built on fresh memory
+// does.
+func TestClosedChooserTakenBackAsNew(t *testing.T) {
+	mini := topotest.Mini(t)
+	plus := topotest.PlusMini(t)
+	set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.1, Routers: 2, Seed: 3}, mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() *Chooser {
+		return NewChooserOpts(mini, Adaptive, des.NewRNG(5, "route"), saltedCong{}, Options{})
+	}
+	ref := NewChooserOpts(mini, Adaptive, des.NewRNG(5, "route"), saltedCong{}, Options{NoCache: true})
+	if ref.home != nil {
+		t.Fatal("a NoCache chooser took pooled tables")
+	}
+	want := routeAll(t, mini, ref, 3000)
+	for _, old := range []struct {
+		name  string
+		build func() *Chooser
+	}{
+		{"other machine", func() *Chooser {
+			return NewChooserOpts(plus, Adaptive, des.NewRNG(1, "old"), saltedCong{}, Options{})
+		}},
+		{"live trees", func() *Chooser {
+			return NewChooserOpts(mini, Minimal, des.NewRNG(1, "old"), saltedCong{}, Options{Health: set})
+		}},
+	} {
+		ch := takeBackAfter(t, old.build, next)
+		if !reflect.DeepEqual(routeAll(t, mini, ch, 3000), want) {
+			t.Errorf("after a chooser on %s: routes on taken-back tables differ from routes on fresh memory", old.name)
+		}
 	}
 }

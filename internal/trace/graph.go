@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"dragonfly/internal/des"
+	"dragonfly/internal/recycle"
 )
 
 // NodeKind is the kind of one graph node.
@@ -66,14 +67,22 @@ type GraphNode struct {
 }
 
 // Graph is the dependency-graph form of one application workload. Its
-// content digest is computed once, on first use, so a graph must not change
-// after its first Digest call.
+// content digest is computed once, on first use, and executors keep state
+// built from it between runs (ReplayPool), so a graph must not change after
+// its first Digest call or replay.
 type Graph struct {
 	App   string
 	Ranks [][]GraphNode // Ranks[i] is rank i's DAG in topological (index) order
 
-	digest memo[uint64]
+	digest  memo[uint64]
+	replays recycle.Pool
 }
+
+// ReplayPool holds executor state that the replay engine built for this
+// graph and handed back after a run, for the graph's next replay to take
+// (see package workload). Like the digest memo it lives on the graph, not
+// in a process-wide map keyed by pointer, so dropping the graph drops it.
+func (g *Graph) ReplayPool() *recycle.Pool { return &g.replays }
 
 // NumRanks returns the rank count.
 func (g *Graph) NumRanks() int { return len(g.Ranks) }

@@ -25,6 +25,7 @@ import (
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/metrics"
+	"dragonfly/internal/network"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
 )
@@ -109,11 +110,19 @@ type Replay struct {
 	ranks   []rankState
 	done    int
 	startCB func()
+
+	// recycle is set when Close hands the replay to its graph's pool; seen
+	// is NewReplay's duplicate-node scratch.
+	recycle bool
+	seen    map[topology.NodeID]bool
 }
 
 // NewReplay validates the job and prepares (but does not start) the replay.
 // The returned Replay owns prebuilt per-node callbacks and adjacency, so a
-// job can be re-run with Reset without further allocation.
+// job can be re-run with Reset without further allocation. A replay of the
+// same graph that an earlier run closed is taken back from the graph's
+// pool and Reset for this job, unless f is a fabric built with
+// Params.NoPacketPool, the allocate-fresh reference.
 func NewReplay(f Fabric, job Job) (*Replay, error) {
 	if job.Graph == nil {
 		if job.Trace == nil {
@@ -129,21 +138,41 @@ func NewReplay(f Fabric, job Job) (*Replay, error) {
 	if len(job.Nodes) < n {
 		return nil, fmt.Errorf("workload: job %q has %d ranks but %d nodes", job.Name, n, len(job.Nodes))
 	}
-	seen := make(map[topology.NodeID]bool, n)
-	for _, node := range job.Nodes[:n] {
-		if int(node) < 0 || int(node) >= f.NodeCount() {
-			return nil, fmt.Errorf("workload: job %q node %d out of range", job.Name, node)
-		}
-		if seen[node] {
-			return nil, fmt.Errorf("workload: job %q maps two ranks to node %d", job.Name, node)
-		}
-		seen[node] = true
+	recycle := recycles(f)
+	var r *Replay
+	if recycle {
+		r, _ = g.ReplayPool().Get().(*Replay)
 	}
-	scale := job.MsgScale
-	if scale <= 0 {
-		scale = 1
+	if r == nil {
+		r = buildReplay(g)
 	}
-	r := &Replay{f: f, job: job, scale: scale, ranks: make([]rankState, n)}
+	r.f, r.job, r.recycle = f, job, recycle
+	if err := r.checkNodes(); err != nil {
+		r.Close()
+		return nil, err
+	}
+	r.scale = job.MsgScale
+	if r.scale <= 0 {
+		r.scale = 1
+	}
+	r.Reset(job.Start)
+	return r, nil
+}
+
+// recycles reports whether replays on f go back to their graph's pool at
+// Close: on every fabric but a *network.Fabric built with
+// Params.NoPacketPool.
+func recycles(f Fabric) bool {
+	nf, ok := f.(*network.Fabric)
+	return !ok || !nf.Params().NoPacketPool
+}
+
+// buildReplay builds the per-rank state of a graph's replay: everything
+// that depends on the graph alone, and so survives from one run of the
+// graph to the next.
+func buildReplay(g *trace.Graph) *Replay {
+	n := g.NumRanks()
+	r := &Replay{ranks: make([]rankState, n), seen: make(map[topology.NodeID]bool, n)}
 	for rank := range r.ranks {
 		r.buildRank(rank, g.Ranks[rank])
 	}
@@ -162,7 +191,38 @@ func NewReplay(f Fabric, job Job) (*Replay, error) {
 			r.drain(rank)
 		}
 	}
-	return r, nil
+	return r
+}
+
+// checkNodes requires the job to map its ranks to distinct nodes of the
+// fabric.
+func (r *Replay) checkNodes() error {
+	clear(r.seen)
+	for _, node := range r.job.Nodes[:len(r.ranks)] {
+		if int(node) < 0 || int(node) >= r.f.NodeCount() {
+			return fmt.Errorf("workload: job %q node %d out of range", r.job.Name, node)
+		}
+		if r.seen[node] {
+			return fmt.Errorf("workload: job %q maps two ranks to node %d", r.job.Name, node)
+		}
+		r.seen[node] = true
+	}
+	return nil
+}
+
+// Close hands the replay back to its graph's pool, for the graph's next
+// NewReplay to take, and drops its fabric and job: the job's node map
+// stays with whoever built it (Nodes returned it, and results keep it), and
+// the next run's is not copied into it. Call it once every result has been
+// read out, with no event of its run left to fire; the replay must not be
+// used after. A replay on a Params.NoPacketPool fabric is left to the
+// collector.
+func (r *Replay) Close() {
+	g := r.job.Graph
+	r.f, r.job = nil, Job{}
+	if r.recycle {
+		g.ReplayPool().Put(r)
+	}
 }
 
 // buildRank wires one rank: in-degrees, the CSR successor adjacency, and
