@@ -187,17 +187,10 @@ func closedBusyEngine(t *testing.T) *Engine {
 func TestClosedEngineTakenBackAsNew(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 40; i++ {
-		var e *Engine
-		// The pool may drop a closed engine (it does so at random under the
-		// race detector); close busy engines until New takes one back.
-		for attempt := 0; ; attempt++ {
-			if closed := closedBusyEngine(t); New() == closed {
-				e = closed
-				break
-			}
-			if attempt == 100 {
-				t.Fatal("New never took back a closed engine")
-			}
+		closed := closedBusyEngine(t)
+		e := New()
+		if e != closed {
+			t.Fatal("New did not take back the closed engine")
 		}
 		for _, ev := range e.pq.slab[:cap(e.pq.slab)] {
 			if ev.cb != nil || ev.arg != nil {

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/recycle"
@@ -107,9 +106,9 @@ func (n *nic) injected(pkt *packet, at des.Time) {
 // adaptive policy can sense its own output backlogs.
 type Fabric struct {
 	// storage holds the links, NICs, hop counters, link lookup tables and
-	// the packet, message and credit slabs (whose chunks pool apart). home
-	// is where Close returns it: storage taken from storagePool, or nil
-	// when Params.NoPacketPool asks for fresh memory.
+	// the packet, message and credit slabs. home is where Close returns
+	// it: storage taken from storagePool, or nil when Params.NoPacketPool
+	// asks for fresh memory.
 	storage
 	home *storage
 
@@ -156,12 +155,12 @@ type Fabric struct {
 }
 
 // storage is the memory a fabric hands out while it runs. It outlives the
-// fabric: Close clears every pointer in it and returns it to storagePool
-// (the slab chunks to their own pools), and New takes it back, so a
-// sweep's runs reuse one set of links, NICs, lookup tables and slab chunks
-// instead of leaving each set to the collector. New sets every field of
-// whatever it hands out, on recycled and fresh memory alike, so nothing a
-// run computes depends on which it got.
+// fabric: Close clears every pointer in it and returns it to storagePool,
+// and New takes it back, so a sweep's runs reuse one set of links, NICs,
+// lookup tables and slab chunks instead of leaving each set to the
+// collector. New sets every field of whatever it hands out, on recycled
+// and fresh memory alike, so nothing a run computes depends on which it
+// got.
 type storage struct {
 	// links holds every directed channel in creation order: two terminal
 	// links per node first (see termIn), then the local links router by
@@ -193,18 +192,12 @@ type storage struct {
 	credits slab[creditReturn]
 }
 
-// storagePool holds the storage of closed fabrics, and the chunk pools
-// their slab chunks. A New on one worker may take what a Close on another
-// returned; the pools order the two.
-var (
-	storagePool   recycle.Pool // *storage
-	packetChunks  sync.Pool    // *[slabChunk]packet
-	messageChunks sync.Pool    // *[slabChunk]message
-	creditChunks  sync.Pool    // *[slabChunk]creditReturn
-)
+// storagePool holds the storage of closed fabrics. A New on one worker may
+// take what a Close on another returned; the pool orders the two.
+var storagePool recycle.Pool // *storage
 
-// recycle clears every pointer in the storage, keeping its arrays, and
-// returns the slab chunks to their pools.
+// recycle clears every pointer in the storage, keeping its arrays and slab
+// chunks.
 func (s *storage) recycle() {
 	for i := range s.links {
 		s.links[i].recycle()
@@ -218,13 +211,10 @@ func (s *storage) recycle() {
 // slab carves values of one type from fixed-size chunks, so a run's
 // packets, messages or credit tokens cost one allocation per chunk rather
 // than one per value. A run takes values in order and recycles them
-// through the fabric's free lists. Chunks come from a package-wide pool
-// and go back to it at Close, each on its own: a sync.Pool keeps an object
-// that only its own processor can take, so pooling a fabric's chunks as
-// one set would cost a run that misses that set every chunk, where pooling
-// them singly costs it at most one chunk per processor.
+// through the fabric's free lists. The chunks stay with the fabric's
+// storage when Close recycles it, so a later run on that storage builds
+// chunks only past what its heaviest earlier run built.
 type slab[T any] struct {
-	pool   *sync.Pool // of *[slabChunk]T; nil for fresh chunks under Params.NoPacketPool
 	chunks []*[slabChunk]T
 	n      int // values taken this run
 }
@@ -235,30 +225,20 @@ const slabChunk = 256
 func (s *slab[T]) take() *T {
 	c := s.n / slabChunk
 	if c == len(s.chunks) {
-		var ch *[slabChunk]T
-		if s.pool != nil {
-			ch, _ = s.pool.Get().(*[slabChunk]T)
-		}
-		if ch == nil {
-			ch = new([slabChunk]T)
-		}
-		s.chunks = append(s.chunks, ch)
+		s.chunks = append(s.chunks, new([slabChunk]T))
 	}
 	v := &s.chunks[c][s.n%slabChunk]
 	s.n++
 	return v
 }
 
-// release zeroes every value taken and returns the chunks to the pool.
+// release zeroes every value taken and keeps the chunks for the next run.
 func (s *slab[T]) release() {
 	for _, ch := range s.chunks {
 		k := min(s.n, slabChunk)
 		clear(ch[:k])
 		s.n -= k
-		s.pool.Put(ch)
 	}
-	clear(s.chunks)
-	s.chunks = s.chunks[:0]
 }
 
 // termIn and termOut return node n's injection (node -> router) and
@@ -367,15 +347,17 @@ func (f *Fabric) freeMessage(m *message) {
 }
 
 // New builds and wires a fabric on the given engine, on the storage a
-// closed fabric returned to storagePool when there is some, unless
-// p.NoPacketPool asks for fresh memory.
+// closed fabric returned to storagePool when there is some not sized for a
+// far larger machine (see recycle.Pool.GetSized), unless p.NoPacketPool
+// asks for fresh memory.
 func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mechanism, rng *des.RNG) (*Fabric, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	nodes := topo.NumNodes()
 	var home *storage
 	if !p.NoPacketPool {
-		home, _ = storagePool.Get().(*storage)
+		home, _ = storagePool.GetSized(nodes, func(v any) int { return cap(v.(*storage).nics) }).(*storage)
 		if home == nil {
 			home = new(storage)
 		}
@@ -389,9 +371,7 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 	}
 	if home != nil {
 		f.storage = *home
-		f.pkts.pool, f.msgs.pool, f.credits.pool = &packetChunks, &messageChunks, &creditChunks
 	}
-	nodes := topo.NumNodes()
 	f.hopSum = recycle.Resize(f.hopSum, nodes)
 	f.hopCount = recycle.Resize(f.hopCount, nodes)
 	clear(f.hopSum)

@@ -2,7 +2,6 @@ package network
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"dragonfly/internal/des"
@@ -50,23 +49,14 @@ func closedBusyFabric(t *testing.T, topo topology.Interconnect) *storage {
 func TestClosedStorageTakenBackAsNew(t *testing.T) {
 	topo := topotest.Mini(t)
 	p := DefaultParams()
-	var f *Fabric
-	var eng *des.Engine
-	// The pool may drop what Close returns (it does so at random under the
-	// race detector); close busy fabrics until New takes one back.
-	for attempt := 0; ; attempt++ {
-		home := closedBusyFabric(t, topo)
-		eng = des.New()
-		var err error
-		if f, err = New(eng, topo, p, routing.Adaptive, des.NewRNG(5, "fabric")); err != nil {
-			t.Fatal(err)
-		}
-		if f.home == home {
-			break
-		}
-		if attempt == 100 {
-			t.Fatal("New never took back a closed fabric's storage")
-		}
+	home := closedBusyFabric(t, topo)
+	eng := des.New()
+	f, err := New(eng, topo, p, routing.Adaptive, des.NewRNG(5, "fabric"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.home != home {
+		t.Fatal("New did not take back the closed fabric's storage")
 	}
 
 	for i := range f.links {
@@ -87,9 +77,11 @@ func TestClosedStorageTakenBackAsNew(t *testing.T) {
 			t.Fatalf("NIC %d starts with %d queued messages", i, n.queued)
 		}
 	}
-	if f.pkts.n != 0 || f.msgs.n != 0 || f.credits.n != 0 ||
-		len(f.pkts.chunks) != 0 || len(f.msgs.chunks) != 0 || len(f.credits.chunks) != 0 {
+	if f.pkts.n != 0 || f.msgs.n != 0 || f.credits.n != 0 {
 		t.Fatalf("slabs start with %d packets, %d messages, %d credits taken", f.pkts.n, f.msgs.n, f.credits.n)
+	}
+	if len(f.pkts.chunks) == 0 || len(f.msgs.chunks) == 0 || len(f.credits.chunks) == 0 {
+		t.Fatal("the taken-back slabs hold no chunks")
 	}
 
 	fresh := p
@@ -119,19 +111,19 @@ func TestClosedStorageTakenBackAsNew(t *testing.T) {
 	}
 }
 
-// TestSlabReleaseZeroesChunks: release hands back every chunk it took with
-// every value zeroed, so the chunk pool holds no pointer into a past run.
+// TestSlabReleaseZeroesChunks: release zeroes every value taken and keeps
+// the chunks, so the recycled storage holds no pointer into a past run and
+// the next run takes values from the same chunks.
 func TestSlabReleaseZeroesChunks(t *testing.T) {
-	var pool sync.Pool
-	s := slab[message]{pool: &pool}
+	var s slab[message]
 	for i := 0; i < 2*slabChunk+3; i++ {
 		m := s.take()
 		m.id, m.next, m.onDelivered = uint64(i+1), m, func(des.Time) {}
 	}
 	taken := append([]*[slabChunk]message(nil), s.chunks...)
 	s.release()
-	if len(taken) != 3 || s.n != 0 || len(s.chunks) != 0 {
-		t.Fatalf("took %d chunks; after release n = %d with %d chunks listed", len(taken), s.n, len(s.chunks))
+	if len(taken) != 3 || s.n != 0 || !reflect.DeepEqual(s.chunks, taken) {
+		t.Fatalf("took %d chunks; after release n = %d with %d chunks kept", len(taken), s.n, len(s.chunks))
 	}
 	for _, ch := range taken {
 		for i := range ch {
@@ -140,4 +132,33 @@ func TestSlabReleaseZeroesChunks(t *testing.T) {
 			}
 		}
 	}
+	if m := s.take(); m != &taken[0][0] {
+		t.Fatal("the next run does not take values from the kept chunks")
+	}
+}
+
+// TestStorageOfFarLargerMachineDropped: a fabric on a machine more than
+// four times smaller than the one whose storage waits in the pool drops it
+// and builds its own, so a Theta run's links and NICs do not stay
+// reachable through later runs on a small machine.
+func TestStorageOfFarLargerMachineDropped(t *testing.T) {
+	eng := des.New()
+	big, err := New(eng, topotest.Theta(t), DefaultParams(), routing.Adaptive, des.NewRNG(1, "fabric"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := big.home
+	big.Close()
+	eng.Close()
+	mini := topotest.Mini(t)
+	eng = des.New()
+	f, err := New(eng, mini, DefaultParams(), routing.Adaptive, des.NewRNG(1, "fabric"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.home == home || cap(f.nics) > 4*mini.NumNodes() {
+		t.Fatalf("a fabric on %d nodes kept storage for %d", mini.NumNodes(), cap(f.nics))
+	}
+	f.Close()
+	eng.Close()
 }

@@ -329,15 +329,16 @@ func NewChooser(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong C
 // NewChooserOpts builds a route chooser with explicit Options, resolving the
 // machine's node attachment, group membership, canonical intra-group next
 // hops, and Valiant intermediates into per-route tables. It fills the
-// tables a closed chooser returned to tablesPool when there are some,
-// unless opts.NoCache asks for fresh memory.
+// tables a closed chooser returned to tablesPool when there are some not
+// sized for a far larger machine (see recycle.Pool.GetSized), unless
+// opts.NoCache asks for fresh memory.
 func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong Congestion, opts Options) *Chooser {
 	if cong == nil {
 		cong = zeroCongestion{}
 	}
 	var home *tables
 	if !opts.NoCache {
-		home, _ = tablesPool.Get().(*tables)
+		home, _ = tablesPool.GetSized(topo.NumNodes(), func(v any) int { return cap(v.(*tables).routerOf) }).(*tables)
 		if home == nil {
 			home = new(tables)
 		}
@@ -398,23 +399,23 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	return c
 }
 
-// resetGatewayCache empties every gateway-cache slot an earlier chooser of
-// these tables filled, on this machine or another, keeping the arrays.
-// Slots past this machine's router or group count are emptied too, since a
-// later, larger machine sees them again; shards too short for this
-// machine's group count are dropped and rebuilt on first use.
+// resetGatewayCache empties every gateway-cache slot this machine's routes
+// can read and keeps the arrays. A slot holds a list only within the
+// length its shard was last given, by the last chooser whose machine had
+// that router, so emptying each of this machine's shards over that length
+// is enough, however large a machine the tables served before. Shards too
+// short for this machine's group count are dropped and rebuilt on first
+// use.
 func (c *Chooser) resetGatewayCache() {
 	c.nearestGW = recycle.Resize(c.nearestGW, c.numRouters)
-	all := c.nearestGW[:cap(c.nearestGW)]
-	for r, shard := range all {
-		shard = shard[:cap(shard)]
+	for r, shard := range c.nearestGW {
 		for g := range shard {
 			shard[g] = shard[g][:0]
 		}
-		if len(shard) < c.numGroups {
-			all[r] = nil
+		if cap(shard) < c.numGroups {
+			c.nearestGW[r] = nil
 		} else {
-			all[r] = shard[:c.numGroups]
+			c.nearestGW[r] = shard[:c.numGroups]
 		}
 	}
 }

@@ -100,55 +100,58 @@ func TestCompactMemoSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// takeBackAfter builds a chooser with old, routes 400 random pairs on it
-// (releasing every other path at once and the rest, as a fabric's paths in
-// flight, just before Close), closes it, and builds the next chooser with
-// next until that one takes back the closed tables.
-func takeBackAfter(t *testing.T, old, next func() *Chooser) *Chooser {
-	t.Helper()
-	// The pool may drop what Close returns (its overflow does so at random
-	// under the race detector); close choosers until one's tables are taken
-	// back.
-	for attempt := 0; ; attempt++ {
-		c := old()
-		nodes := c.topo.NumNodes()
-		rng := des.NewRNG(2, "old-pairs")
-		var held []Path
-		for i := 0; i < 400; i++ {
-			p, err := c.TryRoute(topology.NodeID(rng.Intn(nodes)), topology.NodeID(rng.Intn(nodes)))
-			switch {
-			case err != nil:
-			case i%2 == 0:
-				c.Release(p)
-			default:
-				held = append(held, p)
-			}
-		}
-		for _, p := range held {
+// closeAfterRoutes routes 400 random pairs on c, releasing every other
+// path at once and the rest, as a fabric's paths in flight, just before
+// Close, closes c and returns the tables it handed back.
+func closeAfterRoutes(c *Chooser) *tables {
+	nodes := c.topo.NumNodes()
+	rng := des.NewRNG(2, "old-pairs")
+	var held []Path
+	for i := 0; i < 400; i++ {
+		p, err := c.TryRoute(topology.NodeID(rng.Intn(nodes)), topology.NodeID(rng.Intn(nodes)))
+		switch {
+		case err != nil:
+		case i%2 == 0:
 			c.Release(p)
-		}
-		home := c.home
-		c.Close()
-		if ch := next(); ch.home == home {
-			if len(ch.freeHops) == 0 {
-				t.Fatal("the taken-back arena holds no hop slices")
-			}
-			return ch
-		}
-		if attempt == 100 {
-			t.Fatal("NewChooserOpts never took back a closed chooser's tables")
+		default:
+			held = append(held, p)
 		}
 	}
+	for _, p := range held {
+		c.Release(p)
+	}
+	home := c.home
+	c.Close()
+	return home
+}
+
+// takeBackAfter routes on and closes the chooser old builds, then builds
+// the next chooser with next, which must take back the closed tables with
+// their arena full of hop slices.
+func takeBackAfter(t *testing.T, old, next func() *Chooser) *Chooser {
+	t.Helper()
+	home := closeAfterRoutes(old())
+	ch := next()
+	if ch.home != home {
+		t.Fatal("NewChooserOpts did not take back the closed chooser's tables")
+	}
+	if len(ch.freeHops) == 0 {
+		t.Fatal("the taken-back arena holds no hop slices")
+	}
+	return ch
 }
 
 // TestClosedChooserTakenBackAsNew: NewChooserOpts takes back the tables a
-// chooser closed — after caching another machine's gateway lists, or after
-// filling the next-hop rows with live trees under faults — with its arena
-// full of hop slices, and routes exactly as a chooser built on fresh memory
-// does.
+// chooser closed — after caching another machine's gateway lists, after a
+// larger machine's and then a smaller one's, or after filling the next-hop
+// rows with live trees under faults — with its arena full of hop slices,
+// and routes exactly as a chooser built on fresh memory does.
 func TestClosedChooserTakenBackAsNew(t *testing.T) {
 	mini := topotest.Mini(t)
 	plus := topotest.PlusMini(t)
+	// narrow has fewer routers and groups than mini and plus, and enough
+	// nodes that it takes back the tables plus closed.
+	narrow := topology.MustNew(topology.Config{Groups: 2, Rows: 2, Cols: 2, NodesPerRouter: 8, GlobalPortsPerRouter: 1, ChassisPerCabinet: 1})
 	set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.1, Routers: 2, Seed: 3}, mini)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +171,13 @@ func TestClosedChooserTakenBackAsNew(t *testing.T) {
 		{"other machine", func() *Chooser {
 			return NewChooserOpts(plus, Adaptive, des.NewRNG(1, "old"), saltedCong{}, Options{})
 		}},
+		{"a larger machine, then a smaller one", func() *Chooser {
+			return takeBackAfter(t, func() *Chooser {
+				return NewChooserOpts(plus, Adaptive, des.NewRNG(1, "old"), saltedCong{}, Options{})
+			}, func() *Chooser {
+				return NewChooserOpts(narrow, Adaptive, des.NewRNG(1, "old"), saltedCong{}, Options{})
+			})
+		}},
 		{"live trees", func() *Chooser {
 			return NewChooserOpts(mini, Minimal, des.NewRNG(1, "old"), saltedCong{}, Options{Health: set})
 		}},
@@ -177,4 +187,19 @@ func TestClosedChooserTakenBackAsNew(t *testing.T) {
 			t.Errorf("after a chooser on %s: routes on taken-back tables differ from routes on fresh memory", old.name)
 		}
 	}
+}
+
+// TestChooserDropsTablesOfFarLargerMachine: a chooser on a machine more
+// than four times smaller than the one whose tables wait in the pool drops
+// them and builds its own, so a Theta run's tables do not stay reachable
+// through later runs on a small machine.
+func TestChooserDropsTablesOfFarLargerMachine(t *testing.T) {
+	theta := topotest.Theta(t)
+	home := closeAfterRoutes(NewChooserOpts(theta, Adaptive, des.NewRNG(1, "old"), saltedCong{}, Options{}))
+	mini := topotest.Mini(t)
+	ch := NewChooserOpts(mini, Adaptive, des.NewRNG(1, "new"), saltedCong{}, Options{})
+	if ch.home == home || cap(ch.routerOf) >= theta.NumNodes() {
+		t.Fatalf("a chooser on %d nodes kept the tables of %d", mini.NumNodes(), theta.NumNodes())
+	}
+	ch.Close()
 }

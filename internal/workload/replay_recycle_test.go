@@ -62,38 +62,29 @@ func TestRecycledReplayMatchesFresh(t *testing.T) {
 	refFab.eng.Run()
 
 	earlierDone := 0
-	var rep *Replay
-	var fab *recordingFabric
+	earlierFab := newRecordingFabric(2 * n)
+	earlier, err := NewReplay(earlierFab, Job{
+		Name: "moe", Graph: g, Nodes: contiguousNodes(n),
+		OnComplete: func(des.Time) { earlierDone++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlier.Start()
+	earlierFab.eng.RunUntil(3 * des.Microsecond)
+	if earlier.Done() || earlier.RanksDone() > 0 || len(earlierFab.sends) == 0 || earlierFab.eng.Pending() == 0 {
+		t.Fatalf("earlier job cut at %v with %d ranks done, %d sends and %d pending events; want it part-way",
+			earlierFab.eng.Now(), earlier.RanksDone(), len(earlierFab.sends), earlierFab.eng.Pending())
+	}
+	earlier.Close()
+	fab := newRecordingFabric(2 * n)
 	gotDone := des.Time(-1)
-	// The pool may drop what Close returns (its overflow does so at random
-	// under the race detector); close earlier replays until NewReplay takes
-	// one back.
-	for attempt := 0; ; attempt++ {
-		earlierFab := newRecordingFabric(2 * n)
-		earlier, err := NewReplay(earlierFab, Job{
-			Name: "moe", Graph: g, Nodes: contiguousNodes(n),
-			OnComplete: func(des.Time) { earlierDone++ },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		earlier.Start()
-		earlierFab.eng.RunUntil(3 * des.Microsecond)
-		if earlier.Done() || earlier.RanksDone() > 0 || len(earlierFab.sends) == 0 || earlierFab.eng.Pending() == 0 {
-			t.Fatalf("earlier job cut at %v with %d ranks done, %d sends and %d pending events; want it part-way",
-				earlierFab.eng.Now(), earlier.RanksDone(), len(earlierFab.sends), earlierFab.eng.Pending())
-		}
-		earlier.Close()
-		fab = newRecordingFabric(2 * n)
-		if rep, err = NewReplay(fab, job(func(at des.Time) { gotDone = at })); err != nil {
-			t.Fatal(err)
-		}
-		if rep == earlier {
-			break
-		}
-		if attempt == 100 {
-			t.Fatal("NewReplay never took back a closed replay of its graph")
-		}
+	rep, err := NewReplay(fab, job(func(at des.Time) { gotDone = at }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != earlier {
+		t.Fatal("NewReplay did not take back the closed replay of its graph")
 	}
 	rep.Start()
 	fab.eng.Run()
