@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test examples fmt-check race fuzz-smoke bench bench-diff scale-smoke farm-smoke collectives-smoke chaos-smoke
+.PHONY: build test examples fmt-check race fuzz-smoke bench bench-diff ab scale-smoke farm-smoke collectives-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,18 @@ bench:
 # ns/op deltas print as advisory only.
 bench-diff:
 	$(GO) run ./cmd/dfbench -scale -diff -against BENCH_des.json
+
+# One-process A/B: time the working tree against BASE (a git revision) by
+# running the same experiment cells through both builds, linked into one
+# binary, alternately cell by cell (cmd/dfab). Wall-time ratios measured
+# that way hold on a noisy shared host where separate processes do not.
+# CELLS is a comma list of fig10, fig3 and theta; BASE=HEAD is the A/A
+# check, which should read 1.00 within a few percent.
+BASE ?= HEAD
+CELLS ?= fig10
+PASSES ?= 8
+ab:
+	bash cmd/dfab/ab.sh $(BASE) -cells $(CELLS) -passes $(PASSES)
 
 # Sweep-farm smoke: run a small dffarm job cold (every cell simulates and
 # is banked in the content-addressed store), rerun it warm (every cell must

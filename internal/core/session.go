@@ -31,6 +31,9 @@ type Session struct {
 	bg      *workload.Background
 	replays []*workload.Replay // every job launched, for Close to hand back
 	live    int                // launched jobs whose last rank has not finished
+	// haltOnDone makes the last job's completion halt the engine: Drain
+	// sets it when the run ends with its jobs, not with an empty queue.
+	haltOnDone bool
 }
 
 // NewSession builds the machine cfg describes — its Topology, Params,
@@ -98,13 +101,17 @@ func (s *Session) Background(cfg workload.BackgroundConfig, rng *des.RNG) (int64
 }
 
 // Launch starts a placed job at job.Start. The session counts it live until
-// its last rank finishes, when job.OnComplete (if any) still fires.
+// its last rank finishes, when job.OnComplete (if any) still fires; a job
+// it launches keeps the drain going.
 func (s *Session) Launch(job workload.Job) (*workload.Replay, error) {
 	onComplete := job.OnComplete
 	job.OnComplete = func(at des.Time) {
 		s.live--
 		if onComplete != nil {
 			onComplete(at)
+		}
+		if s.live == 0 && s.haltOnDone {
+			s.Engine.Halt()
 		}
 	}
 	rep, err := workload.NewReplay(s.Fabric, job)
@@ -119,16 +126,26 @@ func (s *Session) Launch(job workload.Job) (*workload.Replay, error) {
 
 // Drain runs the engine and closes the run. With neither background traffic
 // nor a deadline (0 = none) the queue drains by itself; otherwise the engine
-// steps until every launched job has finished or the clock reaches the
+// runs until every launched job has finished or the clock reaches the
+// deadline: it runs the events before the deadline, halting after the one
+// in which the last job finishes, then the first event at or past the
 // deadline. Drain then stops the background, reports a watchdog trip,
 // finalizes the link statistics and closes the audit, returning its summary
 // (nil unless auditing).
 func (s *Session) Drain(deadline des.Time) (*audit.Summary, error) {
 	eng := s.Engine
-	if s.bg == nil && deadline == 0 {
+	switch {
+	case s.bg == nil && deadline == 0:
 		eng.Run()
-	} else {
-		for s.live > 0 && (deadline == 0 || eng.Now() < deadline) && eng.Step() {
+	case s.live == 0:
+		// No job to wait for.
+	case deadline == 0:
+		s.haltOnDone = true
+		eng.Run()
+	case eng.Now() < deadline:
+		s.haltOnDone = true
+		if eng.RunUntil(deadline - 1); s.live > 0 {
+			eng.Step()
 		}
 	}
 	if s.bg != nil {

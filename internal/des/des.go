@@ -19,6 +19,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"dragonfly/internal/recycle"
@@ -129,13 +130,15 @@ type eventQueue struct {
 	free uint32 // head of the free-slot list; 0 when empty
 	n    int
 
-	// Near tier: the timing wheel.
+	// Near tier: the timing wheel. A slot's first and last event sit side
+	// by side, so appending to a slot touches one cache line of the wheel.
 	base  Time
 	cur   uint32                 // slot of the minimum found by the latest peek
 	used  uint64                 // bit w set iff occ[w] != 0
 	occ   [wheelSize / 64]uint64 // bit s%64 of occ[s/64] set iff slot s is non-empty
-	whead [wheelSize]uint32      // slot s's first and last event while its bit is set
-	wtail [wheelSize]uint32
+	wheel [wheelSize]struct {
+		head, tail uint32 // the slot's first and last event while its bit is set
+	}
 
 	// Far tier: the radix heap.
 	mask uint64     // bit b set iff bucket b is non-empty
@@ -147,9 +150,12 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return q.n }
 
-// push appends an event at time at, which must not precede base, to its
-// wheel slot or far bucket.
+// push appends an event at time at to its wheel slot or far bucket. A time
+// before base, which is the engine clock, or past MaxTime panics.
 func (q *eventQueue) push(at Time, cb Callback, arg any) {
+	if at < q.base || at > MaxTime {
+		q.badTime(at)
+	}
 	i := q.free
 	if i != 0 {
 		q.free = q.slab[i].next
@@ -181,14 +187,15 @@ func (q *eventQueue) push(at Time, cb Callback, arg any) {
 // 0, to wheel slot s.
 func (q *eventQueue) wlink(s, first, end uint32) {
 	w, bit := s>>6, uint64(1)<<(s&63)
+	ws := &q.wheel[s]
 	if q.occ[w]&bit == 0 {
-		q.whead[s] = first
+		ws.head = first
 		q.occ[w] |= bit
 		q.used |= 1 << w
 	} else {
-		q.slab[q.wtail[s]].next = first
+		q.slab[ws.tail].next = first
 	}
-	q.wtail[s] = end
+	ws.tail = end
 }
 
 // link appends the list from slot first to slot end, whose next must be 0,
@@ -242,10 +249,10 @@ func (q *eventQueue) pop() (Callback, any) {
 		q.cur = uint32(q.base) & (wheelSize - 1)
 	}
 	s := q.cur
-	i := q.whead[s]
+	i := q.wheel[s].head
 	ev := &q.slab[i]
 	cb, arg, at := ev.cb, ev.arg, ev.at
-	if q.whead[s] = ev.next; ev.next == 0 {
+	if q.wheel[s].head = ev.next; ev.next == 0 {
 		w := s >> 6
 		if q.occ[w] &^= 1 << (s & 63); q.occ[w] == 0 {
 			q.used &^= 1 << w
@@ -343,8 +350,14 @@ type Engine struct {
 	running   bool
 	observer  func(Time)
 
+	// stop is the latest event time the running RunUntil may execute: its
+	// deadline or the watchdog's time limit, whichever is earlier, or -1
+	// once Halt is called, which also sets halted.
+	stop   Time
+	halted bool
+
 	// Livelock watchdog (see SetWatchdog). wdArmed folds both limits into
-	// one branch on the event loop's hot path.
+	// one branch in Step.
 	wdArmed     bool
 	wdMaxEvents uint64
 	wdMaxTime   Time
@@ -428,11 +441,8 @@ func (e *Engine) ScheduleCall(delay Time, cb Callback, arg any) {
 // AtCall runs cb(arg, t) at absolute time t (Now <= t <= MaxTime); any other
 // t panics. This is the hot-path entry: with a package-level cb and a
 // pointer-shaped arg it allocates nothing beyond the amortized growth of
-// the event queue itself.
+// the event queue itself. The queue checks t, so AtCall inlines.
 func (e *Engine) AtCall(t Time, cb Callback, arg any) {
-	if t < e.now || t > MaxTime {
-		e.badTime(t)
-	}
 	e.pq.push(t, cb, arg)
 }
 
@@ -445,9 +455,11 @@ func (e *Engine) badDelay(delay Time) {
 	panic(fmt.Sprintf("des: delay %d from now %v is past MaxTime (%dns)", delay, e.now, MaxTime))
 }
 
-func (e *Engine) badTime(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v", t, e.now))
+// badTime panics for a push at t, which is before base, the engine clock,
+// or past MaxTime.
+func (q *eventQueue) badTime(t Time) {
+	if t < q.base {
+		panic(fmt.Sprintf("des: schedule at %v before now %v", t, q.base))
 	}
 	panic(fmt.Sprintf("des: schedule at %dns is past MaxTime (%dns)", t, MaxTime))
 }
@@ -464,9 +476,28 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	// One test per event covers the deadline, both watchdog limits and
+	// Halt: stop folds the deadline and the time limit, Halt lowers it
+	// below every event, and evStop is the event limit (0 once tripped).
+	e.stop, e.halted = deadline, false
+	evStop := uint64(math.MaxUint64)
+	if e.wdArmed {
+		if e.wdMaxTime > 0 && e.wdMaxTime < deadline {
+			e.stop = e.wdMaxTime
+		}
+		if e.wdMaxEvents > 0 {
+			evStop = e.wdMaxEvents
+		}
+		if e.wdErr != nil {
+			evStop = 0
+		}
+	}
 	for e.pq.len() > 0 {
 		at := e.pq.peek()
-		if at > deadline || e.wdArmed && e.watchdogTrip(at) {
+		if at > e.stop || e.processed >= evStop {
+			if !e.halted && at <= deadline {
+				e.watchdogTrip(at) // records the trip
+			}
 			break
 		}
 		cb, arg := e.pq.pop()
@@ -479,6 +510,12 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	return e.now
 }
+
+// Halt makes a Run or RunUntil in progress return once the running event's
+// handler returns, leaving later events queued: it is for a handler that
+// knows the run's work is done. A later Run or RunUntil runs as usual; Step
+// ignores Halt.
+func (e *Engine) Halt() { e.stop, e.halted = -1, true }
 
 // Step executes exactly one event, reporting whether one was available.
 // A tripped watchdog stops Step like it stops RunUntil.

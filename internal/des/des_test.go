@@ -225,6 +225,15 @@ func TestAtPastMaxTimePanics(t *testing.T) {
 	if got := e.Run(); got != 0 {
 		t.Fatalf("Run = %v on an empty engine", got)
 	}
+	// Near the end of time the wheel's window reaches past MaxTime.
+	e.At(MaxTime-10, func() {})
+	e.Run()
+	if msg := panicText(func() { e.AtCall(MaxTime+1, fireTick, nil) }); !strings.Contains(msg, "MaxTime") {
+		t.Errorf("AtCall(MaxTime+1) at %v panicked with %q, want a panic naming MaxTime", e.Now(), msg)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued past MaxTime", e.Pending())
+	}
 }
 
 // TestScheduleOverflowPanics: a delay whose end lies past MaxTime is
@@ -393,5 +402,32 @@ func TestWatchdogTripKeepsQueue(t *testing.T) {
 	e.Run()
 	if e.Step() || e.Pending() != 4 || e.Processed() != 2 {
 		t.Fatalf("after trip: Pending = %d, Processed = %d; want 4, 2", e.Pending(), e.Processed())
+	}
+}
+
+// TestHaltStopsRun: Halt from a handler makes RunUntil return once that
+// handler is done, with later events, those at the same instant included,
+// still queued; the next Run runs them, and Step ignores Halt.
+func TestHaltStopsRun(t *testing.T) {
+	e := New()
+	var ran []int
+	for i := 0; i < 5; i++ {
+		e.At(Time(10*(i/2)), func() {
+			ran = append(ran, i)
+			if i == 2 || i == 3 {
+				e.Halt()
+			}
+		})
+	}
+	if got := e.RunUntil(MaxTime); got != 10 || len(ran) != 3 || e.Pending() != 2 {
+		t.Fatalf("halted run: RunUntil = %v after events %v, %d pending; want 10 after [0 1 2], 2 pending", got, ran, e.Pending())
+	}
+	if !e.Step() || len(ran) != 4 || !e.Step() || len(ran) != 5 {
+		t.Fatalf("Step after a halt ran %v, want every event", ran)
+	}
+	e.At(30, func() { ran = append(ran, 5) })
+	e.At(40, func() { ran = append(ran, 6) })
+	if got := e.Run(); got != 40 || len(ran) != 7 {
+		t.Fatalf("Run after a halt = %v having run %v, want 40 having run all seven", got, ran)
 	}
 }

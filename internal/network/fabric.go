@@ -65,7 +65,7 @@ func (n *nic) dequeueMsg() {
 // loop moves on, so an unreachable destination drains instead of wedging
 // the send queue.
 func (n *nic) fillInjection(l *link) {
-	for len(l.reqs) == 0 && n.queued > 0 {
+	for l.rhead == nil && n.queued > 0 {
 		msg := n.head
 		bytes := int(msg.remaining)
 		if bytes > n.f.params.PacketBytes {
@@ -85,7 +85,7 @@ func (n *nic) fillInjection(l *link) {
 		if n.f.obs != nil {
 			n.f.obs.RouteComputed(msg.src, msg.dst, pkt.path)
 		}
-		l.enqueue(request{pkt: pkt, bytes: int32(bytes)})
+		l.enqueue(pkt, 0)
 	}
 }
 
@@ -199,9 +199,7 @@ var storagePool recycle.Pool // *storage
 // recycle clears every pointer in the storage, keeping its arrays and slab
 // chunks.
 func (s *storage) recycle() {
-	for i := range s.links {
-		s.links[i].recycle()
-	}
+	clear(s.links)
 	clear(s.nics)
 	s.pkts.release()
 	s.msgs.release()
@@ -283,7 +281,7 @@ func (f *Fabric) newPacket(msg *message, bytes int, path routing.Path) *packet {
 		f.pktFree = p.next
 	}
 	p.f, p.msg, p.bytes, p.path, p.hop = f, msg, bytes, path, 0
-	p.arrLink, p.arrVC, p.next = nil, 0, nil
+	p.arrLink, p.arrVC, p.next, p.rnext, p.reqVC = nil, 0, nil, nil, 0
 	return p
 }
 
@@ -594,31 +592,35 @@ func (f *Fabric) RecordHealthEvent(at des.Time, desc string) {
 }
 
 // failLink marks a channel dead and discards its queued transmission
-// requests: each queued packet's upstream buffer is freed and the bytes are
-// accounted as dropped (packets already on the wire drop at arrival; see
-// arrive). Freed input-queue heads immediately request an alternate output,
-// which can no longer pick this channel.
+// requests in FIFO order: each queued packet's upstream buffer is freed and
+// the bytes are accounted as dropped (packets already on the wire drop at
+// arrival; see arrive). Freed input-queue heads immediately request an
+// alternate output, which can no longer pick this channel.
 func (f *Fabric) failLink(l *link) {
 	l.down = true
-	reqs := l.reqs
-	l.reqs = nil
+	pkt := l.rhead
+	l.rhead, l.rtail = nil, nil
 	l.pending = 0
-	for _, r := range reqs {
-		if r.in == nil {
+	for pkt != nil {
+		next := pkt.rnext
+		pkt.rnext = nil
+		if up := pkt.arrLink; up == nil {
 			// An injection request: the chunk never left the NIC.
-			msg := r.pkt.msg
-			bytes := r.pkt.bytes
-			f.freePacket(r.pkt)
+			msg := pkt.msg
+			bytes := pkt.bytes
+			f.freePacket(pkt)
 			f.dropBytes(msg, bytes, false)
-			continue
+		} else {
+			vc := int(pkt.arrVC)
+			up.release(vc, pkt.bytes)
+			q := &up.inq[vc]
+			q.pop()
+			f.dropPacket(pkt)
+			if q.head != nil {
+				f.requestNext(up, vc)
+			}
 		}
-		q := r.in
-		q.link.release(q.vc, int(r.bytes))
-		q.pop()
-		f.dropPacket(r.pkt)
-		if q.len() > 0 {
-			f.requestNext(q)
-		}
+		pkt = next
 	}
 }
 
@@ -750,27 +752,29 @@ func (f *Fabric) arrive(l *link, vc int, pkt *packet) {
 	}
 	q := &l.inq[vc]
 	q.push(pkt)
-	if q.len() == 1 {
-		f.requestNext(q)
+	if q.head == pkt {
+		f.requestNext(l, vc)
 	}
 }
 
-// requestNext routes the head packet of an input queue to its output link.
-// On a faulted fabric a head packet whose next hop has no live channel left
-// is dropped, and the loop moves to the next head so the queue keeps
-// draining.
-func (f *Fabric) requestNext(q *inputQueue) {
+// requestNext routes the head packet of the input queue l.inq[vc] to its
+// output link. On a faulted fabric a head packet whose next hop has no live
+// channel left is dropped, and the loop moves to the next head so the queue
+// keeps draining.
+func (f *Fabric) requestNext(l *link, vc int) {
+	q := &l.inq[vc]
+	here := l.to
 	for {
-		pkt := q.headPkt()
-		here := q.link.to
+		pkt := q.head
 		if pkt.hop >= len(pkt.path.Hops) {
-			// Final router: eject toward the destination node.
+			// Final router: eject toward the destination node. An ejection
+			// link's to is its node's router, like its from.
 			out := f.termOut(pkt.msg.dst)
-			if out.from != here {
+			if out.to != here {
 				panic(fmt.Sprintf("network: packet for node %d ejecting at router %d, want %d",
-					pkt.msg.dst, here, out.from))
+					pkt.msg.dst, here, out.to))
 			}
-			out.enqueue(request{pkt: pkt, in: q, bytes: int32(pkt.bytes)})
+			out.enqueue(pkt, 0)
 			return
 		}
 		h := pkt.path.Hops[pkt.hop]
@@ -779,15 +783,15 @@ func (f *Fabric) requestNext(q *inputQueue) {
 		}
 		out := f.pickLink(h.From, h.To)
 		if out != nil {
-			out.enqueue(request{pkt: pkt, in: q, vc: int32(h.VC), bytes: int32(pkt.bytes)})
+			out.enqueue(pkt, int32(h.VC))
 			return
 		}
 		// Dead end mid-route: every channel of the hop failed after the
 		// route was computed. Free this router's buffer and drop.
-		q.link.release(q.vc, pkt.bytes)
+		l.release(vc, pkt.bytes)
 		q.pop()
 		f.dropPacket(pkt)
-		if q.len() == 0 {
+		if q.head == nil {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"dragonfly/internal/des"
@@ -240,12 +241,23 @@ func TestMultiPacketMessageReassembly(t *testing.T) {
 }
 
 func TestInvalidParamsRejected(t *testing.T) {
-	eng := des.New()
 	topo := topotest.Mini(t)
+	for name, mutate := range map[string]func(*Params){
+		"local buffer smaller than a packet": func(p *Params) { p.LocalVCBuffer = 100 },
+		"terminal buffer past int32":         func(p *Params) { p.TerminalVCBuffer = math.MaxInt32 + 1 },
+		"local buffer past int32":            func(p *Params) { p.LocalVCBuffer = math.MaxInt32 + 1 },
+		"global buffer past int32":           func(p *Params) { p.GlobalVCBuffer = math.MaxInt32 + 1 },
+	} {
+		p := DefaultParams()
+		mutate(&p)
+		if _, err := New(des.New(), topo, p, routing.Minimal, des.NewRNG(0, "x")); err == nil {
+			t.Errorf("%s: fabric accepted the parameters", name)
+		}
+	}
 	p := DefaultParams()
-	p.LocalVCBuffer = 100 // smaller than a packet
-	if _, err := New(eng, topo, p, routing.Minimal, des.NewRNG(0, "x")); err == nil {
-		t.Fatal("fabric accepted a buffer smaller than one packet")
+	p.TerminalVCBuffer, p.LocalVCBuffer, p.GlobalVCBuffer = math.MaxInt32, math.MaxInt32, math.MaxInt32
+	if err := p.Validate(); err != nil {
+		t.Errorf("buffers of 2^31-1 bytes rejected: %v", err)
 	}
 }
 

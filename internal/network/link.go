@@ -11,17 +11,28 @@ import (
 // list at delivery, so steady-state switching allocates none. A packet
 // doubles as the typed event argument for its own in-flight hops
 // (arrLink/arrVC are valid while exactly one wire traversal is scheduled,
-// which the protocol guarantees).
+// which the protocol guarantees), and it carries the links of the two
+// queues it can wait in: an output link's request FIFO (rnext, reqVC) and
+// the input queue of the router it has reached (next).
+//
+// The fields output arbitration reads while it scans a request FIFO come
+// first: a 96-byte packet in a slab chunk starts at a multiple of 32 bytes,
+// so its first 32 never straddle a cache line.
 type packet struct {
-	f     *Fabric
-	msg   *message
+	rnext *packet // next request in the output link's FIFO while queued there
 	bytes int
-	path  routing.Path
-	hop   int // index of the next hop in path.Hops; == len(Hops) means eject
+	reqVC int32 // VC requested on the output link while queued there
+	arrVC int32 // VC the packet occupies on arrLink
+	// arrLink is the link carrying the packet or, once it has arrived, the
+	// link whose far-end input queue arrLink.inq[arrVC] buffers it; nil
+	// until the packet is injected.
+	arrLink *link
 
-	arrLink *link // link currently carrying the packet
-	arrVC   int32 // VC the packet occupies on arrLink
-	next    *packet
+	f    *Fabric
+	msg  *message
+	path routing.Path
+	hop  int     // index of the next hop in path.Hops; == len(Hops) means eject
+	next *packet // input-queue link while buffered, free-list link while free
 }
 
 // packetArriveCB is the typed arrival event: the packet lands at the far
@@ -66,57 +77,27 @@ func linkKickCB(arg any, at des.Time) {
 	l.transmit()
 }
 
-// request is a packet (at the head of some input queue, or fresh at a NIC)
-// asking to be transmitted over an output link on a given VC. It carries
-// the packet's byte count, so arbitration scans the FIFO without touching
-// the packets.
-type request struct {
-	pkt *packet
-	// in is the input queue currently holding the packet; nil for injection
-	// (the packet materializes at the NIC when accepted).
-	in    *inputQueue
-	vc    int32
-	bytes int32
-}
-
 // inputQueue is the receiver-side buffer of one (link, VC): packets that
-// have fully arrived and wait to be switched onward. Buffer occupancy —
-// including in-flight reservations — is tracked by the owning link.
-//
-// The FIFO is a head-indexed slice rather than the q = q[1:] idiom: slicing
-// off the head walks the backing array forward, so at capacity every append
-// reallocates — that pattern was the simulator's single largest allocation
-// source. Popping advances head; the array resets when the queue drains and
-// compacts in place when the dead prefix reaches half the slots, so a
-// steady-state queue allocates only up to its high-water mark.
-type inputQueue struct {
-	link *link
-	vc   int
-	q    []*packet
-	head int
-}
-
-func (q *inputQueue) len() int         { return len(q.q) - q.head }
-func (q *inputQueue) headPkt() *packet { return q.q[q.head] }
+// have fully arrived and wait to be switched onward, in a FIFO threaded
+// through their next links. Buffer occupancy — including in-flight
+// reservations — is tracked by the owning link. Only the head requests an
+// output, so a queue's packets sit in no request FIFO but the head's.
+type inputQueue struct{ head, tail *packet }
 
 func (q *inputQueue) push(p *packet) {
-	if q.head > 0 && len(q.q) == cap(q.q) && q.head*2 >= len(q.q) {
-		n := copy(q.q, q.q[q.head:])
-		for i := n; i < len(q.q); i++ {
-			q.q[i] = nil
-		}
-		q.q = q.q[:n]
-		q.head = 0
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
 	}
-	q.q = append(q.q, p)
+	q.tail = p
 }
 
 func (q *inputQueue) pop() {
-	q.q[q.head] = nil // drop the reference for the packet pool's sake
-	q.head++
-	if q.head == len(q.q) {
-		q.q = q.q[:0]
-		q.head = 0
+	p := q.head
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
 	}
 }
 
@@ -129,87 +110,79 @@ func (q *inputQueue) pop() {
 // inline: fixed arrays sized for the largest VC class count, of which a
 // link uses its first numVC entries. The auditor checks every credit
 // movement against numVC.
+//
+// The layout is part of the hot path. The fields read on every kick,
+// arrival and credit fill the first two cache lines; the input queues fill
+// the third; identity and saturation-clock fields, read rarely, the
+// fourth. The size is a multiple of 64 bytes, so every link of the
+// fabric's slice, whose allocation starts on a cache line, starts on one
+// too. TestLinkLayout pins all three.
 type link struct {
 	f *Fabric
 
-	// Arbitration and credit state, read on every transmit.
-	occ       [routing.NumLocalVC]int // receiver-buffer bytes reserved, per VC
-	reqs      []request               // FIFO with VC skipping
-	pending   int64                   // bytes across queued requests (congestion signal)
-	busyUntil des.Time
-	kickAt    des.Time // time of the earliest scheduled kick, -1 if none
+	// Arbitration and credit state. The request FIFO is threaded through
+	// the queued packets' rnext links; a queued packet records the VC it
+	// asked for in reqVC.
+	rhead, rtail *packet
+	busyUntil    des.Time
+	kickAt       des.Time // time of the earliest scheduled kick, -1 if none
+	pending      int64    // bytes across queued requests (congestion signal)
 
 	// Constants fixed at New. xferMax is the serialization time of a
 	// max-size packet; a VC is saturated — it cannot take a max-size
 	// packet — once its occupancy exceeds satAt.
 	latency des.Time
 	xferMax des.Time
-	bw      float64
-	vcCap   int
-	satAt   int
-	numVC   int
-	id      int
-	kind    routing.LinkKind
-	eject   bool // terminal link in the router->node direction
 
+	occ     [routing.NumLocalVC]int32 // receiver-buffer bytes reserved, per VC
+	vcCap   int32
+	satAt   int32
+	fullVCs int32
+
+	// to is the far-end router; for a terminal link node is the attached
+	// compute node, and to is its router in both directions.
+	to    topology.RouterID
+	node  topology.NodeID
+	kind  routing.LinkKind
+	eject bool // terminal link in the router->node direction
 	// down marks a failed channel on a faulted fabric: the transmitter is
-	// parked, pickLink skips it, and in-flight arrivals drop. gport is the
-	// source-side global port (global links only), the identity
-	// topology.Health addresses global channels by. Healthy fabrics never
-	// set down, so the flag costs a predicted-not-taken branch.
-	down  bool
-	gport int32
+	// parked, pickLink skips it, and in-flight arrivals drop. Healthy
+	// fabrics never set it, so the flag costs a predicted-not-taken branch.
+	down bool
 
-	// from/to are router IDs for Local/Global links. For Terminal links,
-	// node is the attached compute node: direction In means node->router
-	// (from == to == the router), direction Out means router->node.
-	from, to topology.RouterID
-	node     topology.NodeID
-
-	// statistics
-	bytesTx  int64
-	packets  int64
-	fullVCs  int
-	satSince des.Time
-	satTotal des.Time
+	bytesTx int64
+	packets int64
+	bw      float64
 
 	inq [routing.NumLocalVC]inputQueue // receiver-side queues, one per VC
+
+	id    int32
+	numVC int32
+	// gport is the source-side global port (global links only), the
+	// identity topology.Health addresses global channels by. from is the
+	// near-end router (for terminal links, the node's router).
+	gport    int32
+	from     topology.RouterID
+	satSince des.Time
+	satTotal des.Time
+	_        [32]byte // pads the size to a multiple of 64 (TestLinkLayout)
 }
 
 // The per-VC arrays hold a global link's VC classes too.
 var _ [routing.NumLocalVC - routing.NumGlobalVC]struct{}
 
-// init sets every field of the link for a new run, keeping only the backing
-// arrays of its request FIFO and input queues.
+// init sets every field of the link for a new run.
 func (l *link) init(f *Fabric, id int, kind routing.LinkKind, numVC, vcCap int, bw float64, lat des.Time) {
-	reqs, inq := l.reqs[:0], l.inq
 	*l = link{
-		f: f, id: id, kind: kind, numVC: numVC, vcCap: vcCap, bw: bw, latency: lat,
+		f: f, id: int32(id), kind: kind, numVC: int32(numVC), vcCap: int32(vcCap), bw: bw, latency: lat,
 		xferMax: serializationTime(f.params.PacketBytes, bw),
-		satAt:   vcCap - f.params.PacketBytes,
+		satAt:   int32(vcCap - f.params.PacketBytes),
 		kickAt:  -1,
-		reqs:    reqs,
-	}
-	for v := range l.inq {
-		l.inq[v] = inputQueue{link: l, vc: v, q: inq[v].q[:0]}
-	}
-}
-
-// recycle clears every pointer the link holds, keeping the backing arrays
-// of its request FIFO and input queues for the next run.
-func (l *link) recycle() {
-	clear(l.reqs[:cap(l.reqs)])
-	l.reqs = l.reqs[:0]
-	l.f = nil
-	for v := range l.inq {
-		q := &l.inq[v]
-		clear(q.q[:cap(q.q)])
-		q.link, q.q = nil, q.q[:0]
 	}
 }
 
 // hasCredit reports whether the receiver buffer of vc can accept n bytes.
-func (l *link) hasCredit(vc, n int) bool { return l.occ[vc]+n <= l.vcCap }
+func (l *link) hasCredit(vc, n int) bool { return int(l.occ[vc])+n <= int(l.vcCap) }
 
 // vcFull reports the saturation condition of one VC: it cannot accept a
 // max-size packet.
@@ -224,9 +197,9 @@ func (l *link) vcFull(vc int) bool { return l.occ[vc] > l.satAt }
 // reserve claims receiver-buffer space and updates the saturation clock.
 func (l *link) reserve(vc, n int) {
 	wasFull := l.vcFull(vc)
-	l.occ[vc] += n
+	l.occ[vc] += int32(n)
 	if l.f.obs != nil {
-		l.f.obs.BufferReserve(l.id, vc, n, l.occ[vc])
+		l.f.obs.BufferReserve(int(l.id), vc, n, int(l.occ[vc]))
 	}
 	if !wasFull && l.vcFull(vc) {
 		if l.fullVCs == 0 {
@@ -245,9 +218,9 @@ func (l *link) reserve(vc, n int) {
 // and kicks the transmitter, which may now have credit.
 func (l *link) release(vc, n int) {
 	wasFull := l.vcFull(vc)
-	l.occ[vc] -= n
+	l.occ[vc] -= int32(n)
 	if l.f.obs != nil {
-		l.f.obs.BufferRelease(l.id, vc, n, l.occ[vc])
+		l.f.obs.BufferRelease(int(l.id), vc, n, int(l.occ[vc]))
 	}
 	if l.occ[vc] < 0 {
 		panic("network: negative buffer occupancy")
@@ -261,10 +234,18 @@ func (l *link) release(vc, n int) {
 	l.kick()
 }
 
-// enqueue adds a transmission request and kicks the transmitter.
-func (l *link) enqueue(r request) {
-	l.reqs = append(l.reqs, r)
-	l.pending += int64(r.bytes)
+// enqueue appends a request to transmit p on vc and kicks the transmitter.
+// p is either fresh at a NIC (arrLink nil) or the head of the input queue
+// arrLink.inq[arrVC].
+func (l *link) enqueue(p *packet, vc int32) {
+	p.reqVC = vc
+	if l.rtail == nil {
+		l.rhead = p
+	} else {
+		l.rtail.rnext = p
+	}
+	l.rtail = p
+	l.pending += int64(p.bytes)
 	l.kick()
 }
 
@@ -301,13 +282,22 @@ func (l *link) transmit() {
 	if l.kind == routing.Terminal && !l.eject {
 		f.nics[l.node].fillInjection(l)
 	}
-	for i, r := range l.reqs {
-		vc, bytes := int(r.vc), int(r.bytes)
+	var prev *packet
+	for pkt := l.rhead; pkt != nil; prev, pkt = pkt, pkt.rnext {
+		vc, bytes := int(pkt.reqVC), pkt.bytes
 		if !l.hasCredit(vc, bytes) {
 			continue
 		}
-		// Accept request i.
-		l.reqs = append(l.reqs[:i], l.reqs[i+1:]...)
+		// Accept this request.
+		if prev == nil {
+			l.rhead = pkt.rnext
+		} else {
+			prev.rnext = pkt.rnext
+		}
+		if pkt.rnext == nil {
+			l.rtail = prev
+		}
+		pkt.rnext = nil
 		l.pending -= int64(bytes)
 		l.reserve(vc, bytes)
 		xfer := l.xferMax
@@ -318,9 +308,9 @@ func (l *link) transmit() {
 		l.bytesTx += int64(bytes)
 		l.packets++
 
-		pkt := r.pkt
-		pkt.arrLink, pkt.arrVC = l, r.vc
-		if r.in == nil {
+		up, upVC := pkt.arrLink, int(pkt.arrVC)
+		pkt.arrLink, pkt.arrVC = l, pkt.reqVC
+		if up == nil {
 			// Injection: the NIC finishes putting this packet on the wire
 			// when serialization ends. Pushed before the arrival, which
 			// falls at the same instant when the terminal latency is zero.
@@ -328,18 +318,18 @@ func (l *link) transmit() {
 		}
 		f.eng.AtCall(l.busyUntil+l.latency, packetArriveCB, pkt)
 
-		if q := r.in; q != nil {
+		if up != nil {
 			// Free the upstream buffer slot the packet occupied; the credit
 			// travels back over the inbound wire.
-			up := q.link
-			f.eng.AtCall(now+up.latency, creditReturnCB, f.newCredit(up, q.vc, bytes))
+			f.eng.AtCall(now+up.latency, creditReturnCB, f.newCredit(up, upVC, bytes))
 			// Pop the input queue and let its next head request an output.
+			q := &up.inq[upVC]
 			q.pop()
-			if q.len() > 0 {
-				f.requestNext(q)
+			if q.head != nil {
+				f.requestNext(up, upVC)
 			}
 		}
-		if len(l.reqs) > 0 || (l.kind == routing.Terminal && !l.eject) {
+		if l.rhead != nil || (l.kind == routing.Terminal && !l.eject) {
 			l.kick()
 		}
 		return

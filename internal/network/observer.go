@@ -63,6 +63,6 @@ func (f *Fabric) SetObserver(o Observer) {
 	}
 	for i := range f.links {
 		l := &f.links[i]
-		o.LinkAdded(l.id, l.kind, l.numVC, l.vcCap)
+		o.LinkAdded(int(l.id), l.kind, int(l.numVC), int(l.vcCap))
 	}
 }

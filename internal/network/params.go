@@ -32,6 +32,8 @@ type Params struct {
 	LocalLatency    des.Time
 	GlobalLatency   des.Time
 
+	// Buffers are at least one packet and at most math.MaxInt32 bytes,
+	// the range of a link's per-VC occupancy counters.
 	TerminalVCBuffer int // "compute node virtual channel" buffer
 	LocalVCBuffer    int
 	GlobalVCBuffer   int
@@ -82,6 +84,8 @@ func (p Params) Validate() error {
 		return errors.New("network: local VC buffer smaller than a packet")
 	case p.GlobalVCBuffer < p.PacketBytes:
 		return errors.New("network: global VC buffer smaller than a packet")
+	case p.TerminalVCBuffer > math.MaxInt32 || p.LocalVCBuffer > math.MaxInt32 || p.GlobalVCBuffer > math.MaxInt32:
+		return errors.New("network: VC buffers must be below 2^31 bytes")
 	}
 	return nil
 }

@@ -22,8 +22,8 @@ func sendRandom(f *Fabric, seed int64, n int) {
 }
 
 // closedBusyFabric builds an adaptive mini fabric, cuts a random-traffic
-// run short with messages still queued at NICs and packets on the wire,
-// and closes it. It returns the closed fabric's storage.
+// run short with messages still queued at NICs, requests queued at links,
+// packets buffered at routers and packets on the wire, and closes it. It returns the closed fabric's storage.
 func closedBusyFabric(t *testing.T, topo topology.Interconnect) *storage {
 	t.Helper()
 	eng := des.New()
@@ -33,9 +33,21 @@ func closedBusyFabric(t *testing.T, topo topology.Interconnect) *storage {
 	}
 	sendRandom(f, 4, 400)
 	eng.RunUntil(20 * des.Microsecond)
-	if f.QueuedMessages() == 0 || eng.Pending() == 0 || f.pkts.n == 0 {
-		t.Fatalf("run cut short with %d queued messages, %d pending events, %d packets taken; want all > 0",
-			f.QueuedMessages(), eng.Pending(), f.pkts.n)
+	requesting, buffering := 0, 0
+	for i := range f.links {
+		l := &f.links[i]
+		if l.rhead != nil {
+			requesting++
+		}
+		for _, q := range l.inq {
+			if q.head != nil {
+				buffering++
+			}
+		}
+	}
+	if f.QueuedMessages() == 0 || eng.Pending() == 0 || f.pkts.n == 0 || requesting == 0 || buffering == 0 {
+		t.Fatalf("run cut short with %d queued messages, %d pending events, %d packets taken, %d request FIFOs and %d input queues non-empty; want all > 0",
+			f.QueuedMessages(), eng.Pending(), f.pkts.n, requesting, buffering)
 	}
 	home := f.home
 	f.Close()
@@ -61,14 +73,12 @@ func TestClosedStorageTakenBackAsNew(t *testing.T) {
 
 	for i := range f.links {
 		l := &f.links[i]
-		for _, r := range l.reqs[:cap(l.reqs)] {
-			if r.pkt != nil || r.in != nil {
-				t.Fatalf("link %d: a recycled request slot still points into the old run", i)
-			}
+		if l.rhead != nil || l.rtail != nil || l.pending != 0 {
+			t.Fatalf("link %d: the request FIFO still points into the old run", i)
 		}
-		for v := range l.inq {
-			if q := &l.inq[v]; q.link != l || len(q.q) != 0 || q.head != 0 {
-				t.Fatalf("link %d VC %d: input queue not reset", i, v)
+		for v, q := range l.inq {
+			if q.head != nil || q.tail != nil {
+				t.Fatalf("link %d VC %d: the input queue still points into the old run", i, v)
 			}
 		}
 	}

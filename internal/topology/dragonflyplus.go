@@ -121,10 +121,7 @@ type DragonflyPlus struct {
 
 	// Shared local-neighbor lists, resolved once at construction: every leaf
 	// of group g has exactly the spines of g as neighbors and every spine the
-	// leaves, so one slice per (group, side) serves all its routers —
-	// LocalNeighbors is called per router during fabric construction and
-	// health rebuilds, and per-call allocation there was
-	// the dominant share of the DF+ fabric-construction allocation gap.
+	// leaves, so one slice per (group, side) serves all its routers.
 	spineNbrs [][]RouterID // indexed by group: the spines of that group
 	leafNbrs  [][]RouterID // indexed by group: the leaves of that group
 }

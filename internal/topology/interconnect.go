@@ -16,7 +16,10 @@ import (
 // resolve what they need into dense tables when they are built (router of
 // every node, canonical next hop of every intra-group pair, gateway sets)
 // and never call through the interface on the simulation hot path. New
-// implementations therefore only have to be correct, not fast.
+// implementations therefore only have to be correct, not fast, except that
+// the list-valued queries (LocalNeighbors, GlobalConns, Gateways) are read
+// once per run or per health rebuild and should hand out shared slices
+// resolved at construction rather than allocate per call.
 //
 // Structural contract every implementation must satisfy:
 //
@@ -61,7 +64,8 @@ type Interconnect interface {
 	RoutersInCabinet(cabinet int) []RouterID
 
 	// LocalNeighbors lists the routers joined to r by local links, in the
-	// deterministic order the fabric creates the links in.
+	// deterministic order the fabric creates the links in. The slice is
+	// shared, not to be mutated.
 	LocalNeighbors(r RouterID) []RouterID
 	LocalConnected(a, b RouterID) bool
 	// LocalDistance is the intra-group hop distance; panics across groups.
@@ -70,7 +74,8 @@ type Interconnect interface {
 	// intra-group route cur -> dst; panics across groups.
 	LocalNextHop(cur, dst RouterID) RouterID
 
-	// GlobalConns enumerates every wired global link exactly once.
+	// GlobalConns enumerates every wired global link exactly once. The
+	// slice is shared, not to be mutated.
 	GlobalConns() []GlobalConn
 	GlobalConnected(a, b RouterID) bool
 	// Gateways lists the (router, port, peer) triples of group src whose

@@ -38,6 +38,8 @@ type layout struct {
 	// gateways[a][b] lists, for source group a and destination group b, the
 	// (router, port) pairs in group a whose global link lands in group b.
 	gateways [][][]Gateway
+	// conns lists every wired global link once, in GlobalConns order.
+	conns []GlobalConn
 
 	// local is the family's own local fabric, for MinimalRouterHops.
 	local localDistance

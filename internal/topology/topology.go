@@ -109,6 +109,11 @@ func (c Config) RoutersPerGroup() int { return c.Rows * c.Cols }
 type Dragonfly struct {
 	cfg Config
 	layout
+
+	// nbrs holds every router's local neighbors, resolved once at
+	// construction: degree consecutive entries per router, in router
+	// order. LocalNeighbors hands out exact-size views of it.
+	nbrs []RouterID
 }
 
 // New builds and wires a machine.
@@ -118,8 +123,26 @@ func New(cfg Config) (*Dragonfly, error) {
 	}
 	t := &Dragonfly{cfg: cfg, layout: cfg.layout()}
 	t.wire(t)
+	t.nbrs = make([]RouterID, 0, t.NumRouters()*t.degree())
+	for r := 0; r < t.NumRouters(); r++ {
+		c := t.RouterCoord(RouterID(r))
+		for col := 0; col < cfg.Cols; col++ {
+			if col != c.Col {
+				t.nbrs = append(t.nbrs, t.RouterAt(c.Group, c.Row, col))
+			}
+		}
+		for row := 0; row < cfg.Rows; row++ {
+			if row != c.Row {
+				t.nbrs = append(t.nbrs, t.RouterAt(c.Group, row, c.Col))
+			}
+		}
+	}
 	return t, nil
 }
+
+// degree is the local link count of every router: the rest of its row and
+// the rest of its column.
+func (t *Dragonfly) degree() int { return t.cfg.Cols - 1 + t.cfg.Rows - 1 }
 
 // MustNew is New for known-good configurations (presets, tests).
 func MustNew(cfg Config) *Dragonfly {
@@ -193,21 +216,12 @@ func (t *Dragonfly) LocalConnected(a, b RouterID) bool {
 }
 
 // LocalNeighbors returns the routers joined to r by local links: the rest of
-// its row, then the rest of its column.
+// its row, then the rest of its column. The returned slice is shared
+// (resolved once at construction); callers must not mutate it.
 func (t *Dragonfly) LocalNeighbors(r RouterID) []RouterID {
-	c := t.RouterCoord(r)
-	out := make([]RouterID, 0, t.cfg.Cols-1+t.cfg.Rows-1)
-	for col := 0; col < t.cfg.Cols; col++ {
-		if col != c.Col {
-			out = append(out, t.RouterAt(c.Group, c.Row, col))
-		}
-	}
-	for row := 0; row < t.cfg.Rows; row++ {
-		if row != c.Row {
-			out = append(out, t.RouterAt(c.Group, row, c.Col))
-		}
-	}
-	return out
+	d := t.degree()
+	i := int(r) * d
+	return t.nbrs[i : i+d : i+d]
 }
 
 // LocalDistance returns the intra-group hop distance between two routers of
@@ -249,7 +263,7 @@ func (t *Dragonfly) LocalNextHop(cur, dst RouterID) RouterID {
 // equivalent of the paper's Figure 1 system diagram.
 func (t *Dragonfly) Describe() string {
 	c := t.cfg
-	localPerRouter := (c.Cols - 1) + (c.Rows - 1)
+	localPerRouter := t.degree()
 	wired := len(t.GlobalConns())
 	return fmt.Sprintf(
 		"dragonfly: %d groups x (%dx%d routers) x %d nodes = %d routers, %d nodes\n"+

@@ -109,6 +109,7 @@ func (l *layout) wire(local localDistance) {
 			}
 		}
 	})
+	l.conns = l.wiredConns()
 }
 
 // GlobalPeer returns the router and port at the far end of router r's global
@@ -161,21 +162,30 @@ type GlobalConn struct {
 	BPort int
 }
 
-// GlobalConns enumerates every wired global link exactly once.
-func (l *layout) GlobalConns() []GlobalConn {
+// GlobalConns enumerates every wired global link exactly once, by its
+// lower-numbered router and port. The returned slice is shared (resolved
+// once at construction); callers must not mutate it.
+func (l *layout) GlobalConns() []GlobalConn { return l.conns }
+
+// wiredConns lists the wired global links in GlobalConns order, into a
+// slice of exactly their count.
+func (l *layout) wiredConns() []GlobalConn {
 	g := l.portsPerRouter
-	var out []GlobalConn
-	for r := 0; r < l.NumRouters(); r++ {
-		for p := 0; p < g; p++ {
-			peer := l.globalPeer[r*g+p]
-			if peer < 0 || RouterID(r) > peer ||
-				(RouterID(r) == peer && p > int(l.globalPeerPort[r*g+p])) {
-				continue
-			}
-			out = append(out, GlobalConn{
-				A: RouterID(r), APort: p,
-				B: peer, BPort: int(l.globalPeerPort[r*g+p]),
-			})
+	// lower reports whether port k = r*g+p is the link's listed end.
+	lower := func(r, p int) bool {
+		peer := l.globalPeer[r*g+p]
+		return peer >= 0 && (RouterID(r) < peer || RouterID(r) == peer && p <= int(l.globalPeerPort[r*g+p]))
+	}
+	n := 0
+	for k := range l.globalPeer {
+		if lower(k/g, k%g) {
+			n++
+		}
+	}
+	out := make([]GlobalConn, 0, n)
+	for k, peer := range l.globalPeer {
+		if r, p := k/g, k%g; lower(r, p) {
+			out = append(out, GlobalConn{A: RouterID(r), APort: p, B: peer, BPort: int(l.globalPeerPort[k])})
 		}
 	}
 	return out
