@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,34 +43,69 @@ func TestFaultedRunDeterministicAndAuditClean(t *testing.T) {
 	}
 }
 
-// TestEmptyFaultSpecIsByteIdentical: an empty -faults value must leave every
-// result field exactly as a run without the flag — the fault machinery is
-// skipped, not merely inert.
+// TestEmptyFaultSpecIsByteIdentical: a fault spec that fails nothing must
+// leave a run exactly as a run without one. An empty spec skips the fault
+// machinery; a static spec whose draw fails nothing installs the health
+// view, and so does a repair of a live local link, which also rebuilds the
+// routing tables mid-run. Both must route as the healthy fabric does, so the
+// result digests match and the repair adds its own event and nothing else.
+// Every built-in policy runs on both mini machines under each gateway
+// policy.
 func TestEmptyFaultSpecIsByteIdentical(t *testing.T) {
 	tr := miniCR(t)
-	base := MiniConfig(tr, Cell{placement.RandomNode, routing.Adaptive}, 11)
-	clean, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withEmpty := base
-	withEmpty.Faults = &faults.Spec{}
-	flagged, err := Run(withEmpty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Duration != flagged.Duration || clean.Events != flagged.Events {
-		t.Fatalf("empty fault spec changed the run: (%v,%d) vs (%v,%d)",
-			clean.Duration, clean.Events, flagged.Duration, flagged.Events)
-	}
-	for i := range clean.CommTimes {
-		if clean.CommTimes[i] != flagged.CommTimes[i] {
-			t.Fatalf("rank %d comm time changed under an empty fault spec", i)
+	for _, machine := range []topology.Machine{topology.Mini(), topology.PlusMini()} {
+		ic := topology.BuildMachine(machine)
+		a := topology.RouterID(0)
+		b := ic.LocalNeighbors(a)[0]
+		for _, tc := range []struct {
+			name  string
+			spec  string
+			extra uint64 // events the spec adds to the run
+		}{
+			{"empty", "", 0},
+			{"draw fails nothing", "global=0.0001,local=0.0001,seed=5", 0},
+			{"repair of a live link", fmt.Sprintf("repair=link:%d-%d@5us", a, b), 1},
+		} {
+			spec, err := faults.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := faults.Resolve(spec, ic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := set.DownGlobalConns() + set.DownLocalLinks() + len(set.DownRouters()); n != 0 {
+				t.Fatalf("%s: spec %q fails %d elements at start, want none", machine.Label(), tc.spec, n)
+			}
+			for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive, routing.QAdaptive} {
+				for _, gw := range []routing.GatewayPolicy{routing.GatewaySpread, routing.GatewayNearest, routing.GatewayRandom} {
+					name := fmt.Sprintf("%s/%s/%v/gateway=%d", machine.Label(), tc.name, mech, gw)
+					base := MiniConfig(tr, Cell{placement.RandomNode, mech}, 11)
+					base.Topology = machine
+					base.Params.Route.Gateway = gw
+					clean, err := Run(base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					withSpec := base
+					withSpec.Faults = spec
+					flagged, err := Run(withSpec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if flagged.Events != clean.Events+tc.extra {
+						t.Fatalf("%s: %d events, want the healthy run's %d + %d", name, flagged.Events, clean.Events, tc.extra)
+					}
+					flagged.Events -= tc.extra
+					if got, want := resultDigest(flagged), resultDigest(clean); got != want {
+						t.Fatalf("%s: result digest %s, healthy run %s (%v vs %v)", name, got, want, flagged.Duration, clean.Duration)
+					}
+					if flagged.DroppedPackets != 0 || flagged.RouteErr != nil {
+						t.Fatalf("%s: recorded losses: %d dropped, err %v", name, flagged.DroppedPackets, flagged.RouteErr)
+					}
+				}
+			}
 		}
-	}
-	if flagged.DroppedPackets != 0 || flagged.RouteErr != nil {
-		t.Fatalf("empty fault spec recorded losses: %d dropped, err %v",
-			flagged.DroppedPackets, flagged.RouteErr)
 	}
 }
 

@@ -141,6 +141,13 @@ func Encode(cfg core.Config) (string, error) {
 	// collapse to the same line, matching core.Run's behavior of skipping
 	// the fault machinery entirely for both.
 	fmt.Fprintf(&b, "faults=%s\n", cfg.Faults.String())
+	// Faulted runs keep the canonical intra-group route wherever it
+	// survives, where they once took any shortest live path; this constant
+	// line moves every faulted address, so a store never replays a result
+	// of the older routes as current. Healthy encodings lack it.
+	if !cfg.Faults.Empty() {
+		b.WriteString("faults.routes=canonical-first\n")
+	}
 
 	fmt.Fprintf(&b, "seed=%d\n", cfg.Seed)
 	fmt.Fprintf(&b, "max_sim_time=%d\n", int64(cfg.MaxSimTime))

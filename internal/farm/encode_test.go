@@ -288,7 +288,7 @@ func TestEncodeAddressPinned(t *testing.T) {
 	}{
 		{"base", baseConfig(t), "9f050cc0c277e287d666cd3dd5a2097af45440eaae803ebd473dcdcc7f46b65d"},
 		{"graph", graph, "01b4bf55456e94b19c6ae9fcb4b2a763a639b548926e54a9ee2de80ee6f54d5c"},
-		{"faulted", faulted, "2bb2ee050941fe9bd487b30815045b3b46bf3659601d022a307b38042bcb18ed"},
+		{"faulted", faulted, "def31c4fa3b2621fcf245bbc5e141939095b3c9751ec07b910f9d34782701924"},
 	} {
 		got, err := Address(tc.cfg)
 		if err != nil {

@@ -2,26 +2,30 @@ package routing
 
 // Fault-aware routing: the degraded-fabric state of the chooser, installed
 // with Options.Health. Only the chooser knows whether the fabric is
-// degraded: the route builders in routing.go (MinimalPath, ValiantPath)
-// serve both fabrics, and the switch sits in two places — the nextHop
-// table they walk, which RebuildHealth refills with trees over the live
-// local links, and the gateway picker (pickGateway when healthy,
-// pickLiveGateway here). Policies make one decision over primitives that
-// report infeasibility.
+// degraded, and it routes both fabrics from one set of tables: the route
+// builders in routing.go (MinimalPath, ValiantPath) walk the intra-group
+// nextHop rows and pick gateways over the dist rows, which buildGroups
+// fills over the live local links — all of them when healthy — at
+// construction and RebuildHealth refills after every dynamic fault event.
+// Policies make one decision over primitives that report infeasibility.
 //
 // Degraded-mode contract:
 //
-//   - Intra-group segments follow per-destination BFS trees over the live
-//     local links, not the canonical DOR tables: a live shortest path is
-//     taken even where the canonical route died, so routes may be longer
-//     than the healthy 2-hop bound and may differ from DOR where DOR would
-//     have survived.
-//   - Inter-group routes pick among the live direct gateways (dead global
-//     ports are never candidates — adaptive routing's "infinitely congested"
-//     ports fall out by construction). When a group pair has no live direct
-//     gateway, minimal routing falls back to a deterministic two-global-hop
-//     detour through the first transit group that works; the VC classes of
-//     that detour are exactly a Valiant path's, so the deadlock budget
+//   - Intra-group segments take shortest live paths: the machine's
+//     canonical LocalNextHop wherever that hop is live and one hop closer
+//     to the destination, and the parent in a BFS tree over the live local
+//     links elsewhere. Dimension order survives wherever it can; where it
+//     died, a route may exceed the healthy 2-hop bound.
+//   - Inter-group routes pick among the live direct gateways by the
+//     configured gateway policy over live distances (dead global ports are
+//     never candidates — adaptive routing's "infinitely congested" ports
+//     fall out by construction), cached per (router, destination group)
+//     as on a healthy fabric. While some group is split, a gateway's far
+//     end must also reach the destination router, so the cache is
+//     bypassed. When a group pair has no live direct gateway, minimal
+//     routing falls back to a deterministic two-global-hop detour through
+//     the first transit group that works; the VC classes of that detour
+//     are exactly a Valiant path's, so the deadlock budget
 //     (NumLocalVC/NumGlobalVC) still holds.
 //   - Valiant candidates are only used when both segments route direct (a
 //     segment needing its own detour would exceed the global-VC budget);
@@ -30,15 +34,15 @@ package routing
 //     TryRoute — a typed error, not a hang or a panic.
 //
 // Determinism: BFS order is the machine's LocalNeighbors order, transit
-// search is first-match in group order, and random picks draw from the same
-// named stream as healthy routing — a fault set plus seed always yields the
-// same routes.
+// search is first-match in group order, and gateway picks draw from the
+// same named stream exactly as on a healthy fabric — a fault set plus seed
+// always yields the same routes, and a fault set that fails nothing yields
+// the healthy routes.
 
 import (
 	"errors"
 	"fmt"
 
-	"dragonfly/internal/recycle"
 	"dragonfly/internal/topology"
 )
 
@@ -60,123 +64,17 @@ func (e *UnreachableError) Unwrap() error { return ErrUnreachable }
 
 const noRouter = topology.RouterID(-1)
 
-// RebuildHealth recomputes the degraded-mode tables against the current
-// Health view: per-destination BFS next hops (into nextHop) and live
-// distances over the live local links of every group. The core layer calls
-// it after every dynamic fault event; with a nil Health it is a no-op. Cost
-// is O(routers x routersPerGroup), far off the per-packet path.
+// RebuildHealth refills the intra-group tables over the live local links
+// of the current Health view and empties the gateway cache. The core layer
+// calls it after every dynamic fault event; with a nil Health it is a
+// no-op. It builds on the calling goroutine and allocates nothing. Cost is
+// O(routers x routersPerGroup x local degree), far off the per-packet path.
 func (c *Chooser) RebuildHealth() {
 	if c.health == nil {
 		return
 	}
-	rpg := c.routersPerGroup
-	c.liveDist = recycle.Resize(c.liveDist, len(c.nextHop))
-	// A BFS within one group queues at most rpg routers, so the queue never
-	// grows past this capacity.
-	if cap(c.bfsQueue) < rpg {
-		c.bfsQueue = make([]topology.RouterID, 0, rpg)
-	}
-	for i := range c.nextHop {
-		c.nextHop[i] = noRouter
-		c.liveDist[i] = -1
-	}
-	for g := 0; g < c.numGroups; g++ {
-		base := g * rpg
-		for j := 0; j < rpg; j++ {
-			dst := topology.RouterID(base + j)
-			if !c.health.RouterUp(dst) {
-				continue
-			}
-			// Reverse BFS from dst: when u (closer to dst) discovers live
-			// neighbor v, the next hop from v toward dst is u. Neighbor
-			// order is the machine's LocalNeighbors order, so ties resolve
-			// deterministically.
-			c.liveDist[int(dst)*rpg+j] = 0
-			q := append(c.bfsQueue[:0], dst)
-			for len(q) > 0 {
-				u := q[0]
-				q = q[1:]
-				du := c.liveDist[int(u)*rpg+j]
-				for _, v := range c.topo.LocalNeighbors(u) {
-					if c.liveDist[int(v)*rpg+j] >= 0 || !c.health.LocalLinkUp(u, v) {
-						continue
-					}
-					c.liveDist[int(v)*rpg+j] = du + 1
-					c.nextHop[int(v)*rpg+j] = u
-					q = append(q, v)
-				}
-			}
-		}
-	}
-}
-
-// liveLocalDist is the live intra-group hop distance a -> b, or -1 when no
-// live path exists. Both routers must share a group.
-func (c *Chooser) liveLocalDist(a, b topology.RouterID) int32 {
-	return c.liveDist[int(a)*c.routersPerGroup+int(b)-int(c.groupOf[a])*c.routersPerGroup]
-}
-
-// pickLiveGateway selects a live global link from group gs to gd usable from
-// cur toward dst: the port and both endpoint routers are up, the gateway is
-// live-reachable from cur, and its far end live-reaches dst. Selection
-// follows the healthy gateway policy (spread / nearest / random) over live
-// distances, drawing from the RNG only when the choice varies.
-func (c *Chooser) pickLiveGateway(cur topology.RouterID, gs, gd int, dst topology.RouterID) (topology.Gateway, bool) {
-	gws := c.topo.Gateways(gs, gd)
-	cand := c.gwBuf[:0]
-	dist := c.gwDistBuf[:0]
-	dmin := int32(1 << 30)
-	for _, gw := range gws {
-		if !c.health.GlobalLinkUp(gw.Router, gw.Port) {
-			continue
-		}
-		d := c.liveLocalDist(cur, gw.Router)
-		if d < 0 || c.liveLocalDist(gw.Peer, dst) < 0 {
-			continue
-		}
-		cand = append(cand, gw)
-		dist = append(dist, d)
-		if d < dmin {
-			dmin = d
-		}
-	}
-	c.gwBuf, c.gwDistBuf = cand[:0], dist[:0]
-	if len(cand) == 0 {
-		return topology.Gateway{}, false
-	}
-	// Admission threshold per policy: random takes all live candidates,
-	// nearest the minimum distance, spread everything within one hop
-	// (falling back to nearest when none is that close) — the healthy
-	// policy applied to live distances.
-	limit := dmin
-	switch c.opts.Gateway {
-	case GatewayRandom:
-		limit = 1 << 30
-	case GatewaySpread:
-		if dmin <= 1 {
-			limit = 1
-		}
-	}
-	n := 0
-	for _, d := range dist {
-		if d <= limit {
-			n++
-		}
-	}
-	k := 0
-	if n > 1 {
-		k = c.rng.Intn(n)
-	}
-	for i, d := range dist {
-		if d > limit {
-			continue
-		}
-		if k == 0 {
-			return cand[i], true
-		}
-		k--
-	}
-	panic("routing: live gateway selection fell through")
+	c.split = c.buildGroups(0, c.numGroups)
+	c.resetGatewayCache()
 }
 
 // findTransit finds the deterministic two-hop detour gs -> gt -> gd for a
@@ -189,14 +87,14 @@ func (c *Chooser) findTransit(cur topology.RouterID, gs, gd int, dst topology.Ro
 			continue
 		}
 		for _, g1 := range c.topo.Gateways(gs, gt) {
-			if !c.health.GlobalLinkUp(g1.Router, g1.Port) || c.liveLocalDist(cur, g1.Router) < 0 {
+			if !c.globalUp(g1) || c.localDist(cur, g1.Router) < 0 {
 				continue
 			}
 			for _, g2 := range c.topo.Gateways(gt, gd) {
-				if !c.health.GlobalLinkUp(g2.Router, g2.Port) {
+				if !c.globalUp(g2) {
 					continue
 				}
-				if c.liveLocalDist(g1.Peer, g2.Router) < 0 || c.liveLocalDist(g2.Peer, dst) < 0 {
+				if c.localDist(g1.Peer, g2.Router) < 0 || c.localDist(g2.Peer, dst) < 0 {
 					continue
 				}
 				return g1, g2, true

@@ -227,9 +227,9 @@ func TestFaultRouteDeterministic(t *testing.T) {
 }
 
 // TestRebuildHealthAllocatesNothing: a health rebuild reads a router's
-// local neighbor list on every BFS pop, 82,944 pops on Theta. The lists
-// are the machine's shared slices, so a faulted Theta rebuild allocates
-// nothing.
+// local neighbor list on every BFS pop, tens of thousands of pops on
+// Theta. The lists are the machine's shared slices and the rebuild runs
+// on the calling goroutine, so a faulted Theta rebuild allocates nothing.
 func TestRebuildHealthAllocatesNothing(t *testing.T) {
 	ic := topotest.Theta(t)
 	set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.05, Routers: 2, Seed: 1}, ic)

@@ -137,15 +137,19 @@ func FuzzRoute(f *testing.F) {
 // draws, and any installed routing policy — including the stateful
 // congestion-learning qadaptive fed fuzzed saturation events — every
 // TryRoute outcome must be a valid route or the typed ErrUnreachable, never
-// a panic, an invalid hop, or an untyped error. It is the property twin of
-// policytest.Contract: the contract pins determinism on fixed machines, the
-// fuzzer hunts validity violations across the shape space.
+// a panic, an invalid hop, or an untyped error. While the draw fails no
+// local link and no router, every intra-group segment must also take the
+// machine's canonical LocalNextHop route, as on a healthy fabric. It is the
+// property twin of policytest.Contract: the contract pins determinism on
+// fixed machines, the fuzzer hunts violations across the shape space.
 func FuzzPolicy(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(3), uint8(1), uint8(0), uint16(0), uint16(40), int64(1), uint8(2), uint8(0), uint8(0), uint16(9), uint8(0))
 	f.Add(uint8(4), uint8(2), uint8(4), uint8(2), uint8(2), uint16(13), uint16(57), int64(42), uint8(2), uint8(40), uint8(10), uint16(1000), uint8(0))
 	f.Add(uint8(5), uint8(1), uint8(2), uint8(3), uint8(1), uint16(9), uint16(9), int64(3), uint8(0), uint8(100), uint8(0), uint16(0), uint8(1))
 	f.Add(uint8(2), uint8(0), uint8(2), uint8(3), uint8(2), uint16(9), uint16(3), int64(3), uint8(1), uint8(25), uint8(25), uint16(77), uint8(1))
 	f.Add(uint8(6), uint8(2), uint8(3), uint8(1), uint8(2), uint16(200), uint16(7), int64(11), uint8(2), uint8(0), uint8(90), uint16(50_000), uint8(0))
+	// Global cables cut, local links intact.
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint16(0), uint16(150), int64(5), uint8(0), uint8(20), uint8(0), uint16(0), uint8(0))
 	f.Fuzz(func(t *testing.T, groups, rows, cols, nodesPer, extraPorts uint8,
 		srcRaw, dstRaw uint16, seed int64, policySel, globalPct, localPct uint8, satRaw uint16, family uint8) {
 		var topo topology.Interconnect
@@ -235,6 +239,9 @@ func FuzzPolicy(f *testing.F) {
 			}
 			if g := p.GlobalHops(); g > routing.NumGlobalVC {
 				t.Fatalf("route %d->%d crosses %d global links (VC classes allow %d)", src, dst, g, routing.NumGlobalVC)
+			}
+			if !degraded || set.DownLocalLinks() == 0 && len(set.DownRouters()) == 0 {
+				checkCanonicalSegments(t, topo, p)
 			}
 			if degraded {
 				for _, h := range p.Hops {

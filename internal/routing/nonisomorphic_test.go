@@ -69,7 +69,7 @@ func TestCompactFallsBackOnNonIsomorphicGroups(t *testing.T) {
 		end    des.Time
 	}{
 		{"healthy", nil, 57315, 91144},
-		{"faulted", set, 60167, 179538},
+		{"faulted", set, 60092, 183563},
 	} {
 		events, end := auditedBurst(t, ic, tc.health)
 		if events != tc.events || end != tc.end {

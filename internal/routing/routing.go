@@ -21,6 +21,8 @@ package routing
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"dragonfly/internal/des"
 	"dragonfly/internal/par"
@@ -188,10 +190,10 @@ type Options struct {
 	// tests and a memory-vs-speed debugging aid.
 	NoCache bool
 	// Health, when non-nil, is the degraded fabric's health view (see
-	// faultaware.go): the route builders walk trees over live links, pick
-	// only live gateways, fall back to a transit detour, and report
-	// ErrUnreachable from TryRoute on partitioned pairs. nil (the default)
-	// is the healthy fabric.
+	// faultaware.go): the chooser's tables then cover only the live
+	// equipment, minimal routes fall back to a transit detour, and TryRoute
+	// reports ErrUnreachable on partitioned pairs. nil (the default) is the
+	// healthy fabric.
 	Health topology.Health
 	// Policy, when non-nil, overrides the Mechanism passed to the chooser
 	// constructor: each chooser installs a fresh instance from the
@@ -239,9 +241,11 @@ const maxPathHops = 12
 // runs entirely on the resolved tables below (plus the lazily built gateway
 // shards), so a new topology implementation pays no per-event
 // interface-dispatch cost and cannot perturb the hot path. Every table is
-// linear in the router count — O(routers x routersPerGroup) next hops, and
-// gateway shards only for routers that originate inter-group routes — and
-// assumes nothing beyond the SPI's group-major numbering.
+// linear in the router count — O(routers x routersPerGroup) next hops and
+// distances, and gateway shards only for routers that originate
+// inter-group routes — and assumes nothing beyond the SPI's group-major
+// numbering. Healthy and faulted fabrics route from the same tables; a
+// health view only leaves dead equipment out of them.
 type Chooser struct {
 	// tables holds every array the chooser fills and routes from. home is
 	// where Close returns it: tables taken from tablesPool, or nil when
@@ -267,6 +271,11 @@ type Chooser struct {
 	// health is the degraded fabric's view (nil while healthy; see
 	// faultaware.go).
 	health topology.Health
+	// split is set while some group's live routers cannot all reach each
+	// other. A gateway's far end must then also reach the route's
+	// destination, so gateway candidates depend on it and bypass the
+	// per-(router, destination group) cache.
+	split bool
 }
 
 // tables is the memory a chooser routes from. It outlives the chooser:
@@ -282,9 +291,9 @@ type tables struct {
 	groupOf  []int32
 	// nextHop is the intra-group next-hop table as per-group rows: the
 	// router after cur toward dst (same group) is nextHop[cur*R + dst-g*R],
-	// R = routersPerGroup. On a healthy fabric it holds the machine's
-	// LocalNextHop; with a health view RebuildHealth fills it with trees
-	// over the live local links, noRouter where the pair is partitioned.
+	// R = routersPerGroup. buildGroups fills it over the live local links,
+	// all of them on a healthy fabric, where it holds the machine's
+	// LocalNextHop; a partitioned pair holds noRouter.
 	nextHop []topology.RouterID
 	// valiant enumerates the eligible Valiant intermediate routers.
 	valiant []topology.RouterID
@@ -292,9 +301,10 @@ type tables struct {
 	// nearestGW caches the gateway candidates of every inter-group route,
 	// per (router, destination group): one shard of numGroups slots per
 	// router, allocated on the first route leaving that router and filled
-	// slot by slot — memory O(touched routers x groups). A slot is cached
-	// when non-empty; NewChooserOpts empties every slot and keeps the
-	// arrays.
+	// slot by slot — memory O(touched routers x groups); GatewayRandom uses
+	// only each group's first router's shard (see gateway). A slot is cached
+	// when non-empty; NewChooserOpts and RebuildHealth empty every slot and
+	// keep the arrays.
 	nearestGW [][][]topology.Gateway
 
 	// freeHops is the scratch arena: hop slices recycled from delivered
@@ -302,16 +312,17 @@ type tables struct {
 	// engine/fabric (one sweep worker), so access is single-threaded.
 	freeHops [][]Hop
 	// candBuf is the reusable candidate scratch of the adaptive policies;
-	// gwBuf that of gatewayCandidates and pickLiveGateway.
+	// gwBuf that of gatewayCandidates.
 	candBuf []Path
 	gwBuf   []topology.Gateway
 
-	// Degraded-mode state (unused while health is nil; see faultaware.go).
-	// liveDist holds the live hop distances in the nextHop layout; the
-	// buffers are RebuildHealth and pickLiveGateway scratch.
-	liveDist  []int32
-	bfsQueue  []topology.RouterID
-	gwDistBuf []int32
+	// dist is the live hop count of each nextHop route, in its layout (the
+	// machine's LocalDistance on a healthy fabric, -1 where partitioned);
+	// bfsQueue and bfsDist are buildGroups' scratch, one slice of R per
+	// group.
+	dist     []int32
+	bfsQueue []topology.RouterID
+	bfsDist  []int32
 }
 
 // tablesPool holds the tables of closed choosers. A NewChooserOpts on one
@@ -327,8 +338,8 @@ func NewChooser(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong C
 }
 
 // NewChooserOpts builds a route chooser with explicit Options, resolving the
-// machine's node attachment, group membership, canonical intra-group next
-// hops, and Valiant intermediates into per-route tables. It fills the
+// machine's node attachment, group membership, intra-group next hops and
+// distances, and Valiant intermediates into per-route tables. It fills the
 // tables a closed chooser returned to tablesPool when there are some not
 // sized for a far larger machine (see recycle.Pool.GetSized), unless
 // opts.NoCache asks for fresh memory.
@@ -370,21 +381,16 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	})
 	rpg := c.routersPerGroup
 	c.nextHop = recycle.Resize(c.nextHop, c.numRouters*rpg)
-	if c.health != nil {
-		c.RebuildHealth()
-	} else {
-		par.ForChunks(c.numGroups, func(lo, hi int) {
-			for g := lo; g < hi; g++ {
-				base := g * rpg
-				for i := 0; i < rpg; i++ {
-					for j := 0; j < rpg; j++ {
-						c.nextHop[(base+i)*rpg+j] = topo.LocalNextHop(
-							topology.RouterID(base+i), topology.RouterID(base+j))
-					}
-				}
-			}
-		})
-	}
+	c.dist = recycle.Resize(c.dist, c.numRouters*rpg)
+	c.bfsQueue = recycle.Resize(c.bfsQueue, c.numRouters)
+	c.bfsDist = recycle.Resize(c.bfsDist, c.numRouters)
+	var split atomic.Bool
+	par.ForChunks(c.numGroups, func(lo, hi int) {
+		if c.buildGroups(lo, hi) {
+			split.Store(true)
+		}
+	})
+	c.split = split.Load()
 	c.valiant = recycle.Resize(c.valiant, topo.NumValiantRouters())
 	for i := range c.valiant {
 		c.valiant[i] = topo.ValiantRouter(i)
@@ -397,6 +403,98 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	}
 	c.policy.Bind(c)
 	return c
+}
+
+// buildGroups fills the nextHop and dist rows of groups [lo, hi) over the
+// live local links, all of them on a healthy fabric, and reports whether
+// one of those groups is split. A reverse BFS from every live destination
+// finds the live distances; then each router keeps its LocalNextHop
+// wherever that hop is live and one hop closer to the destination, and its
+// BFS parent elsewhere. On a healthy fabric LocalNextHop is always one hop
+// closer (the SPI's contract), so the rows hold the canonical routes; under
+// faults, dimension order survives wherever it can. Each group writes only
+// its own rows and scratch slices, so groups build concurrently.
+func (c *Chooser) buildGroups(lo, hi int) (split bool) {
+	rpg := c.routersPerGroup
+	for g := lo; g < hi; g++ {
+		base := g * rpg
+		next := c.nextHop[base*rpg : (base+rpg)*rpg]
+		dist := c.dist[base*rpg : (base+rpg)*rpg]
+		queue := c.bfsQueue[base : base+rpg]
+		// d holds the distances to one destination contiguously while its
+		// BFS runs; dist holds them strided.
+		d := c.bfsDist[base : base+rpg]
+		for i := range next {
+			next[i], dist[i] = noRouter, -1
+		}
+		live := 0
+		for i := 0; i < rpg; i++ {
+			if c.routerUp(topology.RouterID(base + i)) {
+				live++
+			}
+		}
+		for j := 0; j < rpg; j++ {
+			dst := topology.RouterID(base + j)
+			if !c.routerUp(dst) {
+				continue
+			}
+			for i := range d {
+				d[i] = -1
+			}
+			// Reverse BFS from dst: when u (closer to dst) discovers live
+			// neighbor v, u is v's next hop toward dst. Neighbor order is
+			// the machine's LocalNeighbors order, so ties resolve
+			// deterministically. The search stops once every live router
+			// is found.
+			d[j], queue[0] = 0, dst
+			found := 1
+			for head := 0; head < found && found < live; head++ {
+				u := queue[head]
+				du := d[int(u)-base]
+				for _, v := range c.topo.LocalNeighbors(u) {
+					if d[int(v)-base] >= 0 || !c.localUp(u, v) {
+						continue
+					}
+					d[int(v)-base] = du + 1
+					next[(int(v)-base)*rpg+j] = u
+					queue[found] = v
+					found++
+				}
+			}
+			split = split || found < live
+			for i, di := range d {
+				dist[i*rpg+j] = di
+				if di <= 0 { // dst itself, or cut off from it
+					continue
+				}
+				v := topology.RouterID(base + i)
+				if h := c.topo.LocalNextHop(v, dst); d[int(h)-base] == di-1 && c.localUp(v, h) {
+					next[i*rpg+j] = h
+				}
+			}
+		}
+	}
+	return split
+}
+
+// routerUp, localUp and globalUp read the health view; on a healthy fabric
+// every router and link is up.
+func (c *Chooser) routerUp(r topology.RouterID) bool {
+	return c.health == nil || c.health.RouterUp(r)
+}
+
+func (c *Chooser) localUp(a, b topology.RouterID) bool {
+	return c.health == nil || c.health.LocalLinkUp(a, b)
+}
+
+func (c *Chooser) globalUp(gw topology.Gateway) bool {
+	return c.health == nil || c.health.GlobalLinkUp(gw.Router, gw.Port)
+}
+
+// localDist is the live intra-group hop count a -> b, or -1 when no live
+// path exists. Both routers must share a group.
+func (c *Chooser) localDist(a, b topology.RouterID) int32 {
+	return c.dist[int(a)*c.routersPerGroup+int(b)-int(c.groupOf[a])*c.routersPerGroup]
 }
 
 // resetGatewayCache empties every gateway-cache slot this machine's routes
@@ -482,7 +580,7 @@ func (c *Chooser) Route(src, dst topology.NodeID) Path {
 func (c *Chooser) TryRoute(src, dst topology.NodeID) (Path, error) {
 	rs := c.routerOf[src]
 	rd := c.routerOf[dst]
-	if c.health != nil && (!c.health.RouterUp(rs) || !c.health.RouterUp(rd)) {
+	if !c.routerUp(rs) || !c.routerUp(rd) {
 		return Path{}, &UnreachableError{Src: rs, Dst: rd}
 	}
 	if rs == rd {
@@ -556,80 +654,81 @@ func (c *Chooser) appendMinimal(hops []Hop, cur, dst topology.RouterID, st *segm
 	return c.appendLocal(hops, gw.Peer, dst, st.localClass())
 }
 
-// gateway selects the global link from group gs toward gd for a route at
-// cur bound for dst. The two pickers differ on purpose: the healthy one
-// caches its candidates per (router, destination group) and, under
-// GatewayRandom, draws even from a single candidate; the live one admits
-// only gateways that reach cur and dst and draws only when the choice
-// varies. Reports false when the degraded pair has no live direct gateway.
+// gateway picks the global link from group gs toward gd for a route at cur
+// bound for dst, uniformly among the candidates of gatewayCandidates.
+// GatewayRandom draws even from a single candidate, the other policies only
+// when the choice varies. The candidates are cached per (cur, gd) unless a
+// group is split. GatewayRandom's are then every live gateway of the pair,
+// whatever cur is, so group gs's first router keeps them for the group.
+// Reports false when no live direct gateway serves the route.
 func (c *Chooser) gateway(cur topology.RouterID, gs, gd int, dst topology.RouterID) (topology.Gateway, bool) {
-	if c.health == nil {
-		return c.pickGateway(cur, gs, gd), true
-	}
-	return c.pickLiveGateway(cur, gs, gd, dst)
-}
-
-// pickGateway selects a global link from group gs to gd: among the gateways
-// nearest to cur (fewest local hops), one uniformly at random.
-func (c *Chooser) pickGateway(cur topology.RouterID, gs, gd int) topology.Gateway {
-	if c.opts.Gateway == GatewayRandom {
-		gws := c.topo.Gateways(gs, gd)
-		if len(gws) == 0 {
-			panic(fmt.Sprintf("routing: groups %d and %d not connected", gs, gd))
+	var cand []topology.Gateway
+	if c.split {
+		cand = c.gatewayCandidates(cur, gs, gd, dst)
+	} else {
+		owner := cur
+		if c.opts.Gateway == GatewayRandom {
+			owner = topology.RouterID(gs * c.routersPerGroup)
 		}
-		return gws[c.rng.Intn(len(gws))]
+		shard := c.nearestGW[owner]
+		if shard == nil {
+			shard = make([][]topology.Gateway, c.numGroups)
+			c.nearestGW[owner] = shard
+		}
+		if cand = shard[gd]; len(cand) == 0 {
+			// Copy into the slot's own array: a recycled slot's array
+			// usually fits, where growing the list by append would
+			// allocate at every doubling.
+			cand = append(shard[gd][:0], c.gatewayCandidates(cur, gs, gd, dst)...)
+			shard[gd] = cand
+		}
 	}
-	cand := c.gatewayCandidates(cur, gs, gd)
-	if len(cand) == 1 {
-		return cand[0]
+	switch {
+	case len(cand) == 0:
+		return topology.Gateway{}, false
+	case len(cand) == 1 && c.opts.Gateway != GatewayRandom:
+		return cand[0], true
 	}
-	return cand[c.rng.Intn(len(cand))]
+	return cand[c.rng.Intn(len(cand))], true
 }
 
-// gatewayCandidates returns (building and caching on first use) the
-// gateway set of the configured policy: the strictly nearest gateways
-// (GatewayNearest), or every gateway within one local hop (GatewaySpread,
-// falling back to nearest when none is that close).
-func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topology.Gateway {
-	shard := c.nearestGW[cur]
-	if shard == nil {
-		shard = make([][]topology.Gateway, c.numGroups)
-		c.nearestGW[cur] = shard
+// gatewayCandidates collects in the gwBuf scratch, in Gateways order, the
+// gateways from gs to gd that a route at cur bound for dst can take — the
+// global link is up, cur reaches its router and its far end reaches dst —
+// and that the configured policy admits by live distance from cur: every
+// one within reach hops (GatewayNearest 0, GatewaySpread 1, GatewayRandom
+// any), or the nearest ones when none is that close.
+func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int, dst topology.RouterID) []topology.Gateway {
+	reach := int32(0)
+	switch c.opts.Gateway {
+	case GatewaySpread:
+		reach = 1
+	case GatewayRandom:
+		reach = math.MaxInt32
 	}
-	if cand := shard[gd]; len(cand) > 0 {
-		return cand
-	}
-	gws := c.topo.Gateways(gs, gd)
-	if len(gws) == 0 {
-		panic(fmt.Sprintf("routing: groups %d and %d not connected", gs, gd))
-	}
-	maxDist := 0
-	if c.opts.Gateway == GatewaySpread {
-		maxDist = 1
-	}
-	// Collect in the gwBuf scratch and keep a copy in the slot's array:
-	// growing each cached list by append would allocate every doubling on
-	// the way, and a recycled slot's array usually fits.
-	best := 3
+	// best is the distance of the candidates kept so far when none is
+	// within reach.
+	best := int32(math.MaxInt32)
 	cand := c.gwBuf[:0]
-	for _, gw := range gws {
-		d := c.topo.LocalDistance(cur, gw.Router)
-		switch {
-		case d <= maxDist:
-			if best > maxDist {
-				best = maxDist
-				cand = cand[:0]
+	for _, gw := range c.topo.Gateways(gs, gd) {
+		if !c.globalUp(gw) || c.localDist(gw.Peer, dst) < 0 {
+			continue
+		}
+		switch d := c.localDist(cur, gw.Router); {
+		case d < 0:
+		case d <= reach:
+			if best > reach {
+				best, cand = reach, cand[:0]
 			}
 			cand = append(cand, gw)
 		case d < best:
 			best, cand = d, append(cand[:0], gw)
-		case d == best && best > maxDist:
+		case d == best:
 			cand = append(cand, gw)
 		}
 	}
 	c.gwBuf = cand[:0]
-	shard[gd] = append(shard[gd][:0], cand...)
-	return shard[gd]
+	return cand
 }
 
 // MinimalPath builds the minimal route between two distinct live routers
@@ -662,7 +761,7 @@ func (c *Chooser) ValiantPath(rs, rd topology.RouterID) (Path, bool) {
 		p, err := c.MinimalPath(rs, rd)
 		return p, err == nil
 	}
-	if c.health != nil && !c.health.RouterUp(mid) {
+	if !c.routerUp(mid) {
 		return Path{}, false
 	}
 	var st segmentState

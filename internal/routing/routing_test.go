@@ -245,7 +245,7 @@ func TestGatewayNearestPolicy(t *testing.T) {
 	topo := topotest.Theta(t)
 	ch := NewChooserOpts(topo, Minimal, des.NewRNG(12, "gw"), nil, Options{Gateway: GatewayNearest})
 	rs := topo.RouterAt(0, 2, 3)
-	gw := ch.pickGateway(rs, 0, 5)
+	gw, _ := ch.gateway(rs, 0, 5, topo.RouterAt(5, 0, 0))
 	got := topo.LocalDistance(rs, gw.Router)
 	// With 120 gateways per pair spread over 96 routers, some gateway is
 	// within one local hop of (often colocated with) any router.
@@ -268,7 +268,7 @@ func TestGatewaySpreadPolicyDefault(t *testing.T) {
 	// far larger than the strictly-nearest set (load spreading).
 	seen := map[topology.RouterID]bool{}
 	for i := 0; i < 500; i++ {
-		gw := ch.pickGateway(rs, 0, 5)
+		gw, _ := ch.gateway(rs, 0, 5, topo.RouterAt(5, 0, 0))
 		if d := topo.LocalDistance(rs, gw.Router); d > 1 {
 			t.Fatalf("spread policy picked gateway %d hops away", d)
 		}

@@ -57,19 +57,26 @@ func sameHops(a, b [][]Hop) (int, bool) {
 }
 
 // TestCompactWorkerCountInvariance: chooser construction is sharded across
-// the par pool; the routes it produces must not depend on the worker count.
+// the par pool, on healthy and faulted fabrics alike; the routes it
+// produces must not depend on the worker count.
 func TestCompactWorkerCountInvariance(t *testing.T) {
 	topo := topotest.Mini(t)
-	build := func(w int) [][]Hop {
-		prev := par.SetWorkers(w)
-		defer par.SetWorkers(prev)
-		ch := NewChooserOpts(topo, Adaptive, des.NewRNG(3, "wrk"), saltedCong{}, Options{})
-		return routeAll(t, topo, ch, 300)
+	set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.1, LocalFrac: 0.1, Routers: 2, Seed: 3}, topo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := build(1)
-	for _, w := range []int{2, 3, 8} {
-		if i, ok := sameHops(want, build(w)); !ok {
-			t.Fatalf("workers=%d: route %d differs from single-worker build", w, i)
+	for _, health := range []topology.Health{nil, set} {
+		build := func(w int) [][]Hop {
+			prev := par.SetWorkers(w)
+			defer par.SetWorkers(prev)
+			ch := NewChooserOpts(topo, Adaptive, des.NewRNG(3, "wrk"), saltedCong{}, Options{Health: health})
+			return routeAll(t, topo, ch, 300)
+		}
+		want := build(1)
+		for _, w := range []int{2, 3, 8} {
+			if i, ok := sameHops(want, build(w)); !ok {
+				t.Fatalf("health %v, workers=%d: route %d differs from single-worker build", health != nil, w, i)
+			}
 		}
 	}
 }

@@ -28,9 +28,11 @@ import (
 //   - Nodes are numbered so that RouterOfNode is monotone (contiguous node
 //     ranges are physically adjacent); routers may own zero nodes.
 //   - LocalNextHop defines, per ordered router pair of one group, a single
-//     canonical minimal route; repeatedly applying it must terminate at dst
-//     and the union of those routes must be cycle-free per VC class (see
-//     DESIGN.md "The interconnect SPI" for the deadlock argument).
+//     canonical minimal route: each hop is a LocalNeighbors neighbor one
+//     hop closer to dst, LocalDistance counting the hops (routing keeps
+//     a canonical hop only where it is one hop closer). The union of those
+//     routes must be cycle-free per VC class (see DESIGN.md "The
+//     interconnect SPI" for the deadlock argument).
 //   - Gateways(a, b) is non-empty for every group pair a != b (Validate
 //     rejects a machine with fewer than Groups-1 global ports per group),
 //     and each Gateway carries its precomputed far-end router in Peer.

@@ -1,8 +1,10 @@
-// Differential policy-equivalence suite: the min and adp digests in
-// testdata/equivalence.json under healthy and global-cable faults were
-// generated from the pre-SPI chooser (the hard-coded minimal/adaptive
-// switch); the qadaptive cells and the mixed-fault cells were captured
+// Differential policy-equivalence suite: the healthy min and adp digests
+// in testdata/equivalence.json were generated from the pre-SPI chooser
+// (the hard-coded minimal/adaptive switch), the healthy qadaptive cells
 // while the chooser still kept separate healthy and fault-aware builders.
+// Every faulted digest was regenerated when faulted routes began keeping
+// the canonical intra-group next hop wherever it survives; a chooser with
+// only that change made the same bytes as the one table design it led to.
 // Every refactor since must reproduce them bit for bit — routes,
 // unreachability errors, RNG stream positions, link statistics, and
 // simulation clocks, across healthy and faulted fabrics. Refresh (only

@@ -1,6 +1,7 @@
 package topotest_test
 
 import (
+	"slices"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -65,6 +66,54 @@ func TestRouteValidEveryMachine(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestLocalRoutesAreShortest: on every machine, including one whose groups
+// are not wired alike, for every intra-group pair LocalDistance is the BFS
+// hop count over LocalNeighbors, and LocalNextHop is a neighbor one hop
+// closer to the destination. The routing chooser builds its tables by BFS
+// and keeps LocalNextHop wherever it is one hop closer, so this is what
+// makes a healthy chooser route on exactly the canonical routes.
+func TestLocalRoutesAreShortest(t *testing.T) {
+	check := func(t *testing.T, ic topology.Interconnect) {
+		rpg := ic.NumRouters() / ic.NumGroups()
+		dist := make([]int, rpg)
+		for d := 0; d < ic.NumRouters(); d++ {
+			dst := topology.RouterID(d)
+			base := ic.GroupOfRouter(dst) * rpg
+			for i := range dist {
+				dist[i] = -1
+			}
+			dist[d-base] = 0
+			for q := []topology.RouterID{dst}; len(q) > 0; q = q[1:] {
+				u := q[0]
+				for _, v := range ic.LocalNeighbors(u) {
+					if dist[int(v)-base] < 0 {
+						dist[int(v)-base] = dist[int(u)-base] + 1
+						q = append(q, v)
+					}
+				}
+			}
+			for i, bfs := range dist {
+				v := topology.RouterID(base + i)
+				if bfs < 0 {
+					t.Fatalf("router %d cannot reach %d over local links", v, dst)
+				}
+				if got := ic.LocalDistance(v, dst); got != bfs {
+					t.Fatalf("LocalDistance(%d, %d) = %d, BFS finds %d", v, dst, got, bfs)
+				}
+				if v == dst {
+					continue
+				}
+				h := ic.LocalNextHop(v, dst)
+				if !slices.Contains(ic.LocalNeighbors(v), h) || dist[int(h)-base] != bfs-1 {
+					t.Fatalf("LocalNextHop(%d, %d) = %d is not a neighbor one hop closer", v, dst, h)
+				}
+			}
+		}
+	}
+	topotest.Each(t, func(t *testing.T, _ topology.Machine, ic topology.Interconnect) { check(t, ic) })
+	t.Run("column-first", func(t *testing.T) { check(t, topotest.ColumnFirst(t)) })
 }
 
 // TestPlacementPartitionsEveryMachine: each of the five policies yields
