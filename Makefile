@@ -73,11 +73,12 @@ ab:
 	bash cmd/dfab/ab.sh $(BASE) -cells $(CELLS) -passes $(PASSES)
 
 # Sweep-farm smoke: run a small dffarm job cold (every cell simulates and
-# is banked in the content-addressed store), rerun it warm (every cell must
-# replay — the grep fails the target if anything re-simulated), and require
-# the training corpora of the two passes byte-identical. Exercises the
-# whole farm path end to end: sweep grammar, canonical config addressing,
-# store integrity verification, corpus emission. The cross-CLI leg then
+# is banked in the content-addressed store), rerun it warm (its start line
+# must count all 8 cells banked, and every cell must replay — the greps
+# fail the target if anything re-simulated), and require the training
+# corpora of the two passes byte-identical. Exercises the whole farm path
+# end to end: sweep grammar, canonical config addressing, store integrity
+# verification, corpus emission. The cross-CLI leg then
 # banks Figure 3's 30 cells with dffarm and requires dfsweep to replay all
 # of them (zero simulations) into a report byte-identical to the golden one:
 # both CLIs must build the same cells and address them identically. The
@@ -94,7 +95,8 @@ farm-smoke: build
 	rm -rf $(FARM_SMOKE) && mkdir -p $(FARM_SMOKE)
 	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -quiet -corpus $(FARM_SMOKE)/cold.csv 2>&1 | tee $(FARM_SMOKE)/cold.log
 	grep -q "0 hits, 8 simulated" $(FARM_SMOKE)/cold.log
-	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -resume -quiet -corpus $(FARM_SMOKE)/warm.csv 2>&1 | tee $(FARM_SMOKE)/warm.log
+	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/farm -apps CR,FB -placements cont,rand -routings min,adp -quiet -corpus $(FARM_SMOKE)/warm.csv 2>&1 | tee $(FARM_SMOKE)/warm.log
+	grep -q "(8 banked)" $(FARM_SMOKE)/warm.log
 	grep -q "8 hits, 0 simulated" $(FARM_SMOKE)/warm.log
 	cmp $(FARM_SMOKE)/cold.csv $(FARM_SMOKE)/warm.csv
 	$(GO) run ./cmd/dffarm -cache $(FARM_SMOKE)/fig3 $(FIG3_GRID) -quiet

@@ -1,7 +1,8 @@
 // Command dfab is a one-process A/B timer for the simulator: it runs the
 // same experiment cells on two builds of the simulator's packages linked
 // into one binary, alternating the two cell by cell, and reports the
-// per-cell wall-time and thread-CPU ratios of the change against the base.
+// per-cell wall-time and thread-CPU ratios of the change against the base,
+// pooled over each cell set and, for wall time, cell by cell.
 //
 // Separate processes alternated on a shared host see different cache,
 // frequency and co-tenant conditions from run to run; cells interleaved in
@@ -147,7 +148,7 @@ func abSet(w io.Writer, set string, passes int, base, change side) error {
 			}
 		}
 	}
-	report(w, set, bs, cs)
+	report(w, set, bc, bs, cs)
 	return nil
 }
 
@@ -192,9 +193,11 @@ func threadCPU() time.Duration {
 }
 
 // report prints, for change against base, the median and quartiles of the
-// per-cell-pair ratios of wall and thread-CPU time, and the ratio of the
-// totals. Below 1 the change is faster.
-func report(w io.Writer, set string, base, change []sample) {
+// per-cell-pair ratios of wall and thread-CPU time, the ratio of the
+// totals, and each cell's median wall ratio: a set that pools a route-heavy
+// cell with a light one can hide a change to either. Below 1 the change is
+// faster. Sample i is a pair of cell i mod len(cells).
+func report(w io.Writer, set string, cells []cell, base, change []sample) {
 	var wall, cpu []float64
 	var tb, tc time.Duration
 	for i := range base {
@@ -212,6 +215,14 @@ func report(w io.Writer, set string, base, change []sample) {
 	}
 	fmt.Fprintf(w, "  total wall:          %.3f (%v base, %v change)\n", float64(tc)/float64(tb),
 		tb.Round(time.Millisecond), tc.Round(time.Millisecond))
+	fmt.Fprintf(w, "  wall by cell, median of %d pairs each:\n", len(base)/len(cells))
+	for c := range cells {
+		var ratios []float64
+		for i := c; i < len(wall); i += len(cells) {
+			ratios = append(ratios, wall[i])
+		}
+		fmt.Fprintf(w, "    %-26s %.3f\n", cells[c].name, quantile(ratios, 0.5))
+	}
 }
 
 // quantile returns the q-quantile of xs by linear interpolation.

@@ -43,8 +43,12 @@ func init() {
 						if err != nil {
 							return nil, err
 						}
+						kind := "none"
+						if bg != nil {
+							kind = bg.Kind.String()
+						}
 						cfgs = append(cfgs, cfg)
-						names = append(names, fmt.Sprintf("%s %s bg=%v", app, c.Name(), bg != nil))
+						names = append(names, fmt.Sprintf("%s %s bg=%s", app, c.Name(), kind))
 					}
 				}
 			}

@@ -5,9 +5,12 @@
 // job (or any overlapping job) replays banked cells byte-identically
 // instead of re-simulating, a corrupt or truncated entry silently degrades
 // to a re-run, and -shard I/N splits one job across N cooperating
-// processes sharing the store. -corpus flattens the completed sweep into
-// one CSV of (configuration features, measured targets) per cell — the
-// training corpus for a future surrogate model.
+// processes sharing the store. The store's objects are the only record of
+// finished cells: the start line counts how many of the job's cells the
+// store already banks, and the end line how many it banks after the run.
+// -corpus flattens the completed sweep into one CSV of (configuration
+// features, measured targets) per cell — the training corpus for a future
+// surrogate model.
 //
 // The flag vocabulary is dfsweep's, and cells are built by the experiments
 // runner itself, so a store populated by dffarm also serves farm-backed
@@ -18,7 +21,7 @@
 //	dffarm -cache farm/ -apps CR -placements cont,rand -routings min,adp
 //	dffarm -cache farm/ -apps CR,FB,AMG -seeds 1,2,3 -corpus corpus.csv
 //	dffarm -cache farm/ -apps CR -faults "none;global=0.1;global=0.25" -shard 0/4
-//	dffarm -cache farm/ -apps CR -resume -quiet -corpus corpus.csv
+//	dffarm -cache farm/ -apps CR -quiet -corpus corpus.csv
 package main
 
 import (
@@ -50,7 +53,6 @@ func main() {
 		auditOn  = flag.Bool("audit", false, "run every cell under the invariant auditor")
 		parallel = flag.Int("parallel", 0, "worker pool (1 = sequential, 0 = NumCPU)")
 		shardStr = flag.String("shard", "", "execute shard I/N of the job (e.g. 0/4); cells are split round-robin and other processes run the rest against the same -cache")
-		resume   = flag.Bool("resume", false, "report how much of the job the store already banks before running (completion is address-driven, so resuming is always safe)")
 		corpus   = flag.String("corpus", "", "write the sweep's training-corpus CSV to this file (other shards' cells are skipped)")
 		quiet    = flag.Bool("quiet", false, "suppress per-cell progress lines")
 		scrub    = flag.Bool("scrub", false, "verify every store object's integrity, quarantine corrupt entries (the next sweep re-runs them), print the report, and exit")
@@ -209,17 +211,8 @@ func main() {
 			fatalf("cell %d: %v", i, err)
 		}
 	}
-	job := dragonfly.FarmJobID(addrs)
-	spec := fmt.Sprintf("apps=%s scale=%s topo=%s placements=%s routings=%s mappings=%s msg-scales=%s seeds=%s backgrounds=%s faults=%q",
-		*apps, *scale, *topoName, *placeStr, *routeStr, *mapStr, *scaleStr, *seedStr, *bgStr, *faultStr)
-	banked := store.CountCached(addrs)
-	if *resume {
-		if m, err := store.LoadManifest(job); err == nil {
-			fmt.Fprintf(os.Stderr, "dffarm: resuming job %s (%s): previously %d/%d done\n", job, m.Spec, m.Done, m.Cells)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "dffarm: job %s: %d cells (%d banked), shard %d/%d, cache %s\n",
-		job, len(cfgs), banked, shard, numShards, *cacheDir)
+	fmt.Fprintf(os.Stderr, "dffarm: %d cells (%d banked), shard %d/%d, cache %s\n",
+		len(cfgs), store.CountCached(addrs), shard, numShards, *cacheDir)
 
 	start := time.Now()
 	fopts := dragonfly.FarmOptions{
@@ -249,12 +242,8 @@ func main() {
 	}
 	results, stats, runErr := dragonfly.NewFarm(store, fopts).Run(cfgs)
 
-	manifest := &dragonfly.FarmManifest{Job: job, Spec: spec, Cells: len(cfgs), Done: store.CountCached(addrs)}
-	if err := store.SaveManifest(manifest); err != nil {
-		fmt.Fprintf(os.Stderr, "dffarm: manifest not saved: %v\n", err)
-	}
 	fmt.Fprintf(os.Stderr, "dffarm: %d/%d cells done (this shard: %d hits, %d simulated, %d corrupt re-run, %d retried, %d quarantined, %d uncacheable, %d errors) in %v\n",
-		manifest.Done, manifest.Cells, stats.Hits, stats.Misses, stats.Corrupt, stats.Retried, stats.Quarantined, stats.Uncacheable, stats.Errors,
+		store.CountCached(addrs), len(cfgs), stats.Hits, stats.Misses, stats.Corrupt, stats.Retried, stats.Quarantined, stats.Uncacheable, stats.Errors,
 		time.Since(start).Round(time.Millisecond))
 	if inj := fopts.Chaos.Injected(); inj > 0 {
 		fmt.Fprintf(os.Stderr, "dffarm: chaos: %d faults injected (%s)\n", inj, chaosSpec)

@@ -395,21 +395,23 @@ func NewRunner(opts ExperimentOptions) *ExperimentRunner { return experiments.Ne
 // canonical encoding whose SHA-256 is its address; banked cells replay
 // byte-identically instead of re-simulating, corrupt or missing entries
 // degrade to a re-run, and sweeps shard across processes via FarmOptions.
+// The store's objects are the only record of finished cells, so a rerun
+// resumes wherever any earlier run, shard or process left off.
 type (
-	// FarmStore is the on-disk content-addressed result store.
+	// FarmStore is the on-disk content-addressed result store;
+	// FarmStore.CountCached reports how many of a job's cells it banks.
 	FarmStore = farm.Store
 	// Farm is the cell executor every sweep runs through: a bounded worker
-	// pool with single-flight dedup, retries, and quarantine, persisting to
-	// a FarmStore when one is attached.
+	// pool with single-flight dedup, back-to-back retries, and quarantine,
+	// persisting to a FarmStore when one is attached.
 	Farm = farm.Farm
-	// FarmOptions configures parallelism, sharding, and progress callbacks.
+	// FarmOptions configures parallelism, sharding, progress callbacks,
+	// and the retry, wall-clock budget, quarantine and chaos policy.
 	FarmOptions = farm.Options
 	// FarmStats is the hit/miss/corrupt accounting of a farm run.
 	FarmStats = farm.Stats
 	// FarmProgress describes one finished sweep cell.
 	FarmProgress = farm.Progress
-	// FarmManifest is the advisory bookkeeping record of one sweep job.
-	FarmManifest = farm.Manifest
 )
 
 // Execution resilience: per-cell scrubbing, quarantine bookkeeping, and
@@ -455,9 +457,6 @@ func EncodeConfig(cfg Config) (string, error) { return farm.Encode(cfg) }
 // ConfigAddress returns the content address (SHA-256 of the canonical
 // encoding) of a run configuration.
 func ConfigAddress(cfg Config) (string, error) { return farm.Address(cfg) }
-
-// FarmJobID derives the stable job identifier of an ordered address list.
-func FarmJobID(addrs []string) string { return farm.JobID(addrs) }
 
 // WriteFarmCorpus emits the flat training-corpus CSV for a completed sweep:
 // one row per config with a result, features then measured targets.

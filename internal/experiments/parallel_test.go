@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"dragonfly/internal/core"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/workload"
 )
 
 // renderReport runs one experiment on a fresh runner at the given worker
@@ -227,8 +230,10 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 }
 
 // With one worker, Figure 10 reports each of its 20 cells (FB x 10 cells x
-// two backgrounds) in exactly one Write, as it finishes: timing harnesses
-// measure cells by the gaps between those writes.
+// two backgrounds) in exactly one Write, as it finishes, and in grid order:
+// the ten cells under the uniform background, then under the bursty one.
+// Timing harnesses measure cells by the gaps between those writes, and
+// dfsweep's progress lines follow the figure's layout.
 func TestFigure10ProgressOneWritePerCell(t *testing.T) {
 	var w writeCounter
 	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: 1, Progress: &w})
@@ -238,9 +243,23 @@ func TestFigure10ProgressOneWritePerCell(t *testing.T) {
 	if len(w.writes) != 20 {
 		t.Fatalf("%d progress writes, want 20", len(w.writes))
 	}
-	for _, line := range w.writes {
+	var want []string
+	for _, kind := range []workload.BackgroundKind{workload.UniformRandom, workload.Bursty} {
+		bg, err := r.Background(kind, "FB")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range core.AllCells() {
+			want = append(want, fmt.Sprintf("FB %s bg=%s", c.Name(), describeBG(bg)))
+		}
+	}
+	for i, line := range w.writes {
 		if !strings.HasPrefix(line, "ran FB ") || strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
 			t.Fatalf("progress write %q is not one complete cell line", line)
+		}
+		f := strings.Fields(line)
+		if got := strings.Join([]string{f[1], f[2], f[4]}, " "); got != want[i] {
+			t.Fatalf("progress line %d names %q, want %q", i, got, want[i])
 		}
 	}
 }

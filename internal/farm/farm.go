@@ -1,14 +1,8 @@
 package farm
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -44,13 +38,10 @@ type Options struct {
 	JobTimeout time.Duration
 	// Retries is the number of re-attempts after a failed simulation
 	// (panic, injected fault, timeout): a cell runs at most 1+Retries
-	// times. Retries back off exponentially from RetryBackoff with
-	// deterministic per-(cell, attempt) jitter.
+	// times, back to back. A retry re-runs the simulation in process and
+	// store reads and writes are never retried, so a wait between attempts
+	// would protect nothing.
 	Retries int
-	// RetryBackoff is the base delay before the first retry; <= 0 selects
-	// defaultRetryBackoff. Successive retries double it, capped at
-	// maxRetryBackoff.
-	RetryBackoff time.Duration
 	// QuarantineLimit enables poisoned-job quarantine when > 0: a cell
 	// that fails all its attempts is quarantined — recorded with
 	// diagnostics under <store>/quarantine/jobs/, reported in Stats, and
@@ -63,12 +54,6 @@ type Options struct {
 	// by the chaos suite to prove the machinery above; nil in production.
 	Chaos *chaos.Injector
 }
-
-// defaultRetryBackoff and maxRetryBackoff bound the retry delay schedule.
-const (
-	defaultRetryBackoff = 5 * time.Millisecond
-	maxRetryBackoff     = 2 * time.Second
-)
 
 // Progress describes one finished cell.
 type Progress struct {
@@ -219,28 +204,24 @@ func (f *Farm) Run(cfgs []core.Config) ([]*core.Result, Stats, error) {
 			Elapsed: time.Since(start), Result: res, Err: err,
 		})
 	}
-	if workers <= 1 {
-		for _, i := range mine {
-			runOne(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runOne(i)
-				}
-			}()
-		}
-		for _, i := range mine {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	// Cells go out in config order, so one worker runs and reports them in
+	// that order.
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				runOne(i)
+			}
+		}()
 	}
+	for _, i := range mine {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 
 	for _, err := range errs {
 		if err != nil {
@@ -315,64 +296,37 @@ func (f *Farm) runCell(rn *run, cfg core.Config) (*core.Result, string, Stats, e
 	return fl.res, addr, cell, fl.err
 }
 
-// simulate runs a cell with retries. A cell that exhausts its retry budget
-// is quarantined when the run has quarantine headroom — nil result, no
-// error — otherwise it fails.
+// simulate runs a cell up to 1+Retries times, back to back. Each attempt
+// fires the worker-kill chaos site, then runs the wall-clock-budgeted
+// simulation, then fires the simulated-stall site; chaos decisions key on
+// the cell's identity (its address or name), never its execution slot, so
+// chaos runs reproduce across worker counts. A cell whose every attempt
+// fails is quarantined when the run has quarantine headroom (nil result, no
+// error); otherwise it fails with the last attempt's error.
 func (f *Farm) simulate(rn *run, cfg core.Config, key, addr string, cell *Stats) (*core.Result, bool, error) {
-	res, attempts, errLines, err := f.runWithRetries(cfg, key, cell)
-	if err == nil {
-		return res, false, nil
+	var errLines []string // one headline per failed attempt: the quarantine record's evidence
+	var err error
+	for attempt := 0; attempt <= max(f.opts.Retries, 0); attempt++ {
+		if attempt > 0 {
+			cell.Retried++
+		}
+		var res *core.Result
+		if f.opts.Chaos.Fire(chaos.SiteWorkerKill, key) {
+			err = fmt.Errorf("farm: %s: chaos: injected worker kill", cfg.Name())
+		} else if res, err = f.runBudgeted(cfg, key); err == nil && f.opts.Chaos.Fire(chaos.SiteSimStall, key) {
+			err = fmt.Errorf("farm: %s: chaos: injected simulation stall", cfg.Name())
+		}
+		if err == nil {
+			return res, false, nil
+		}
+		errLines = append(errLines, firstLine(err.Error()))
 	}
-	if f.tryQuarantine(rn, cfg, addr, attempts, errLines) {
+	if f.tryQuarantine(rn, cfg, addr, errLines) {
 		cell.Quarantined++
 		return nil, true, nil
 	}
 	cell.Errors++
 	return nil, false, err
-}
-
-// runWithRetries executes a cell up to 1+Retries times with seeded
-// exponential backoff, collecting one diagnostic line per failed attempt
-// (the quarantine record's evidence). It returns the attempts taken and, on
-// total failure, the last attempt's error.
-func (f *Farm) runWithRetries(cfg core.Config, key string, cell *Stats) (*core.Result, int, []string, error) {
-	budget := 1 + f.opts.Retries
-	if budget < 1 {
-		budget = 1
-	}
-	var errLines []string
-	var lastErr error
-	for attempt := 0; attempt < budget; attempt++ {
-		if attempt > 0 {
-			cell.Retried++
-			time.Sleep(retryDelay(f.opts.RetryBackoff, key, attempt))
-		}
-		res, err := f.attempt(cfg, key)
-		if err == nil {
-			return res, attempt + 1, errLines, nil
-		}
-		lastErr = err
-		errLines = append(errLines, firstLine(err.Error()))
-	}
-	return nil, budget, errLines, lastErr
-}
-
-// attempt executes one simulation attempt: worker-level chaos, then the
-// wall-clock-budgeted run, then the simulated-stall site. Chaos decisions
-// key on the cell's identity (its address or name), never its execution
-// slot, so chaos runs reproduce across worker counts.
-func (f *Farm) attempt(cfg core.Config, key string) (*core.Result, error) {
-	if f.opts.Chaos.Fire(chaos.SiteWorkerKill, key) {
-		return nil, fmt.Errorf("farm: %s: chaos: injected worker kill", cfg.Name())
-	}
-	res, err := f.runBudgeted(cfg, key)
-	if err != nil {
-		return nil, err
-	}
-	if f.opts.Chaos.Fire(chaos.SiteSimStall, key) {
-		return nil, fmt.Errorf("farm: %s: chaos: injected simulation stall", cfg.Name())
-	}
-	return res, nil
 }
 
 // runBudgeted applies the per-attempt wall-clock budget. A timed-out
@@ -405,7 +359,7 @@ func (f *Farm) runBudgeted(cfg core.Config, key string) (*core.Result, error) {
 // tryQuarantine records a poisoned cell and consumes one unit of the run's
 // quarantine budget. It returns false — the cell must fail the run — when
 // quarantine is disabled or the budget is spent.
-func (f *Farm) tryQuarantine(rn *run, cfg core.Config, addr string, attempts int, errLines []string) bool {
+func (f *Farm) tryQuarantine(rn *run, cfg core.Config, addr string, errLines []string) bool {
 	if f.opts.QuarantineLimit <= 0 {
 		return false
 	}
@@ -421,7 +375,7 @@ func (f *Farm) tryQuarantine(rn *run, cfg core.Config, addr string, attempts int
 		// into a hard failure; the cell is still reported via
 		// Stats.Quarantined.
 		_ = f.store.QuarantineJob(&QuarantineRecord{
-			Addr: addr, Name: cfg.Name(), Attempts: attempts, Errors: errLines,
+			Addr: addr, Name: cfg.Name(), Attempts: len(errLines), Errors: errLines,
 		})
 	}
 	return true
@@ -449,29 +403,6 @@ func runSafe(cfg core.Config, in *chaos.Injector, key string) (res *core.Result,
 	return runSim(cfg)
 }
 
-// retryDelay is the backoff before retry attempt (attempt >= 1): base
-// doubled per attempt, scaled by a deterministic jitter in [0.5, 1.5) drawn
-// from the cell key — retries of one hot store directory spread out, and a
-// rerun schedules identically.
-func retryDelay(base time.Duration, key string, attempt int) time.Duration {
-	if base <= 0 {
-		base = defaultRetryBackoff
-	}
-	d := base << (attempt - 1)
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	_, _ = h.Write([]byte{byte(attempt)})
-	jitter := 0.5 + float64(h.Sum64()>>11)/float64(1<<53)
-	d = time.Duration(float64(d) * jitter)
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	return d
-}
-
 // firstLine trims a diagnostic to its first line: quarantine records keep
 // the failure's headline, not a stack dump whose addresses differ run to
 // run.
@@ -491,90 +422,4 @@ func (f *Farm) progress(rn *run, ev Progress) {
 	rn.done++
 	ev.Total, ev.Done = rn.total, rn.done
 	f.opts.Progress(ev)
-}
-
-// --- job manifests ----------------------------------------------------------
-
-// Manifest records one job's identity and completion state under
-// <root>/jobs/<job>.json. The content-addressed entries are the real resume
-// state — a re-run skips every address that verifies — so the manifest is
-// bookkeeping: it lets a resuming process report how much of the job is
-// already banked before the first cell runs, and ties a human-readable spec
-// to the job hash.
-type Manifest struct {
-	Job   string `json:"job"`
-	Spec  string `json:"spec,omitempty"`
-	Cells int    `json:"cells"`
-	// Done is the number of cells with a verifiable entry when the
-	// manifest was last written.
-	Done int `json:"done"`
-}
-
-// JobID hashes the ordered address list of a job's cells: the job identity
-// for manifests. Shards of one job share a JobID because they share the
-// full config set.
-func JobID(addrs []string) string {
-	h := sha256.New()
-	for _, a := range addrs {
-		h.Write([]byte(a))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-func (s *Store) manifestPath(job string) string {
-	return filepath.Join(s.root, "jobs", job+".json")
-}
-
-// LoadManifest reads a job manifest; ErrMiss if none exists.
-func (s *Store) LoadManifest(job string) (*Manifest, error) {
-	data, err := os.ReadFile(s.manifestPath(job))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrMiss
-		}
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("farm: manifest %s: %w", job, err)
-	}
-	return &m, nil
-}
-
-// SaveManifest writes a job manifest atomically.
-func (s *Store) SaveManifest(m *Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	dir := filepath.Dir(s.manifestPath(m.Job))
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, s.manifestPath(m.Job))
-}
-
-// CountCached reports how many of the given addresses have verifiable
-// entries — the resume position of a job.
-func (s *Store) CountCached(addrs []string) int {
-	n := 0
-	for _, a := range addrs {
-		if s.Has(a) {
-			n++
-		}
-	}
-	return n
 }

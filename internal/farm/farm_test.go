@@ -2,9 +2,13 @@ package farm
 
 import (
 	"bytes"
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -36,10 +40,27 @@ func testJob(t testing.TB) []core.Config {
 
 // TestFarmColdThenWarm is the farm's core promise: a rerun of a completed
 // job performs zero simulations (hit count == cell count) and every
-// replayed result is record-identical to the cold one.
+// replayed result is record-identical to the cold one. The store's objects
+// are the only record of finished cells: CountCached reads the job's
+// progress from them, and a job manifest that earlier versions wrote under
+// jobs/ is ignored.
 func TestFarmColdThenWarm(t *testing.T) {
 	s := openTestStore(t)
 	cfgs := testJob(t)
+	addrs := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if addrs[i], err = Address(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := filepath.Join(s.Root(), "jobs")
+	if _, err := os.Stat(jobs); !os.IsNotExist(err) {
+		t.Fatalf("Open created %s (stat: %v)", jobs, err)
+	}
+	if got := s.CountCached(addrs); got != 0 {
+		t.Fatalf("empty store counts %d cached cells", got)
+	}
 
 	cold, coldStats, err := New(s, Options{Parallel: 2}).Run(cfgs)
 	if err != nil {
@@ -55,6 +76,27 @@ func TestFarmColdThenWarm(t *testing.T) {
 		t.Fatal("audited cell lost its audit summary")
 	}
 
+	if got := s.CountCached(addrs); got != len(addrs) {
+		t.Fatalf("CountCached = %d after a full run, want %d", got, len(addrs))
+	}
+
+	// The manifest an earlier dffarm saved after this job, in its format:
+	// the job ID (the first 16 hex digits of the SHA-256 of the address
+	// list, one address a line), the spec, the cell count and the banked
+	// count.
+	sum := sha256.Sum256([]byte(strings.Join(addrs, "\n") + "\n"))
+	job := hex.EncodeToString(sum[:8])
+	manifest := fmt.Sprintf("{\n  \"job\": %q,\n  \"spec\": \"apps=CR\",\n  \"cells\": %d,\n  \"done\": %d\n}\n", job, len(cfgs), len(cfgs))
+	if err := os.MkdirAll(jobs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobs, job+".json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
 	warm, warmStats, err := New(s, Options{Parallel: 2}).Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +111,13 @@ func TestFarmColdThenWarm(t *testing.T) {
 		if !reflect.DeepEqual(RecordOf(cold[i]), RecordOf(warm[i])) {
 			t.Errorf("cell %d: warm replay diverges from cold result", i)
 		}
+	}
+	rep, err := s.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 0 || rep.Healthy != 4 {
+		t.Fatalf("scrub of a store holding a manifest: %s, want 4 healthy and 0 corrupt", rep)
 	}
 }
 
@@ -164,44 +213,6 @@ func TestFarmSurfacesCellErrors(t *testing.T) {
 	}
 	if stats.Errors != 1 {
 		t.Fatalf("stats.Errors = %d, want 1", stats.Errors)
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	s := openTestStore(t)
-	cfgs := testJob(t)
-	var addrs []string
-	for _, cfg := range cfgs {
-		a, err := Address(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, a)
-	}
-	job := JobID(addrs)
-	if _, err := s.LoadManifest(job); !errors.Is(err, ErrMiss) {
-		t.Fatalf("missing manifest Load = %v, want ErrMiss", err)
-	}
-	if got := s.CountCached(addrs); got != 0 {
-		t.Fatalf("empty store counts %d cached cells", got)
-	}
-	if _, _, err := New(s, Options{Parallel: 2}).Run(cfgs); err != nil {
-		t.Fatal(err)
-	}
-	done := s.CountCached(addrs)
-	if done != len(addrs) {
-		t.Fatalf("CountCached = %d after a full run, want %d", done, len(addrs))
-	}
-	want := &Manifest{Job: job, Spec: "test job", Cells: len(cfgs), Done: done}
-	if err := s.SaveManifest(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadManifest(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("manifest round trip: got %+v want %+v", got, want)
 	}
 }
 

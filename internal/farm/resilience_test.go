@@ -50,10 +50,9 @@ func TestChaosSweepConvergesToCleanCorpus(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		in := chaos.New(chaosSpec(42))
 		res, stats, err := New(openTestStore(t), Options{
-			Parallel:     workers,
-			Retries:      3,
-			RetryBackoff: time.Microsecond,
-			Chaos:        in,
+			Parallel: workers,
+			Retries:  3,
+			Chaos:    in,
 		}).Run(cfgs)
 		if err != nil {
 			t.Fatalf("parallel=%d: chaos sweep failed: %v", workers, err)
@@ -91,7 +90,7 @@ func TestRetriesHealInjectedKills(t *testing.T) {
 		MaxPerKey:   1,
 	})
 	_, stats, err := New(openTestStore(t), Options{
-		Parallel: 2, Retries: 1, RetryBackoff: time.Microsecond, Chaos: in,
+		Parallel: 2, Retries: 1, Chaos: in,
 	}).Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +111,7 @@ func TestQuarantineBoundsPoisonedCells(t *testing.T) {
 	cfgs[1].Trace = nil // uncacheable and unrunnable: poisoned
 
 	res, stats, err := New(s, Options{
-		Parallel: 2, Retries: 1, RetryBackoff: time.Microsecond, QuarantineLimit: 1,
+		Parallel: 2, Retries: 1, QuarantineLimit: 1,
 	}).Run(cfgs)
 	if err != nil {
 		t.Fatalf("sweep with one quarantined cell must succeed, got: %v", err)
@@ -182,8 +181,7 @@ func TestQuarantineRecordsCacheableCells(t *testing.T) {
 		MaxPerKey:   100, // outlasts any retry budget: every attempt dies
 	})
 	res, stats, err := New(s, Options{
-		Parallel: 2, Retries: 1, RetryBackoff: time.Microsecond,
-		QuarantineLimit: len(cfgs), Chaos: in,
+		Parallel: 2, Retries: 1, QuarantineLimit: len(cfgs), Chaos: in,
 	}).Run(cfgs)
 	if err != nil {
 		t.Fatalf("fully-quarantined sweep must still complete: %v", err)

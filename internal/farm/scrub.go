@@ -151,31 +151,11 @@ func (r *QuarantineRecord) id() string {
 // QuarantineJob writes a poisoned-job record atomically under
 // quarantine/jobs/. Re-quarantining the same cell overwrites its record.
 func (s *Store) QuarantineJob(rec *QuarantineRecord) error {
-	dir := filepath.Join(s.root, "quarantine", "jobs")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)
-	}
 	data, err := json.MarshalIndent(rec, "", "  ")
+	if err == nil {
+		err = writeAtomic(filepath.Join(s.root, "quarantine", "jobs", rec.id()+".json"), append(data, '\n'))
+	}
 	if err != nil {
-		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)
-	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(dir, ".q-*")
-	if err != nil {
-		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)
-	}
-	if err := os.Rename(name, filepath.Join(dir, rec.id()+".json")); err != nil {
-		os.Remove(name)
 		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)
 	}
 	return nil

@@ -59,10 +59,8 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("farm: empty store directory")
 	}
-	for _, sub := range []string{"objects", "jobs"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("farm: open store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+		return nil, fmt.Errorf("farm: open store: %w", err)
 	}
 	return &Store{root: dir}, nil
 }
@@ -183,35 +181,43 @@ func (s *Store) Put(addr string, rec *Record) error {
 		entryMagic, entryCodec, addr, len(payload), hex.EncodeToString(sum[:]))
 	b.Write(payload)
 
-	dir := filepath.Dir(s.entryPath(addr))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("farm: put %s: %w", short(addr), err)
-	}
-	tmp, err := os.CreateTemp(dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("farm: put %s: %w", short(addr), err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("farm: put %s: %w", short(addr), err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("farm: put %s: %w", short(addr), err)
-	}
-	if err := os.Rename(name, s.entryPath(addr)); err != nil {
-		os.Remove(name)
+	if err := writeAtomic(s.entryPath(addr), b.Bytes()); err != nil {
 		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	return nil
 }
 
+// writeAtomic installs data at path through a temp file in the same
+// directory, created if needed, and a rename: readers see the old file or
+// the whole new one, never a torn write. The temp file's name starts with a
+// dot, which the scrubber and QuarantinedJobs skip.
+func writeAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // Has reports whether a verifiable entry exists at addr. Unlike Get it
 // bypasses chaos injection: injection models rot on the consumption path,
-// while Has is bookkeeping (resume counts, job manifests), which must stay
-// accurate even while a chaos run is hammering the same store.
+// while Has is bookkeeping (the banked counts dffarm prints through
+// CountCached), which must stay accurate even while a chaos run is
+// hammering the same store.
 func (s *Store) Has(addr string) bool {
 	if len(addr) < 3 {
 		return false
@@ -222,4 +228,17 @@ func (s *Store) Has(addr string) bool {
 	}
 	_, err = verifyEntry(addr, data)
 	return err == nil
+}
+
+// CountCached reports how many of the given addresses have verifiable
+// entries. The store's objects are the only record of finished cells, so
+// this is how far a job has got.
+func (s *Store) CountCached(addrs []string) int {
+	n := 0
+	for _, a := range addrs {
+		if s.Has(a) {
+			n++
+		}
+	}
+	return n
 }

@@ -242,8 +242,9 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Matrix aggregates send bytes into a bins x bins communication matrix,
-// exactly as Trace.Matrix does for flat traces.
+// Matrix aggregates send bytes into a bins x bins communication matrix.
+// Entry [i][j] is the bytes sent from ranks in row-bin i to ranks in
+// column-bin j.
 func (g *Graph) Matrix(bins int) [][]float64 {
 	if bins < 1 {
 		panic("trace: Matrix needs >= 1 bin")

@@ -51,7 +51,8 @@ type Op struct {
 
 // Trace is the communication record of one application run. Its lowered
 // graph and content digest are computed once, on first use, and kept on the
-// trace, so a trace must not change after its first Graph or Digest call.
+// trace, so a trace must not change after its first Graph or Digest call,
+// nor after TotalSendBytes, Matrix or a summary, which read the graph.
 type Trace struct {
 	App   string
 	Ranks [][]Op // Ranks[i] is the ordered op list of MPI rank i
@@ -76,18 +77,10 @@ func (m *memo[T]) get(compute func() T) T {
 // NumRanks returns the rank count.
 func (t *Trace) NumRanks() int { return len(t.Ranks) }
 
-// TotalSendBytes sums every send payload across ranks.
-func (t *Trace) TotalSendBytes() int64 {
-	var total int64
-	for _, ops := range t.Ranks {
-		for _, op := range ops {
-			if op.Kind == OpISend {
-				total += op.Bytes
-			}
-		}
-	}
-	return total
-}
+// TotalSendBytes sums every send payload across ranks, over the lowered
+// graph: lowering keeps each rank's sends in order, so the sum is the flat
+// ops' to the bit.
+func (t *Trace) TotalSendBytes() int64 { return t.Graph().TotalSendBytes() }
 
 // NumPhases returns the maximum number of WaitAll fences over all ranks —
 // the trace's phase count.
@@ -198,32 +191,9 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Matrix aggregates send bytes into a bins x bins communication matrix —
-// the data behind Fig. 2(a)-(c). Entry [i][j] is the bytes sent from ranks
-// in row-bin i to ranks in column-bin j.
-func (t *Trace) Matrix(bins int) [][]float64 {
-	if bins < 1 {
-		panic("trace: Matrix needs >= 1 bin")
-	}
-	n := t.NumRanks()
-	if bins > n {
-		bins = n
-	}
-	m := make([][]float64, bins)
-	for i := range m {
-		m[i] = make([]float64, bins)
-	}
-	for rank, ops := range t.Ranks {
-		ri := rank * bins / n
-		for _, op := range ops {
-			if op.Kind == OpISend {
-				cj := int(op.Peer) * bins / n
-				m[ri][cj] += float64(op.Bytes)
-			}
-		}
-	}
-	return m
-}
+// Matrix is the communication matrix of the lowered graph (Graph.Matrix),
+// the data behind Fig. 2(a)-(c).
+func (t *Trace) Matrix(bins int) [][]float64 { return t.Graph().Matrix(bins) }
 
 // PhaseLoads returns, per phase, the mean bytes sent per rank during that
 // phase — the data behind the message-load-over-time plots of Fig. 2(d)-(f)
