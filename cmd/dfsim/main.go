@@ -42,7 +42,7 @@ func main() {
 		bgBytes    = flag.Int64("bg-bytes", 16*1024, "background message size in bytes")
 		bgInterval = flag.Duration("bg-interval", 0, "background interval (default 50us uniform, 500us bursty)")
 		bgFanOut   = flag.Int("bg-fanout", 64, "bursty background fan-out per node (0 = all peers)")
-		faultSpec  = flag.String("faults", "", "degrade the fabric (extension beyond the paper): comma clauses global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, fail|repair=link:A-B@DUR or router:ID@DUR, seed=N")
+		faultSpec  = flag.String("faults", "", "degrade the fabric (extension beyond the paper): comma clauses "+cliutil.FaultClauses)
 		faultSeed  = flag.Int64("fault-seed", 0, "override the fault spec's seed= clause (0 keeps the spec's own seed)")
 		wdEvents   = flag.Uint64("watchdog-events", 10_000_000_000, "DES stall watchdog: fail with a queue diagnostic past this many events (0 disables)")
 		describe   = flag.Bool("describe", false, "print the machine inventory (Figure 1) and exit")

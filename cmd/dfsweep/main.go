@@ -34,7 +34,7 @@ func main() {
 		burst    = flag.Int("burst-divisor", 0, "bursty-background volume divisor (0 = scale default)")
 		parallel = flag.Int("parallel", 0, "worker pool for independent simulations (1 = sequential, 0 = NumCPU); reports are byte-identical at every setting")
 		auditOn  = flag.Bool("audit", false, "run every simulation under the invariant auditor (fails loudly on any flow-control, conservation, or routing violation)")
-		faultStr = flag.String("faults", "", "degrade every simulation's fabric (extension beyond the paper): comma clauses global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, group=G, bundle=G1-G2, flap=link:A-B@MTBF:MTTR or router:ID@MTBF:MTTR, until=DUR, fail|repair=TARGET@DUR, seed=N; figr/figq/figf drive their own fault specs and ignore this; xmulti, whose co-runs have no fault model, rejects it")
+		faultStr = flag.String("faults", "", "degrade every simulation's fabric (extension beyond the paper): comma clauses "+cliutil.FaultClauses+"; figr/figq/figf drive their own fault specs and ignore this; xmulti, whose co-runs have no fault model, rejects it")
 		faultSd  = flag.Int64("fault-seed", 0, "override the fault spec's seed= clause (0 keeps the spec's own seed)")
 		farmDir  = flag.String("farm-cache", "", "content-addressed result farm directory (see dffarm): banked cells replay instead of re-simulating, fresh cells are banked; reports are byte-identical either way")
 		retries  = flag.Int("retries", 0, "re-attempts per failing cell before its error stands (0 = fail fast)")

@@ -35,7 +35,7 @@ func main() {
 		route    = flag.String("routing", "min", "bisection routing: min, adp, or qadaptive")
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxError = flag.Float64("max-error", 0.001, "fail if ping relative error exceeds this")
-		faultStr = flag.String("faults", "", "additionally validate fault-aware routing on this degraded fabric (spec grammar as in dfsim -faults)")
+		faultStr = flag.String("faults", "", "additionally validate fault-aware routing on this degraded fabric (its static failures; scheduled events and flaps are not applied): comma clauses "+cliutil.FaultClauses)
 		faultSd  = flag.Int64("fault-seed", 0, "override the fault spec's seed= clause (0 keeps the spec's own seed)")
 
 		scaleSmoke  = flag.Bool("scale-smoke", false, "instead of the validation study, shake out synthesized big machines (see -scale-shape)")

@@ -244,7 +244,8 @@ func ParseApp(s string) (string, error) { return trace.ParseApp(s) }
 
 // Background traffic (Sec. IV-C).
 type (
-	// BackgroundConfig parameterizes a synthetic interference job.
+	// BackgroundConfig parameterizes a synthetic interference job. It
+	// never finishes, so a Config that sets one must set MaxSimTime too.
 	BackgroundConfig = workload.BackgroundConfig
 	// BackgroundKind selects uniform-random or bursty interference.
 	BackgroundKind = workload.BackgroundKind
@@ -262,12 +263,26 @@ const (
 // broken machine. Fault-aware routing steers around failed equipment or
 // fails with ErrUnreachable; drops are byte-accounted and audited.
 type (
-	// FaultSpec declares which equipment fails: explicit IDs, seeded
-	// fractions of each link class, a router count, and optional timed
-	// fail/repair events. The zero value (or nil) degrades nothing.
+	// FaultSpec declares which equipment fails: seeded fractions of each
+	// link class, a router count, explicit targets, timed fail/repair
+	// events and flapping routers or links. The zero value (or nil)
+	// degrades nothing.
 	FaultSpec = faults.Spec
-	// FaultEvent is one scheduled failure or repair.
+	// FaultTarget is the equipment one fault names: a kind (FaultRouter,
+	// FaultLink, FaultGroup or FaultBundle) and its IDs, A alone for a
+	// router or group, the pair A-B for a link or bundle. FaultSpec.Fail
+	// lists targets; each FaultEvent and each flap carries one.
+	FaultTarget = faults.Target
+	// FaultEvent is one scheduled failure or repair of a target.
 	FaultEvent = faults.Event
+)
+
+// The four failure domains a FaultTarget names.
+const (
+	FaultRouter = faults.Router // one router
+	FaultLink   = faults.Link   // the wired link(s) between two routers
+	FaultGroup  = faults.Group  // every router of a group
+	FaultBundle = faults.Bundle // every global cable between two groups
 )
 
 // ParseFaultSpec parses the -faults CLI grammar, e.g.

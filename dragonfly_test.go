@@ -70,6 +70,7 @@ func TestPublicAPIBackgroundRun(t *testing.T) {
 		MsgBytes: 16 * 1024,
 		Interval: 10 * Microsecond,
 	}
+	cfg.MaxSimTime = Second
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

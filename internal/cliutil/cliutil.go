@@ -58,16 +58,20 @@ func App(s string) (string, error) {
 }
 
 // Apps parses a comma-separated application sweep list.
-func Apps(csv string) ([]string, error) {
-	var names []string
+func Apps(csv string) ([]string, error) { return list(csv, App) }
+
+// list parses each element of a comma-separated sweep list with parse,
+// failing with the first element's error.
+func list[T any](csv string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, s := range strings.Split(csv, ",") {
-		n, err := App(s)
+		v, err := parse(s)
 		if err != nil {
 			return nil, err
 		}
-		names = append(names, n)
+		out = append(out, v)
 	}
-	return names, nil
+	return out, nil
 }
 
 // Placement parses one placement policy name.
@@ -80,17 +84,7 @@ func Placement(s string) (placement.Policy, error) {
 }
 
 // Placements parses a comma-separated placement sweep list.
-func Placements(csv string) ([]placement.Policy, error) {
-	var pols []placement.Policy
-	for _, s := range strings.Split(csv, ",") {
-		p, err := Placement(s)
-		if err != nil {
-			return nil, err
-		}
-		pols = append(pols, p)
-	}
-	return pols, nil
-}
+func Placements(csv string) ([]placement.Policy, error) { return list(csv, Placement) }
 
 // Routing parses one routing policy name. The error enumerates the full
 // built-in policy set, so a typo'd -routing always shows what exists.
@@ -105,17 +99,7 @@ func Routing(s string) (routing.Mechanism, error) {
 }
 
 // Routings parses a comma-separated routing sweep list.
-func Routings(csv string) ([]routing.Mechanism, error) {
-	var mechs []routing.Mechanism
-	for _, s := range strings.Split(csv, ",") {
-		m, err := Routing(s)
-		if err != nil {
-			return nil, err
-		}
-		mechs = append(mechs, m)
-	}
-	return mechs, nil
-}
+func Routings(csv string) ([]routing.Mechanism, error) { return list(csv, Routing) }
 
 // Mapping parses a task-mapping policy name.
 func Mapping(s string) (mapping.Policy, error) {
@@ -166,15 +150,7 @@ func ScaleShape(s string, routers int) (topology.Machine, error) {
 
 // ScaleShapes parses a comma-separated -scale-shape sweep list.
 func ScaleShapes(csv string, routers int) ([]topology.Machine, error) {
-	var ms []topology.Machine
-	for _, s := range strings.Split(csv, ",") {
-		m, err := ScaleShape(s, routers)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	return ms, nil
+	return list(csv, func(s string) (topology.Machine, error) { return ScaleShape(s, routers) })
 }
 
 // BuildWorkers validates the -build-workers flag and installs it as the
@@ -189,17 +165,7 @@ func BuildWorkers(n int) (int, error) {
 }
 
 // Mappings parses a comma-separated task-mapping sweep list.
-func Mappings(csv string) ([]mapping.Policy, error) {
-	var pols []mapping.Policy
-	for _, s := range strings.Split(csv, ",") {
-		p, err := Mapping(s)
-		if err != nil {
-			return nil, err
-		}
-		pols = append(pols, p)
-	}
-	return pols, nil
-}
+func Mappings(csv string) ([]mapping.Policy, error) { return list(csv, Mapping) }
 
 // Shard parses the -shard flag: "i/n" selects shard i of n (0 <= i < n);
 // the empty string means unsharded (0 of 1).
@@ -222,28 +188,24 @@ func Shard(s string) (shard, numShards int, err error) {
 
 // Int64List parses a comma-separated integer sweep list (e.g. -seeds).
 func Int64List(flagName, csv string) ([]int64, error) {
-	var out []int64
-	for _, s := range strings.Split(csv, ",") {
+	return list(csv, func(s string) (int64, error) {
 		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s %q: %q is not an integer", flagName, csv, strings.TrimSpace(s))
+			return 0, fmt.Errorf("%s %q: %q is not an integer", flagName, csv, strings.TrimSpace(s))
 		}
-		out = append(out, v)
-	}
-	return out, nil
+		return v, nil
+	})
 }
 
 // FloatList parses a comma-separated float sweep list (e.g. -msg-scales).
 func FloatList(flagName, csv string) ([]float64, error) {
-	var out []float64
-	for _, s := range strings.Split(csv, ",") {
+	return list(csv, func(s string) (float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s %q: %q is not a number", flagName, csv, strings.TrimSpace(s))
+			return 0, fmt.Errorf("%s %q: %q is not a number", flagName, csv, strings.TrimSpace(s))
 		}
-		out = append(out, v)
-	}
-	return out, nil
+		return v, nil
+	})
 }
 
 // FaultSpecs parses a semicolon-separated fault-spec sweep list (each
@@ -270,14 +232,19 @@ func FaultSpecs(text string, seed int64) ([]*faults.Spec, error) {
 	return specs, nil
 }
 
+// FaultClauses lists the -faults grammar's clauses (see faults.ParseSpec)
+// for flag help and parse errors.
+const FaultClauses = "global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, group=G, bundle=G1-G2, " +
+	"flap=link:A-B@MTBF:MTTR or router:ID@MTBF:MTTR, until=DUR, " +
+	"fail|repair=link:A-B|router:ID|group:G|bundle:G1-G2@DUR, seed=N"
+
 // FaultSpec parses the -faults grammar (see faults.ParseSpec) and applies
 // the -fault-seed override when seed is non-zero. An empty string yields the
 // empty spec, which downstream layers skip entirely.
 func FaultSpec(text string, seed int64) (*faults.Spec, error) {
 	s, err := faults.ParseSpec(text)
 	if err != nil {
-		return nil, fmt.Errorf("faults %q: %s (clauses: global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, group=G, bundle=G1-G2, flap=link:A-B@MTBF:MTTR or router:ID@MTBF:MTTR, until=DUR, fail|repair=link:A-B|router:ID|group:G|bundle:G1-G2@DUR, seed=N)",
-			text, strings.TrimPrefix(err.Error(), "faults: "))
+		return nil, fmt.Errorf("faults %q: %s (clauses: %s)", text, strings.TrimPrefix(err.Error(), "faults: "), FaultClauses)
 	}
 	if seed != 0 {
 		s.Seed = seed

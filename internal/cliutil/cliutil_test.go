@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dragonfly/internal/faults"
 	"dragonfly/internal/mapping"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
@@ -103,7 +104,7 @@ func TestParsers(t *testing.T) {
 		}, true, ""},
 		{"faults/group-bundle", func() (interface{}, error) {
 			s, err := FaultSpec("group=1,bundle=0-2", 0)
-			return len(s.FailGroups) == 1 && len(s.FailBundles) == 1, err
+			return len(s.Fail) == 2 && s.Fail[0].Kind == faults.Group && s.Fail[1].Kind == faults.Bundle, err
 		}, true, ""},
 		{"faults/flap-missing-mttr", func() (interface{}, error) { return FaultSpec("flap=link:0-1@100us", 0) }, nil, "flap=link:A-B@MTBF:MTTR"},
 		{"faults/bad-bundle", func() (interface{}, error) { return FaultSpec("bundle=3", 0) }, nil, "bundle=G1-G2"},

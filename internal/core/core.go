@@ -50,7 +50,9 @@ type Config struct {
 	MsgScale float64
 
 	// Background, when non-nil, runs the synthetic interference job on
-	// every node not assigned to the application.
+	// every node not assigned to the application. It never finishes, so it
+	// requires a MaxSimTime: the run ends when the application does or the
+	// deadline passes, and a config without one is rejected.
 	Background *workload.BackgroundConfig
 
 	// Seed drives every random stream of the run.

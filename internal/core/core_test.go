@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dragonfly/internal/des"
@@ -156,6 +157,7 @@ func TestRunWithBackground(t *testing.T) {
 		MsgBytes: 32 * 1024,
 		Interval: 2 * des.Microsecond,
 	}
+	cfg.MaxSimTime = des.Second
 	noisy, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +213,16 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 	cfg = MiniConfig(tr, Cell{placement.Contiguous, routing.Minimal}, 1)
 	cfg.Background = &workload.BackgroundConfig{MsgBytes: 0, Interval: 1}
-	if _, err := Run(cfg); err == nil {
-		t.Error("accepted invalid background config")
+	cfg.MaxSimTime = des.Second
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "MsgBytes") {
+		t.Errorf("accepted invalid background config (err %v)", err)
+	}
+	// Background traffic never finishes, so only a deadline ends a run
+	// whose job cannot.
+	cfg.Background = &workload.BackgroundConfig{Kind: workload.UniformRandom, MsgBytes: 1024, Interval: des.Microsecond}
+	cfg.MaxSimTime = 0
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "MaxSimTime") {
+		t.Errorf("background without a deadline: err %v, want one naming MaxSimTime", err)
 	}
 	big, _ := trace.CR(trace.CRConfig{Ranks: 100, MessageBytes: 100})
 	cfg = MiniConfig(big, Cell{placement.Contiguous, routing.Minimal}, 1)

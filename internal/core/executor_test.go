@@ -149,14 +149,14 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 func TestDynamicFaultRunsDeterministic(t *testing.T) {
 	tr := miniCR(t)
 	specs := []*faults.Spec{
-		{Flaps: []faults.Flap{{A: 0, B: 1, MTBF: 50_000, MTTR: 20_000}}, FlapUntil: 500_000, Seed: 3},
+		{Flaps: []faults.Flap{{Target: faults.Target{Kind: faults.Link, A: 0, B: 1}, MTBF: 50_000, MTTR: 20_000}}, FlapUntil: 500_000, Seed: 3},
 		{Events: []faults.Event{
-			{At: 10_000, IsGroup: true, Group: 1},
-			{At: 60_000, IsGroup: true, Group: 1, Repair: true},
+			{At: 10_000, Target: faults.Target{Kind: faults.Group, A: 1}},
+			{At: 60_000, Target: faults.Target{Kind: faults.Group, A: 1}, Repair: true},
 		}},
 		{Events: []faults.Event{
-			{At: 10_000, IsBundle: true, G1: 0, G2: 1},
-			{At: 60_000, IsBundle: true, G1: 0, G2: 1, Repair: true},
+			{At: 10_000, Target: faults.Target{Kind: faults.Bundle, A: 0, B: 1}},
+			{At: 60_000, Target: faults.Target{Kind: faults.Bundle, A: 0, B: 1}, Repair: true},
 		}},
 	}
 	var cfgs []core.Config

@@ -120,7 +120,7 @@ func TestPartitionedFabricDegradesGracefully(t *testing.T) {
 	spec := &faults.Spec{}
 	for _, cn := range topo.GlobalConns() {
 		if topo.GroupOfRouter(cn.A) == 0 || topo.GroupOfRouter(cn.B) == 0 {
-			spec.FailLinks = append(spec.FailLinks, [2]topology.RouterID{cn.A, cn.B})
+			spec.Fail = append(spec.Fail, faults.Target{Kind: faults.Link, A: int(cn.A), B: int(cn.B)})
 		}
 	}
 	cfg.Faults = spec
@@ -146,7 +146,7 @@ func TestPartitionedFabricDegradesGracefully(t *testing.T) {
 func TestFaultSpecErrorsSurface(t *testing.T) {
 	tr := miniCR(t)
 	cfg := MiniConfig(tr, Cell{placement.Contiguous, routing.Minimal}, 1)
-	cfg.Faults = &faults.Spec{FailRouters: []topology.RouterID{10_000}}
+	cfg.Faults = &faults.Spec{Fail: []faults.Target{{Kind: faults.Router, A: 10_000}}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("accepted a fault spec naming a router off the machine")
 	}
@@ -173,8 +173,8 @@ func TestWatchdogErrorNamesHealthHistory(t *testing.T) {
 	tr := miniCR(t)
 	cfg := MiniConfig(tr, Cell{placement.Contiguous, routing.Minimal}, 2)
 	cfg.Faults = &faults.Spec{Events: []faults.Event{
-		{At: 0, IsRouter: true, Router: 2},
-		{At: 1, IsRouter: true, Router: 2, Repair: true},
+		{At: 0, Target: faults.Target{Kind: faults.Router, A: 2}},
+		{At: 1, Target: faults.Target{Kind: faults.Router, A: 2}, Repair: true},
 	}}
 	cfg.WatchdogEvents = 50
 	_, err := Run(cfg)

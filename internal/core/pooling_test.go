@@ -59,6 +59,7 @@ func uniformCell(t *testing.T) Config {
 	cfg.Background = &workload.BackgroundConfig{
 		Kind: workload.UniformRandom, MsgBytes: 32 * 1024, Interval: 5 * des.Microsecond,
 	}
+	cfg.MaxSimTime = des.Second
 	return cfg
 }
 
@@ -67,6 +68,7 @@ func burstyCell(t *testing.T) Config {
 	cfg.Background = &workload.BackgroundConfig{
 		Kind: workload.Bursty, MsgBytes: 8 * 1024, Interval: 8 * des.Microsecond, FanOut: 7,
 	}
+	cfg.MaxSimTime = des.Second
 	return cfg
 }
 
@@ -74,8 +76,8 @@ func burstyCell(t *testing.T) Config {
 func failingCell(t *testing.T) Config {
 	cfg := MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Adaptive}, 11)
 	cfg.Faults = &faults.Spec{Events: []faults.Event{
-		{At: 2_000, IsGroup: true, Group: 1},
-		{At: 20_000, IsGroup: true, Group: 1, Repair: true},
+		{At: 2_000, Target: faults.Target{Kind: faults.Group, A: 1}},
+		{At: 20_000, Target: faults.Target{Kind: faults.Group, A: 1}, Repair: true},
 	}}
 	cfg.WatchdogEvents = 200_000_000
 	return cfg

@@ -38,10 +38,15 @@ type Session struct {
 
 // NewSession builds the machine cfg describes — its Topology, Params,
 // Routing, Faults, watchdog limits and Audit; the workload fields are the
-// front end's business — drawing the fabric's stream first from root.
+// front end's business — drawing the fabric's stream first from root. It
+// rejects background traffic without a MaxSimTime: the background never
+// finishes, so a job that cannot finish would keep the run going forever.
 func NewSession(cfg Config, root *des.RNG) (*Session, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("core: config has no machine (set Topology)")
+	}
+	if cfg.Background != nil && cfg.MaxSimTime <= 0 {
+		return nil, fmt.Errorf("core: background traffic needs a deadline (set MaxSimTime)")
 	}
 	topo, err := cfg.Topology.Build()
 	if err != nil {
@@ -72,8 +77,7 @@ func NewSession(cfg Config, root *des.RNG) (*Session, error) {
 		for _, ev := range fset.Events() {
 			eng.At(ev.At, func() {
 				fset.Apply(ev)
-				fab.RecordHealthEvent(ev.At, ev.String())
-				fab.ApplyHealthChange()
+				fab.ApplyHealthChange(ev.At, ev.String())
 			})
 		}
 	}
@@ -90,7 +94,9 @@ func NewSession(cfg Config, root *des.RNG) (*Session, error) {
 }
 
 // Background runs the synthetic interference job on every node still free
-// in the pool until Drain, and returns its Table II peak load.
+// in the pool until Drain, and returns its Table II peak load. Call it only
+// on a session whose Config set Background, so NewSession has checked that
+// Drain's deadline bounds it.
 func (s *Session) Background(cfg workload.BackgroundConfig, rng *des.RNG) (int64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -127,11 +133,11 @@ func (s *Session) Launch(job workload.Job) (*workload.Replay, error) {
 // Drain runs the engine and closes the run. With neither background traffic
 // nor a deadline (0 = none) the queue drains by itself; otherwise the engine
 // runs until every launched job has finished or the clock reaches the
-// deadline: it runs the events before the deadline, halting after the one
-// in which the last job finishes, then the first event at or past the
-// deadline. Drain then stops the background, reports a watchdog trip,
-// finalizes the link statistics and closes the audit, returning its summary
-// (nil unless auditing).
+// deadline, which background traffic requires (see NewSession): it runs the
+// events before the deadline, halting after the one in which the last job
+// finishes, then the first event at or past the deadline. Drain then stops
+// the background, reports a watchdog trip, finalizes the link statistics
+// and closes the audit, returning its summary (nil unless auditing).
 func (s *Session) Drain(deadline des.Time) (*audit.Summary, error) {
 	eng := s.Engine
 	switch {
@@ -139,9 +145,6 @@ func (s *Session) Drain(deadline des.Time) (*audit.Summary, error) {
 		eng.Run()
 	case s.live == 0:
 		// No job to wait for.
-	case deadline == 0:
-		s.haltOnDone = true
-		eng.Run()
 	case eng.Now() < deadline:
 		s.haltOnDone = true
 		if eng.RunUntil(deadline - 1); s.live > 0 {

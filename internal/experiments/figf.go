@@ -98,21 +98,25 @@ func (r *Runner) figfScenarios(ic topology.Interconnect) ([]figfScenario, error)
 		failAt   = 20 * des.Microsecond
 		repairAt = 120 * des.Microsecond
 	)
+	outage := func(t faults.Target) *faults.Spec {
+		return &faults.Spec{Events: []faults.Event{
+			{At: failAt, Target: t},
+			{At: repairAt, Target: t, Repair: true},
+		}}
+	}
 	return []figfScenario{
 		{"healthy", &faults.Spec{}},
 		{"flap", &faults.Spec{
-			Flaps:     []faults.Flap{{A: c.A, B: c.B, MTBF: 100 * des.Microsecond, MTTR: 50 * des.Microsecond}},
+			Flaps: []faults.Flap{{
+				Target: faults.Target{Kind: faults.Link, A: int(c.A), B: int(c.B)},
+				MTBF:   100 * des.Microsecond,
+				MTTR:   50 * des.Microsecond,
+			}},
 			FlapUntil: 500 * des.Microsecond,
 			Seed:      r.opts.Seed,
 		}},
-		{"bundle", &faults.Spec{Events: []faults.Event{
-			{At: failAt, IsBundle: true, G1: g1, G2: g2},
-			{At: repairAt, IsBundle: true, G1: g1, G2: g2, Repair: true},
-		}}},
-		{"group", &faults.Spec{Events: []faults.Event{
-			{At: failAt, IsGroup: true, Group: g2},
-			{At: repairAt, IsGroup: true, Group: g2, Repair: true},
-		}}},
+		{"bundle", outage(faults.Target{Kind: faults.Bundle, A: g1, B: g2})},
+		{"group", outage(faults.Target{Kind: faults.Group, A: g2})},
 	}, nil
 }
 

@@ -151,20 +151,22 @@ func TestEveryFieldPerturbsAddress(t *testing.T) {
 		{"Faults", "faults global frac", func(c *core.Config) { c.Faults = &faults.Spec{GlobalFrac: 0.1} }},
 		{"Faults", "faults local frac", func(c *core.Config) { c.Faults = &faults.Spec{LocalFrac: 0.1} }},
 		{"Faults", "faults routers", func(c *core.Config) { c.Faults = &faults.Spec{Routers: 1} }},
-		{"Faults", "faults explicit router", func(c *core.Config) { c.Faults = &faults.Spec{FailRouters: []topology.RouterID{3}} }},
-		{"Faults", "faults explicit link", func(c *core.Config) { c.Faults = &faults.Spec{FailLinks: [][2]topology.RouterID{{1, 2}}} }},
+		{"Faults", "faults explicit router", func(c *core.Config) { c.Faults = &faults.Spec{Fail: []faults.Target{{Kind: faults.Router, A: 3}}} }},
+		{"Faults", "faults explicit link", func(c *core.Config) { c.Faults = &faults.Spec{Fail: []faults.Target{{Kind: faults.Link, A: 1, B: 2}}} }},
 		{"Faults", "faults seed", func(c *core.Config) { c.Faults = &faults.Spec{GlobalFrac: 0.1, Seed: 9} }},
 		{"Faults", "faults event", func(c *core.Config) {
-			c.Faults = &faults.Spec{Events: []faults.Event{{At: des.Microsecond, A: 1, B: 2}}}
+			c.Faults = &faults.Spec{Events: []faults.Event{{At: des.Microsecond, Target: faults.Target{Kind: faults.Link, A: 1, B: 2}}}}
 		}},
-		{"Faults", "faults group", func(c *core.Config) { c.Faults = &faults.Spec{FailGroups: []int{1}} }},
-		{"Faults", "faults bundle", func(c *core.Config) { c.Faults = &faults.Spec{FailBundles: [][2]int{{0, 1}}} }},
+		{"Faults", "faults group", func(c *core.Config) { c.Faults = &faults.Spec{Fail: []faults.Target{{Kind: faults.Group, A: 1}}} }},
+		{"Faults", "faults bundle", func(c *core.Config) {
+			c.Faults = &faults.Spec{Fail: []faults.Target{{Kind: faults.Bundle, A: 0, B: 1}}}
+		}},
 		{"Faults", "faults flap", func(c *core.Config) {
-			c.Faults = &faults.Spec{Flaps: []faults.Flap{{A: 1, B: 2, MTBF: 100_000, MTTR: 50_000}}}
+			c.Faults = &faults.Spec{Flaps: []faults.Flap{{Target: faults.Target{Kind: faults.Link, A: 1, B: 2}, MTBF: 100_000, MTTR: 50_000}}}
 		}},
 		{"Faults", "faults flap horizon", func(c *core.Config) {
 			c.Faults = &faults.Spec{
-				Flaps:     []faults.Flap{{A: 1, B: 2, MTBF: 100_000, MTTR: 50_000}},
+				Flaps:     []faults.Flap{{Target: faults.Target{Kind: faults.Link, A: 1, B: 2}, MTBF: 100_000, MTTR: 50_000}},
 				FlapUntil: 2_000_000,
 			}
 		}},
@@ -297,6 +299,43 @@ func TestEncodeAddressPinned(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: address %s, want %s — the canonical encoding drifted", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestEncodeFaultTargetOrder: a spec's static failures are one list whose
+// order does not name a different fault set, so a list interleaving all four
+// kinds renders the grammar's grouped clause order (router, link, group,
+// bundle; list order within a kind), re-parses to that rendering, and keys
+// the same store entry as the list in canonical order.
+func TestEncodeFaultTargetOrder(t *testing.T) {
+	router := func(a int) faults.Target { return faults.Target{Kind: faults.Router, A: a} }
+	link := faults.Target{Kind: faults.Link, A: 1, B: 2}
+	group := func(a int) faults.Target { return faults.Target{Kind: faults.Group, A: a} }
+	bundle := faults.Target{Kind: faults.Bundle, A: 0, B: 3}
+	mixed := &faults.Spec{Fail: []faults.Target{bundle, router(7), group(2), link, router(3), group(1)}, Seed: 5}
+	canonical := &faults.Spec{Fail: []faults.Target{router(7), router(3), link, group(2), group(1), bundle}, Seed: 5}
+	const want = "router=7,router=3,link=1-2,group=2,group=1,bundle=0-3,seed=5"
+	if got := mixed.String(); got != want {
+		t.Fatalf("interleaved list renders %q, want %q", got, want)
+	}
+	back, err := faults.ParseSpec(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.String() != want {
+		t.Fatalf("%q re-parses to %q", want, back.String())
+	}
+	addr := func(spec *faults.Spec) string {
+		cfg := baseConfig(t)
+		cfg.Faults = spec
+		a, err := Address(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if addr(mixed) != addr(canonical) || addr(mixed) != addr(back) {
+		t.Fatal("the same static failures in another list order key another store entry")
 	}
 }
 

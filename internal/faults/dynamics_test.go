@@ -16,9 +16,10 @@ func TestFlapExpansion(t *testing.T) {
 	ic := mini(t)
 	a := topology.RouterID(0)
 	b := ic.LocalNeighbors(a)[0]
+	link := faults.Target{Kind: faults.Link, A: int(a), B: int(b)}
 	spec := &faults.Spec{
-		Flaps:     []faults.Flap{{A: a, B: b, MTBF: 100_000, MTTR: 50_000}}, // 100us : 50us
-		FlapUntil: 1_000_000,                                                // 1ms
+		Flaps:     []faults.Flap{{Target: link, MTBF: 100_000, MTTR: 50_000}}, // 100us : 50us
+		FlapUntil: 1_000_000,                                                  // 1ms
 		Seed:      7,
 	}
 	s1, err := faults.Resolve(spec, ic)
@@ -33,8 +34,8 @@ func TestFlapExpansion(t *testing.T) {
 		t.Fatalf("flap timeline has %d events; fails and repairs must pair", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.IsRouter || ev.A != a || ev.B != b {
-			t.Fatalf("event %d targets %v, want link %d-%d", i, ev, a, b)
+		if ev.Target != link {
+			t.Fatalf("event %d targets %v, want %v", i, ev, link)
 		}
 		if i > 0 && ev.At < evs[i-1].At {
 			t.Fatalf("events not time-sorted at %d: %v after %v", i, ev, evs[i-1])
@@ -79,15 +80,15 @@ func TestFlapExpansion(t *testing.T) {
 func TestFlapStreamsAreIndependent(t *testing.T) {
 	ic := mini(t)
 	a := topology.RouterID(0)
-	b := ic.LocalNeighbors(a)[0]
+	link := faults.Target{Kind: faults.Link, A: int(a), B: int(ic.LocalNeighbors(a)[0])}
 	one := &faults.Spec{
-		Flaps: []faults.Flap{{A: a, B: b, MTBF: 100_000, MTTR: 50_000}},
+		Flaps: []faults.Flap{{Target: link, MTBF: 100_000, MTTR: 50_000}},
 		Seed:  3,
 	}
 	two := &faults.Spec{
 		Flaps: []faults.Flap{
-			{A: a, B: b, MTBF: 100_000, MTTR: 50_000},
-			{IsRouter: true, Router: 5, MTBF: 200_000, MTTR: 20_000},
+			{Target: link, MTBF: 100_000, MTTR: 50_000},
+			{Target: faults.Target{Kind: faults.Router, A: 5}, MTBF: 200_000, MTTR: 20_000},
 		},
 		Seed: 3,
 	}
@@ -101,7 +102,7 @@ func TestFlapStreamsAreIndependent(t *testing.T) {
 	}
 	var linkEvents []faults.Event
 	for _, ev := range s2.Events() {
-		if !ev.IsRouter {
+		if ev.Target == link {
 			linkEvents = append(linkEvents, ev)
 		}
 	}
@@ -115,7 +116,8 @@ func TestFlapStreamsAreIndependent(t *testing.T) {
 func TestGroupFaults(t *testing.T) {
 	ic := mini(t)
 	const g = 1
-	s, err := faults.Resolve(&faults.Spec{FailGroups: []int{g}}, ic)
+	group := faults.Target{Kind: faults.Group, A: g}
+	s, err := faults.Resolve(&faults.Spec{Fail: []faults.Target{group}}, ic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestGroupFaults(t *testing.T) {
 			t.Fatalf("router %d up=%t after failing group %d", r, !want, g)
 		}
 	}
-	s.Apply(faults.Event{IsGroup: true, Group: g, Repair: true})
+	s.Apply(faults.Event{Target: group, Repair: true})
 	if len(s.DownRouters()) != 0 {
 		t.Fatalf("group repair left routers down: %v", s.DownRouters())
 	}
@@ -136,7 +138,8 @@ func TestGroupFaults(t *testing.T) {
 func TestBundleFaults(t *testing.T) {
 	ic := mini(t)
 	g1, g2 := 0, 1
-	s, err := faults.Resolve(&faults.Spec{FailBundles: [][2]int{{g1, g2}}}, ic)
+	bundle := faults.Target{Kind: faults.Bundle, A: g1, B: g2}
+	s, err := faults.Resolve(&faults.Spec{Fail: []faults.Target{bundle}}, ic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +147,14 @@ func TestBundleFaults(t *testing.T) {
 		ga, gb := ic.GroupOfRouter(c.A), ic.GroupOfRouter(c.B)
 		return (ga == g1 && gb == g2) || (ga == g2 && gb == g1)
 	}
-	bundle := 0
+	cables := 0
 	for _, c := range ic.GlobalConns() {
 		up := s.GlobalLinkUp(c.A, c.APort)
 		if up != s.GlobalLinkUp(c.B, c.BPort) {
 			t.Fatalf("cable %v: endpoint views disagree", c)
 		}
 		if inBundle(c) {
-			bundle++
+			cables++
 			if up {
 				t.Fatalf("cable %v inside failed bundle %d-%d still up", c, g1, g2)
 			}
@@ -159,13 +162,13 @@ func TestBundleFaults(t *testing.T) {
 			t.Fatalf("cable %v outside bundle %d-%d went down", c, g1, g2)
 		}
 	}
-	if bundle == 0 {
+	if cables == 0 {
 		t.Fatalf("mini machine has no cables between groups %d and %d; test is vacuous", g1, g2)
 	}
-	if s.DownGlobalConns() != bundle {
-		t.Fatalf("DownGlobalConns=%d, bundle holds %d cables", s.DownGlobalConns(), bundle)
+	if s.DownGlobalConns() != cables {
+		t.Fatalf("DownGlobalConns=%d, bundle holds %d cables", s.DownGlobalConns(), cables)
 	}
-	s.Apply(faults.Event{IsBundle: true, G1: g1, G2: g2, Repair: true})
+	s.Apply(faults.Event{Target: bundle, Repair: true})
 	if s.DownGlobalConns() != 0 {
 		t.Fatal("bundle repair left cables down")
 	}
@@ -199,13 +202,16 @@ func TestDynamicsSpecErrors(t *testing.T) {
 
 	ic := mini(t)
 	for _, spec := range []*faults.Spec{
-		{FailGroups: []int{ic.NumGroups()}},
-		{FailBundles: [][2]int{{0, ic.NumGroups()}}},
-		{FailBundles: [][2]int{{0, 0}}},
-		{Events: []faults.Event{{IsGroup: true, Group: ic.NumGroups()}}},
-		{Events: []faults.Event{{IsBundle: true, G1: 0, G2: ic.NumGroups()}}},
-		{Flaps: []faults.Flap{{IsRouter: true, Router: topology.RouterID(ic.NumRouters()), MTBF: 1000, MTTR: 1000}}},
-		{Flaps: []faults.Flap{{A: 0, B: 1, MTBF: 0, MTTR: 1000}}},
+		{Fail: []faults.Target{{Kind: faults.Group, A: ic.NumGroups()}}},
+		{Fail: []faults.Target{{Kind: faults.Bundle, A: 0, B: ic.NumGroups()}}},
+		{Fail: []faults.Target{{Kind: faults.Bundle, A: 0, B: 0}}},
+		{Events: []faults.Event{{Target: faults.Target{Kind: faults.Group, A: ic.NumGroups()}}}},
+		{Events: []faults.Event{{Target: faults.Target{Kind: faults.Bundle, A: 0, B: ic.NumGroups()}}}},
+		{Flaps: []faults.Flap{{Target: faults.Target{Kind: faults.Router, A: ic.NumRouters()}, MTBF: 1000, MTTR: 1000}}},
+		{Flaps: []faults.Flap{{Target: faults.Target{Kind: faults.Link, A: 0, B: 1}, MTBF: 0, MTTR: 1000}}},
+		// Flaps stay router- or link-only.
+		{Flaps: []faults.Flap{{Target: faults.Target{Kind: faults.Group, A: 1}, MTBF: 1000, MTTR: 1000}}},
+		{Flaps: []faults.Flap{{Target: faults.Target{Kind: faults.Bundle, A: 0, B: 1}, MTBF: 1000, MTTR: 1000}}},
 	} {
 		if _, err := faults.Resolve(spec, ic); err == nil {
 			t.Errorf("Resolve(%+v): want error, got nil", spec)
@@ -220,13 +226,13 @@ func TestDynamicsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.FailGroups) != 1 || len(spec.FailBundles) != 1 || len(spec.Flaps) != 2 {
+	if len(spec.Fail) != 2 || len(spec.Flaps) != 2 {
 		t.Fatalf("parsed %+v", spec)
 	}
 	if spec.FlapUntil != 2_000_000 {
 		t.Fatalf("until parsed to %d", spec.FlapUntil)
 	}
-	if !spec.Flaps[1].IsRouter || spec.Flaps[1].MTBF != 1_000_000 || spec.Flaps[1].MTTR != 200_000 {
+	if spec.Flaps[1].Target.Kind != faults.Router || spec.Flaps[1].MTBF != 1_000_000 || spec.Flaps[1].MTTR != 200_000 {
 		t.Fatalf("router flap parsed to %+v", spec.Flaps[1])
 	}
 	back, err := faults.ParseSpec(spec.String())

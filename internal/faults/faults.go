@@ -16,13 +16,13 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"dragonfly/internal/des"
-	"dragonfly/internal/topology"
 )
 
 // Spec describes which equipment to fail. The zero value fails nothing.
@@ -35,20 +35,9 @@ type Spec struct {
 	// Routers fails this many routers, drawn uniformly.
 	Routers int
 
-	// FailRouters fails these routers explicitly.
-	FailRouters []topology.RouterID
-	// FailLinks fails the wired link(s) between each router pair: the
-	// local link if the pair is locally connected, otherwise every
-	// parallel global channel between the two routers.
-	FailLinks [][2]topology.RouterID
-
-	// FailGroups fails every router of each listed group: a correlated
-	// whole-group outage (power domain, cooling loop).
-	FailGroups []int
-	// FailBundles fails every parallel global cable between each group
-	// pair: a cut cable bundle, the other correlated failure domain a
-	// physical dragonfly has.
-	FailBundles [][2]int
+	// Fail fails this equipment explicitly, whatever its order: String
+	// renders router, link, group, then bundle clauses.
+	Fail []Target
 
 	// Seed drives the random draws above. Independent of the simulation
 	// seed so the same fault pattern can be replayed under different
@@ -80,42 +69,69 @@ const DefaultFlapHorizon = des.Time(1_000_000) // 1ms
 // is still emitted.
 const maxFlapEvents = 65536
 
-// Flap is one flapping element: a router or wired router pair that fails
-// and repairs repeatedly. MTBF is the mean up-time between failures, MTTR
-// the mean down-time; both must be positive.
+// Kind is a failure domain: a Target's kind says what its IDs name.
+type Kind uint8
+
+// The four failure domains. The zero Kind names none, so a Target must say
+// which it is.
+const (
+	Router Kind = iota + 1 // one router, ID A
+	Link                   // the wired link(s) between routers A and B
+	Group                  // every router of group A: a correlated outage (power domain, cooling loop)
+	Bundle                 // every global cable between groups A and B: a cut cable bundle
+)
+
+var kindNames = [...]string{Router: "router", Link: "link", Group: "group", Bundle: "bundle"}
+
+func (k Kind) String() string {
+	if k >= Router && k <= Bundle {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// pair reports whether the kind names two IDs, A-B.
+func (k Kind) pair() bool { return k == Link || k == Bundle }
+
+// Target is the equipment one fault takes down: a router or group A, or
+// the link between routers A and B, or the cable bundle between groups A
+// and B. A link fails the local link if the pair is locally connected,
+// otherwise every parallel global channel between the two routers.
+type Target struct {
+	Kind Kind
+	A, B int
+}
+
+// String renders the target as events and flaps name it: router:7,
+// link:3-40, group:1, bundle:0-2.
+func (t Target) String() string { return t.Kind.String() + ":" + t.ids() }
+
+func (t Target) ids() string {
+	if t.Kind.pair() {
+		return strconv.Itoa(t.A) + "-" + strconv.Itoa(t.B)
+	}
+	return strconv.Itoa(t.A)
+}
+
+// Flap is one flapping element: a router or a link that fails and repairs
+// repeatedly. MTBF is the mean up-time between failures, MTTR the mean
+// down-time; both must be positive.
 type Flap struct {
-	// IsRouter selects between the router and the link form.
-	IsRouter bool
-	Router   topology.RouterID
-	A, B     topology.RouterID
-	MTBF     des.Time
-	MTTR     des.Time
+	Target Target
+	MTBF   des.Time
+	MTTR   des.Time
 }
 
 func (f Flap) String() string {
-	target := fmt.Sprintf("link:%d-%d", f.A, f.B)
-	if f.IsRouter {
-		target = fmt.Sprintf("router:%d", f.Router)
-	}
-	return fmt.Sprintf("flap=%s@%s:%s", target, time.Duration(f.MTBF), time.Duration(f.MTTR))
+	return fmt.Sprintf("flap=%v@%s:%s", f.Target, time.Duration(f.MTBF), time.Duration(f.MTTR))
 }
 
-// Event is a scheduled fault transition: at time At, the named target — a
-// router, a router-pair link, a whole group, or the cable bundle between
-// two groups — fails (or is repaired).
+// Event is a scheduled fault transition: at time At, Target fails (or is
+// repaired).
 type Event struct {
 	At     des.Time
 	Repair bool
-	// IsRouter selects the router form; IsGroup and IsBundle select the
-	// correlated-domain forms. With all three false the event targets the
-	// A-B link.
-	IsRouter bool
-	Router   topology.RouterID
-	A, B     topology.RouterID
-	IsGroup  bool
-	IsBundle bool
-	Group    int
-	G1, G2   int
+	Target Target
 }
 
 func (e Event) String() string {
@@ -123,15 +139,7 @@ func (e Event) String() string {
 	if e.Repair {
 		verb = "repair"
 	}
-	switch {
-	case e.IsRouter:
-		return fmt.Sprintf("%s=router:%d@%s", verb, e.Router, time.Duration(e.At))
-	case e.IsGroup:
-		return fmt.Sprintf("%s=group:%d@%s", verb, e.Group, time.Duration(e.At))
-	case e.IsBundle:
-		return fmt.Sprintf("%s=bundle:%d-%d@%s", verb, e.G1, e.G2, time.Duration(e.At))
-	}
-	return fmt.Sprintf("%s=link:%d-%d@%s", verb, e.A, e.B, time.Duration(e.At))
+	return fmt.Sprintf("%s=%v@%s", verb, e.Target, time.Duration(e.At))
 }
 
 // Empty reports whether the spec fails nothing, statically or dynamically.
@@ -140,9 +148,7 @@ func (s *Spec) Empty() bool {
 		return true
 	}
 	return s.GlobalFrac == 0 && s.LocalFrac == 0 && s.Routers == 0 &&
-		len(s.FailRouters) == 0 && len(s.FailLinks) == 0 &&
-		len(s.FailGroups) == 0 && len(s.FailBundles) == 0 &&
-		len(s.Events) == 0 && len(s.Flaps) == 0
+		len(s.Fail) == 0 && len(s.Events) == 0 && len(s.Flaps) == 0
 }
 
 // String renders the spec in the ParseSpec grammar (canonical clause order).
@@ -160,17 +166,10 @@ func (s *Spec) String() string {
 	if s.Routers != 0 {
 		parts = append(parts, "routers="+strconv.Itoa(s.Routers))
 	}
-	for _, r := range s.FailRouters {
-		parts = append(parts, fmt.Sprintf("router=%d", r))
-	}
-	for _, l := range s.FailLinks {
-		parts = append(parts, fmt.Sprintf("link=%d-%d", l[0], l[1]))
-	}
-	for _, g := range s.FailGroups {
-		parts = append(parts, fmt.Sprintf("group=%d", g))
-	}
-	for _, b := range s.FailBundles {
-		parts = append(parts, fmt.Sprintf("bundle=%d-%d", b[0], b[1]))
+	fail := slices.Clone(s.Fail)
+	slices.SortStableFunc(fail, func(a, b Target) int { return int(a.Kind) - int(b.Kind) })
+	for _, t := range fail {
+		parts = append(parts, t.Kind.String()+"="+t.ids())
 	}
 	for _, fl := range s.Flaps {
 		parts = append(parts, fl.String())
@@ -196,14 +195,13 @@ func (s *Spec) String() string {
 //	link=A-B             fail the wired link(s) between routers A and B
 //	group=G              fail every router of group G (correlated outage)
 //	bundle=G1-G2         fail every global cable between groups G1 and G2
-//	fail=link:A-B@DUR    schedule a link failure at simulated time DUR
-//	fail=router:ID@DUR   schedule a router failure
-//	fail=group:G@DUR     schedule a whole-group failure
-//	fail=bundle:G1-G2@DUR schedule a cable-bundle failure
-//	repair=...@DUR       schedule the matching repair
-//	flap=link:A-B@MTBF:MTTR  flap the link: seeded fail/repair cycles with
-//	                     exponential up-times (mean MTBF) and down-times
-//	                     (mean MTTR); flap=router:ID@MTBF:MTTR likewise
+//	fail=TARGET@DUR      schedule TARGET's failure at simulated time DUR,
+//	                     TARGET being router:ID, link:A-B, group:G or
+//	                     bundle:G1-G2
+//	repair=TARGET@DUR    schedule TARGET's repair
+//	flap=TARGET@MTBF:MTTR  flap a router or link TARGET: seeded fail/repair
+//	                     cycles with exponential up-times (mean MTBF) and
+//	                     down-times (mean MTTR)
 //	until=DUR            horizon of flap timelines (default 1ms)
 //	seed=N               seed of the random draws and flap timelines
 //
@@ -241,30 +239,12 @@ func ParseSpec(text string) (*Spec, error) {
 				return nil, fmt.Errorf("faults: routers=%q: want a non-negative count", val)
 			}
 			s.Routers = k
-		case "router":
-			r, ok := parseRouter(val)
-			if !ok {
-				return nil, fmt.Errorf("faults: router=%q: want a router ID", val)
-			}
-			s.FailRouters = append(s.FailRouters, r)
-		case "link":
-			a, b, err := parsePair(val)
+		case "router", "link", "group", "bundle":
+			t, err := parseTarget(key, val)
 			if err != nil {
-				return nil, fmt.Errorf("faults: link=%q: %v", val, err)
+				return nil, fmt.Errorf("faults: %s=%q: %v", key, val, err)
 			}
-			s.FailLinks = append(s.FailLinks, [2]topology.RouterID{a, b})
-		case "group":
-			g, err := strconv.Atoi(val)
-			if err != nil || g < 0 {
-				return nil, fmt.Errorf("faults: group=%q: want a group ID", val)
-			}
-			s.FailGroups = append(s.FailGroups, g)
-		case "bundle":
-			g1, g2, err := parseGroupPair(val)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bundle=%q: %v", val, err)
-			}
-			s.FailBundles = append(s.FailBundles, [2]int{g1, g2})
+			s.Fail = append(s.Fail, t)
 		case "fail", "repair":
 			ev, err := parseEvent(val, key == "repair")
 			if err != nil {
@@ -297,99 +277,82 @@ func ParseSpec(text string) (*Spec, error) {
 	return s, nil
 }
 
-// parseRouter reads a router ID: a non-negative integer that fits
-// topology.RouterID, so the spec's rendering reads back as the same ID.
-func parseRouter(s string) (topology.RouterID, bool) {
-	r, err := strconv.ParseInt(s, 10, 32)
-	return topology.RouterID(r), err == nil && r >= 0
+// parseTarget reads a target of the named kind from its IDs: ID for a
+// router or group, A-B for a link or bundle. IDs are non-negative; router
+// IDs fit topology.RouterID, so a rendering reads back as the same ID, and
+// a pair's two IDs differ.
+func parseTarget(kind, ids string) (Target, error) {
+	k := Router
+	for k <= Bundle && kindNames[k] != kind {
+		k++
+	}
+	if k > Bundle {
+		return Target{}, fmt.Errorf("unknown target kind %q (want router, link, group, or bundle)", kind)
+	}
+	bits := strconv.IntSize
+	if k == Router || k == Link {
+		bits = 32
+	}
+	id := func(s string) (int, bool) {
+		n, err := strconv.ParseInt(s, 10, bits)
+		return int(n), err == nil && n >= 0
+	}
+	if !k.pair() {
+		a, ok := id(ids)
+		if !ok {
+			return Target{}, fmt.Errorf("want a %s ID", kind)
+		}
+		return Target{Kind: k, A: a}, nil
+	}
+	as, bs, _ := strings.Cut(ids, "-")
+	a, okA := id(as)
+	b, okB := id(bs)
+	switch {
+	case !okA || !okB:
+		return Target{}, fmt.Errorf("want a %s as A-B", kind)
+	case a == b:
+		return Target{}, fmt.Errorf("the two ends of a %s are equal", kind)
+	}
+	return Target{Kind: k, A: a, B: b}, nil
 }
 
-func parsePair(val string) (a, b topology.RouterID, err error) {
-	as, bs, ok := strings.Cut(val, "-")
+// parseTimed splits TARGET@REST, where TARGET is KIND:IDS, and parses the
+// target.
+func parseTimed(val, form string) (Target, string, error) {
+	body, rest, ok := strings.Cut(val, "@")
 	if !ok {
-		return 0, 0, fmt.Errorf("want A-B router pair")
+		return Target{}, "", fmt.Errorf("want %s", form)
 	}
-	a, okA := parseRouter(as)
-	b, okB := parseRouter(bs)
-	if !okA || !okB {
-		return 0, 0, fmt.Errorf("want A-B router pair")
-	}
-	if a == b {
-		return 0, 0, fmt.Errorf("endpoints are equal")
-	}
-	return a, b, nil
-}
-
-func parseGroupPair(val string) (g1, g2 int, err error) {
-	as, bs, ok := strings.Cut(val, "-")
+	kind, ids, ok := strings.Cut(body, ":")
 	if !ok {
-		return 0, 0, fmt.Errorf("want G1-G2 group pair")
+		return Target{}, "", fmt.Errorf("want KIND:ID or KIND:A-B before @")
 	}
-	g1, err1 := strconv.Atoi(as)
-	g2, err2 := strconv.Atoi(bs)
-	if err1 != nil || err2 != nil || g1 < 0 || g2 < 0 {
-		return 0, 0, fmt.Errorf("want G1-G2 group pair")
-	}
-	if g1 == g2 {
-		return 0, 0, fmt.Errorf("groups are equal")
-	}
-	return g1, g2, nil
+	t, err := parseTarget(kind, ids)
+	return t, rest, err
 }
 
+// parseEvent decodes TARGET@TIME.
 func parseEvent(val string, repair bool) (Event, error) {
-	body, at, ok := strings.Cut(val, "@")
-	if !ok {
-		return Event{}, fmt.Errorf("want TARGET@TIME (e.g. link:3-40@200us)")
+	t, at, err := parseTimed(val, "TARGET@TIME (e.g. link:3-40@200us)")
+	if err != nil {
+		return Event{}, err
 	}
 	d, err := time.ParseDuration(at)
 	if err != nil || d < 0 {
 		return Event{}, fmt.Errorf("bad time %q: want a Go duration", at)
 	}
-	ev := Event{At: des.Time(d.Nanoseconds()), Repair: repair}
-	kind, target, ok := strings.Cut(body, ":")
-	if !ok {
-		return Event{}, fmt.Errorf("want link:A-B, router:ID, group:G, or bundle:G1-G2 before @")
-	}
-	switch kind {
-	case "router":
-		r, ok := parseRouter(target)
-		if !ok {
-			return Event{}, fmt.Errorf("bad router ID %q", target)
-		}
-		ev.IsRouter = true
-		ev.Router = r
-	case "link":
-		a, b, err := parsePair(target)
-		if err != nil {
-			return Event{}, fmt.Errorf("bad link %q: %v", target, err)
-		}
-		ev.A, ev.B = a, b
-	case "group":
-		g, err := strconv.Atoi(target)
-		if err != nil || g < 0 {
-			return Event{}, fmt.Errorf("bad group ID %q", target)
-		}
-		ev.IsGroup = true
-		ev.Group = g
-	case "bundle":
-		g1, g2, err := parseGroupPair(target)
-		if err != nil {
-			return Event{}, fmt.Errorf("bad bundle %q: %v", target, err)
-		}
-		ev.IsBundle = true
-		ev.G1, ev.G2 = g1, g2
-	default:
-		return Event{}, fmt.Errorf("unknown target kind %q (want link, router, group, or bundle)", kind)
-	}
-	return ev, nil
+	return Event{At: des.Time(d.Nanoseconds()), Repair: repair, Target: t}, nil
 }
 
-// parseFlap decodes TARGET@MTBF:MTTR, where TARGET is link:A-B or
-// router:ID and both durations are positive.
+// parseFlap decodes TARGET@MTBF:MTTR, where TARGET is a router or a link
+// and both durations are positive.
 func parseFlap(val string) (Flap, error) {
-	body, times, ok := strings.Cut(val, "@")
-	if !ok {
-		return Flap{}, fmt.Errorf("want TARGET@MTBF:MTTR (e.g. link:3-40@500us:50us)")
+	t, times, err := parseTimed(val, "TARGET@MTBF:MTTR (e.g. link:3-40@500us:50us)")
+	if err != nil {
+		return Flap{}, err
+	}
+	if t.Kind != Router && t.Kind != Link {
+		return Flap{}, fmt.Errorf("a flap takes a router or a link, not a %v", t.Kind)
 	}
 	ms, rs, ok := strings.Cut(times, ":")
 	if !ok {
@@ -400,27 +363,5 @@ func parseFlap(val string) (Flap, error) {
 	if err1 != nil || err2 != nil || mtbf <= 0 || mttr <= 0 {
 		return Flap{}, fmt.Errorf("want positive Go durations MTBF:MTTR, got %q:%q", ms, rs)
 	}
-	fl := Flap{MTBF: des.Time(mtbf.Nanoseconds()), MTTR: des.Time(mttr.Nanoseconds())}
-	kind, target, ok := strings.Cut(body, ":")
-	if !ok {
-		return Flap{}, fmt.Errorf("want link:A-B or router:ID before @")
-	}
-	switch kind {
-	case "router":
-		r, ok := parseRouter(target)
-		if !ok {
-			return Flap{}, fmt.Errorf("bad router ID %q", target)
-		}
-		fl.IsRouter = true
-		fl.Router = r
-	case "link":
-		a, b, err := parsePair(target)
-		if err != nil {
-			return Flap{}, fmt.Errorf("bad link %q: %v", target, err)
-		}
-		fl.A, fl.B = a, b
-	default:
-		return Flap{}, fmt.Errorf("unknown target kind %q (want link or router)", kind)
-	}
-	return fl, nil
+	return Flap{Target: t, MTBF: des.Time(mtbf.Nanoseconds()), MTTR: des.Time(mttr.Nanoseconds())}, nil
 }

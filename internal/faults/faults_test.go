@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,11 +23,9 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if spec.GlobalFrac != 0.125 || spec.LocalFrac != 0.05 || spec.Routers != 2 || spec.Seed != 9 {
 		t.Fatalf("parsed %+v", spec)
 	}
-	if len(spec.FailRouters) != 1 || spec.FailRouters[0] != 7 {
-		t.Fatalf("routers %v", spec.FailRouters)
-	}
-	if len(spec.FailLinks) != 1 || spec.FailLinks[0] != [2]topology.RouterID{1, 5} {
-		t.Fatalf("links %v", spec.FailLinks)
+	want := []faults.Target{{Kind: faults.Router, A: 7}, {Kind: faults.Link, A: 1, B: 5}}
+	if !slices.Equal(spec.Fail, want) {
+		t.Fatalf("static failures %v, want %v", spec.Fail, want)
 	}
 	if len(spec.Events) != 2 || spec.Events[0].Repair || !spec.Events[1].Repair {
 		t.Fatalf("events %v", spec.Events)
@@ -142,9 +141,10 @@ func TestRouterFailureFoldsIntoLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topology.RouterID(3)
-	s.FailRouter(r)
+	router := faults.Target{Kind: faults.Router, A: int(r)}
+	s.Apply(faults.Event{Target: router})
 	if s.RouterUp(r) {
-		t.Fatal("FailRouter did not mark router down")
+		t.Fatal("failing the router did not mark it down")
 	}
 	for _, nb := range ic.LocalNeighbors(r) {
 		if s.LocalLinkUp(r, nb) || s.LocalLinkUp(nb, r) {
@@ -159,9 +159,9 @@ func TestRouterFailureFoldsIntoLinks(t *testing.T) {
 			t.Fatalf("global link into dead router %d still up (far end view)", r)
 		}
 	}
-	s.RepairRouter(r)
+	s.Apply(faults.Event{Target: router, Repair: true})
 	if !s.RouterUp(r) || !s.LocalLinkUp(r, ic.LocalNeighbors(r)[0]) {
-		t.Fatal("RepairRouter did not restore links")
+		t.Fatal("repairing the router did not restore its links")
 	}
 	if !s.Empty() {
 		t.Fatalf("repaired set not empty: %s", s.Describe())
@@ -174,26 +174,29 @@ func TestFailLinkPairForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	link := func(a, b topology.RouterID, repair bool) faults.Event {
+		return faults.Event{Target: faults.Target{Kind: faults.Link, A: int(a), B: int(b)}, Repair: repair}
+	}
 	// A local pair.
 	a := topology.RouterID(0)
 	b := ic.LocalNeighbors(a)[0]
-	s.FailLink(a, b)
+	s.Apply(link(a, b, false))
 	if s.LocalLinkUp(a, b) {
-		t.Fatal("local link still up after FailLink")
+		t.Fatal("local link still up after its failure")
 	}
-	s.RepairLink(a, b)
+	s.Apply(link(a, b, true))
 	if !s.LocalLinkUp(a, b) {
-		t.Fatal("local link still down after RepairLink")
+		t.Fatal("local link still down after its repair")
 	}
 	// A global pair downs every parallel cable between the two routers.
 	cn := ic.GlobalConns()[0]
-	s.FailLink(cn.A, cn.B)
+	s.Apply(link(cn.A, cn.B, false))
 	if s.GlobalLinkUp(cn.A, cn.APort) || s.GlobalLinkUp(cn.B, cn.BPort) {
-		t.Fatal("global cable still up after FailLink")
+		t.Fatal("global cable still up after its failure")
 	}
-	s.RepairLink(cn.A, cn.B)
+	s.Apply(link(cn.A, cn.B, true))
 	if !s.GlobalLinkUp(cn.A, cn.APort) {
-		t.Fatal("global cable still down after RepairLink")
+		t.Fatal("global cable still down after its repair")
 	}
 }
 
@@ -203,14 +206,22 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{GlobalFrac: 2},
 		{LocalFrac: -0.5},
 		{Routers: ic.NumRouters() + 1},
-		{FailRouters: []topology.RouterID{topology.RouterID(ic.NumRouters())}},
-		{FailLinks: [][2]topology.RouterID{{0, topology.RouterID(ic.NumRouters() + 5)}}},
-		// Routers 0 and the last router share neither a row/col nor a cable
-		// on the mini machine's group 0 — adjust if the preset changes.
-		{Events: []faults.Event{{IsRouter: true, Router: topology.RouterID(ic.NumRouters())}}},
+		{Fail: []faults.Target{{Kind: faults.Router, A: ic.NumRouters()}}},
+		{Fail: []faults.Target{{Kind: faults.Link, A: 0, B: ic.NumRouters() + 5}}},
+		{Events: []faults.Event{{Target: faults.Target{Kind: faults.Router, A: ic.NumRouters()}}}},
+		// A target of unknown kind, static, scheduled or flapping.
+		{Fail: []faults.Target{{A: 1}}},
+		{Fail: []faults.Target{{Kind: faults.Bundle + 1, A: 0, B: 1}}},
+		{Events: []faults.Event{{At: 1000, Target: faults.Target{A: 1}}}},
+		{Flaps: []faults.Flap{{Target: faults.Target{A: 1}, MTBF: 1000, MTTR: 1000}}},
 	} {
 		if _, err := faults.Resolve(spec, ic); err == nil {
 			t.Errorf("Resolve(%+v): want error, got nil", spec)
+		}
+		// The rendering keys farm results, so it must show every bad
+		// field rather than alias the spec to one that resolves.
+		if spec.String() == "" {
+			t.Errorf("%+v renders as the empty spec", spec)
 		}
 	}
 }
@@ -224,7 +235,7 @@ func TestResolveRejectsUnwiredPair(t *testing.T) {
 			if ic.LocalConnected(ra, rb) || ic.GlobalConnected(ra, rb) {
 				continue
 			}
-			spec := &faults.Spec{FailLinks: [][2]topology.RouterID{{ra, rb}}}
+			spec := &faults.Spec{Fail: []faults.Target{{Kind: faults.Link, A: a, B: b}}}
 			if _, err := faults.Resolve(spec, ic); err == nil ||
 				!strings.Contains(err.Error(), "not wired") {
 				t.Fatalf("Resolve unwired pair %d-%d: err=%v", a, b, err)

@@ -23,6 +23,13 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("link=5-5")
 	f.Add("fail=link:3-40")
 	f.Add(",,,")
+	// Every kind as static clause, event and flap, in an order String
+	// regroups; flaps take routers and links only.
+	f.Add("bundle=0-2,router=7,group=1,link=3-40,router=2,group=0")
+	f.Add("fail=router:3@1us,fail=link:3-40@2us,fail=group:1@3us,fail=bundle:0-2@4us,repair=bundle:0-2@5us,repair=group:1@6us")
+	f.Add("flap=router:3@100us:50us,flap=link:3-40@200us:20us,until=1ms,seed=2")
+	f.Add("flap=group:1@100us:50us")
+	f.Add("flap=bundle:0-2@100us:50us")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := faults.ParseSpec(text)
 		if err != nil {
@@ -100,8 +107,7 @@ func FuzzFaultSequence(f *testing.F) {
 			}
 		}
 		staticsOrEvents := spec.GlobalFrac != 0 || spec.LocalFrac != 0 || spec.Routers != 0 ||
-			len(spec.FailRouters) != 0 || len(spec.FailLinks) != 0 ||
-			len(spec.FailGroups) != 0 || len(spec.FailBundles) != 0 || len(spec.Events) != 0
+			len(spec.Fail) != 0 || len(spec.Events) != 0
 		if !staticsOrEvents && len(spec.Flaps) > 0 {
 			if len(a.DownRouters()) != 0 || a.DownGlobalConns() != 0 || a.DownLocalLinks() != 0 {
 				t.Fatalf("flap-only spec %q ended unhealthy: %s", text, a.Describe())

@@ -12,9 +12,9 @@ import (
 
 // Set is a resolved fault set over one machine: the concrete routers and
 // links currently down, plus the pending dynamic event timeline. It
-// implements topology.Health. Mutation (Apply, FailRouter, ...) is only
-// legal between the health-rebuild points the core layer drives — the
-// routing tables and fabric re-read the view after every change.
+// implements topology.Health. Apply, its one mutator, is only legal
+// between the health-rebuild points the core layer drives — the routing
+// tables and fabric re-read the view after every change.
 type Set struct {
 	topo topology.Interconnect
 
@@ -26,9 +26,9 @@ type Set struct {
 
 	// globalPeer resolves (router, port) -> far end, for the router-alive
 	// half of GlobalLinkUp; pairConns resolves a router pair -> its
-	// parallel global cables, for the link=A-B form; bundleConns resolves
-	// a group pair -> every cable between the two groups, for the
-	// bundle=G1-G2 correlated-domain form.
+	// parallel global cables, for Link targets; bundleConns resolves a
+	// group pair -> every cable between the two groups, for Bundle
+	// targets.
 	globalPeer  map[uint64]topology.RouterID
 	pairConns   map[uint64][]topology.GlobalConn
 	bundleConns map[uint64][]topology.GlobalConn
@@ -100,7 +100,7 @@ func Resolve(spec *Spec, topo topology.Interconnect) (*Set, error) {
 	if k := int(math.Round(spec.GlobalFrac * float64(len(conns)))); k > 0 {
 		perm := rng.Stream("global").Perm(len(conns))
 		for _, i := range perm[:k] {
-			s.failConn(conns[i])
+			s.markConn(conns[i], true)
 		}
 	}
 	if k := int(math.Round(spec.LocalFrac * float64(len(localPairs)))); k > 0 {
@@ -112,52 +112,19 @@ func Resolve(spec *Spec, topo topology.Interconnect) (*Set, error) {
 	if spec.Routers > 0 {
 		perm := rng.Stream("router").Perm(topo.NumRouters())
 		for _, r := range perm[:spec.Routers] {
-			s.FailRouter(topology.RouterID(r))
+			s.markRouter(topology.RouterID(r), true)
 		}
 	}
 
-	for _, r := range spec.FailRouters {
-		if int(r) < 0 || int(r) >= topo.NumRouters() {
-			return nil, fmt.Errorf("faults: router %d outside [0, %d)", r, topo.NumRouters())
+	for _, t := range spec.Fail {
+		if err := s.check(t); err != nil {
+			return nil, fmt.Errorf("faults: %v", err)
 		}
-		s.FailRouter(r)
-	}
-	for _, l := range spec.FailLinks {
-		if err := s.checkPair(l[0], l[1]); err != nil {
-			return nil, err
-		}
-		s.FailLink(l[0], l[1])
-	}
-	for _, g := range spec.FailGroups {
-		if err := s.checkGroup(g); err != nil {
-			return nil, err
-		}
-		s.FailGroup(g)
-	}
-	for _, b := range spec.FailBundles {
-		if err := s.checkBundle(b[0], b[1]); err != nil {
-			return nil, err
-		}
-		s.FailBundle(b[0], b[1])
+		s.mark(t, true)
 	}
 	for _, ev := range spec.Events {
-		switch {
-		case ev.IsRouter:
-			if int(ev.Router) < 0 || int(ev.Router) >= topo.NumRouters() {
-				return nil, fmt.Errorf("faults: event %v: router outside [0, %d)", ev, topo.NumRouters())
-			}
-		case ev.IsGroup:
-			if err := s.checkGroup(ev.Group); err != nil {
-				return nil, fmt.Errorf("faults: event %v: %v", ev, err)
-			}
-		case ev.IsBundle:
-			if err := s.checkBundle(ev.G1, ev.G2); err != nil {
-				return nil, fmt.Errorf("faults: event %v: %v", ev, err)
-			}
-		default:
-			if err := s.checkPair(ev.A, ev.B); err != nil {
-				return nil, fmt.Errorf("faults: event %v: %v", ev, err)
-			}
+		if err := s.check(ev.Target); err != nil {
+			return nil, fmt.Errorf("faults: event %v: %v", ev, err)
 		}
 	}
 	s.events = append(s.events, spec.Events...)
@@ -184,11 +151,10 @@ func (s *Set) expandFlaps(spec *Spec) error {
 		if fl.MTBF <= 0 || fl.MTTR <= 0 {
 			return fmt.Errorf("faults: %v: MTBF and MTTR must be positive", fl)
 		}
-		if fl.IsRouter {
-			if int(fl.Router) < 0 || int(fl.Router) >= s.topo.NumRouters() {
-				return fmt.Errorf("faults: %v: router outside [0, %d)", fl, s.topo.NumRouters())
-			}
-		} else if err := s.checkPair(fl.A, fl.B); err != nil {
+		if k := fl.Target.Kind; k != Router && k != Link {
+			return fmt.Errorf("faults: %v: a flap takes a router or a link", fl)
+		}
+		if err := s.check(fl.Target); err != nil {
 			return fmt.Errorf("faults: %v: %v", fl, err)
 		}
 		stream := des.NewRNG(spec.Seed, fmt.Sprintf("flap-%d", i))
@@ -199,12 +165,12 @@ func (s *Set) expandFlaps(spec *Spec) error {
 			if t >= horizon {
 				break
 			}
-			s.events = append(s.events, flapEvent(fl, t, false))
+			s.events = append(s.events, Event{At: t, Target: fl.Target})
 			down := expDraw(stream, fl.MTTR)
 			t += down
 			// The repair is emitted even past the horizon: flapped
 			// equipment always ends a run healthy.
-			s.events = append(s.events, flapEvent(fl, t, true))
+			s.events = append(s.events, Event{At: t, Repair: true, Target: fl.Target})
 		}
 	}
 	return nil
@@ -218,13 +184,6 @@ func expDraw(rng *des.RNG, mean des.Time) des.Time {
 		d = 1
 	}
 	return d
-}
-
-func flapEvent(fl Flap, at des.Time, repair bool) Event {
-	return Event{
-		At: at, Repair: repair,
-		IsRouter: fl.IsRouter, Router: fl.Router, A: fl.A, B: fl.B,
-	}
 }
 
 // localPairs enumerates every local link once, as pairKeys in deterministic
@@ -242,48 +201,94 @@ func (s *Set) localPairs() []uint64 {
 	return pairs
 }
 
-func (s *Set) checkPair(a, b topology.RouterID) error {
-	n := topology.RouterID(s.topo.NumRouters())
-	if a < 0 || b < 0 || a >= n || b >= n {
-		return fmt.Errorf("faults: link %d-%d: router outside [0, %d)", a, b, n)
+// check validates t against the machine: its IDs name equipment that
+// exists, and a pair's two ends are distinct and wired to each other (a
+// link's routers by a local link or a cable, a bundle's groups by at least
+// one cable).
+func (s *Set) check(t Target) error {
+	var n int
+	switch t.Kind {
+	case Router, Link:
+		n = s.topo.NumRouters()
+	case Group, Bundle:
+		n = s.topo.NumGroups()
+	default:
+		return fmt.Errorf("%v: unknown target kind", t)
 	}
-	if !s.topo.LocalConnected(a, b) && len(s.pairConns[pairKey(a, b)]) == 0 {
-		return fmt.Errorf("faults: link %d-%d: routers are not wired to each other", a, b)
+	if t.A < 0 || t.A >= n || t.Kind.pair() && (t.B < 0 || t.B >= n) {
+		return fmt.Errorf("%v: ID outside [0, %d)", t, n)
+	}
+	if !t.Kind.pair() {
+		return nil
+	}
+	if t.A == t.B {
+		return fmt.Errorf("%v: the two IDs are equal", t)
+	}
+	var wired bool
+	if t.Kind == Link {
+		a, b := topology.RouterID(t.A), topology.RouterID(t.B)
+		wired = s.topo.LocalConnected(a, b) || len(s.pairConns[pairKey(a, b)]) > 0
+	} else {
+		wired = len(s.bundleConns[groupKey(t.A, t.B)]) > 0
+	}
+	if !wired {
+		return fmt.Errorf("%v: not wired to each other", t)
 	}
 	return nil
 }
 
-func (s *Set) checkGroup(g int) error {
-	if g < 0 || g >= s.topo.NumGroups() {
-		return fmt.Errorf("faults: group %d outside [0, %d)", g, s.topo.NumGroups())
+// mark takes t's equipment down, or brings it back up. Router state is
+// binary, so repairing a group also brings back a router of it that failed
+// on its own; a link or cable keeps its own state, so it stays down when a
+// router at its end is repaired.
+func (s *Set) mark(t Target, down bool) {
+	switch t.Kind {
+	case Router:
+		s.markRouter(topology.RouterID(t.A), down)
+	case Link:
+		a, b := topology.RouterID(t.A), topology.RouterID(t.B)
+		if s.topo.LocalConnected(a, b) {
+			setDown(s.localDown, pairKey(a, b), down)
+		}
+		for _, c := range s.pairConns[pairKey(a, b)] {
+			s.markConn(c, down)
+		}
+	case Group:
+		for r := 0; r < s.topo.NumRouters(); r++ {
+			if s.topo.GroupOfRouter(topology.RouterID(r)) == t.A {
+				s.markRouter(topology.RouterID(r), down)
+			}
+		}
+	case Bundle:
+		for _, c := range s.bundleConns[groupKey(t.A, t.B)] {
+			s.markConn(c, down)
+		}
 	}
-	return nil
 }
 
-func (s *Set) checkBundle(g1, g2 int) error {
-	if err := s.checkGroup(g1); err != nil {
-		return err
+func (s *Set) markRouter(r topology.RouterID, down bool) {
+	if s.routerDown[r] != down {
+		s.routerDown[r] = down
+		if down {
+			s.nRouters++
+		} else {
+			s.nRouters--
+		}
 	}
-	if err := s.checkGroup(g2); err != nil {
-		return err
-	}
-	if g1 == g2 {
-		return fmt.Errorf("faults: bundle %d-%d: groups are equal", g1, g2)
-	}
-	if len(s.bundleConns[groupKey(g1, g2)]) == 0 {
-		return fmt.Errorf("faults: bundle %d-%d: groups have no direct cables", g1, g2)
-	}
-	return nil
 }
 
-func (s *Set) failConn(c topology.GlobalConn) {
-	s.globalDown[portKey(c.A, c.APort)] = true
-	s.globalDown[portKey(c.B, c.BPort)] = true
+// markConn sets both endpoints of one global cable.
+func (s *Set) markConn(c topology.GlobalConn, down bool) {
+	setDown(s.globalDown, portKey(c.A, c.APort), down)
+	setDown(s.globalDown, portKey(c.B, c.BPort), down)
 }
 
-func (s *Set) repairConn(c topology.GlobalConn) {
-	delete(s.globalDown, portKey(c.A, c.APort))
-	delete(s.globalDown, portKey(c.B, c.BPort))
+func setDown(m map[uint64]bool, k uint64, down bool) {
+	if down {
+		m[k] = true
+	} else {
+		delete(m, k)
+	}
 }
 
 // RouterUp implements topology.Health.
@@ -311,100 +316,9 @@ func (s *Set) GlobalLinkUp(r topology.RouterID, port int) bool {
 	return !s.globalDown[portKey(r, port)]
 }
 
-// FailRouter marks r down; all incident links go down with it (the Health
-// lookups fold the router state in).
-func (s *Set) FailRouter(r topology.RouterID) {
-	if !s.routerDown[r] {
-		s.routerDown[r] = true
-		s.nRouters++
-	}
-}
-
-// RepairRouter brings r back up. Links that were failed independently stay
-// down.
-func (s *Set) RepairRouter(r topology.RouterID) {
-	if s.routerDown[r] {
-		s.routerDown[r] = false
-		s.nRouters--
-	}
-}
-
-// FailLink downs the wired link(s) between a and b: the local link if the
-// pair is locally connected, plus every parallel global cable between them.
-func (s *Set) FailLink(a, b topology.RouterID) {
-	if s.topo.LocalConnected(a, b) {
-		s.localDown[pairKey(a, b)] = true
-	}
-	for _, c := range s.pairConns[pairKey(a, b)] {
-		s.failConn(c)
-	}
-}
-
-// RepairLink brings the link(s) between a and b back up.
-func (s *Set) RepairLink(a, b topology.RouterID) {
-	delete(s.localDown, pairKey(a, b))
-	for _, c := range s.pairConns[pairKey(a, b)] {
-		s.repairConn(c)
-	}
-}
-
-// FailGroup downs every router of group g: a correlated whole-group outage.
-func (s *Set) FailGroup(g int) {
-	for r := 0; r < s.topo.NumRouters(); r++ {
-		if s.topo.GroupOfRouter(topology.RouterID(r)) == g {
-			s.FailRouter(topology.RouterID(r))
-		}
-	}
-}
-
-// RepairGroup brings every router of group g back up. Routers or links of
-// the group failed independently stay down only if their own fault is a
-// link fault; router state is binary, so an overlapping router=ID fault is
-// repaired with its group.
-func (s *Set) RepairGroup(g int) {
-	for r := 0; r < s.topo.NumRouters(); r++ {
-		if s.topo.GroupOfRouter(topology.RouterID(r)) == g {
-			s.RepairRouter(topology.RouterID(r))
-		}
-	}
-}
-
-// FailBundle downs every global cable between groups g1 and g2: a cut
-// cable bundle.
-func (s *Set) FailBundle(g1, g2 int) {
-	for _, c := range s.bundleConns[groupKey(g1, g2)] {
-		s.failConn(c)
-	}
-}
-
-// RepairBundle brings every cable between groups g1 and g2 back up.
-func (s *Set) RepairBundle(g1, g2 int) {
-	for _, c := range s.bundleConns[groupKey(g1, g2)] {
-		s.repairConn(c)
-	}
-}
-
-// Apply executes one dynamic event against the set.
-func (s *Set) Apply(ev Event) {
-	switch {
-	case ev.IsRouter && ev.Repair:
-		s.RepairRouter(ev.Router)
-	case ev.IsRouter:
-		s.FailRouter(ev.Router)
-	case ev.IsGroup && ev.Repair:
-		s.RepairGroup(ev.Group)
-	case ev.IsGroup:
-		s.FailGroup(ev.Group)
-	case ev.IsBundle && ev.Repair:
-		s.RepairBundle(ev.G1, ev.G2)
-	case ev.IsBundle:
-		s.FailBundle(ev.G1, ev.G2)
-	case ev.Repair:
-		s.RepairLink(ev.A, ev.B)
-	default:
-		s.FailLink(ev.A, ev.B)
-	}
-}
+// Apply executes one dynamic event against the set: its target goes down,
+// or with Repair comes back up.
+func (s *Set) Apply(ev Event) { s.mark(ev.Target, !ev.Repair) }
 
 // Events returns the dynamic timeline, sorted by time. The slice is shared.
 func (s *Set) Events() []Event { return s.events }

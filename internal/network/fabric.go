@@ -378,7 +378,7 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 	f.fb = f.chooser.Feedback()
 
 	// Link IDs, and so every downstream enumeration (LinkStats,
-	// RefreshHealth), follow creation order: terminal links, both
+	// refreshHealth), follow creation order: terminal links, both
 	// directions, node by node; then locals per router in LocalNeighbors
 	// order; then globals in GlobalConns order. The count comes first, so
 	// the links never move once pointers into them exist.
@@ -401,7 +401,7 @@ func New(eng *des.Engine, topo topology.Interconnect, p Params, mech routing.Mec
 	}
 	f.buildLocalLinks(p)
 	f.buildGlobalLinks(p, conns, 2*nodes+nLocal)
-	f.RefreshHealth()
+	f.refreshHealth()
 	return f, nil
 }
 
@@ -532,13 +532,11 @@ func (f *Fabric) buildGlobalLinks(p Params, conns []topology.GlobalConn, first i
 	}
 }
 
-// RefreshHealth re-reads Params.Route.Health and brings every channel's
+// refreshHealth re-reads Params.Route.Health and brings every channel's
 // down state in line with it: newly failed links drain their queued
-// requests as drops, repaired links wake their transmitters. The core layer
-// calls it after applying each dynamic fault event (after rebuilding the
-// routing tables); with no health view installed it is a no-op, so healthy
-// runs are untouched.
-func (f *Fabric) RefreshHealth() {
+// requests as drops, repaired links wake their transmitters. With no health
+// view installed it is a no-op, so healthy runs are untouched.
+func (f *Fabric) refreshHealth() {
 	h := f.params.Route.Health
 	if h == nil {
 		return
@@ -567,12 +565,16 @@ func (f *Fabric) RefreshHealth() {
 }
 
 // ApplyHealthChange is the one call a dynamic fault event needs after
-// mutating the installed health view: routing tables rebuild first (new
-// traffic avoids the dead equipment), then the channels sync (queued traffic
-// on newly dead links drops, repaired links wake).
-func (f *Fabric) ApplyHealthChange() {
+// mutating the installed health view: it notes the transition (desc, the
+// fault layer's rendering of the event, at time at) for the watchdog
+// diagnostic, then rebuilds the routing tables (new traffic avoids the dead
+// equipment), then syncs the channels (queued traffic on newly dead links
+// drops, repaired links wake).
+func (f *Fabric) ApplyHealthChange(at des.Time, desc string) {
+	f.healthLog[f.healthN%healthLogSize] = healthLogEntry{at: at, desc: desc}
+	f.healthN++
 	f.chooser.RebuildHealth()
-	f.RefreshHealth()
+	f.refreshHealth()
 }
 
 // healthLogSize bounds the watchdog's health-transition history. Eight
@@ -582,13 +584,6 @@ const healthLogSize = 8
 type healthLogEntry struct {
 	at   des.Time
 	desc string
-}
-
-// RecordHealthEvent notes one dynamic health transition (the fault layer's
-// rendering of a fail/repair event) for the watchdog diagnostic.
-func (f *Fabric) RecordHealthEvent(at des.Time, desc string) {
-	f.healthLog[f.healthN%healthLogSize] = healthLogEntry{at: at, desc: desc}
-	f.healthN++
 }
 
 // failLink marks a channel dead and discards its queued transmission

@@ -157,17 +157,15 @@ func TestDynamicFailureDropsInFlight(t *testing.T) {
 		send(src, dst, 64<<10)
 	}
 
-	eng.At(20*des.Microsecond, func() {
+	cut := func(at des.Time, repair bool) {
 		for _, p := range g01 {
-			set.FailLink(p[0], p[1])
+			set.Apply(faults.Event{At: at, Repair: repair, Target: faults.Target{Kind: faults.Link, A: int(p[0]), B: int(p[1])}})
 		}
-		f.ApplyHealthChange()
-	})
+		f.ApplyHealthChange(at, "cables between groups 0 and 1")
+	}
+	eng.At(20*des.Microsecond, func() { cut(20*des.Microsecond, false) })
 	eng.At(400*des.Microsecond, func() {
-		for _, p := range g01 {
-			set.RepairLink(p[0], p[1])
-		}
-		f.ApplyHealthChange()
+		cut(400*des.Microsecond, true)
 		// Post-repair traffic must deliver without drops.
 		pre, _ := f.DropStats()
 		src := nodeOnRouter(t, topo, g01[0][0])
@@ -217,7 +215,7 @@ func TestDynamicFailureDropsInFlight(t *testing.T) {
 // typed route error.
 func TestUnreachableDropAccounting(t *testing.T) {
 	topo := topotest.Mini(t)
-	set, err := faults.Resolve(&faults.Spec{FailRouters: []topology.RouterID{7}}, topo)
+	set, err := faults.Resolve(&faults.Spec{Fail: []faults.Target{{Kind: faults.Router, A: 7}}}, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +305,10 @@ func TestWatchdogDiagnosticCarriesHealthHistory(t *testing.T) {
 		t.Fatalf("healthy fabric reports health history: %q", diag)
 	}
 	const total = healthLogSize + 4
+	link := faults.Target{Kind: faults.Link, A: 0, B: 1}
 	for i := 0; i < total; i++ {
-		ev := faults.Event{At: des.Time(i * 1000), A: 0, B: 1, Repair: i%2 == 1}
-		f.RecordHealthEvent(ev.At, ev.String())
+		ev := faults.Event{At: des.Time(i * 1000), Target: link, Repair: i%2 == 1}
+		f.ApplyHealthChange(ev.At, ev.String())
 	}
 	diag := f.WatchdogDiagnostic()
 	if !strings.Contains(diag, fmt.Sprintf("%d health transitions", total)) {
@@ -318,7 +317,7 @@ func TestWatchdogDiagnosticCarriesHealthHistory(t *testing.T) {
 	if strings.Contains(diag, "fail=link:0-1@0s") {
 		t.Fatalf("diagnostic kept an entry older than the ring: %q", diag)
 	}
-	last := faults.Event{At: des.Time((total - 1) * 1000), A: 0, B: 1, Repair: (total-1)%2 == 1}
+	last := faults.Event{At: des.Time((total - 1) * 1000), Target: link, Repair: (total-1)%2 == 1}
 	if !strings.Contains(diag, last.String()) {
 		t.Fatalf("diagnostic missing the newest transition %q: %q", last.String(), diag)
 	}

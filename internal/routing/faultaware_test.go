@@ -101,7 +101,7 @@ func TestFaultTransitFallback(t *testing.T) {
 	for _, cn := range ic.GlobalConns() {
 		ga, gb := ic.GroupOfRouter(cn.A), ic.GroupOfRouter(cn.B)
 		if (ga == 0 && gb == 1) || (ga == 1 && gb == 0) {
-			set.FailLink(cn.A, cn.B)
+			set.Apply(faults.Event{Target: faults.Target{Kind: faults.Link, A: int(cn.A), B: int(cn.B)}})
 		}
 	}
 	ch := routing.NewChooserOpts(ic, routing.Minimal, des.NewRNG(1, "t").Stream("route"), nil,
@@ -144,7 +144,7 @@ func TestFaultUnreachableTyped(t *testing.T) {
 	}
 	for _, cn := range ic.GlobalConns() {
 		if ic.GroupOfRouter(cn.A) == 0 || ic.GroupOfRouter(cn.B) == 0 {
-			set.FailLink(cn.A, cn.B)
+			set.Apply(faults.Event{Target: faults.Target{Kind: faults.Link, A: int(cn.A), B: int(cn.B)}})
 		}
 	}
 	for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
@@ -183,12 +183,13 @@ func TestFaultUnreachableTyped(t *testing.T) {
 			ch.Release(p)
 		}
 		// A dead endpoint router is unreachable regardless of topology.
-		set.FailRouter(ic.RouterOfNode(second))
+		dead := faults.Target{Kind: faults.Router, A: int(ic.RouterOfNode(second))}
+		set.Apply(faults.Event{Target: dead})
 		ch.RebuildHealth()
 		if _, err := ch.TryRoute(inG0, second); !errors.Is(err, routing.ErrUnreachable) {
 			t.Fatalf("%v: dead endpoint router err = %v, want ErrUnreachable", mech, err)
 		}
-		set.RepairRouter(ic.RouterOfNode(second))
+		set.Apply(faults.Event{Target: dead, Repair: true})
 	}
 }
 

@@ -108,7 +108,7 @@ func TestPartitionedGroupUnreachable(t *testing.T) {
 		spec := &faults.Spec{}
 		for _, c := range ic.GlobalConns() {
 			if ic.GroupOfRouter(c.A) == 0 || ic.GroupOfRouter(c.B) == 0 {
-				spec.FailLinks = append(spec.FailLinks, [2]topology.RouterID{c.A, c.B})
+				spec.Fail = append(spec.Fail, faults.Target{Kind: faults.Link, A: int(c.A), B: int(c.B)})
 			}
 		}
 		set, err := faults.Resolve(spec, ic)
@@ -194,12 +194,12 @@ func TestDynamicRepairRestoresRoutes(t *testing.T) {
 		if _, err := ch.TryRoute(far, node); err != nil {
 			t.Fatalf("healthy route failed: %v", err)
 		}
-		set.FailRouter(victim)
+		set.Apply(faults.Event{Target: faults.Target{Kind: faults.Router, A: int(victim)}})
 		ch.RebuildHealth()
 		if _, err := ch.TryRoute(far, node); !errors.Is(err, routing.ErrUnreachable) {
 			t.Fatalf("route to a failed router did not fail typed: %v", err)
 		}
-		set.RepairRouter(victim)
+		set.Apply(faults.Event{Target: faults.Target{Kind: faults.Router, A: int(victim)}, Repair: true})
 		ch.RebuildHealth()
 		p, err := ch.TryRoute(far, node)
 		if err != nil {
