@@ -9,6 +9,7 @@
 //	dfvalidate -topo mini -pairs 100
 //	dfvalidate -bisect-bytes 1048576 -routing adp
 //	dfvalidate -topo mini -faults global=0.3,routers=2,seed=5
+//	dfvalidate -topo mini -faults fail=group:1@1us,flap=link:0-1@10us:5us
 package main
 
 import (
@@ -35,7 +36,7 @@ func main() {
 		route    = flag.String("routing", "min", "bisection routing: min, adp, or qadaptive")
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxError = flag.Float64("max-error", 0.001, "fail if ping relative error exceeds this")
-		faultStr = flag.String("faults", "", "additionally validate fault-aware routing on this degraded fabric (its static failures; scheduled events and flaps are not applied): comma clauses "+cliutil.FaultClauses)
+		faultStr = flag.String("faults", "", "additionally validate fault-aware routing on this degraded fabric, at its static failures and after each time its events and flaps change it: comma clauses "+cliutil.FaultClauses)
 		faultSd  = flag.Int64("fault-seed", 0, "override the fault spec's seed= clause (0 keeps the spec's own seed)")
 
 		scaleSmoke  = flag.Bool("scale-smoke", false, "instead of the validation study, shake out synthesized big machines (see -scale-shape)")
@@ -114,65 +115,128 @@ func main() {
 		bi.AchievedBandwidth/GiB, bi.InjectionBound/GiB, 100*bi.Utilization)
 
 	if !fspec.Empty() {
-		if err := validateFaults(m, fspec, *pairs, *seed); err != nil {
+		if _, err := validateFaults(m, fspec, *pairs, *seed); err != nil {
 			fatalf("%v", err)
 		}
 	}
 	fmt.Println("validation PASSED")
 }
 
-// validateFaults checks the fault-aware routing contract on the degraded
-// machine: over sampled node pairs and both mechanisms, every computed route
-// must pass the physical/VC validator and touch only live routers and local
-// links, and every failure must be the typed ErrUnreachable — never a panic
-// or an unexplained error.
-func validateFaults(m topology.Machine, spec *faults.Spec, pairs int, seed int64) error {
+// faultState is one state of a fault timeline that validateFaults routed
+// under: the time it begins (0 for the static failures alone), the routers
+// down in it, and how many sampled pairs the mechanism routed.
+type faultState struct {
+	At       des.Time
+	Mech     routing.Mechanism
+	Down     []topology.RouterID
+	Routable int
+}
+
+// validateFaults checks the fault-aware routing contract at every state of
+// the degraded machine's timeline: the static failures, then the state
+// after each distinct event time, its events applied in order. At each
+// state, over sampled node pairs and both mechanisms, every computed route
+// must pass the physical/VC validator and cross only live equipment
+// (deadHop), and every failure must be the typed ErrUnreachable — never a
+// panic or an unexplained error. Each mechanism walks a freshly resolved
+// set. It returns the states checked, by mechanism, in time order.
+func validateFaults(m topology.Machine, spec *faults.Spec, pairs int, seed int64) ([]faultState, error) {
 	ic, err := m.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	set, err := faults.Resolve(spec, ic)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("degraded fabric: %s\n", set.Describe())
+	var states []faultState
 	for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
+		set, err := faults.Resolve(spec, ic)
+		if err != nil {
+			return nil, err
+		}
+		if mech == routing.Minimal {
+			fmt.Printf("degraded fabric: %s\n", set.Describe())
+		}
 		rng := des.NewRNG(seed, "dfvalidate/faults")
 		ch := routing.NewChooserOpts(ic, mech, rng.Stream("route"), nil, routing.Options{Health: set})
-		reach, unreach := 0, 0
-		for i := 0; i < pairs; i++ {
-			src := topology.NodeID(rng.Intn(ic.NumNodes()))
-			dst := topology.NodeID(rng.Intn(ic.NumNodes()))
-			if src == dst {
-				dst = topology.NodeID((int(dst) + 1) % ic.NumNodes())
+		src, dst := make([]topology.NodeID, pairs), make([]topology.NodeID, pairs)
+		for i := range src {
+			src[i] = topology.NodeID(rng.Intn(ic.NumNodes()))
+			dst[i] = topology.NodeID(rng.Intn(ic.NumNodes()))
+			if src[i] == dst[i] {
+				dst[i] = topology.NodeID((int(dst[i]) + 1) % ic.NumNodes())
 			}
-			p, err := ch.TryRoute(src, dst)
-			if err != nil {
-				if !errors.Is(err, routing.ErrUnreachable) {
-					return fmt.Errorf("fault-aware %v route %d->%d: untyped failure: %v", mech, src, dst, err)
-				}
-				unreach++
-				continue
-			}
-			if err := routing.Validate(ic, ic.RouterOfNode(src), ic.RouterOfNode(dst), p); err != nil {
-				return fmt.Errorf("fault-aware %v route %d->%d invalid: %v", mech, src, dst, err)
-			}
-			for _, h := range p.Hops {
-				if !set.RouterUp(h.From) || !set.RouterUp(h.To) {
-					return fmt.Errorf("fault-aware %v route %d->%d traverses a failed router (%d->%d)",
-						mech, src, dst, h.From, h.To)
-				}
-				if h.Kind == routing.Local && !set.LocalLinkUp(h.From, h.To) {
-					return fmt.Errorf("fault-aware %v route %d->%d traverses failed local link %d-%d",
-						mech, src, dst, h.From, h.To)
-				}
-			}
-			reach++
 		}
-		fmt.Printf("  %v routing: %d/%d sampled pairs live-routable, %d unreachable, all routes valid\n",
-			mech, reach, pairs, unreach)
+		check := func(at des.Time) error {
+			st := faultState{At: at, Mech: mech, Down: set.DownRouters()}
+			for i := range src {
+				p, err := ch.TryRoute(src[i], dst[i])
+				if err != nil {
+					if !errors.Is(err, routing.ErrUnreachable) {
+						return fmt.Errorf("fault-aware %v route %d->%d at %v: untyped failure: %v", mech, src[i], dst[i], at, err)
+					}
+					continue
+				}
+				err = routing.Validate(ic, ic.RouterOfNode(src[i]), ic.RouterOfNode(dst[i]), p)
+				if err == nil {
+					err = deadHop(ic, set, p)
+				}
+				ch.Release(p)
+				if err != nil {
+					return fmt.Errorf("fault-aware %v route %d->%d at %v invalid: %v", mech, src[i], dst[i], at, err)
+				}
+				st.Routable++
+			}
+			states = append(states, st)
+			return nil
+		}
+		first := len(states)
+		err = check(0)
+		events := set.Events()
+		for i := 0; err == nil && i < len(events); {
+			at := events[i].At
+			for ; i < len(events) && events[i].At == at; i++ {
+				set.Apply(events[i])
+			}
+			ch.RebuildHealth()
+			err = check(at)
+		}
+		ch.Close()
+		if err != nil {
+			return nil, err
+		}
+		fewest, most := pairs, 0
+		for _, st := range states[first:] {
+			fewest, most = min(fewest, st.Routable), max(most, st.Routable)
+		}
+		fmt.Printf("  %v routing: fault states %d, sampled pairs live-routable %d-%d of %d, all routes valid\n",
+			mech, len(states)-first, fewest, most, pairs)
+	}
+	return states, nil
+}
+
+// deadHop reports the first hop of p that crosses failed equipment: a down
+// router, a down local link, or a global hop with no live channel between
+// its two routers.
+func deadHop(ic topology.Interconnect, set *faults.Set, p routing.Path) error {
+	for _, h := range p.Hops {
+		switch {
+		case !set.RouterUp(h.From) || !set.RouterUp(h.To):
+			return fmt.Errorf("traverses a failed router (%d->%d)", h.From, h.To)
+		case h.Kind == routing.Local && !set.LocalLinkUp(h.From, h.To):
+			return fmt.Errorf("traverses failed local link %d-%d", h.From, h.To)
+		case h.Kind == routing.Global && !globalChannelUp(ic, set, h.From, h.To):
+			return fmt.Errorf("traverses global hop %d->%d, which has no live channel", h.From, h.To)
+		}
 	}
 	return nil
+}
+
+// globalChannelUp reports whether some global channel from a to b is live.
+func globalChannelUp(ic topology.Interconnect, set *faults.Set, a, b topology.RouterID) bool {
+	for _, gw := range ic.Gateways(ic.GroupOfRouter(a), ic.GroupOfRouter(b)) {
+		if gw.Router == a && gw.Peer == b && set.GlobalLinkUp(a, gw.Port) {
+			return true
+		}
+	}
+	return false
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -8,6 +8,7 @@ import (
 	"dragonfly/internal/audit"
 	"dragonfly/internal/des"
 	"dragonfly/internal/network"
+	"dragonfly/internal/routing"
 	"dragonfly/internal/topology"
 )
 
@@ -27,7 +28,8 @@ import (
 // in-range values, bools of 0 or 1, lengths bounded by the bytes left, and
 // no trailing bytes. So every decodable payload re-encodes to itself, and
 // damaged input is an error, never a panic or an oversized allocation.
-// One field list (Record.code) drives both directions.
+// One field list (Record.code) drives both directions, and the links
+// column, most of a record's bytes, has its own (codeLinks).
 
 // encodeRecord returns rec's bin1 payload, in a buffer sized for typical
 // field widths so that it is usually allocated once.
@@ -43,8 +45,8 @@ func decodeRecord(payload []byte) (*Record, error) {
 	rec := new(Record)
 	c := codec{buf: payload, dec: true}
 	rec.code(&c)
-	if c.err == nil && len(c.buf) > 0 {
-		c.err = fmt.Errorf("%d trailing bytes", len(c.buf))
+	if c.err == nil && c.off < len(c.buf) {
+		c.err = fmt.Errorf("%d trailing bytes", len(c.buf)-c.off)
 	}
 	if c.err != nil {
 		return nil, c.err
@@ -58,7 +60,7 @@ func (rec *Record) code(c *codec) {
 	c.bool(&rec.Completed)
 	slice(c, &rec.CommTimes, 1, integer[des.Time])
 	slice(c, &rec.AvgHops, 8, (*codec).float)
-	slice(c, &rec.Links, 8, codeLink)
+	codeLinks(c, &rec.Links)
 	slice(c, &rec.AppRouters, 1, integer[topology.RouterID])
 	slice(c, &rec.AppNodes, 1, integer[topology.NodeID])
 	c.varint(&rec.BackgroundPeakLoad)
@@ -84,24 +86,76 @@ func (rec *Record) code(c *codec) {
 	slice(c, &rec.Audit.Violations, 1, (*codec).string)
 }
 
-// codeLink is LinkStat's field list; each field takes at least one byte.
-func codeLink(c *codec, l *network.LinkStat) {
-	unsigned(c, &l.Kind)
-	integer(c, &l.From)
-	integer(c, &l.To)
-	integer(c, &l.Node)
-	c.bool(&l.Eject)
-	c.varint(&l.Bytes)
-	c.varint(&l.Packets)
-	integer(c, &l.SatTime)
+// linkFields is the number of fields of one LinkStat in the links column,
+// each at least one byte.
+const linkFields = 8
+
+// codeLinks codes the links column, most of a record's bytes: its length
+// as slice codes it, then per link eight varints, Kind, From, To, Node,
+// Eject, Bytes, Packets and SatTime, unsigned for Kind and Eject (so a
+// bool's 0 or 1 byte) and zigzag for the rest. Its append loop and parse
+// loop are that layout's one definition. The parse loop reads one-byte
+// varints, most of the column, inline and passes longer ones to
+// uvarintAt; one test per link then checks each field's range, as integer
+// and bool do for the other fields.
+func codeLinks(c *codec, s *[]network.LinkStat) {
+	length(c, s, linkFields)
+	if !c.dec {
+		for i := range *s {
+			l := &(*s)[i]
+			eject := uint64(0)
+			if l.Eject {
+				eject = 1
+			}
+			c.buf = binary.AppendUvarint(c.buf, uint64(l.Kind))
+			c.buf = binary.AppendVarint(c.buf, int64(l.From))
+			c.buf = binary.AppendVarint(c.buf, int64(l.To))
+			c.buf = binary.AppendVarint(c.buf, int64(l.Node))
+			c.buf = binary.AppendUvarint(c.buf, eject)
+			c.buf = binary.AppendVarint(c.buf, l.Bytes)
+			c.buf = binary.AppendVarint(c.buf, l.Packets)
+			c.buf = binary.AppendVarint(c.buf, int64(l.SatTime))
+		}
+		return
+	}
+	links, buf, off := *s, c.buf, c.off
+	var f [linkFields]uint64
+	for i := range links {
+		for k := range f {
+			if off < len(buf) && buf[off] < 0x80 {
+				f[k], off = uint64(buf[off]), off+1
+			} else {
+				f[k], off = c.uvarintAt(off)
+			}
+		}
+		if c.err != nil {
+			return
+		}
+		// Kind fits uint8, Eject is 0 or 1, and From, To and Node fit
+		// int32, which their zigzag forms do exactly below 2^32.
+		if f[0]>>8|f[4]>>1|(f[1]|f[2]|f[3])>>32 != 0 {
+			c.fail("link %d: field out of range", i)
+			return
+		}
+		links[i] = network.LinkStat{
+			Kind: routing.LinkKind(f[0]), From: topology.RouterID(zigzag(f[1])),
+			To: topology.RouterID(zigzag(f[2])), Node: topology.NodeID(zigzag(f[3])), Eject: f[4] == 1,
+			Bytes: zigzag(f[5]), Packets: zigzag(f[6]), SatTime: des.Time(zigzag(f[7])),
+		}
+	}
+	c.off = off
 }
 
 // codec is one pass of the bin1 codec: it appends to buf when encoding and
-// consumes buf when decoding. Encoding only reads the fields it is handed,
-// so concurrent encodes of one record are safe. The first decode error
-// sticks and empties buf, so every later read fails fast.
+// reads buf from off when decoding. The codec lives on the heap, so a
+// decode that resliced buf would pay a write barrier per field while the
+// collector runs; advancing an integer pays none. Encoding only reads the
+// fields it is handed, so concurrent encodes of one record are safe. The
+// first decode error sticks and moves off to the end of buf, so every
+// later read fails fast.
 type codec struct {
 	buf []byte
+	off int
 	dec bool
 	err error
 }
@@ -110,21 +164,29 @@ func (c *codec) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
-	c.buf = nil
+	c.off = len(c.buf)
 }
+
+// uvarintAt decodes the minimal uvarint at off and returns it with the
+// offset past it.
+func (c *codec) uvarintAt(off int) (uint64, int) {
+	v, n := binary.Uvarint(c.buf[off:])
+	// A final zero byte after a continuation is a non-minimal encoding.
+	if n <= 0 || n > 1 && c.buf[off+n-1] == 0 {
+		c.fail("bad varint")
+		return 0, c.off
+	}
+	return v, off + n
+}
+
+func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func (c *codec) uvarint(p *uint64) {
 	if !c.dec {
 		c.buf = binary.AppendUvarint(c.buf, *p)
 		return
 	}
-	v, n := binary.Uvarint(c.buf)
-	// A final zero byte after a continuation is a non-minimal encoding.
-	if n <= 0 || n > 1 && c.buf[n-1] == 0 {
-		c.fail("bad varint")
-		return
-	}
-	*p, c.buf = v, c.buf[n:]
+	*p, c.off = c.uvarintAt(c.off)
 }
 
 func (c *codec) varint(p *int64) {
@@ -133,8 +195,8 @@ func (c *codec) varint(p *int64) {
 		return
 	}
 	var u uint64
-	c.uvarint(&u)
-	*p = int64(u>>1) ^ -int64(u&1)
+	u, c.off = c.uvarintAt(c.off)
+	*p = zigzag(u)
 }
 
 func (c *codec) bool(p *bool) {
@@ -146,11 +208,12 @@ func (c *codec) bool(p *bool) {
 		c.buf = append(c.buf, b)
 		return
 	}
-	if len(c.buf) == 0 || c.buf[0] > 1 {
+	if c.off == len(c.buf) || c.buf[c.off] > 1 {
 		c.fail("bad bool")
 		return
 	}
-	*p, c.buf = c.buf[0] == 1, c.buf[1:]
+	*p = c.buf[c.off] == 1
+	c.off++
 }
 
 func (c *codec) float(p *float64) {
@@ -158,11 +221,12 @@ func (c *codec) float(p *float64) {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*p))
 		return
 	}
-	if len(c.buf) < 8 {
+	if len(c.buf)-c.off < 8 {
 		c.fail("truncated float")
 		return
 	}
-	*p, c.buf = math.Float64frombits(binary.LittleEndian.Uint64(c.buf)), c.buf[8:]
+	*p = math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
+	c.off += 8
 }
 
 func (c *codec) string(p *string) {
@@ -172,11 +236,12 @@ func (c *codec) string(p *string) {
 		c.buf = append(c.buf, *p...)
 		return
 	}
-	if n > uint64(len(c.buf)) {
-		c.fail("string of %d bytes, %d left", n, len(c.buf))
+	if n > uint64(len(c.buf)-c.off) {
+		c.fail("string of %d bytes, %d left", n, len(c.buf)-c.off)
 		return
 	}
-	*p, c.buf = string(c.buf[:n]), c.buf[n:]
+	*p = string(c.buf[c.off : c.off+int(n)])
+	c.off += int(n)
 }
 
 // integer codes a signed integer field, rejecting decoded values that do
@@ -192,37 +257,29 @@ func integer[T ~int | ~int32 | ~int64](c *codec, p *T) {
 	}
 }
 
-// unsigned codes an unsigned integer field, rejecting decoded values that
-// do not fit its type.
-func unsigned[T ~uint8](c *codec, p *T) {
-	v := uint64(*p)
-	c.uvarint(&v)
-	if c.dec {
-		if uint64(T(v)) != v {
-			c.fail("%d overflows %T", v, *p)
-		}
-		*p = T(v)
-	}
-}
-
-// slice codes a slice field whose elements each encode to at least minSize
-// bytes, which bounds a decoded length by the bytes left.
-func slice[T any](c *codec, s *[]T, minSize int, elem func(*codec, *T)) {
+// length codes a slice's length as length+1, 0 meaning nil, so nil and
+// empty slices stay distinct. Decoding makes the slice, after checking that
+// its elements, each at least minSize bytes, fit in the bytes left.
+func length[T any](c *codec, s *[]T, minSize int) {
 	var n uint64
 	if *s != nil {
 		n = uint64(len(*s)) + 1
 	}
 	c.uvarint(&n)
-	if c.dec {
-		if n == 0 {
-			return
-		}
-		if n-1 > uint64(len(c.buf)/minSize) {
-			c.fail("%d elements in %d bytes", n-1, len(c.buf))
-			return
-		}
-		*s = make([]T, n-1)
+	if !c.dec || n == 0 {
+		return
 	}
+	if left := len(c.buf) - c.off; n-1 > uint64(left/minSize) {
+		c.fail("%d elements in %d bytes", n-1, left)
+		return
+	}
+	*s = make([]T, n-1)
+}
+
+// slice codes a slice field whose elements each encode to at least minSize
+// bytes.
+func slice[T any](c *codec, s *[]T, minSize int, elem func(*codec, *T)) {
+	length(c, s, minSize)
 	for i := range *s {
 		elem(c, &(*s)[i])
 	}

@@ -2,6 +2,8 @@ package farm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -9,17 +11,94 @@ import (
 	"testing"
 
 	"dragonfly/internal/audit"
+	"dragonfly/internal/core"
 	"dragonfly/internal/des"
 	"dragonfly/internal/network"
+	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/trace"
 )
+
+// quickMachine is the experiments' quick-scale machine, spelled out as
+// Runner.Machine builds it (this package cannot import experiments): 5
+// groups of 2x8 routers, 2 nodes and 4 global ports per router, 1,280
+// directed links.
+var quickMachine = topology.Config{
+	Groups: 5, Rows: 2, Cols: 8, NodesPerRouter: 2, GlobalPortsPerRouter: 4, ChassisPerCabinet: 2,
+}
+
+// quickRecord simulates one cell of the CR or FB miniapp at the
+// experiments' quick scale and returns its record.
+func quickRecord(tb testing.TB, app string, cell core.Cell, auditOn bool) *Record {
+	tb.Helper()
+	var tr *trace.Trace
+	var err error
+	switch app {
+	case "CR":
+		tr, err = trace.CR(trace.CRConfig{Ranks: 64, MessageBytes: 24 * trace.KB})
+	case "FB":
+		tr, err = trace.FB(trace.FBConfig{
+			X: 4, Y: 4, Z: 4, Iterations: 2,
+			MinBytes: 6 * trace.KB, MaxBytes: 160 * trace.KB,
+			FarPartners: 2, FarFraction: 0.1, Seed: 1,
+		})
+	default:
+		tb.Fatalf("no quick trace for %q", app)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := core.Run(core.Config{
+		Topology: quickMachine, Params: network.DefaultParams(),
+		Placement: cell.Placement, Routing: cell.Routing,
+		Trace: tr, Seed: 1, Audit: auditOn,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return RecordOf(res)
+}
+
+// TestRecordBytesPinned pins the bin1 payloads of three quick-scale cells
+// to the SHA-256 of their bytes: CR cont-min, FB rand-adp, and an audited
+// CR rand-adp whose payload carries the audit summary. Every banked store
+// holds these bytes, so a codec that writes anything else, even a record
+// it decodes back, orphans them; a round trip within one build cannot see
+// that, only a literal can.
+func TestRecordBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		app     string
+		cell    core.Cell
+		auditOn bool
+		want    string
+	}{
+		{"CR cont-min", "CR", core.Cell{Placement: placement.Contiguous, Routing: routing.Minimal}, false, "08b1111dd0c235951af60109ce0e052e59ba870ddc016c02a3dd95e1fec66635"},
+		{"FB rand-adp", "FB", core.Cell{Placement: placement.RandomNode, Routing: routing.Adaptive}, false, "0903c5c3721c4fafade6c4a2b5fa61a1f5ce9d02b5f3bad8ec7124ec923e5114"},
+		{"CR rand-adp audited", "CR", core.Cell{Placement: placement.RandomNode, Routing: routing.Adaptive}, true, "2ccb1df0043e6f7822a5b8a9fbe2aab2b3d496509ce6972f7dfc8a2019adb9ce"},
+	} {
+		rec := quickRecord(t, tc.app, tc.cell, tc.auditOn)
+		if len(rec.Links) != 1280 || (rec.Audit != nil) != tc.auditOn {
+			t.Fatalf("%s: %d links, audit %v: not the quick machine's cell", tc.name, len(rec.Links), rec.Audit != nil)
+		}
+		payload := encodeRecord(rec)
+		sum := sha256.Sum256(payload)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: payload (%d bytes) digest %s, want %s: the bin1 bytes drifted", tc.name, len(payload), got, tc.want)
+		}
+		got, err := decodeRecord(payload)
+		if err != nil || !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: payload does not decode to its record (decode error %v)", tc.name, err)
+		}
+	}
+}
 
 // TestRecordCodecCoversEveryField sets each scalar field reachable from
 // Record (through network.LinkStat, audit.Summary and audit.Stats) to a
 // non-zero value, one at a time, and requires the codec to carry it. JSON
 // picked up new fields by itself; the hand-written codec drops any field
-// Record.code or codeLink does not list, and a warm replay would then
+// Record.code or codeLinks does not list, and a warm replay would then
 // differ from the cold run.
 func TestRecordCodecCoversEveryField(t *testing.T) {
 	seen := map[string]bool{}
@@ -106,6 +185,19 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add(append(good[:len(good):len(good)], 0))
 	f.Add([]byte{good[0], good[1], 0x81, 0x80, 0x80, 0x80, 0x10})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// The links column's own checks, in an otherwise empty record holding
+	// one link: all zero (decodes), then Eject as 2, Kind as 256, From,
+	// To and Node each as 2^31, and SatTime as a non-minimal varint.
+	oneLink := func(fields ...byte) []byte {
+		return append(append([]byte{0, 0, 0, 0, 2}, fields...), make([]byte, 10)...)
+	}
+	f.Add(oneLink(0, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(oneLink(0, 0, 0, 0, 2, 0, 0, 0))
+	f.Add(oneLink(0x80, 0x02, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(oneLink(0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0, 0, 0))
+	f.Add(oneLink(0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0, 0))
+	f.Add(oneLink(0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0))
+	f.Add(oneLink(0, 0, 0, 0, 0, 0, 0, 0x80, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, err := decodeRecord(data); err == nil {
 			if out := encodeRecord(rec); !bytes.Equal(out, data) {

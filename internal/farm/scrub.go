@@ -153,7 +153,7 @@ func (r *QuarantineRecord) id() string {
 func (s *Store) QuarantineJob(rec *QuarantineRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err == nil {
-		err = writeAtomic(filepath.Join(s.root, "quarantine", "jobs", rec.id()+".json"), append(data, '\n'))
+		err = s.writeAtomic(filepath.Join(s.root, "quarantine", "jobs", rec.id()+".json"), append(data, '\n'))
 	}
 	if err != nil {
 		return fmt.Errorf("farm: quarantine %s: %w", rec.Name, err)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -181,22 +182,31 @@ func (s *Store) Put(addr string, rec *Record) error {
 		entryMagic, entryCodec, addr, len(payload), hex.EncodeToString(sum[:]))
 	b.Write(payload)
 
-	if err := writeAtomic(s.entryPath(addr), b.Bytes()); err != nil {
+	if err := s.writeAtomic(s.entryPath(addr), b.Bytes()); err != nil {
 		return fmt.Errorf("farm: put %s: %w", short(addr), err)
 	}
 	return nil
 }
 
-// writeAtomic installs data at path through a temp file in the same
-// directory, created if needed, and a rename: readers see the old file or
-// the whole new one, never a torn write. The temp file's name starts with a
-// dot, which the scrubber and QuarantinedJobs skip.
-func writeAtomic(path string, data []byte) error {
+// writeAtomic installs data at path, under the store's root, through a
+// temp file in the same directory and a rename: readers see the old file
+// or the whole new one, never a torn write. A directory under the root
+// exists after the first write into it, so it is made, and the temp file
+// tried once more, only when the first try finds it missing; the root
+// itself is never made again, so a store whose root is gone fails its
+// writes. The temp file's name starts with a dot, which the scrubber and
+// QuarantinedJobs skip.
+func (s *Store) writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, err = os.Stat(s.root); err == nil {
+			err = os.MkdirAll(dir, 0o755)
+		}
+		if err == nil {
+			tmp, err = os.CreateTemp(dir, ".tmp-*")
+		}
+	}
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,6 +66,42 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if !s.Has(addr) {
 		t.Fatal("Has reports false for a stored entry")
+	}
+}
+
+// TestStoreMakesDirectoriesOnDemand: the first Put under an address prefix
+// makes its fan-out directory and a second Put writes into it, and the
+// first quarantine record makes quarantine/jobs. A store whose root was
+// removed after Open fails its Put, neither growing a new root nor trying
+// again without end.
+func TestStoreMakesDirectoriesOnDemand(t *testing.T) {
+	s := openTestStore(t)
+	first := AddressOf("fan-out")
+	second := first[:2] + AddressOf("same prefix")[2:]
+	for _, addr := range []string{first, second} {
+		if err := s.Put(addr, testRecord()); err != nil {
+			t.Fatalf("Put %s: %v", short(addr), err)
+		}
+		if _, err := s.Get(addr); err != nil {
+			t.Fatalf("Get %s: %v", short(addr), err)
+		}
+	}
+	if err := s.QuarantineJob(&QuarantineRecord{Name: "poisoned", Attempts: 1, Errors: []string{"boom"}}); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := s.QuarantinedJobs(); err != nil || len(recs) != 1 {
+		t.Fatalf("QuarantinedJobs = %d records, %v; want 1", len(recs), err)
+	}
+
+	gone := openTestStore(t)
+	if err := os.RemoveAll(gone.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if err := gone.Put(first, testRecord()); err == nil {
+		t.Fatal("Put into a store whose root was removed succeeded")
+	}
+	if _, err := os.Stat(gone.Root()); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Put made the removed root again (stat: %v)", err)
 	}
 }
 

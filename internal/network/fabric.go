@@ -864,13 +864,15 @@ func (f *Fabric) FinishStats() {
 }
 
 // LinkStat is the per-channel record behind the paper's traffic and
-// saturation figures.
+// saturation figures. Every result holds one per link. Kind and Eject fill
+// the four bytes after the three IDs, so it is 40 bytes, where placing them
+// apart pads it to 48 (TestLinkStatSize).
 type LinkStat struct {
-	Kind    routing.LinkKind
 	From    topology.RouterID
 	To      topology.RouterID
 	Node    topology.NodeID // terminal links only
-	Eject   bool            // terminal links only
+	Kind    routing.LinkKind
+	Eject   bool // terminal links only
 	Bytes   int64
 	Packets int64
 	SatTime des.Time

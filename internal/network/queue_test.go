@@ -54,6 +54,16 @@ func TestLinkLayout(t *testing.T) {
 	}
 }
 
+// TestLinkStatSize pins LinkStat at 40 bytes: Kind and Eject share the
+// word after the three IDs. Every result holds one LinkStat per link (1,280
+// on the quick machine), so a field added or moved into its own padded
+// slot grows every result and every farm hit by that much per link.
+func TestLinkStatSize(t *testing.T) {
+	if size := unsafe.Sizeof(LinkStat{}); size != 40 {
+		t.Errorf("LinkStat is %d bytes, want 40: keep Kind and Eject after From, To and Node", size)
+	}
+}
+
 // dropRecorder is an Observer that records the messages of dropped packets
 // in order; the other hooks it implements ignore their events.
 type dropRecorder struct {
