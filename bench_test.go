@@ -85,7 +85,7 @@ func BenchmarkFigure10FBBackground(b *testing.B) { benchArtifact(b, "fig10") }
 // BenchmarkSingleRunCR measures one simulation cell (CR, rand-min) — the
 // unit of work every figure is built from.
 func BenchmarkSingleRunCR(b *testing.B) {
-	tr, err := CRTrace(CRConfig{Ranks: 64, MessageBytes: 24 * 1024})
+	tr, _, err := BuildApp("CR", AppQuick)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func BenchmarkSingleRunCR(b *testing.B) {
 // BenchmarkSingleRunAdaptive measures the adaptive-routing variant, whose
 // route choice does extra candidate scoring per packet.
 func BenchmarkSingleRunAdaptive(b *testing.B) {
-	tr, err := CRTrace(CRConfig{Ranks: 64, MessageBytes: 24 * 1024})
+	tr, _, err := BuildApp("CR", AppQuick)
 	if err != nil {
 		b.Fatal(err)
 	}

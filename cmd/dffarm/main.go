@@ -40,7 +40,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "farm store directory (required; created if absent)")
 		scale    = flag.String("scale", "quick", "experiment scale: quick or paper")
 		topoName = flag.String("topo", "", "machine preset override: theta, mini, dfplus, or dfplus-mini (default: the scale's XC40 machine)")
-		apps     = flag.String("apps", "CR", "comma-separated applications: CR, FB, AMG (flat miniapps), RING, TREE, MOE, HALO2D, HALO3D, CKPT (graph generators)")
+		apps     = flag.String("apps", "CR", "comma-separated applications: "+cliutil.AppChoices())
 		placeStr = flag.String("placements", "cont,rand", "comma-separated placement policies: cont, cab, chas, rotr, rand")
 		routeStr = flag.String("routings", "min,adp", "comma-separated routing policies: min, adp, qadaptive")
 		mapStr   = flag.String("mappings", "identity", "comma-separated task mappings: identity, shuffle, router-packed, group-packed")

@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		topoName   = flag.String("topo", "", "machine preset: theta, mini, dfplus, or dfplus-mini (default theta; dfplus* are extensions beyond the paper)")
-		app        = flag.String("app", "CR", "application: CR, FB, AMG (paper miniapps), or RING, TREE, MOE, HALO2D, HALO3D, CKPT (dependency-graph generators)")
+		app        = flag.String("app", "CR", "application: "+cliutil.AppChoices()+"; machines of at most 256 nodes get the mini sizes")
 		place      = flag.String("placement", "cont", "placement (comma-separated sweeps): cont, cab, chas, rotr, rand")
 		route      = flag.String("routing", "min", "routing (comma-separated sweeps): min, adp, or qadaptive")
 		parallel   = flag.Int("parallel", 0, "worker pool for swept cells (1 = sequential, 0 = NumCPU)")
@@ -77,12 +77,16 @@ func main() {
 		return
 	}
 
-	// Small machines get proportionally shrunk application workloads.
+	// Machines of at most 256 nodes get the catalog's mini sizes.
 	appName, err := cliutil.App(*app)
 	if err != nil {
 		cliutil.Usagef("dfsim", "%v", err)
 	}
-	tr, gr, err := appWorkload(appName, ic.NumNodes() <= 256)
+	size := dragonfly.AppPaper
+	if ic.NumNodes() <= 256 {
+		size = dragonfly.AppMini
+	}
+	tr, gr, err := dragonfly.BuildApp(appName, size)
 	if err != nil {
 		cliutil.Usagef("dfsim", "%v", err)
 	}
@@ -166,67 +170,6 @@ func printPlots(res *dragonfly.Result) {
 			"local":  res.LocalTraffic(false),
 			"global": res.GlobalTraffic(false),
 		}, 60, 12))
-}
-
-// appWorkload builds the named application at full or mini size: flat
-// miniapps return a trace, graph generators return a dependency graph;
-// exactly one of the two is non-nil.
-func appWorkload(name string, mini bool) (*dragonfly.Trace, *dragonfly.Graph, error) {
-	if dragonfly.IsGraphApp(name) {
-		g, err := appGraph(name, mini)
-		return nil, g, err
-	}
-	tr, err := appTrace(name, mini)
-	return tr, nil, err
-}
-
-func appTrace(name string, mini bool) (*dragonfly.Trace, error) {
-	switch name {
-	case "CR":
-		cfg := dragonfly.DefaultCR()
-		if mini {
-			cfg = dragonfly.CRConfig{Ranks: 32, MessageBytes: 16 * 1024}
-		}
-		return dragonfly.CRTrace(cfg)
-	case "FB":
-		cfg := dragonfly.DefaultFB()
-		if mini {
-			cfg = dragonfly.FBConfig{X: 3, Y: 3, Z: 3, Iterations: 2,
-				MinBytes: 4 * 1024, MaxBytes: 64 * 1024, FarPartners: 1, FarFraction: 0.1, Seed: 1}
-		}
-		return dragonfly.FBTrace(cfg)
-	case "AMG":
-		cfg := dragonfly.DefaultAMG()
-		if mini {
-			cfg = dragonfly.AMGConfig{X: 3, Y: 3, Z: 3, Cycles: 3, Levels: 3, PeakBytes: 16 * 1024}
-		}
-		return dragonfly.AMGTrace(cfg)
-	}
-	return nil, fmt.Errorf("unknown application %q (want CR, FB, or AMG)", name)
-}
-
-func appGraph(name string, mini bool) (*dragonfly.Graph, error) {
-	if !mini {
-		return dragonfly.DefaultGraphApp(name)
-	}
-	const kb = 1024
-	switch name {
-	case "RING":
-		return dragonfly.RingAllReduceGraph(dragonfly.RingAllReduceConfig{Ranks: 16, Bytes: 64 * kb, Rounds: 1})
-	case "TREE":
-		return dragonfly.TreeAllReduceGraph(dragonfly.TreeAllReduceConfig{Ranks: 16, Bytes: 32 * kb, Rounds: 2})
-	case "MOE":
-		return dragonfly.MoEAllToAllGraph(dragonfly.MoEAllToAllConfig{Ranks: 16, Bytes: 16 * kb, Rounds: 1, Window: 4})
-	case "HALO2D":
-		return dragonfly.HaloGraph(dragonfly.HaloConfig{X: 4, Y: 4, Bytes: 16 * kb, Rounds: 2})
-	case "HALO3D":
-		return dragonfly.HaloGraph(dragonfly.HaloConfig{X: 3, Y: 3, Z: 3, Bytes: 8 * kb, Rounds: 2})
-	case "CKPT":
-		return dragonfly.CheckpointGraph(dragonfly.CheckpointConfig{
-			Clients: 12, Servers: 4, Bytes: 256 * kb, Rounds: 1, Delay: 20 * dragonfly.Microsecond,
-		})
-	}
-	return nil, fmt.Errorf("unknown graph application %q", name)
 }
 
 func printResult(res *dragonfly.Result, app string) {

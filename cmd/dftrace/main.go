@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		app     = flag.String("app", "", "generate a workload: CR, FB, AMG (flat traces), or RING, TREE, MOE, HALO2D, HALO3D, CKPT (dependency graphs; default sizes)")
+		app     = flag.String("app", "", "generate a workload at the paper's size: "+cliutil.AppChoices())
 		in      = flag.String("in", "", "read a binary trace file instead of generating")
 		textIn  = flag.String("text-in", "", "read a text-format (DUMPI-flavored) trace file")
 		graphIn = flag.String("graph-in", "", "read a binary dependency-graph file instead of generating")
@@ -46,13 +46,13 @@ func main() {
 	var err error
 	switch {
 	case *in != "":
-		tr, err = trace.ReadFile(*in)
+		tr, err = trace.ReadFile[trace.Trace](*in)
 	case *textIn != "":
 		tr, err = readText(*textIn)
 	case *graphIn != "":
-		gr, err = trace.ReadGraphFile(*graphIn)
+		gr, err = trace.ReadFile[trace.Graph](*graphIn)
 	case *app != "":
-		tr, gr, err = generate(*app)
+		tr, gr, err = dragonfly.BuildApp(*app, dragonfly.AppPaper)
 		if err != nil {
 			cliutil.Usagef("dftrace", "%v", err)
 		}
@@ -80,7 +80,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dftrace: wrote %s (text format)\n", *textOut)
 	}
 	if *summary || (*out == "" && *textOut == "" && *matrix == 0) {
-		if err := trace.WriteSummaryJSON(os.Stdout, tr); err != nil {
+		if err := trace.WriteSummaryJSON(os.Stdout, trace.Summarize(tr)); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -95,44 +95,19 @@ func runGraph(g *dragonfly.Graph, out, textOut string, summary bool, matrix int)
 		fatalf("-text-out applies to flat traces only (graphs have no DUMPI text form)")
 	}
 	if out != "" {
-		if err := trace.WriteGraphFile(out, g); err != nil {
+		if err := trace.WriteFile(out, g); err != nil {
 			fatalf("write %s: %v", out, err)
 		}
 		fmt.Fprintf(os.Stderr, "dftrace: wrote %s (%d ranks, %d graph nodes)\n", out, g.NumRanks(), g.NumNodes())
 	}
 	if summary || (out == "" && matrix == 0) {
-		if err := trace.WriteGraphSummaryJSON(os.Stdout, g); err != nil {
+		if err := trace.WriteSummaryJSON(os.Stdout, trace.SummarizeGraph(g)); err != nil {
 			fatalf("%v", err)
 		}
 	}
 	if matrix > 0 {
 		printMatrix(g.Matrix(matrix))
 	}
-}
-
-// generate builds the named application at its default size: flat miniapps
-// return a trace, graph generators a dependency graph.
-func generate(app string) (*dragonfly.Trace, *dragonfly.Graph, error) {
-	name, err := dragonfly.ParseApp(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	if dragonfly.IsGraphApp(name) {
-		g, err := dragonfly.DefaultGraphApp(name)
-		return nil, g, err
-	}
-	var tr *dragonfly.Trace
-	switch name {
-	case "CR":
-		tr, err = dragonfly.CRTrace(dragonfly.DefaultCR())
-	case "FB":
-		tr, err = dragonfly.FBTrace(dragonfly.DefaultFB())
-	case "AMG":
-		tr, err = dragonfly.AMGTrace(dragonfly.DefaultAMG())
-	default:
-		err = fmt.Errorf("unknown application %q", name)
-	}
-	return tr, nil, err
 }
 
 func printMatrix(m [][]float64) {

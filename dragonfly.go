@@ -187,7 +187,8 @@ type (
 	AMGConfig = trace.AMGConfig
 )
 
-// Default application configurations at the paper's sizes.
+// Default application configurations at the paper's sizes (BuildApp's
+// AppPaper).
 func DefaultCR() CRConfig   { return trace.DefaultCR() }
 func DefaultFB() FBConfig   { return trace.DefaultFB() }
 func DefaultAMG() AMGConfig { return trace.DefaultAMG() }
@@ -224,18 +225,34 @@ func MoEAllToAllGraph(cfg MoEAllToAllConfig) (*Graph, error)     { return trace.
 func HaloGraph(cfg HaloConfig) (*Graph, error)                   { return trace.Halo(cfg) }
 func CheckpointGraph(cfg CheckpointConfig) (*Graph, error)       { return trace.Checkpoint(cfg) }
 
-// DefaultGraphApp builds a graph application at its default size by registry
-// name ("RING", "TREE", "MOE", "HALO2D", "HALO3D", "CKPT").
-func DefaultGraphApp(name string) (*Graph, error) { return trace.DefaultGraph(name) }
+// AppSize selects the size BuildApp builds an application at: AppPaper
+// (the Default* configs, for Theta), AppQuick (the experiments' quick scale,
+// for 160-node machines) or AppMini (dfsim's size on machines of at most 256
+// nodes, such as MiniTopology).
+type AppSize = trace.Size
+
+// The three application sizes.
+const (
+	AppPaper = trace.Paper
+	AppQuick = trace.Quick
+	AppMini  = trace.Mini
+)
+
+// BuildApp builds a built-in application by registry name (matched
+// case-insensitively, see ParseApp) at the given size: a trace for CR, FB
+// and AMG, a dependency graph for RING, TREE, MOE, HALO2D, HALO3D and CKPT.
+// The other result is nil.
+func BuildApp(name string, size AppSize) (*Trace, *Graph, error) { return trace.BuildApp(name, size) }
 
 // AppNames lists every built-in application — flat miniapps then graph
-// generators — the single registry behind every CLI's -app grammar.
+// generators — the single catalog behind every CLI's -app grammar.
 func AppNames() []string { return trace.Apps() }
 
 // GraphAppNames lists the graph-generator applications.
 func GraphAppNames() []string { return trace.GraphApps() }
 
-// IsGraphApp reports whether name names a graph generator.
+// IsGraphApp reports whether name names a graph generator, matched as
+// ParseApp matches it.
 func IsGraphApp(name string) bool { return trace.IsGraphApp(name) }
 
 // ParseApp canonicalizes an application name case-insensitively against the
@@ -485,5 +502,6 @@ func ExperimentIDs() []string { return experiments.IDs() }
 
 // ExtensionExperimentIDs lists the experiments beyond the paper's figures:
 // xmap (task mapping, the paper's future work), xmulti (real-trace co-run
-// interference), and figr (resilience sweep on a degraded fabric).
+// interference), figr (resilience sweep on a degraded fabric), figq
+// (learning router), figa (collective workloads) and figf (availability).
 func ExtensionExperimentIDs() []string { return experiments.ExtensionIDs() }

@@ -6,10 +6,11 @@ import (
 	"dragonfly"
 )
 
-// ExampleRun simulates the crystal router on the small machine under
-// random-node placement with minimal routing and reports completion.
+// ExampleRun simulates the crystal router at its mini size on the small
+// machine under random-node placement with minimal routing and reports
+// completion.
 func ExampleRun() {
-	tr, err := dragonfly.CRTrace(dragonfly.CRConfig{Ranks: 32, MessageBytes: 16 * 1024})
+	tr, _, err := dragonfly.BuildApp("CR", dragonfly.AppMini)
 	if err != nil {
 		panic(err)
 	}

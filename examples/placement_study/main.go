@@ -13,38 +13,20 @@ import (
 	"dragonfly"
 )
 
-func appTraces() map[string]*dragonfly.Trace {
-	cr, err := dragonfly.CRTrace(dragonfly.CRConfig{Ranks: 64, MessageBytes: 24 * 1024})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fb, err := dragonfly.FBTrace(dragonfly.FBConfig{
-		X: 4, Y: 4, Z: 4, Iterations: 2,
-		MinBytes: 6 * 1024, MaxBytes: 160 * 1024,
-		FarPartners: 2, FarFraction: 0.1, Seed: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	amg, err := dragonfly.AMGTrace(dragonfly.AMGConfig{
-		X: 4, Y: 4, Z: 4, Cycles: 3, Levels: 4, PeakBytes: 10 * 1024,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return map[string]*dragonfly.Trace{"CR": cr, "FB": fb, "AMG": amg}
-}
-
 func main() {
-	traces := appTraces()
 	for _, app := range []string{"CR", "FB", "AMG"} {
+		// The experiments' quick size fits the 64-node mini machine.
+		tr, _, err := dragonfly.BuildApp(app, dragonfly.AppQuick)
+		if err != nil {
+			log.Fatal(err)
+		}
 		type row struct {
 			name string
 			max  dragonfly.Time
 		}
 		var rows []row
 		for _, cell := range dragonfly.AllCells() {
-			res, err := dragonfly.Run(dragonfly.MiniConfig(traces[app], cell, 1))
+			res, err := dragonfly.Run(dragonfly.MiniConfig(tr, cell, 1))
 			if err != nil {
 				log.Fatal(err)
 			}

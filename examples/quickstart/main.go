@@ -13,8 +13,9 @@ import (
 )
 
 func main() {
-	// A scaled-down crystal router: 64 ranks, 24 KB multistage exchanges.
-	tr, err := dragonfly.CRTrace(dragonfly.CRConfig{Ranks: 64, MessageBytes: 24 * 1024})
+	// The crystal router at the experiments' quick size: 64 ranks, 24 KB
+	// multistage exchanges.
+	tr, _, err := dragonfly.BuildApp("CR", dragonfly.AppQuick)
 	if err != nil {
 		log.Fatal(err)
 	}

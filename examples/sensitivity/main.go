@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	tr, err := dragonfly.CRTrace(dragonfly.CRConfig{Ranks: 64, MessageBytes: 24 * 1024})
+	tr, _, err := dragonfly.BuildApp("CR", dragonfly.AppQuick)
 	if err != nil {
 		log.Fatal(err)
 	}

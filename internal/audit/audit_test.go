@@ -15,22 +15,18 @@ import (
 	"dragonfly/internal/workload"
 )
 
+// miniTrace builds an application at the catalog's mini size, except that
+// AMG runs two V-cycles instead of three.
 func miniTrace(t *testing.T, app string) *trace.Trace {
 	t.Helper()
 	var (
 		tr  *trace.Trace
 		err error
 	)
-	switch app {
-	case "CR":
-		tr, err = trace.CR(trace.CRConfig{Ranks: 32, MessageBytes: 16 * 1024})
-	case "FB":
-		tr, err = trace.FB(trace.FBConfig{X: 3, Y: 3, Z: 3, Iterations: 2,
-			MinBytes: 4 * 1024, MaxBytes: 64 * 1024, FarPartners: 1, FarFraction: 0.1, Seed: 1})
-	case "AMG":
+	if app == "AMG" {
 		tr, err = trace.AMG(trace.AMGConfig{X: 3, Y: 3, Z: 3, Cycles: 2, Levels: 3, PeakBytes: 16 * 1024})
-	default:
-		t.Fatalf("unknown app %q", app)
+	} else {
+		tr, _, err = trace.BuildApp(app, trace.Mini)
 	}
 	if err != nil {
 		t.Fatal(err)

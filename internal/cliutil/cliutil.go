@@ -57,6 +57,22 @@ func App(s string) (string, error) {
 	return name, nil
 }
 
+// AppChoices lists the built-in applications for -app and -apps flag help,
+// from the same registry as App: the paper's flat miniapp traces, then the
+// dependency-graph generators.
+func AppChoices() string {
+	var flat, graph []string
+	for _, name := range trace.Apps() {
+		if trace.IsGraphApp(name) {
+			graph = append(graph, name)
+		} else {
+			flat = append(flat, name)
+		}
+	}
+	return strings.Join(flat, ", ") + " (the paper's miniapps, flat traces), or " +
+		strings.Join(graph, ", ") + " (dependency-graph generators)"
+}
+
 // Apps parses a comma-separated application sweep list.
 func Apps(csv string) ([]string, error) { return list(csv, App) }
 

@@ -34,6 +34,8 @@ func TestParsers(t *testing.T) {
 		{"apps/list", func() (interface{}, error) { a, err := Apps("CR, ring ,ckpt"); return len(a), err }, 3, ""},
 		{"apps/bad-element", func() (interface{}, error) { return Apps("CR,LINPACK") }, nil, "want CR, FB, AMG, RING, TREE, MOE, HALO2D, HALO3D, CKPT"},
 		{"apps/empty", func() (interface{}, error) { return Apps("") }, nil, "want CR, FB, AMG"},
+		{"app-choices", func() (interface{}, error) { return AppChoices(), nil },
+			"CR, FB, AMG (the paper's miniapps, flat traces), or RING, TREE, MOE, HALO2D, HALO3D, CKPT (dependency-graph generators)", ""},
 
 		{"placement/one", func() (interface{}, error) { return Placement(" rand ") }, placement.RandomNode, ""},
 		{"placement/unknown", func() (interface{}, error) { return Placement("spiral") }, nil, "want cont, cab, chas, rotr, or rand"},

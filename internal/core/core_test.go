@@ -15,7 +15,7 @@ import (
 
 func miniCR(t *testing.T) *trace.Trace {
 	t.Helper()
-	tr, err := trace.CR(trace.CRConfig{Ranks: 32, MessageBytes: 16 * trace.KB})
+	tr, _, err := trace.BuildApp("CR", trace.Mini)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func runBatch(cfgs []core.Config, workers int) ([]*core.Result, error) {
 
 func miniCR(t *testing.T) *trace.Trace {
 	t.Helper()
-	tr, err := trace.CR(trace.CRConfig{Ranks: 32, MessageBytes: 16 * trace.KB})
+	tr, _, err := trace.BuildApp("CR", trace.Mini)
 	if err != nil {
 		t.Fatal(err)
 	}

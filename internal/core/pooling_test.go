@@ -187,12 +187,6 @@ func closeBusySession(t *testing.T, name string, cfg Config) {
 	s.Close()
 }
 
-// quickMachine is the quick-scale XC40 machine of the experiments: 5 groups
-// x (2x8 routers) x 2 nodes.
-func quickMachine() topology.Config {
-	return topology.Config{Groups: 5, Rows: 2, Cols: 8, NodesPerRouter: 2, GlobalPortsPerRouter: 4, ChassisPerCabinet: 2}
-}
-
 // prelude is a session run just before a pooling case, leaving the pools
 // holding storage, a chooser's tables and replays that another run dirtied.
 type prelude struct {
@@ -221,7 +215,7 @@ func preludes(t *testing.T) []prelude {
 			closeBusySession(t, "group-failure-cut", cfg)
 		}},
 	}
-	for _, m := range []topology.Machine{quickMachine(), topology.Mini(), topology.PlusMini()} {
+	for _, m := range []topology.Machine{topology.Quick(), topology.Mini(), topology.PlusMini()} {
 		ps = append(ps, prelude{"machine " + m.Label(), func(t *testing.T, c poolCase) {
 			if m.CanonicalSpec() == c.cfg.Topology.CanonicalSpec() {
 				return

@@ -127,9 +127,8 @@ type Runner struct {
 	opts Options
 	farm *farm.Farm
 
-	traceMu sync.Mutex // guards traces and graphs
-	traces  map[string]*trace.Trace
-	graphs  map[string]*trace.Graph
+	appMu sync.Mutex // guards apps
+	apps  map[string]appWorkload
 
 	mu        sync.Mutex // guards farmStats
 	farmStats farm.Stats
@@ -139,11 +138,7 @@ type Runner struct {
 
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
-	r := &Runner{
-		opts:   opts,
-		traces: make(map[string]*trace.Trace),
-		graphs: make(map[string]*trace.Graph),
-	}
+	r := &Runner{opts: opts, apps: make(map[string]appWorkload)}
 	fopts := farm.Options{Parallel: opts.Parallel, Retries: opts.Retries, JobTimeout: opts.JobTimeout}
 	if opts.Progress != nil {
 		fopts.Progress = r.cellDone
@@ -163,52 +158,64 @@ func (r *Runner) FarmStats() farm.Stats {
 	return r.farmStats
 }
 
-// IDs lists the experiment identifiers in the paper's order.
-func IDs() []string {
-	return []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
+// experiment is one entry of the registry: an artifact id, whether it
+// extends the paper, and the Runner method that produces its report.
+type experiment struct {
+	id        string
+	extension bool
+	run       func(*Runner) (*Report, error)
 }
+
+// registry lists every experiment: the paper's artifacts in the paper's
+// order, then the extensions.
+var registry = []experiment{
+	{"table1", false, (*Runner).TableI},
+	{"table2", false, (*Runner).TableII},
+	{"fig2", false, (*Runner).Figure2},
+	{"fig3", false, (*Runner).Figure3},
+	{"fig4", false, (*Runner).Figure4},
+	{"fig5", false, (*Runner).Figure5},
+	{"fig6", false, (*Runner).Figure6},
+	{"fig7", false, (*Runner).Figure7},
+	{"fig8", false, (*Runner).Figure8},
+	{"fig9", false, (*Runner).Figure9},
+	{"fig10", false, (*Runner).Figure10},
+	{"xmap", true, (*Runner).XMap},
+	{"xmulti", true, (*Runner).XMulti},
+	{"figr", true, (*Runner).FigureR},
+	{"figq", true, (*Runner).FigureQ},
+	{"figa", true, (*Runner).FigureA},
+	{"figf", true, (*Runner).FigureF},
+}
+
+// registryIDs returns the ids of the paper's artifacts or of the
+// extensions, in registry order.
+func registryIDs(extension bool) []string {
+	var ids []string
+	for _, e := range registry {
+		if e.extension == extension {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// IDs lists the experiment identifiers in the paper's order.
+func IDs() []string { return registryIDs(false) }
+
+// ExtensionIDs lists the extension experiments.
+func ExtensionIDs() []string { return registryIDs(true) }
 
 // Run executes one experiment by id.
 func (r *Runner) Run(id string) (*Report, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return r.TableI()
-	case "table2":
-		return r.TableII()
-	case "fig2":
-		return r.Figure2()
-	case "fig3":
-		return r.Figure3()
-	case "fig4":
-		return r.Figure4()
-	case "fig5":
-		return r.Figure5()
-	case "fig6":
-		return r.Figure6()
-	case "fig7":
-		return r.Figure7()
-	case "fig8":
-		return r.Figure8()
-	case "fig9":
-		return r.Figure9()
-	case "fig10":
-		return r.Figure10()
-	case "xmap":
-		return r.XMap()
-	case "xmulti":
-		return r.XMulti()
-	case "figr":
-		return r.FigureR()
-	case "figq":
-		return r.FigureQ()
-	case "figa":
-		return r.FigureA()
-	case "figf":
-		return r.FigureF()
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %s; extensions: %s)",
-			id, strings.Join(IDs(), ", "), strings.Join(ExtensionIDs(), ", "))
+	lower := strings.ToLower(id)
+	for _, e := range registry {
+		if e.id == lower {
+			return e.run(r)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %s; extensions: %s)",
+		id, strings.Join(IDs(), ", "), strings.Join(ExtensionIDs(), ", "))
 }
 
 // --- report model -----------------------------------------------------------
@@ -392,18 +399,7 @@ func (r *Runner) Machine() topology.Machine {
 	if r.opts.Scale == ScalePaper {
 		return topology.Theta()
 	}
-	// Structurally Theta-like: multiple groups, non-square grid, chassis
-	// and cabinets distinguishable, parallel global links.
-	// 5 groups x (2x8 routers) x 2 nodes = 160 nodes;
-	// global ports: 16 routers x 4 ports = 64 per group, divisible by 4.
-	return topology.Config{
-		Groups:               5,
-		Rows:                 2,
-		Cols:                 8,
-		NodesPerRouter:       2,
-		GlobalPortsPerRouter: 4,
-		ChassisPerCabinet:    2,
-	}
+	return topology.Quick()
 }
 
 // appNames lists the paper's applications in presentation order.
@@ -414,101 +410,56 @@ func (r *Runner) machineNodes() int {
 	return topology.BuildMachine(r.Machine()).NumNodes()
 }
 
-// AppTrace returns the trace of one of the paper's applications ("CR",
-// "FB", "AMG") at the runner's scale. Generation is deterministic (fixed
-// internal seeds) and traces are read-only during simulation, so the runner
-// generates each one once and shares the pointer across cells — which also
-// lets the farm encoder's per-pointer content-digest memoization take
-// effect across an experiment's whole grid.
-func (r *Runner) AppTrace(name string) (*trace.Trace, error) {
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	if tr, ok := r.traces[name]; ok {
-		return tr, nil
-	}
-	tr, err := r.generateTrace(name)
-	if err != nil {
-		return nil, err
-	}
-	r.traces[name] = tr
-	return tr, nil
+// appWorkload is one application's workload at the runner's scale, as
+// trace.BuildApp returns it: a trace for the paper's miniapps, a graph for
+// the generators.
+type appWorkload struct {
+	tr *trace.Trace
+	g  *trace.Graph
 }
 
-// AppGraph returns the dependency graph of one of the collective/storage
-// generator applications ("RING", "TREE", "MOE", "HALO2D", "HALO3D",
-// "CKPT") at the runner's scale. Like AppTrace, generation is deterministic
-// and graphs are read-only during simulation, so one pointer is shared
-// across cells and the farm encoder's per-pointer digest memoization holds
-// across an experiment's whole grid.
-func (r *Runner) AppGraph(name string) (*trace.Graph, error) {
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	if g, ok := r.graphs[name]; ok {
-		return g, nil
+// ranks returns the workload's rank count.
+func (w appWorkload) ranks() int {
+	if w.g != nil {
+		return w.g.NumRanks()
 	}
-	g, err := r.generateGraph(name)
-	if err != nil {
-		return nil, err
-	}
-	r.graphs[name] = g
-	return g, nil
+	return w.tr.NumRanks()
 }
 
-// generateGraph builds a collective/storage workload graph at the current
-// scale. Paper scale uses the generators' defaults; quick scale shrinks
-// ranks and payloads so every graph fits the 160-node quick machines and
-// runs in milliseconds of simulated time.
-func (r *Runner) generateGraph(name string) (*trace.Graph, error) {
+// app returns the named application's workload at the runner's scale: the
+// catalog's Paper size at paper scale, its Quick size otherwise.
+// Generation is deterministic (fixed internal seeds) and workloads are
+// read-only during simulation, so the runner builds each one once and
+// shares the pointer across cells, which also lets the farm encoder's
+// per-pointer content-digest memoization take effect across an
+// experiment's whole grid.
+func (r *Runner) app(name string) (appWorkload, error) {
+	r.appMu.Lock()
+	defer r.appMu.Unlock()
+	if w, ok := r.apps[name]; ok {
+		return w, nil
+	}
+	size := trace.Quick
 	if r.opts.Scale == ScalePaper {
-		return trace.DefaultGraph(name)
+		size = trace.Paper
 	}
-	switch name {
-	case "RING":
-		return trace.RingAllReduce(trace.RingAllReduceConfig{Ranks: 64, Bytes: 512 * trace.KB, Rounds: 1})
-	case "TREE":
-		return trace.TreeAllReduce(trace.TreeAllReduceConfig{Ranks: 64, Bytes: 96 * trace.KB, Rounds: 2})
-	case "MOE":
-		return trace.MoEAllToAll(trace.MoEAllToAllConfig{Ranks: 48, Bytes: 48 * trace.KB, Rounds: 1, Window: 8})
-	case "HALO2D":
-		return trace.Halo(trace.HaloConfig{X: 8, Y: 8, Bytes: 64 * trace.KB, Rounds: 2})
-	case "HALO3D":
-		return trace.Halo(trace.HaloConfig{X: 4, Y: 4, Z: 4, Bytes: 32 * trace.KB, Rounds: 2})
-	case "CKPT":
-		return trace.Checkpoint(trace.CheckpointConfig{
-			Clients: 56, Servers: 8, Bytes: 1024 * trace.KB, Rounds: 1, Delay: 20 * des.Microsecond,
-		})
+	var w appWorkload
+	var err error
+	if w.tr, w.g, err = trace.BuildApp(name, size); err != nil {
+		return appWorkload{}, err
 	}
-	return nil, fmt.Errorf("experiments: unknown graph application %q", name)
+	r.apps[name] = w
+	return w, nil
 }
 
-// generateTrace builds an application trace at the current scale.
-func (r *Runner) generateTrace(name string) (*trace.Trace, error) {
-	paper := r.opts.Scale == ScalePaper
-	switch name {
-	case "CR":
-		cfg := trace.DefaultCR()
-		if !paper {
-			cfg = trace.CRConfig{Ranks: 64, MessageBytes: 24 * trace.KB}
-		}
-		return trace.CR(cfg)
-	case "FB":
-		cfg := trace.DefaultFB()
-		if !paper {
-			cfg = trace.FBConfig{
-				X: 4, Y: 4, Z: 4, Iterations: 2,
-				MinBytes: 6 * trace.KB, MaxBytes: 160 * trace.KB,
-				FarPartners: 2, FarFraction: 0.1, Seed: 1,
-			}
-		}
-		return trace.FB(cfg)
-	case "AMG":
-		cfg := trace.DefaultAMG()
-		if !paper {
-			cfg = trace.AMGConfig{X: 4, Y: 4, Z: 4, Cycles: 3, Levels: 4, PeakBytes: 10 * trace.KB}
-		}
-		return trace.AMG(cfg)
+// AppTrace returns the trace of one of the paper's applications ("CR",
+// "FB", "AMG") at the runner's scale, the pointer every cell shares.
+func (r *Runner) AppTrace(name string) (*trace.Trace, error) {
+	w, err := r.app(name)
+	if err == nil && w.tr == nil {
+		err = fmt.Errorf("experiments: %s is a graph application, not a trace", name)
 	}
-	return nil, fmt.Errorf("experiments: unknown application %q", name)
+	return w.tr, err
 }
 
 // Background returns the scale-appropriate interference configuration of
@@ -534,31 +485,14 @@ func (r *Runner) Background(kind workload.BackgroundKind, app string) (*workload
 		}
 		return &cfg, nil
 	case workload.Bursty:
-		ranks, err := r.appRanks(app)
+		w, err := r.app(app)
 		if err != nil {
 			return nil, err
 		}
-		cfg := r.burstyBackground(app, r.machineNodes()-ranks)
+		cfg := r.burstyBackground(app, r.machineNodes()-w.ranks())
 		return &cfg, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown background kind %v", kind)
-}
-
-// appRanks returns the rank count of any built-in application, flat or
-// graph, at the runner's scale.
-func (r *Runner) appRanks(name string) (int, error) {
-	if trace.IsGraphApp(name) {
-		g, err := r.AppGraph(name)
-		if err != nil {
-			return 0, err
-		}
-		return g.NumRanks(), nil
-	}
-	tr, err := r.AppTrace(name)
-	if err != nil {
-		return 0, err
-	}
-	return tr.NumRanks(), nil
 }
 
 // burstyBackground returns the paper's bursty interference for a target
@@ -651,19 +585,11 @@ func (r *Runner) cellConfig(rq simReq) (core.Config, error) {
 	// Graph-generator applications carry their workload as a dependency
 	// graph; the paper's miniapps stay flat traces (lowered on replay), so
 	// every pre-graph-IR farm address remains reachable.
-	if trace.IsGraphApp(rq.app) {
-		g, err := r.AppGraph(rq.app)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Graph = g
-	} else {
-		tr, err := r.AppTrace(rq.app)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Trace = tr
+	w, err := r.app(rq.app)
+	if err != nil {
+		return core.Config{}, err
 	}
+	cfg.Trace, cfg.Graph = w.tr, w.g
 	if rq.bg != nil {
 		b := *rq.bg
 		cfg.Background = &b

@@ -16,9 +16,6 @@ import (
 // interference study in the spirit of the authors' prior "bully" work
 // (xmulti).
 
-// ExtensionIDs lists the extension experiments.
-func ExtensionIDs() []string { return []string{"xmap", "xmulti", "figr", "figq", "figa", "figf"} }
-
 // XMap studies task mapping (the paper's stated future work): AMG — the
 // neighbor-heavy application — on a random-router allocation under every
 // mapping policy. Locality-restoring mappings should recover part of the

@@ -33,10 +33,11 @@ func (r *Runner) FigureA() (*Report, error) {
 		Columns: []string{"app", "ranks", "nodes", "edges", "total_mib", "critpath_mib", "max_fanout"},
 	}
 	for _, app := range apps {
-		g, err := r.AppGraph(app)
+		w, err := r.app(app)
 		if err != nil {
 			return nil, err
 		}
+		g := w.g
 		structure.Rows = append(structure.Rows, []string{
 			app, fmt.Sprintf("%d", g.NumRanks()),
 			fmt.Sprintf("%d", g.NumNodes()), fmt.Sprintf("%d", g.NumEdges()),

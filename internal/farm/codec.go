@@ -58,11 +58,14 @@ func decodeRecord(payload []byte) (*Record, error) {
 func (rec *Record) code(c *codec) {
 	integer(c, &rec.Version)
 	c.bool(&rec.Completed)
-	slice(c, &rec.CommTimes, 1, integer[des.Time])
-	slice(c, &rec.AvgHops, 8, (*codec).float)
+	integers(c, &rec.CommTimes)
+	length(c, &rec.AvgHops, 8)
+	for i := range rec.AvgHops {
+		c.float(&rec.AvgHops[i])
+	}
 	codeLinks(c, &rec.Links)
-	slice(c, &rec.AppRouters, 1, integer[topology.RouterID])
-	slice(c, &rec.AppNodes, 1, integer[topology.NodeID])
+	integers(c, &rec.AppRouters)
+	integers(c, &rec.AppNodes)
 	c.varint(&rec.BackgroundPeakLoad)
 	integer(c, &rec.Duration)
 	c.uvarint(&rec.Events)
@@ -83,7 +86,10 @@ func (rec *Record) code(c *codec) {
 		&s.PacketsInjected, &s.PacketsDelivered, &s.PacketsDropped, &s.Violations} {
 		c.uvarint(p)
 	}
-	slice(c, &rec.Audit.Violations, 1, (*codec).string)
+	length(c, &rec.Audit.Violations, 1)
+	for i := range rec.Audit.Violations {
+		c.string(&rec.Audit.Violations[i])
+	}
 }
 
 // linkFields is the number of fields of one LinkStat in the links column,
@@ -147,9 +153,9 @@ func codeLinks(c *codec, s *[]network.LinkStat) {
 }
 
 // codec is one pass of the bin1 codec: it appends to buf when encoding and
-// reads buf from off when decoding. The codec lives on the heap, so a
-// decode that resliced buf would pay a write barrier per field while the
-// collector runs; advancing an integer pays none. Encoding only reads the
+// reads buf from off when decoding. Every coder is a direct call, so the
+// codec stays on its caller's stack and is not allocated; decoding advances
+// an integer offset rather than reslicing buf. Encoding only reads the
 // fields it is handed, so concurrent encodes of one record are safe. The
 // first decode error sticks and moves off to the end of buf, so every
 // later read fails fast.
@@ -276,11 +282,10 @@ func length[T any](c *codec, s *[]T, minSize int) {
 	*s = make([]T, n-1)
 }
 
-// slice codes a slice field whose elements each encode to at least minSize
-// bytes.
-func slice[T any](c *codec, s *[]T, minSize int, elem func(*codec, *T)) {
-	length(c, s, minSize)
+// integers codes a slice of signed integers, each as integer codes it.
+func integers[T ~int | ~int32 | ~int64](c *codec, s *[]T) {
+	length(c, s, 1)
 	for i := range *s {
-		elem(c, &(*s)[i])
+		integer(c, &(*s)[i])
 	}
 }

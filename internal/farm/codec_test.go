@@ -20,37 +20,17 @@ import (
 	"dragonfly/internal/trace"
 )
 
-// quickMachine is the experiments' quick-scale machine, spelled out as
-// Runner.Machine builds it (this package cannot import experiments): 5
-// groups of 2x8 routers, 2 nodes and 4 global ports per router, 1,280
-// directed links.
-var quickMachine = topology.Config{
-	Groups: 5, Rows: 2, Cols: 8, NodesPerRouter: 2, GlobalPortsPerRouter: 4, ChassisPerCabinet: 2,
-}
-
-// quickRecord simulates one cell of the CR or FB miniapp at the
-// experiments' quick scale and returns its record.
+// quickRecord simulates one cell of a flat miniapp at the experiments'
+// quick scale (the quick machine, the catalog's quick size) and returns its
+// record.
 func quickRecord(tb testing.TB, app string, cell core.Cell, auditOn bool) *Record {
 	tb.Helper()
-	var tr *trace.Trace
-	var err error
-	switch app {
-	case "CR":
-		tr, err = trace.CR(trace.CRConfig{Ranks: 64, MessageBytes: 24 * trace.KB})
-	case "FB":
-		tr, err = trace.FB(trace.FBConfig{
-			X: 4, Y: 4, Z: 4, Iterations: 2,
-			MinBytes: 6 * trace.KB, MaxBytes: 160 * trace.KB,
-			FarPartners: 2, FarFraction: 0.1, Seed: 1,
-		})
-	default:
-		tb.Fatalf("no quick trace for %q", app)
-	}
+	tr, _, err := trace.BuildApp(app, trace.Quick)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	res, err := core.Run(core.Config{
-		Topology: quickMachine, Params: network.DefaultParams(),
+		Topology: topology.Quick(), Params: network.DefaultParams(),
 		Placement: cell.Placement, Routing: cell.Routing,
 		Trace: tr, Seed: 1, Audit: auditOn,
 	})
@@ -91,6 +71,23 @@ func TestRecordBytesPinned(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, rec) {
 			t.Errorf("%s: payload does not decode to its record (decode error %v)", tc.name, err)
 		}
+	}
+}
+
+// TestRecordCodecAllocs pins the codec's allocations on a quick-scale
+// record: an encode allocates its buffer alone, and a decode the record and
+// its five slices. The codec itself stays on the stack; a coder called
+// through a function value would move it to the heap, one more allocation
+// per encode and per decode.
+func TestRecordCodecAllocs(t *testing.T) {
+	rec := quickRecord(t, "CR", core.Cell{Placement: placement.Contiguous, Routing: routing.Minimal}, false)
+	payload := encodeRecord(rec)
+	if n := testing.AllocsPerRun(10, func() { encodeRecord(rec) }); n != 1 {
+		t.Errorf("encode: %v allocations, want 1", n)
+	}
+	var err error
+	if n := testing.AllocsPerRun(10, func() { _, err = decodeRecord(payload) }); n != 6 || err != nil {
+		t.Errorf("decode: %v allocations (error %v), want 6", n, err)
 	}
 }
 

@@ -78,14 +78,3 @@ func ChannelSaturation(links []network.LinkStat, kind routing.LinkKind, routers 
 	}
 	return out
 }
-
-// TotalBytes sums the traffic of channels of one kind.
-func TotalBytes(links []network.LinkStat, kind routing.LinkKind) int64 {
-	var total int64
-	for _, l := range links {
-		if l.Kind == kind {
-			total += l.Bytes
-		}
-	}
-	return total
-}

@@ -70,16 +70,6 @@ func TestChannelSaturation(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	links := fakeLinks()
-	if got := TotalBytes(links, routing.Local); got != 3*MiB {
-		t.Fatalf("local total = %d", got)
-	}
-	if got := TotalBytes(links, routing.Terminal); got != 10*MiB {
-		t.Fatalf("terminal total = %d", got)
-	}
-}
-
 func TestMaxCommTime(t *testing.T) {
 	if got := MaxCommTime(nil); got != 0 {
 		t.Fatalf("MaxCommTime(nil) = %v", got)

@@ -30,9 +30,6 @@ func NewPool(topo topology.Interconnect) *Pool {
 // Free returns the number of unallocated nodes.
 func (p *Pool) Free() int { return p.free }
 
-// Taken reports whether a node is allocated.
-func (p *Pool) Taken(n topology.NodeID) bool { return p.taken[n] }
-
 // FreeNodes returns the unallocated nodes in ascending order.
 func (p *Pool) FreeNodes() []topology.NodeID {
 	out := make([]topology.NodeID, 0, p.free)

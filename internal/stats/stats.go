@@ -74,20 +74,6 @@ func Mean(values []float64) float64 {
 	return sum / float64(len(values))
 }
 
-// Max returns the maximum; it panics on empty input.
-func Max(values []float64) float64 {
-	if len(values) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Sum returns the total of values.
 func Sum(values []float64) float64 {
 	var s float64
@@ -135,50 +121,6 @@ func CDFAt(cdf []CDFPoint, x float64) float64 {
 		frac = p.Fraction
 	}
 	return frac
-}
-
-// Percentiles evaluates several quantiles at once over unsorted values.
-func Percentiles(values []float64, qs ...float64) []float64 {
-	s := sorted(values)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = Quantile(s, q)
-	}
-	return out
-}
-
-// Histogram bins values into `bins` equal-width buckets over [min, max] and
-// returns the per-bucket counts. Degenerate ranges put everything in the
-// first bucket.
-func Histogram(values []float64, bins int) (counts []int, lo, hi float64) {
-	if bins < 1 {
-		panic("stats: Histogram needs >= 1 bin")
-	}
-	counts = make([]int, bins)
-	if len(values) == 0 {
-		return counts, 0, 0
-	}
-	lo, hi = values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		counts[0] = len(values)
-		return counts, lo, hi
-	}
-	for _, v := range values {
-		b := int((v - lo) / (hi - lo) * float64(bins))
-		if b == bins {
-			b--
-		}
-		counts[b]++
-	}
-	return counts, lo, hi
 }
 
 func sorted(values []float64) []float64 {

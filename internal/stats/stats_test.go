@@ -57,13 +57,10 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestMeanMaxSum(t *testing.T) {
+func TestMeanSum(t *testing.T) {
 	v := []float64{2, 4, 6}
 	if Mean(v) != 4 {
 		t.Errorf("Mean = %v", Mean(v))
-	}
-	if Max(v) != 6 {
-		t.Errorf("Max = %v", Max(v))
 	}
 	if Sum(v) != 12 {
 		t.Errorf("Sum = %v", Sum(v))
@@ -95,39 +92,6 @@ func TestCDFSteps(t *testing.T) {
 	}
 	if CDF(nil) != nil {
 		t.Error("CDF(nil) != nil")
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	got := Percentiles([]float64{5, 1, 3, 2, 4}, 0, 0.5, 1)
-	if got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("Percentiles = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, lo, hi := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if lo != 0 || hi != 9 {
-		t.Fatalf("range = [%v,%v]", lo, hi)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost values: %v", counts)
-	}
-	// Degenerate range.
-	counts, _, _ = Histogram([]float64{3, 3, 3}, 4)
-	if counts[0] != 3 {
-		t.Fatalf("degenerate histogram = %v", counts)
-	}
-	// Empty input.
-	counts, _, _ = Histogram(nil, 3)
-	for _, c := range counts {
-		if c != 0 {
-			t.Fatalf("empty histogram = %v", counts)
-		}
 	}
 }
 

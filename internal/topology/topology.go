@@ -72,6 +72,21 @@ func Mini() Config {
 	}
 }
 
+// Quick returns the machine of the experiments' quick scale, structurally
+// Theta-like (several groups, a non-square grid, distinguishable chassis
+// and cabinets, parallel global links): 5 groups × (2×8) routers × 2 nodes
+// = 160 nodes, and 16 routers × 4 global ports = 64 per group.
+func Quick() Config {
+	return Config{
+		Groups:               5,
+		Rows:                 2,
+		Cols:                 8,
+		NodesPerRouter:       2,
+		GlobalPortsPerRouter: 4,
+		ChassisPerCabinet:    2,
+	}
+}
+
 // Validate reports whether the configuration describes a buildable machine.
 func (c Config) Validate() error {
 	switch {

@@ -20,20 +20,20 @@ import (
 	"dragonfly/internal/trace"
 )
 
-// collectiveGraphs builds the suite's collective workloads at mini-machine
-// scale: a pipelined ring all-reduce (chained deps, two-predecessor joins)
-// and a windowed MoE all-to-all (fan-in joins, injection windowing).
+// collectiveGraphs builds the suite's collective workloads at the catalog's
+// mini size: a pipelined ring all-reduce (chained deps, two-predecessor
+// joins) and a windowed MoE all-to-all (fan-in joins, injection windowing).
 func collectiveGraphs(t *testing.T) map[string]*trace.Graph {
 	t.Helper()
-	ring, err := trace.RingAllReduce(trace.RingAllReduceConfig{Ranks: 16, Bytes: 64 * trace.KB, Rounds: 1})
-	if err != nil {
-		t.Fatalf("RING: %v", err)
+	graphs := map[string]*trace.Graph{}
+	for _, app := range []string{"RING", "MOE"} {
+		_, g, err := trace.BuildApp(app, trace.Mini)
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		graphs[app] = g
 	}
-	moe, err := trace.MoEAllToAll(trace.MoEAllToAllConfig{Ranks: 16, Bytes: 16 * trace.KB, Rounds: 1, Window: 4})
-	if err != nil {
-		t.Fatalf("MOE: %v", err)
-	}
-	return map[string]*trace.Graph{"RING": ring, "MOE": moe}
+	return graphs
 }
 
 func collectiveConfig(t *testing.T, preset string, g *trace.Graph, place placement.Policy) core.Config {

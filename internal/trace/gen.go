@@ -2,8 +2,10 @@
 // built directly on the graph IR, expressing pipelined structure (a ring
 // all-reduce step depending only on the previous step's receive, a windowed
 // all-to-all) that flat fence-punctuated op lists cannot. Each generator is
-// parameterized by ranks, payload, and rounds, validates its output, and
-// registers under a name in Apps() so every CLI sees one application set.
+// parameterized by ranks, payload, and rounds and validates its output. The
+// application catalog names every built-in application, flat or graph, and
+// holds its config at each Size, so every CLI and the experiments see one
+// application set at one set of sizes.
 package trace
 
 import (
@@ -13,53 +15,146 @@ import (
 	"dragonfly/internal/des"
 )
 
-// graphApps maps generator names to default-scale constructors; the slice
-// fixes display order. Names are uppercase like the miniapps (CR/FB/AMG).
-var graphAppNames = []string{"RING", "TREE", "MOE", "HALO2D", "HALO3D", "CKPT"}
+// Size selects the config a built-in application is built at; every
+// catalog entry has one for each.
+type Size int
 
-// flatAppNames lists the flat miniapp trace generators of the paper.
-var flatAppNames = []string{"CR", "FB", "AMG"}
+const (
+	// Paper is the paper's size, the Default* configs (1,000-rank CR and FB,
+	// 1,728-rank AMG), which fit Theta.
+	Paper Size = iota
+	// Quick fits the experiments' 160-node quick-scale machines.
+	Quick
+	// Mini fits the 64-node mini machine; dfsim uses it on machines of at
+	// most 256 nodes.
+	Mini
+	numSizes
+)
 
-// Apps returns every built-in application name — the paper's flat miniapp
-// traces first, then the graph generators. CLI -app grammars and their
-// unknown-app errors draw on this single registry.
+// app is one entry of the application catalog: its name, whether it is a
+// graph generator, and its workload at each Size.
+type app struct {
+	name  string
+	graph bool
+	build func(Size) (*Trace, *Graph, error)
+}
+
+// flatApp registers a flat miniapp trace generator with its Paper, Quick
+// and Mini configs.
+func flatApp[C any](name string, gen func(C) (*Trace, error), paper, quick, mini C) app {
+	cfgs := [numSizes]C{paper, quick, mini}
+	return app{name: name, build: func(s Size) (*Trace, *Graph, error) {
+		tr, err := gen(cfgs[s])
+		return tr, nil, err
+	}}
+}
+
+// graphApp registers a dependency-graph generator with its Paper, Quick and
+// Mini configs.
+func graphApp[C any](name string, gen func(C) (*Graph, error), paper, quick, mini C) app {
+	cfgs := [numSizes]C{paper, quick, mini}
+	return app{name: name, graph: true, build: func(s Size) (*Trace, *Graph, error) {
+		g, err := gen(cfgs[s])
+		return nil, g, err
+	}}
+}
+
+// catalog is every built-in application, each at its Paper, Quick and Mini
+// configs in that order: the paper's flat miniapp traces first, then the
+// graph generators. Names are uppercase; the order is the display order.
+var catalog = []app{
+	flatApp("CR", CR, DefaultCR(),
+		CRConfig{Ranks: 64, MessageBytes: 24 * KB},
+		CRConfig{Ranks: 32, MessageBytes: 16 * KB}),
+	flatApp("FB", FB, DefaultFB(),
+		FBConfig{X: 4, Y: 4, Z: 4, Iterations: 2, MinBytes: 6 * KB, MaxBytes: 160 * KB,
+			FarPartners: 2, FarFraction: 0.1, Seed: 1},
+		FBConfig{X: 3, Y: 3, Z: 3, Iterations: 2, MinBytes: 4 * KB, MaxBytes: 64 * KB,
+			FarPartners: 1, FarFraction: 0.1, Seed: 1}),
+	flatApp("AMG", AMG, DefaultAMG(),
+		AMGConfig{X: 4, Y: 4, Z: 4, Cycles: 3, Levels: 4, PeakBytes: 10 * KB},
+		AMGConfig{X: 3, Y: 3, Z: 3, Cycles: 3, Levels: 3, PeakBytes: 16 * KB}),
+	graphApp("RING", RingAllReduce, DefaultRing(),
+		RingAllReduceConfig{Ranks: 64, Bytes: 512 * KB, Rounds: 1},
+		RingAllReduceConfig{Ranks: 16, Bytes: 64 * KB, Rounds: 1}),
+	graphApp("TREE", TreeAllReduce, DefaultTree(),
+		TreeAllReduceConfig{Ranks: 64, Bytes: 96 * KB, Rounds: 2},
+		TreeAllReduceConfig{Ranks: 16, Bytes: 32 * KB, Rounds: 2}),
+	graphApp("MOE", MoEAllToAll, DefaultMoE(),
+		MoEAllToAllConfig{Ranks: 48, Bytes: 48 * KB, Rounds: 1, Window: 8},
+		MoEAllToAllConfig{Ranks: 16, Bytes: 16 * KB, Rounds: 1, Window: 4}),
+	graphApp("HALO2D", Halo, DefaultHalo2D(),
+		HaloConfig{X: 8, Y: 8, Bytes: 64 * KB, Rounds: 2},
+		HaloConfig{X: 4, Y: 4, Bytes: 16 * KB, Rounds: 2}),
+	graphApp("HALO3D", Halo, DefaultHalo3D(),
+		HaloConfig{X: 4, Y: 4, Z: 4, Bytes: 32 * KB, Rounds: 2},
+		HaloConfig{X: 3, Y: 3, Z: 3, Bytes: 8 * KB, Rounds: 2}),
+	graphApp("CKPT", Checkpoint, DefaultCheckpoint(),
+		CheckpointConfig{Clients: 56, Servers: 8, Bytes: 1024 * KB, Rounds: 1, Delay: 20 * des.Microsecond},
+		CheckpointConfig{Clients: 12, Servers: 4, Bytes: 256 * KB, Rounds: 1, Delay: 20 * des.Microsecond}),
+}
+
+// find returns the catalog entry an application name names, matched
+// case-insensitively; the error lists the full application set.
+func find(s string) (app, error) {
+	u := strings.ToUpper(strings.TrimSpace(s))
+	for _, a := range catalog {
+		if a.name == u {
+			return a, nil
+		}
+	}
+	return app{}, fmt.Errorf("trace: unknown application %q (want %s)",
+		strings.TrimSpace(s), strings.Join(Apps(), ", "))
+}
+
+// Apps returns every built-in application name in catalog order. CLI -app
+// grammars and their unknown-app errors draw on this one registry.
 func Apps() []string {
-	out := make([]string, 0, len(flatAppNames)+len(graphAppNames))
-	out = append(out, flatAppNames...)
-	out = append(out, graphAppNames...)
+	out := make([]string, len(catalog))
+	for i, a := range catalog {
+		out[i] = a.name
+	}
 	return out
 }
 
 // GraphApps returns the graph-generator application names.
 func GraphApps() []string {
-	out := make([]string, len(graphAppNames))
-	copy(out, graphAppNames)
+	var out []string
+	for _, a := range catalog {
+		if a.graph {
+			out = append(out, a.name)
+		}
+	}
 	return out
 }
 
 // IsGraphApp reports whether name names a graph generator (as opposed to a
 // flat miniapp trace).
 func IsGraphApp(name string) bool {
-	for _, n := range graphAppNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	a, err := find(name)
+	return err == nil && a.graph
 }
 
 // ParseApp canonicalizes an application name against the registry,
 // case-insensitively: "ring" and "RING" both resolve to "RING". The error
 // lists the full application set.
 func ParseApp(s string) (string, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	for _, n := range Apps() {
-		if n == u {
-			return n, nil
-		}
+	a, err := find(s)
+	return a.name, err
+}
+
+// BuildApp builds the named application, matched as ParseApp matches it, at
+// the given size: a trace for the paper's flat miniapps, a dependency graph
+// for the generators. The other result is nil.
+func BuildApp(name string, size Size) (*Trace, *Graph, error) {
+	if size < 0 || size >= numSizes {
+		return nil, nil, fmt.Errorf("trace: unknown application size %d", size)
 	}
-	return "", fmt.Errorf("trace: unknown application %q (want %s)",
-		strings.TrimSpace(s), strings.Join(Apps(), ", "))
+	a, err := find(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a.build(size)
 }
 
 // depOn returns a single-dependency list, or nil for a negative id.
@@ -467,26 +562,4 @@ func Checkpoint(cfg CheckpointConfig) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// DefaultGraph builds the named graph application at its default (paper-
-// flavored) scale — the graph analogue of the miniapps' Default*Config
-// sizes, used by dftrace.
-func DefaultGraph(name string) (*Graph, error) {
-	switch name {
-	case "RING":
-		return RingAllReduce(DefaultRing())
-	case "TREE":
-		return TreeAllReduce(DefaultTree())
-	case "MOE":
-		return MoEAllToAll(DefaultMoE())
-	case "HALO2D":
-		return Halo(DefaultHalo2D())
-	case "HALO3D":
-		return Halo(DefaultHalo3D())
-	case "CKPT":
-		return Checkpoint(DefaultCheckpoint())
-	default:
-		return nil, fmt.Errorf("trace: unknown graph app %q", name)
-	}
 }

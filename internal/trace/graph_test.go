@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/des"
@@ -301,27 +303,64 @@ func TestGraphGeneratorsRejectBadConfigs(t *testing.T) {
 
 func TestDefaultGraphRegistry(t *testing.T) {
 	apps := Apps()
-	if len(apps) != len(flatAppNames)+len(graphAppNames) {
-		t.Fatalf("Apps() = %v", apps)
+	if want := []string{"CR", "FB", "AMG", "RING", "TREE", "MOE", "HALO2D", "HALO3D", "CKPT"}; !reflect.DeepEqual(apps, want) {
+		t.Fatalf("Apps() = %v, want %v", apps, want)
 	}
-	for _, name := range GraphApps() {
-		if !IsGraphApp(name) {
-			t.Errorf("IsGraphApp(%q) = false", name)
-		}
-		g, err := DefaultGraph(name)
+	if got := GraphApps(); !reflect.DeepEqual(got, apps[3:]) {
+		t.Fatalf("GraphApps() = %v, want %v", got, apps[3:])
+	}
+	for _, name := range apps {
+		tr, g, err := BuildApp(strings.ToLower(name), Mini)
 		if err != nil {
-			t.Fatalf("DefaultGraph(%q): %v", name, err)
+			t.Fatalf("BuildApp(%q): %v", name, err)
 		}
-		if g.App != name {
-			t.Errorf("DefaultGraph(%q).App = %q", name, g.App)
+		ok := tr == nil && g != nil && g.App == name
+		if !IsGraphApp(name) {
+			ok = g == nil && tr != nil && tr.App == name
+		}
+		if !ok {
+			t.Errorf("BuildApp(%q) built trace %v, graph %v; IsGraphApp %v", name, tr != nil, g != nil, IsGraphApp(name))
 		}
 	}
-	for _, name := range []string{"CR", "FB", "AMG"} {
-		if IsGraphApp(name) {
-			t.Errorf("IsGraphApp(%q) = true", name)
-		}
+	if _, _, err := BuildApp("NOPE", Mini); err == nil || !strings.Contains(err.Error(), "CKPT") {
+		t.Errorf("BuildApp accepted an unknown name or did not list the apps: %v", err)
 	}
-	if _, err := DefaultGraph("NOPE"); err == nil {
-		t.Error("DefaultGraph accepted an unknown name")
+	if _, _, err := BuildApp("CR", numSizes); err == nil {
+		t.Error("BuildApp accepted an unknown size")
+	}
+}
+
+// TestGraphFileRoundTrip writes a RING graph to a file and reads it back
+// with its digest intact, and requires the reader to reject a graph file
+// that fails Validate.
+func TestGraphFileRoundTrip(t *testing.T) {
+	_, orig, err := BuildApp("RING", Mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ring.graph")
+	if err := WriteFile(path, orig); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile[Graph](path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest() != orig.Digest() {
+		t.Fatalf("round trip changed the digest: %#x, want %#x", got.Digest(), orig.Digest())
+	}
+
+	bad := &Graph{App: "X", Ranks: [][]GraphNode{
+		{{Kind: NodeSend, Peer: 1, Bytes: 10}},
+		{}, // missing the matching receive
+	}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Validate accepted an unmatched send")
+	}
+	if err := WriteFile(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile[Graph](path); err == nil {
+		t.Fatal("ReadFile accepted a graph that fails Validate")
 	}
 }

@@ -9,31 +9,43 @@ import (
 	"os"
 )
 
-// Write serializes a trace in the library's binary format (gob).
-func Write(w io.Writer, t *Trace) error {
-	return gob.NewEncoder(w).Encode(t)
+// workload is what a workload file holds: one trace or one dependency graph
+// in the library's binary format (gob). One writer and one validating
+// reader serve both.
+type workload interface{ Trace | Graph }
+
+// validator is a pointer to a workload, which checks itself.
+type validator[W workload] interface {
+	*W
+	Validate() error
 }
 
-// Read deserializes a trace written by Write and validates it.
-func Read(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := gob.NewDecoder(r).Decode(&t); err != nil {
+// Write serializes a trace or a graph in the library's binary format.
+func Write[W workload](w io.Writer, v *W) error {
+	return gob.NewEncoder(w).Encode(v)
+}
+
+// Read deserializes a trace (Read[Trace]) or a graph (Read[Graph]) written
+// by Write and validates it.
+func Read[W workload, P validator[W]](r io.Reader) (*W, error) {
+	v := new(W)
+	if err := gob.NewDecoder(r).Decode(v); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	if err := t.Validate(); err != nil {
+	if err := P(v).Validate(); err != nil {
 		return nil, err
 	}
-	return &t, nil
+	return v, nil
 }
 
-// WriteFile writes a trace to a file.
-func WriteFile(path string, t *Trace) error {
+// WriteFile writes a trace or a graph to a file.
+func WriteFile[W workload](path string, v *W) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	if err := Write(bw, t); err != nil {
+	if err := Write(bw, v); err != nil {
 		f.Close()
 		return err
 	}
@@ -44,14 +56,15 @@ func WriteFile(path string, t *Trace) error {
 	return f.Close()
 }
 
-// ReadFile reads a trace from a file.
-func ReadFile(path string) (*Trace, error) {
+// ReadFile reads a trace (ReadFile[Trace]) or a graph (ReadFile[Graph])
+// from a file and validates it.
+func ReadFile[W workload, P validator[W]](path string) (*W, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(bufio.NewReader(f))
+	return Read[W, P](bufio.NewReader(f))
 }
 
 // Summary is the JSON-friendly digest of a trace used by cmd/dftrace.
@@ -106,61 +119,10 @@ func SummarizeGraph(g *Graph) GraphSummary {
 	}
 }
 
-// WriteSummaryJSON writes the digest as indented JSON.
-func WriteSummaryJSON(w io.Writer, t *Trace) error {
+// WriteSummaryJSON writes a trace's or a graph's digest (Summarize,
+// SummarizeGraph) as indented JSON.
+func WriteSummaryJSON[S Summary | GraphSummary](w io.Writer, s S) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(Summarize(t))
-}
-
-// WriteGraphSummaryJSON writes a graph's digest as indented JSON.
-func WriteGraphSummaryJSON(w io.Writer, g *Graph) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(SummarizeGraph(g))
-}
-
-// WriteGraph serializes a dependency graph in the library's binary format.
-func WriteGraph(w io.Writer, g *Graph) error {
-	return gob.NewEncoder(w).Encode(g)
-}
-
-// ReadGraph deserializes a graph written by WriteGraph and validates it.
-func ReadGraph(r io.Reader) (*Graph, error) {
-	var g Graph
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("trace: decode graph: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
-// WriteGraphFile writes a graph to a file.
-func WriteGraphFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := WriteGraph(bw, g); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadGraphFile reads a graph from a file.
-func ReadGraphFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadGraph(bufio.NewReader(f))
+	return enc.Encode(s)
 }

@@ -219,7 +219,7 @@ func TestGobRoundTrip(t *testing.T) {
 	if err := Write(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Read[Trace](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestReadRejectsCorruptTrace(t *testing.T) {
 	if err := Write(&buf, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(&buf); err == nil {
+	if _, err := Read[Trace](&buf); err == nil {
 		t.Fatal("Read accepted an unmatched trace")
 	}
 }
@@ -273,7 +273,7 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("summary = %+v", s)
 	}
 	var buf bytes.Buffer
-	if err := WriteSummaryJSON(&buf, tr); err != nil {
+	if err := WriteSummaryJSON(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"app": "AMG"`)) {
