@@ -27,10 +27,11 @@ func ablationWorkload(b *testing.B) *Trace {
 func runAblation(b *testing.B, mutate func(*Config)) {
 	b.Helper()
 	tr := ablationWorkload(b)
+	cfg := MiniConfig(tr, Cell{Placement: Contiguous, Routing: Adaptive}, 1)
+	mutate(&cfg)
+	warmUp(b, cfg)
 	var totalMs float64
 	for i := 0; i < b.N; i++ {
-		cfg := MiniConfig(tr, Cell{Placement: Contiguous, Routing: Adaptive}, 1)
-		mutate(&cfg)
 		res, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -195,7 +195,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil && cfg.Graph == nil {
 		return nil, fmt.Errorf("core: config has no workload (set Trace or Graph)")
 	}
-	root := des.NewRNG(cfg.Seed, "core")
+	root := NewRoot(cfg.Params, cfg.Seed, "core")
+	defer root.Release()
 	s, err := NewSession(cfg, root)
 	if err != nil {
 		return nil, err

@@ -88,7 +88,8 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("core: co-run needs at least one job")
 	}
-	root := des.NewRNG(cfg.Seed, "core/multi")
+	root := NewRoot(cfg.Params, cfg.Seed, "core/multi")
+	defer root.Release()
 	s, err := NewSession(Config{Topology: cfg.Topology, Params: cfg.Params, Routing: cfg.Routing, Audit: cfg.Audit}, root)
 	if err != nil {
 		return nil, err

@@ -105,6 +105,35 @@ func freshRun(t *testing.T, name string, cfg Config) *Result {
 	return res
 }
 
+// TestFreshReferenceSharesNothing: a pooled session runs on the shared
+// machine and hands its root back to the stream pool, while the
+// allocate-fresh reference (Params.NoPacketPool) builds a machine of its
+// own and draws streams no pool holds, so the equivalence suites compare
+// sharing and recycling against new objects.
+func TestFreshReferenceSharesNothing(t *testing.T) {
+	cfg := MiniConfig(miniCR(t), Cell{placement.RandomNode, routing.Minimal}, 1)
+	shared, err := topology.Shared(cfg.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fresh := range []bool{false, true} {
+		cfg.Params.NoPacketPool = fresh
+		root := NewRoot(cfg.Params, cfg.Seed, "core")
+		s, err := NewSession(cfg, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onShared := s.Topo == shared; onShared == fresh {
+			t.Errorf("NoPacketPool=%v: session on the shared machine = %v", fresh, onShared)
+		}
+		s.Close()
+		root.Release()
+		if reused := des.NewRNG(1, "next") == root; reused == fresh {
+			t.Errorf("NoPacketPool=%v: root back in the stream pool = %v", fresh, reused)
+		}
+	}
+}
+
 // requireSameRun fails unless got matches the reference want in every
 // field that reusing memory could perturb, the audit counts included.
 func requireSameRun(t *testing.T, name string, got, want *Result) {

@@ -13,14 +13,16 @@ import (
 )
 
 // Session is one simulation on one machine: the kernel under Run, RunMulti
-// and sched.Run. It owns the built machine, the engine, the fabric with its
-// fault wiring, watchdog and auditor, and the pool of free nodes; it
-// launches jobs onto the fabric and drains the engine. Front ends keep their
-// own RNG roots and stream names and do their own placement (from Pool) and
-// mapping: the session draws one stream, the fabric's, first from the root
-// it is given. Once a front end has copied its result out, Close hands the
-// engine's, fabric's and chooser's storage to the next session, and each
-// replay to the next run of its graph.
+// and sched.Run. It runs on the built machine every session of that shape
+// shares (topology.Shared), and owns the engine, the fabric with its fault
+// wiring, watchdog and auditor, and the pool of free nodes; it launches
+// jobs onto the fabric and drains the engine. Front ends keep their own RNG
+// roots (NewRoot) and stream names and do their own placement (from Pool)
+// and mapping: the session draws one stream, the fabric's, first from the
+// root it is given. Once a front end has copied its result out, Close hands
+// the engine's, fabric's and chooser's storage to the next session, and
+// each replay to the next run of its graph; then the front end releases its
+// root, and with it every stream the run drew from.
 type Session struct {
 	Topo   topology.Interconnect
 	Engine *des.Engine
@@ -36,7 +38,7 @@ type Session struct {
 	haltOnDone bool
 }
 
-// NewSession builds the machine cfg describes — its Topology, Params,
+// NewSession sets up the machine cfg describes — its Topology, Params,
 // Routing, Faults, watchdog limits and Audit; the workload fields are the
 // front end's business — drawing the fabric's stream first from root. It
 // rejects background traffic without a MaxSimTime: the background never
@@ -48,12 +50,17 @@ func NewSession(cfg Config, root *des.RNG) (*Session, error) {
 	if cfg.Background != nil && cfg.MaxSimTime <= 0 {
 		return nil, fmt.Errorf("core: background traffic needs a deadline (set MaxSimTime)")
 	}
-	topo, err := cfg.Topology.Build()
+	// Params.NoPacketPool is the allocate-fresh reference: a machine built
+	// for this session, not the shared one, a zero engine, not a recycled
+	// one, and (in network.New) fresh fabric storage.
+	build := topology.Shared
+	if cfg.Params.NoPacketPool {
+		build = topology.Machine.Build
+	}
+	topo, err := build(cfg.Topology)
 	if err != nil {
 		return nil, err
 	}
-	// Params.NoPacketPool is the allocate-fresh reference: a zero engine,
-	// not a recycled one, and (in network.New) fresh fabric storage.
 	var eng *des.Engine
 	if cfg.Params.NoPacketPool {
 		eng = new(des.Engine)
@@ -91,6 +98,16 @@ func NewSession(cfg Config, root *des.RNG) (*Session, error) {
 		eng.SetObserver(s.aud.EventExecuted)
 	}
 	return s, nil
+}
+
+// NewRoot returns a front end's root stream, from which every stream of
+// its run derives: a recycled one, to be released after Close, or with
+// p.NoPacketPool a fresh one whose derived streams are fresh too.
+func NewRoot(p network.Params, seed int64, name string) *des.RNG {
+	if p.NoPacketPool {
+		return des.FreshRNG(seed, name)
+	}
+	return des.NewRNG(seed, name)
 }
 
 // Background runs the synthetic interference job on every node still free
@@ -182,5 +199,5 @@ func (s *Session) Close() {
 	for _, rep := range s.replays {
 		rep.Close()
 	}
-	s.Engine, s.Fabric, s.replays = nil, nil, nil
+	s.Engine, s.Fabric, s.bg, s.replays = nil, nil, nil, nil
 }

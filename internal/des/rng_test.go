@@ -1,6 +1,9 @@
 package des
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -107,4 +110,80 @@ func TestLogUniformPanicsOnBadRange(t *testing.T) {
 			r.LogUniform(c.lo, c.hi)
 		}()
 	}
+}
+
+// referenceRNG builds the stream of (seed, name) on its own: the name's
+// FNV-1a hash from hash/fnv, mixed into the seed, seeding a new generator.
+func referenceRNG(seed int64, name string) *rand.Rand {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name))
+	return rand.New(rand.NewSource(int64(h.Sum64() ^ (uint64(seed) * 0x9E3779B97F4A7C15))))
+}
+
+// TestRecycledStreamMatchesFresh: a stream reseeded from the pool draws the
+// same first 10,000 values as a new generator of its (seed, name), and so
+// does a stream derived from it. Four goroutines run rounds of every pair
+// at once, each round releasing its streams with their generators part
+// drawn, so later rounds take back streams another goroutine dirtied. CI
+// runs it under the race detector with -count=10.
+func TestRecycledStreamMatchesFresh(t *testing.T) {
+	pairs := []struct {
+		seed int64
+		name string
+	}{{1, "core"}, {7, "core/multi"}, {-3, "sched"}, {1 << 40, ""}, {42, "fabric"}}
+	const draws = 10_000
+	same := func(got *RNG, want *rand.Rand) bool {
+		for i := 0; i < draws; i++ {
+			if got.Int63() != want.Int63() {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range pairs {
+					p := pairs[(w+i)%len(pairs)]
+					root, ref := NewRNG(p.seed, p.name), referenceRNG(p.seed, p.name)
+					kid := root.Stream("child")
+					refKid := referenceRNG(ref.Int63(), "child")
+					if !same(root, ref) || !same(kid, refKid) {
+						t.Errorf("worker %d round %d: stream (%d, %q) or its child drew other values than a new generator",
+							w, round, p.seed, p.name)
+						return
+					}
+					root.Release()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFreshStreamsStayOutOfThePool: a FreshRNG stream and its children
+// derive fresh streams and ignore Release, while a pooled stream released
+// twice panics.
+func TestFreshStreamsStayOutOfThePool(t *testing.T) {
+	fresh := FreshRNG(5, "ref")
+	kid := fresh.Stream("child")
+	if !kid.fresh {
+		t.Fatal("a FreshRNG stream derived a pooled child")
+	}
+	fresh.Release()
+	if fresh.free || kid.free {
+		t.Fatal("Release pooled a FreshRNG stream")
+	}
+	r := NewRNG(5, "pooled")
+	r.Stream("child")
+	r.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release did not panic")
+		}
+	}()
+	r.Release()
 }

@@ -629,11 +629,20 @@ func (r *Runner) resolve(reqs []simReq) ([]*core.Result, error) {
 			return nil, fmt.Errorf("experiments: %s under %s%s: %w", rq.app, rq.cell.Name(), r.extraAxes(cfgs[i]), err)
 		}
 		if !res.Completed {
-			return nil, fmt.Errorf("experiments: %s under %s%s did not complete within %v",
-				rq.app, rq.cell.Name(), r.extraAxes(cfgs[i]), cfgs[i].MaxSimTime)
+			return nil, unfinished(rq.app+" under "+rq.cell.Name()+r.extraAxes(cfgs[i]), cfgs[i].MaxSimTime, res.Duration)
 		}
 	}
 	return results, nil
+}
+
+// unfinished is the error of a cell whose job did not finish: cut at its
+// deadline, or stalled, the event queue emptied before any deadline (0 =
+// none) with ranks still waiting.
+func unfinished(cell string, deadline, ended des.Time) error {
+	if deadline > 0 && ended >= deadline {
+		return fmt.Errorf("experiments: %s did not complete within %v", cell, deadline)
+	}
+	return fmt.Errorf("experiments: %s stalled: the event queue emptied at %v with the job unfinished", cell, ended)
 }
 
 // cellDone is the farm's progress callback: one line, in one Write, per

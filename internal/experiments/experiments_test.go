@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dragonfly/internal/des"
 	"dragonfly/internal/faults"
 )
 
@@ -372,5 +373,24 @@ func TestBurstyBackgroundDecodesTableII(t *testing.T) {
 	}
 	if cr.FanOut != 2455/32 {
 		t.Fatalf("CR fan-out = %d, want %d", cr.FanOut, 2455/32)
+	}
+}
+
+// TestUnfinishedCellErrors: a cell cut at its deadline reports the
+// deadline; one whose event queue emptied first, with or without a
+// deadline, reports a stall at the time the queue emptied.
+func TestUnfinishedCellErrors(t *testing.T) {
+	for _, tc := range []struct {
+		deadline, ended des.Time
+		want            string
+	}{
+		{0, 3 * des.Microsecond, "CR under rand-min stalled: the event queue emptied at " + (3 * des.Microsecond).String() + " with the job unfinished"},
+		{des.Second, 3 * des.Microsecond, "CR under rand-min stalled: the event queue emptied at " + (3 * des.Microsecond).String() + " with the job unfinished"},
+		{des.Second, des.Second, "CR under rand-min did not complete within " + des.Second.String()},
+		{des.Second, des.Second + 5, "CR under rand-min did not complete within " + des.Second.String()},
+	} {
+		if err := unfinished("CR under rand-min", tc.deadline, tc.ended); err == nil || err.Error() != "experiments: "+tc.want {
+			t.Errorf("deadline %v, ended %v: %v, want %q", tc.deadline, tc.ended, err, tc.want)
+		}
 	}
 }

@@ -91,6 +91,46 @@ func TestRecordCodecAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmHitAllocs pins what a banked cell costs a resumed sweep: Store.Get
+// reads, verifies and decodes the entry, and Record.Result materializes the
+// result. One allocation more fails, on any host.
+func TestWarmHitAllocs(t *testing.T) {
+	tr, _, err := trace.BuildApp("CR", trace.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{
+		Topology: topology.Quick(), Params: network.DefaultParams(),
+		Placement: placement.Contiguous, Routing: routing.Minimal, Trace: tr, Seed: 1,
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := Address(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(addr, RecordOf(res)); err != nil {
+		t.Fatal(err)
+	}
+	hit := func() {
+		rec, err := s.Get(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Result(cfg)
+	}
+	hit()
+	if n := testing.AllocsPerRun(20, hit); n != 24 {
+		t.Errorf("warm hit: %v allocations, want 24", n)
+	}
+}
+
 // TestRecordCodecCoversEveryField sets each scalar field reachable from
 // Record (through network.LinkStat, audit.Summary and audit.Stats) to a
 // non-zero value, one at a time, and requires the codec to carry it. JSON

@@ -44,8 +44,11 @@ type Params struct {
 
 	// NoPacketPool disables the fabric's packet, credit-token and message
 	// free lists, allocating fresh structs per packet and message as the
-	// pre-pooling code did. Results are identical either way; the knob
-	// exists for the pooling equivalence tests.
+	// pre-pooling code did, and every other reuse a run makes: a
+	// core.Session under it builds its own machine, a zero engine, fresh
+	// fabric storage and replays, and its front end draws fresh random
+	// streams. Results are identical either way; the knob exists for the
+	// pooling equivalence tests.
 	NoPacketPool bool
 }
 

@@ -112,7 +112,8 @@ func Run(cfg Config, jobs []JobRequest) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sched: no jobs submitted")
 	}
-	root := des.NewRNG(cfg.Seed, "sched")
+	root := core.NewRoot(cfg.Params, cfg.Seed, "sched")
+	defer root.Release()
 	ses, err := core.NewSession(core.Config{Topology: cfg.Topology, Params: cfg.Params, Routing: cfg.Routing}, root)
 	if err != nil {
 		return nil, err

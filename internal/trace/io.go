@@ -10,8 +10,8 @@ import (
 )
 
 // workload is what a workload file holds: one trace or one dependency graph
-// in the library's binary format (gob). One writer and one validating
-// reader serve both.
+// in the library's binary format, a form tag and then the gob value. One
+// writer and one validating reader serve both.
 type workload interface{ Trace | Graph }
 
 // validator is a pointer to a workload, which checks itself.
@@ -20,14 +20,43 @@ type validator[W workload] interface {
 	Validate() error
 }
 
+// formTag starts the line ahead of a workload file's gob value; the form's
+// name ("trace" or "graph", five bytes either way) and a newline end it.
+const formTag = "dragonfly-workload "
+
+// formOf names the form of W: "trace" or "graph".
+func formOf[W workload]() string {
+	if _, ok := any(new(W)).(*Trace); ok {
+		return "trace"
+	}
+	return "graph"
+}
+
 // Write serializes a trace or a graph in the library's binary format.
 func Write[W workload](w io.Writer, v *W) error {
+	if _, err := io.WriteString(w, formTag+formOf[W]()+"\n"); err != nil {
+		return err
+	}
 	return gob.NewEncoder(w).Encode(v)
 }
 
 // Read deserializes a trace (Read[Trace]) or a graph (Read[Graph]) written
-// by Write and validates it.
+// by Write and validates it. A file of the other form is an error that
+// names the form it holds.
 func Read[W workload, P validator[W]](r io.Reader) (*W, error) {
+	tag := make([]byte, len(formTag)+len("trace\n"))
+	if _, err := io.ReadFull(r, tag); err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, fmt.Errorf("trace: read form tag: %w", err)
+	}
+	if string(tag[:len(formTag)]) != formTag || tag[len(tag)-1] != '\n' {
+		return nil, fmt.Errorf("trace: not a workload file (no form tag)")
+	}
+	switch held, want := string(tag[len(formTag):len(tag)-1]), formOf[W](); {
+	case held != "trace" && held != "graph":
+		return nil, fmt.Errorf("trace: unknown workload form %q", held)
+	case held != want:
+		return nil, fmt.Errorf("trace: the file holds a %s, not a %s", held, want)
+	}
 	v := new(W)
 	if err := gob.NewDecoder(r).Decode(v); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)

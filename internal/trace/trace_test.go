@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -228,6 +230,47 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 	if got.TotalSendBytes() != orig.TotalSendBytes() {
 		t.Fatal("round trip changed payload bytes")
+	}
+}
+
+// TestReadNamesTheFormItHolds: each form reads back as itself, and a trace
+// file read as a graph, or a graph file read as a trace, is refused with an
+// error naming what the file holds. A gob value without the form tag is
+// not a workload file.
+func TestReadNamesTheFormItHolds(t *testing.T) {
+	tr, err := CR(CRConfig{Ranks: 8, MessageBytes: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trFile, graphFile, untagged bytes.Buffer
+	if err := Write(&trFile, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&graphFile, tr.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&untagged).Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read[Trace](bytes.NewReader(trFile.Bytes())); err != nil {
+		t.Errorf("trace file as a trace: %v", err)
+	}
+	if _, err := Read[Graph](bytes.NewReader(graphFile.Bytes())); err != nil {
+		t.Errorf("graph file as a graph: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		read func() error
+		want string
+	}{
+		{"trace file as a graph", func() error { _, err := Read[Graph](bytes.NewReader(trFile.Bytes())); return err }, "holds a trace, not a graph"},
+		{"graph file as a trace", func() error { _, err := Read[Trace](bytes.NewReader(graphFile.Bytes())); return err }, "holds a graph, not a trace"},
+		{"untagged gob", func() error { _, err := Read[Trace](&untagged); return err }, "no form tag"},
+		{"empty file", func() error { _, err := Read[Graph](strings.NewReader("")); return err }, "no form tag"},
+	} {
+		if err := tc.read(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one saying %q", tc.name, err, tc.want)
+		}
 	}
 }
 
